@@ -15,6 +15,7 @@ guarantee (wall time varies).
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -389,9 +390,8 @@ def _run_fluid(cfg, out_flag):
     return 0
 
 
-def _limit_one(raw_cfg, replicate):
-    cfg = validate_config(raw_cfg)
-    dist = make_service_dist(cfg.model["service"])
+def _limit_spec(cfg):
+    """The limit run's spec at replicate 0; its paths differ only there."""
     fm = cfg.model["fluid"]
     init = FluidInit(Ebar=fm.get("Ebar", 1.0), x0=float(fm.get("x0", 1.0)),
                      nu0_density=_build_fluid_nu0(fm.get("nu0")),
@@ -400,14 +400,19 @@ def _limit_one(raw_cfg, replicate):
                      dx=float(cfg.numerics["dx"]),
                      x_max=cfg.numerics.get("x_max"),
                      tail_budget=float(cfg.numerics.get("tail_budget", 1e-6)))
-    spec = LimitSpec(dist=dist, arrival=_build_arrival(cfg.model["arrival"]),
+    return LimitSpec(dist=make_service_dist(cfg.model["service"]),
+                     arrival=_build_arrival(cfg.model["arrival"]),
                      fluid_init=init, grid=grid,
                      x0hat=float(cfg.model.get("x0hat", 0.0)),
                      nu0hat=_build_nu0hat(cfg.model.get("nu0hat")),
-                     seed=int(cfg.run.get("seed", 0)), replicate=replicate,
+                     seed=int(cfg.run.get("seed", 0)),
                      noise_off=bool(cfg.run.get("noise_off", False)),
                      regime=cfg.model.get("regime"))
-    run = run_limit(spec)
+
+
+def _limit_one(spec, fluid_path, replicate):
+    run = run_limit(dataclasses.replace(spec, replicate=replicate),
+                    fluid_path=fluid_path)
     names = sorted(run.nuhat)
     header = ["t", "Ehat", "Khat", "Xhat", "vhat"] + [f"nu_{n}" for n in names]
     cols = [run.t_grid, run.Ehat, run.Khat, run.Xhat, run.vhat]
@@ -422,17 +427,36 @@ def _limit_one(raw_cfg, replicate):
     return "\n".join(lines) + "\n", summary
 
 
+# (spec, fluid path) of a --jobs worker process, set once by its initializer
+_worker_limit = None
+
+
+def _init_limit_worker(raw_cfg, fluid_path):
+    """Build the spec once per worker.  The fluid path arrives without its
+    service law, whose closures cannot be pickled, and gets the rebuilt one."""
+    global _worker_limit
+    spec = _limit_spec(validate_config(raw_cfg))
+    _worker_limit = (spec, dataclasses.replace(fluid_path, dist=spec.dist))
+
+
+def _limit_worker(replicate):
+    return _limit_one(*_worker_limit, replicate)
+
+
 def _run_limit(cfg, out_flag, paths_flag, jobs):
     t0 = time.time()
     n_paths = paths_flag or int(cfg.run.get("paths", 1))
     jobs = jobs or int(cfg.run.get("jobs", 1))
     out = _out_dir(cfg, out_flag)
-    raw = cfg.raw
+    spec = _limit_spec(cfg)
+    fluid_path = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_limit_one, [raw] * n_paths, range(n_paths)))
+        shipped = dataclasses.replace(fluid_path, dist=None)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_limit_worker,
+                                 initargs=(cfg.raw, shipped)) as pool:
+            results = list(pool.map(_limit_worker, range(n_paths)))
     else:
-        results = [_limit_one(raw, p) for p in range(n_paths)]
+        results = [_limit_one(spec, fluid_path, p) for p in range(n_paths)]
     outputs = []
     summaries = []
     for p, (csv_text, summary) in enumerate(results):

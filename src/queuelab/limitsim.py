@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dists import ServiceDistribution, holder_check
+from .dists import ServiceDistribution
 from .fluid import FluidInit, FluidPath, solve_fluid
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "fluid_cell_intensity",
     "simulate_hatE",
     "simulate_field",
-    "field_integral",
     "conv_H",
     "s_op",
     "solve_cmse",
@@ -109,7 +108,6 @@ class MartingaleField:
     x_edges: np.ndarray
     intensity: np.ndarray  # (nt, nx) cell variances
     W: np.ndarray          # (nt, nx) independent N(0, intensity) draws
-    holder: object = None
 
     @property
     def dt(self):
@@ -184,26 +182,19 @@ def simulate_hatE(arrival, t_grid, rng, noise_off=False):
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def simulate_field(fpath, grid, dist, rng, noise_off=False, check_holder=True):
+def simulate_field(fpath, grid, dist, rng, noise_off=False):
     """Draw the centered departure field with fluid cell intensities."""
     t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid, dist)
     if noise_off:
         W = np.zeros_like(intensity)
     else:
         W = rng.standard_normal(intensity.shape) * np.sqrt(intensity)
-    rep = None
-    if check_holder:
-        xs = np.linspace(0.0, max(float(x_edges[-1]) - grid.dx, grid.dx), 16)
-        ys = np.linspace(0.0, min(grid.T, 4.0), 48)
-        rep = holder_check(dist, xs, ys)
     return MartingaleField(t_edges=t_edges, x_edges=x_edges,
-                           intensity=intensity, W=W, holder=rep)
+                           intensity=intensity, W=W)
 
 
-def field_integral(field, phi):
-    """Sum of phi(x_mid, s_mid) * W over all cells (midpoint weights)."""
-    Xm, Sm = np.meshgrid(field.x_mid, field.t_mid, indexing="xy")
-    return float(np.sum(np.asarray(phi(Xm, Sm), dtype=float) * field.W))
+# conv_H column block: 2**18 cells keep each FFT operand near 2 MB
+_CONV_BLOCK_CELLS = 1 << 18
 
 
 def conv_H(field, dist, f):
@@ -211,21 +202,31 @@ def conv_H(field, dist, f):
 
     Psi separates per age column: (Psi_t f)(x, s) = u_x(t - s) / (1-G(x))
     with u_x(l) = f(x + l)(1 - G(x + l)), so each column is a causal
-    convolution of its noise row with u_x, done by FFT.
+    convolution of its noise row with u_x.
+
+    Only live columns enter: 1-G(x) > 0 and some nonzero noise, so a
+    noise-off field gives exact zeros and 0 * inf never arises.  f and the
+    survival function are called once on the flattened (lag, column) grid,
+    one FFT along the time axis convolves all columns together, and the
+    column results are added in age order, which is the summation order
+    of a column-by-column loop.  Columns go in blocks of at most
+    _CONV_BLOCK_CELLS cells, which bounds the extra memory for
+    heavy-tailed laws whose age grid has very many columns.
     """
-    tm = field.t_mid
     xm = field.x_mid
-    nt = tm.size
-    dt = field.dt
-    lags = (np.arange(nt) + 0.5) * dt
+    nt = field.t_mid.size
+    lags = (np.arange(nt) + 0.5) * field.dt
     sfx = np.asarray(dist.sf(xm))
+    live = np.flatnonzero((sfx > 0.0) & np.any(field.W != 0.0, axis=0))
     H = np.zeros(nt + 1)
-    for a in range(xm.size):
-        if sfx[a] <= 0.0 or not np.any(field.W[:, a]):
-            continue
-        y = xm[a] + lags
-        u = np.asarray(f(y), dtype=float) * np.asarray(dist.sf(y)) / sfx[a]
-        H[1:] += fftconvolve(field.W[:, a], u)[:nt]
+    step = max(_CONV_BLOCK_CELLS // nt, 1)
+    for lo in range(0, live.size, step):
+        cols = live[lo:lo + step]
+        y = (xm[cols] + lags[:, None]).ravel()
+        U = (np.asarray(f(y), dtype=float) * np.asarray(dist.sf(y))).reshape(nt, cols.size)
+        C = fftconvolve(field.W[:, cols], U / sfx[cols], axes=0)[:nt]
+        for j in range(cols.size):
+            H[1:] += C[:, j]
     return H
 
 

@@ -37,7 +37,7 @@ def series_grid(density, t, dt=1e-4, nmax=400):
     conv = g.copy()
     total = 1.0
     while nmax:
-        cdf = np.trapz(conv[: len(x)], dx=dt)
+        cdf = np.trapezoid(conv[: len(x)], dx=dt)
         total += cdf
         if cdf < 1e-10:
             break

@@ -212,6 +212,22 @@ class TestLimitRun:
         b = (out / "limit_p0001.csv").read_bytes()
         assert a == b, "with both noise sources off every path is the skeleton"
 
+    def test_byte_determinism_and_jobs(self, tmp_path):
+        # --jobs workers get the parent's fluid path, stripped of its law
+        cfgp = write_cfg(tmp_path, limit_cfg(paths=3))
+        r = CliRunner()
+        for sub, extra in (("a", []), ("b", ["--jobs", "2"])):
+            res = r.invoke(main, ["limit", "run", "--config", cfgp,
+                                  "--out", str(tmp_path / sub)] + extra)
+            assert res.exit_code == 0, res.output
+        for name in ["limit_p0000.csv", "limit_p0001.csv", "limit_p0002.csv",
+                     "summary.json"]:
+            a = (tmp_path / "a" / name).read_bytes()
+            b = (tmp_path / "b" / name).read_bytes()
+            assert a == b, (
+                f"{name} differs between serial and --jobs 2 runs; data "
+                f"outputs must be byte-for-byte reproducible")
+
     def test_paths_flag(self, tmp_path):
         cfgp = write_cfg(tmp_path, limit_cfg(paths=1))
         out = tmp_path / "l"
@@ -280,7 +296,8 @@ class TestVerifyCommand:
         data["model"]["overrides"]["ratio_band"] = [0.4999, 0.5001]
         cfgp = write_cfg(tmp_path, data)
         res = CliRunner().invoke(main, ["verify", "representation",
-                                        "--config", cfgp])
+                                        "--config", cfgp,
+                                        "--out", str(tmp_path / "v")])
         assert res.exit_code == 1
         assert "FAIL" in res.output
 

@@ -9,6 +9,7 @@ estimate, rel SE = sqrt(2/n), at 3-4 standard errors.
 """
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from queuelab.dists import ArrivalSpec, make_service_dist, renewal_function
 from queuelab.fluid import FluidInit, solve_fluid
@@ -145,6 +146,86 @@ class TestFieldOracles:
         corr = float(np.corrcoef(e_fin, m_fin)[0, 1])
         assert abs(corr) < 0.12, (
             f"arrival and departure noise correlate at {corr} over {reps} draws")
+
+
+def conv_H_by_column(field, dist, f):
+    """Reference wiring of conv_H: one FFT convolution per age column."""
+    xm = field.x_mid
+    nt = field.t_mid.size
+    lags = (np.arange(nt) + 0.5) * field.dt
+    sfx = np.asarray(dist.sf(xm))
+    H = np.zeros(nt + 1)
+    for a in range(xm.size):
+        if sfx[a] <= 0.0 or not np.any(field.W[:, a]):
+            continue
+        y = xm[a] + lags
+        u = np.asarray(f(y), dtype=float) * np.asarray(dist.sf(y)) / sfx[a]
+        H[1:] += fftconvolve(field.W[:, a], u)[:nt]
+    return H
+
+
+class TestConvHBatched:
+    """Batched conv_H against the per-column loop, compared with ==.
+
+    Both call f and sf on the same points and sum the columns in the same
+    order, and a batched FFT along one axis transforms each column exactly
+    as a single-column FFT does, so no tolerance is needed.
+    """
+
+    LAWS = {
+        "exponential": EXP,
+        "lognormal": LOGN,
+        "gamma2": make_service_dist("gamma", shape=2.0),
+        "lomax": make_service_dist("pareto", a=2.5),
+        "phasetype": make_service_dist("phasetype"),
+        # Erlang-2 generator is defective: the expm fallback evaluates sf
+        "phasetype_expm": make_service_dist("phasetype", alpha=(1.0, 0.0),
+                                            S=((-2.0, 2.0), (0.0, -2.0))),
+        # support ends at 8/3: sf(x_mid) = 0 on the columns past it
+        "piecewise": make_service_dist("piecewise"),
+    }
+
+    @staticmethod
+    def field(nt=40, nx=60, dt=0.025, dx=0.1, seed=5):
+        W = np.random.default_rng(seed).standard_normal((nt, nx)) * 0.1
+        W[:, [3, 17]] = 0.0  # all-zero columns are skipped
+        return L.MartingaleField(t_edges=np.arange(nt + 1) * dt,
+                                 x_edges=np.arange(nx + 1) * dx,
+                                 intensity=np.ones((nt, nx)), W=W)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_equals_column_loop(self, law):
+        dist = self.LAWS[law]
+        fld = self.field()
+        # float(v) accepts scalars only, so this f needs 1-D input
+        one_d = lambda x: np.array([np.exp(-0.5 * float(v)) for v in x])
+        hz = lambda x: np.asarray(dist.hazard(x))
+        for name, f in (("one", ONE), ("exp_decay", EXPD), ("hazard", hz),
+                        ("1-D loop", one_d)):
+            got = L.conv_H(fld, dist, f)
+            want = conv_H_by_column(fld, dist, f)
+            assert np.array_equal(got, want), (
+                f"{law}, f={name}: batched conv_H differs from the column "
+                f"loop by {np.max(np.abs(got - want))}")
+
+    def test_bounded_support_columns_skipped(self):
+        dist = self.LAWS["piecewise"]
+        fld = self.field()
+        assert np.any(dist.sf(fld.x_mid) == 0.0)
+        assert np.all(np.isfinite(L.conv_H(fld, dist, ONE)))
+
+    def test_column_blocks_equal_one_block(self, monkeypatch):
+        fld = self.field()
+        whole = L.conv_H(fld, LOGN, EXPD)
+        monkeypatch.setattr(L, "_CONV_BLOCK_CELLS", 7 * fld.W.shape[0])
+        assert np.array_equal(L.conv_H(fld, LOGN, EXPD), whole)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_noise_off_exact_zeros(self, law):
+        fld = self.field()
+        fld.W[:] = 0.0
+        H = L.conv_H(fld, self.LAWS[law], ONE)
+        assert np.all(H == 0.0) and H.shape == (fld.W.shape[0] + 1,)
 
 
 class TestHatE:
