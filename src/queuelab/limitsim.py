@@ -193,10 +193,6 @@ def simulate_field(fpath, grid, dist, rng, noise_off=False):
                            intensity=intensity, W=W)
 
 
-# conv_H column block: 2**18 cells keep each FFT operand near 2 MB
-_CONV_BLOCK_CELLS = 1 << 18
-
-
 def conv_H(field, dist, f):
     """Hhat_t(f) = field integral of Psi_t f, on all grid edges at once.
 
@@ -209,24 +205,19 @@ def conv_H(field, dist, f):
     survival function are called once on the flattened (lag, column) grid,
     one FFT along the time axis convolves all columns together, and the
     column results are added in age order, which is the summation order
-    of a column-by-column loop.  Columns go in blocks of at most
-    _CONV_BLOCK_CELLS cells, which bounds the extra memory for
-    heavy-tailed laws whose age grid has very many columns.
+    of a column-by-column loop.
     """
     xm = field.x_mid
     nt = field.t_mid.size
     lags = (np.arange(nt) + 0.5) * field.dt
     sfx = np.asarray(dist.sf(xm))
-    live = np.flatnonzero((sfx > 0.0) & np.any(field.W != 0.0, axis=0))
+    cols = np.flatnonzero((sfx > 0.0) & np.any(field.W != 0.0, axis=0))
+    y = (xm[cols] + lags[:, None]).ravel()
+    U = (np.asarray(f(y), dtype=float) * np.asarray(dist.sf(y))).reshape(nt, cols.size)
+    C = fftconvolve(field.W[:, cols], U / sfx[cols], axes=0)[:nt]
     H = np.zeros(nt + 1)
-    step = max(_CONV_BLOCK_CELLS // nt, 1)
-    for lo in range(0, live.size, step):
-        cols = live[lo:lo + step]
-        y = (xm[cols] + lags[:, None]).ravel()
-        U = (np.asarray(f(y), dtype=float) * np.asarray(dist.sf(y))).reshape(nt, cols.size)
-        C = fftconvolve(field.W[:, cols], U / sfx[cols], axes=0)[:nt]
-        for j in range(cols.size):
-            H[1:] += C[:, j]
+    for j in range(cols.size):
+        H[1:] += C[:, j]
     return H
 
 
