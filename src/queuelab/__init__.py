@@ -1,7 +1,7 @@
 """Many-server queue laboratory.
 
 Layers: service/arrival laws and operator calculus (dists), an exact
-event-driven simulator (microsim), the deterministic fluid solver (fluid),
+FCFS queue simulator (microsim), the deterministic fluid solver (fluid),
 a sampler for the Gaussian second-order limit (limitsim), scale transforms
 and statistical test batteries (scalestats), and a CLI (cli).
 """

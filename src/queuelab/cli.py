@@ -29,8 +29,8 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .dists import (ArrivalSpec, holder_check, make_service_dist,
-                    renewal_function)
+from .dists import (ArrivalSpec, ServiceSpecError, holder_check,
+                    make_service_dist, renewal_function)
 from .fluid import FluidInit, solve_fluid
 from .limitsim import (LimitGrid, LimitSpec, rep_hatx_residual, run_limit,
                        smg_bookkeeping_residual)
@@ -210,6 +210,13 @@ def _build_arrival(spec):
                        sigma2=spec.get("sigma2"))
 
 
+def _build_service(spec):
+    try:
+        return make_service_dist(spec)
+    except ServiceSpecError as e:
+        raise SchemaError(f"model.service: {e}") from None
+
+
 def _build_initial(spec):
     spec = spec or {}
     return InitialCondition(x0=spec.get("x0", 0),
@@ -280,7 +287,7 @@ def _out_dir(cfg, out_flag):
 
 def _run_dists(cfg, out_flag):
     t0 = time.time()
-    dist = make_service_dist(cfg.model["service"])
+    dist = _build_service(cfg.model["service"])
     T = float(cfg.numerics.get("T", 4.0))
     dt = float(cfg.numerics.get("dt", 1e-3))
     probe = np.linspace(0.0, min(dist.support_end, 8.0), 257)[:-1]
@@ -311,7 +318,7 @@ def _sim_one(raw_cfg, replicate):
     cfg = validate_config(raw_cfg)
     sim = SimConfig(N=int(cfg.model["N"]),
                     arrival=_build_arrival(cfg.model["arrival"]),
-                    service=make_service_dist(cfg.model["service"]),
+                    service=_build_service(cfg.model["service"]),
                     T=float(cfg.numerics["T"]),
                     initial=_build_initial(cfg.model.get("initial")),
                     seed=int(cfg.run.get("seed", 0)),
@@ -369,7 +376,7 @@ def _run_sim(cfg, out_flag, jobs):
 
 def _run_fluid(cfg, out_flag):
     t0 = time.time()
-    dist = make_service_dist(cfg.model["service"])
+    dist = _build_service(cfg.model["service"])
     init = FluidInit(Ebar=cfg.model.get("Ebar", 1.0),
                      x0=float(cfg.model.get("x0", 0.0)),
                      nu0_density=_build_fluid_nu0(cfg.model.get("nu0")),
@@ -400,7 +407,7 @@ def _limit_spec(cfg):
                      dx=float(cfg.numerics["dx"]),
                      x_max=cfg.numerics.get("x_max"),
                      tail_budget=float(cfg.numerics.get("tail_budget", 1e-6)))
-    return LimitSpec(dist=make_service_dist(cfg.model["service"]),
+    return LimitSpec(dist=_build_service(cfg.model["service"]),
                      arrival=_build_arrival(cfg.model["arrival"]),
                      fluid_init=init, grid=grid,
                      x0hat=float(cfg.model.get("x0hat", 0.0)),
@@ -572,7 +579,7 @@ def dists_check(config_path, out):
 
 @main.group()
 def sim():
-    """Event-driven many-server simulation."""
+    """Exact many-server simulation."""
 
 
 @sim.command("run")

@@ -28,6 +28,7 @@ from scipy import linalg, stats
 
 __all__ = [
     "ServiceDistribution",
+    "ServiceSpecError",
     "ArrivalSpec",
     "HolderReport",
     "make_service_dist",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 _MEAN_TOL = 1e-6
+
+
+class ServiceSpecError(ValueError):
+    """A service spec names no known family or a key its family does not take."""
 
 
 @dataclass(frozen=True)
@@ -234,7 +239,6 @@ def _make_phasetype(params, normalize):
     jump = S - np.diag(np.diag(S))
     with np.errstate(invalid="ignore"):
         probs = jump / rates[:, None]
-    absorb = 1.0 - probs.sum(axis=1)
 
     def _simulate_from(rng, phase0):
         # one CTMC passage time per entry of phase0
@@ -279,7 +283,6 @@ def _make_phasetype(params, normalize):
         resid = _simulate_from(rng, phase0)
         return (flat + resid).reshape(ages.shape)
 
-    del absorb
     return ServiceDistribution(
         name=f"phasetype(m={alpha.size})", cdf=cdf, density=density,
         hazard=hazard, support_end=np.inf, mean=mean, sampler=sampler,
@@ -365,6 +368,8 @@ def make_service_dist(spec=None, /, normalize=True, **params):
     Accepts make_service_dist("lognormal", sigma=0.5) or the config form
     make_service_dist({"family": "lognormal", "sigma": 0.5}).  With
     normalize=True (default) a scale parameter is chosen so the mean is 1.
+    An unknown family, or a key the family does not take, raises
+    ServiceSpecError.
     """
     if isinstance(spec, dict):
         params = {**spec, **params}
@@ -373,8 +378,11 @@ def make_service_dist(spec=None, /, normalize=True, **params):
     else:
         family = spec
     if not isinstance(family, str) or family not in _FAMILIES:
-        raise ValueError(f"unsupported service family: {family!r}")
-    dist = _FAMILIES[family](dict(params), normalize)
+        raise ServiceSpecError(f"unsupported service family: {family!r}")
+    params = dict(params)
+    dist = _FAMILIES[family](params, normalize)  # pops the keys it takes
+    if params:
+        raise ServiceSpecError(f"{family} takes no parameter(s) {sorted(params)}")
     if normalize and abs(dist.mean - 1.0) > _MEAN_TOL:
         raise ValueError(f"{family}: normalization failed, mean={dist.mean}")
     return dist

@@ -40,7 +40,6 @@ __all__ = [
     "solve_fluid",
     "invariant_measure",
     "classify_regime",
-    "fluid_age_eval",
 ]
 
 PICARD_MAX = 50
@@ -173,11 +172,6 @@ class FluidPath:
             lags = (np.arange(i, 0, -1) - 0.5) * self.dt
             out += float(np.asarray(f(lags), dtype=float) @ (self.sf_half[i - 1::-1] * self.kappa[:i]))
         return out
-
-
-def fluid_age_eval(path, f, t):
-    """Module-level alias of FluidPath.age_eval."""
-    return path.age_eval(f, t)
 
 
 def solve_fluid(dist, init, T, dt):

@@ -54,7 +54,6 @@ __all__ = [
     "conv_H",
     "s_op",
     "solve_cmse",
-    "gamma_map",
     "hat_nu",
     "hat_nu_stieltjes",
     "simulate_hw",
@@ -330,28 +329,10 @@ def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     return K, X, v
 
 
-def gamma_map(t_grid, K, dist, f, fprime):
-    """Entry-kernel functional f(0) K_t + int_0^t K_u xi_f(t-u) du.
-
-    xi_f = f'(1-G) - f g; trapezoid in u via one FFT convolution.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    n = t_grid.size - 1
-    dt = float(t_grid[1] - t_grid[0])
-    K = np.asarray(K, dtype=float)
-    g = _grid_density(dist, t_grid)
-    xi = (np.asarray(fprime(t_grid), dtype=float) * np.asarray(dist.sf(t_grid))
-          - np.asarray(f(t_grid), dtype=float) * g)
-    conv = fftconvolve(K, xi)[:n + 1]
-    trap = dt * (conv - 0.5 * (K[0] * xi + K * xi[0]))
-    f0 = float(np.atleast_1d(f(np.array([0.0])))[0])
-    return f0 * K + trap
-
-
 def hat_nu(t_grid, dist, S_f, Khat, H_f, f, fprime):
     """Measure read-out nuhat_t(f) in the derivative form."""
-    # middle term spelled out rather than delegated, so cross-checks
-    # against gamma_map compare independent wirings of the same rule
+    # middle term f(0) K_t + int_0^t K_u xi_f(t-u) du, xi_f = f'(1-G) - f g;
+    # the tests cross-check it against a standalone wiring (gamma_map)
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size - 1
     dt = float(t_grid[1] - t_grid[0])

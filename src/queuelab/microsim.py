@@ -1,8 +1,20 @@
-"""Exact event-driven simulator for the N-server age-tracking queue.
+"""Exact simulator for the FCFS N-server age-tracking queue.
 
 The state is (arrivals so far, headcount, the multiset of in-service ages).
-No time discretization enters the path itself: arrivals, service starts and
-departures are processed one event at a time, so the counting identities
+With FCFS and identical servers it follows from one recursion over
+customers (Kiefer & Wolfowitz 1955): customer k starts at
+max(a_k, earliest time a server frees) and leaves S_k later, one heap
+replacement per customer on the servers' free times.  The event log,
+counters, spans and departures are then built from the start and end times
+by one sort and cumulative sums.  Three tie rules fix the log's row order:
+
+    at equal times, departures come before arrivals
+    equal-time departures come in customer-id order
+    a service start directly follows the row that triggers it (its own
+    arrival, or the departure that freed its server), and both rows carry
+    the post-transition counters
+
+No time discretization enters the path itself, so the counting identities
 
     D(t) = X(0) - X(t) + E(t)
     K(t) = B(t) - B(0) + D(t)          B = number in service
@@ -14,18 +26,15 @@ hold to the last bit, and the tests demand exactly that.  Quadrature enters
 only through the read-out helpers (compensator, centered departure measure,
 transport representation, restart consistency), all first-order in their dt.
 
-Policies are fixed: FCFS, arrivals join the lowest-index idle server, a
-departure and an arrival at the same instant process the departure first.
 Randomness is split into independent child streams (arrivals, services,
 initial data) of SeedSequence(seed, spawn_key=(replicate,)), so a
-(seed, replicate) pair pins the whole path.
+(seed, replicate) pair pins the whole path.  Service durations are drawn in
+blocks of 256 and used in start order.
 """
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,7 +106,6 @@ class SimConfig:
     initial: InitialCondition = field(default_factory=InitialCondition)
     seed: int = 0
     replicate: int = 0
-    snapshot_times: Optional[Sequence] = None
 
     def __post_init__(self):
         if self.N < 1:
@@ -139,7 +147,6 @@ class PathRecord:
     span_cust: np.ndarray
     dep_time: np.ndarray
     dep_age: np.ndarray
-    snapshots: list = field(default_factory=list)
 
     @property
     def b0(self):
@@ -201,7 +208,7 @@ def _arrival_feed(arrival, N, T, rng):
 
 
 def simulate(config):
-    """Run one path of the event-driven N-server queue."""
+    """Run one path of the FCFS N-server queue by the start-time recursion."""
     N, T = config.N, float(config.T)
     config.arrival.validate_for(N, T)
     dist = config.service
@@ -214,148 +221,80 @@ def simulate(config):
     x0 = config.initial.x0
     b0 = min(x0, N)
     ages0 = config.initial.draw_ages(b0, dist, rng_init)
-
-    # spans: parallel lists, one entry per service episode
-    span_theta, span_begin, span_end = [], [], []
-    span_fresh, span_cust = [], []
-    # heap entries (departure_time, sequence, server, customer, span_index)
-    heap = []
-    seq = 0
-    idle = list(range(b0, N))
-    heapq.heapify(idle)
-    queue = deque(range(b0, x0))  # FIFO of initial waiters
-
+    remaining0 = np.zeros(0)
     if b0 > 0:
         if config.initial.residual_sampling == "conditional":
             remaining0 = np.asarray(dist.conditional(rng_init, ages0)) - ages0
         else:
             remaining0 = np.asarray(dist.sampler(rng_init, size=b0), dtype=float)
         remaining0 = np.maximum(remaining0, 0.0)
-        for j in range(b0):
-            span_theta.append(-float(ages0[j]))
-            span_begin.append(0.0)
-            span_end.append(np.inf)
-            span_fresh.append(False)
-            span_cust.append(j)
-            heapq.heappush(heap, (float(remaining0[j]), seq, j, j, len(span_theta) - 1))
-            seq += 1
 
-    ev_time, ev_kind, ev_id, ev_age = [], [], [], []
-    cE, cD, cK, cX, cB = [], [], [], [], []
-    dep_time, dep_age = [], []
-    E, D, K, X, B = 0, 0, 0, x0, b0
+    # customer k: in service at 0 (k < b0), waiting at 0 (k < x0), or the
+    # (k - x0)-th arrival; ready[k - b0] is when k could first start
+    arrivals = list(_arrival_feed(config.arrival, N, T, rng_arr))
+    ready = [-np.inf] * (x0 - b0) + arrivals
+    end = remaining0.tolist()  # end[k]: departure time of customer k
+    free = [(e, j) for j, e in enumerate(end)] + [(0.0, -1)] * (N - b0)
+    heapq.heapify(free)  # (time the server frees, customer freeing it)
+    start, freed_by = [], []
+    svc, pos = [], 0
+    for k, a in enumerate(ready, start=b0):
+        f, j = free[0]
+        s = f if f > a else a
+        if s > T:
+            break  # starts are nondecreasing in k: nobody later starts by T
+        if pos == len(svc):  # one sampler call per 256 starts
+            svc, pos = np.asarray(dist.sampler(rng_svc, size=256), dtype=float).tolist(), 0
+        e = s + svc[pos]
+        pos += 1
+        heapq.heapreplace(free, (e, k))
+        start.append(s)
+        end.append(e)
+        freed_by.append(j)
 
-    snapshots = []
-    snap_iter = iter(sorted(float(s) for s in (config.snapshot_times or [])))
-    next_snap = next(snap_iter, None)
+    # spans are indexed by customer id: the b0 initial ones, then FCFS starts
+    m, n_arr = len(start), len(arrivals)
+    end = np.asarray(end)
+    theta = np.concatenate([-ages0, start])
+    done = end <= T
+    dep_id = np.nonzero(done)[0]
+    dep_t = end[done]
+    arr_id = np.arange(x0, x0 + n_arr)
+    st_id = np.arange(b0, b0 + m)
+    st_t = np.asarray(start)
+    # a start that waited follows the departure that freed its server,
+    # otherwise its own arrival; departures precede arrivals at equal times
+    waited = st_t > np.asarray(ready[:m])
+    t = np.concatenate([dep_t, arrivals, st_t])
+    rank = np.concatenate([np.zeros(dep_id.size), np.ones(n_arr), ~waited])
+    key = np.concatenate([dep_id, arr_id, np.where(waited, freed_by, st_id)])
+    tail = np.concatenate([np.zeros(dep_id.size + n_arr), np.ones(m)])
+    order = np.lexsort((tail, key, rank, t))
+    ev_time = t[order]
+    ev_kind = np.repeat(np.array([DEPARTURE, ARRIVAL, SERVICE_START], dtype=np.int8),
+                        [dep_id.size, n_arr, m])[order]
+    ev_id = np.concatenate([dep_id, arr_id, st_id]).astype(np.int64)[order]
+    ev_age = np.concatenate([dep_t - theta[done], np.full(n_arr, np.nan),
+                             np.zeros(m)])[order]
 
-    def record(t, kind, cid, age):
-        ev_time.append(t)
-        ev_kind.append(kind)
-        ev_id.append(cid)
-        ev_age.append(age)
-        cE.append(E)
-        cD.append(D)
-        cK.append(K)
-        cX.append(X)
-        cB.append(B)
-
-    def take_snapshots_until(t):
-        nonlocal next_snap
-        while next_snap is not None and next_snap < t:
-            if next_snap <= T:
-                alive_ages = [next_snap - th for th, en in zip(span_theta, span_end)
-                              if max(th, 0.0) <= next_snap < en]
-                snapshots.append((next_snap, np.sort(np.asarray(alive_ages))))
-            next_snap = next(snap_iter, None)
-
-    svc_buf = np.empty(0)
-    svc_pos = 0
-
-    def draw_service():
-        # block-buffered draws: one rvs call per 256 starts, same stream
-        nonlocal svc_buf, svc_pos
-        if svc_pos >= svc_buf.size:
-            svc_buf = np.asarray(dist.sampler(rng_svc, size=256), dtype=float)
-            svc_pos = 0
-        v = float(svc_buf[svc_pos])
-        svc_pos += 1
-        return v
-
-    def begin_span(t, cid, server):
-        # state mutation only; the caller records rows once the whole
-        # transition has settled, so every row satisfies the identities
-        nonlocal K, B, seq
-        K += 1
-        B += 1
-        span_theta.append(t)
-        span_begin.append(t)
-        span_end.append(np.inf)
-        span_fresh.append(True)
-        span_cust.append(cid)
-        heapq.heappush(heap, (t + draw_service(), seq, server, cid, len(span_theta) - 1))
-        seq += 1
-
-    feed = _arrival_feed(config.arrival, N, T, rng_arr)
-    next_arr = next(feed, None)
-    next_cid = x0
-
-    while True:
-        t_dep = heap[0][0] if heap else np.inf
-        t_arr = next_arr if next_arr is not None else np.inf
-        if t_dep <= t_arr:  # departures win ties
-            t = t_dep
-            if t > T:
-                break
-            take_snapshots_until(t)
-            _, _, server, cid, si = heapq.heappop(heap)
-            age = t - span_theta[si]
-            span_end[si] = t
-            D += 1
-            X -= 1
-            B -= 1
-            dep_time.append(t)
-            dep_age.append(age)
-            if queue:
-                cid2 = queue.popleft()
-                begin_span(t, cid2, server)
-                record(t, DEPARTURE, cid, age)
-                record(t, SERVICE_START, cid2, 0.0)
-            else:
-                heapq.heappush(idle, server)
-                record(t, DEPARTURE, cid, age)
-        else:
-            t = t_arr
-            if t > T:
-                break
-            take_snapshots_until(t)
-            E += 1
-            X += 1
-            cid = next_cid
-            next_cid += 1
-            if idle:
-                begin_span(t, cid, heapq.heappop(idle))
-                record(t, ARRIVAL, cid, np.nan)
-                record(t, SERVICE_START, cid, 0.0)
-            else:
-                queue.append(cid)
-                record(t, ARRIVAL, cid, np.nan)
-            next_arr = next(feed, None)
-    take_snapshots_until(np.inf)
-
+    # every row carries post-transition counters; K moves on the row that
+    # triggers a start, so a start row repeats its trigger row's counters
+    is_dep = ev_kind == DEPARTURE
+    entry = np.zeros(ev_kind.size, dtype=np.int64)
+    entry[:-1] = ev_kind[1:] == SERVICE_START
+    E = np.cumsum(ev_kind == ARRIVAL, dtype=np.int64)
+    D = np.cumsum(is_dep, dtype=np.int64)
+    K = np.cumsum(entry)
     return PathRecord(
         N=N, T=T, x0=x0, seed=config.seed, replicate=config.replicate,
         initial_ages=ages0,
-        ev_time=np.asarray(ev_time), ev_kind=np.asarray(ev_kind, dtype=np.int8),
-        ev_id=np.asarray(ev_id, dtype=np.int64), ev_age=np.asarray(ev_age),
-        E=np.asarray(cE, dtype=np.int64), D=np.asarray(cD, dtype=np.int64),
-        K=np.asarray(cK, dtype=np.int64), X=np.asarray(cX, dtype=np.int64),
-        B=np.asarray(cB, dtype=np.int64),
-        span_theta=np.asarray(span_theta), span_begin=np.asarray(span_begin),
-        span_end=np.asarray(span_end), span_fresh=np.asarray(span_fresh, dtype=bool),
-        span_cust=np.asarray(span_cust, dtype=np.int64),
-        dep_time=np.asarray(dep_time), dep_age=np.asarray(dep_age),
-        snapshots=snapshots,
+        ev_time=ev_time, ev_kind=ev_kind, ev_id=ev_id, ev_age=ev_age,
+        E=E, D=D, K=K, X=x0 + E - D, B=b0 + K - D,
+        span_theta=theta, span_begin=np.concatenate([np.zeros(b0), st_t]),
+        span_end=np.where(done, end, np.inf),
+        span_fresh=np.arange(b0 + m) >= b0,
+        span_cust=np.arange(b0 + m, dtype=np.int64),
+        dep_time=ev_time[is_dep], dep_age=ev_age[is_dep],
     )
 
 

@@ -115,9 +115,6 @@ class ScaledPath:
     N: int
     fluid: object = None  # FluidPath, a constant, or None (manifold 1)
 
-    def fluid_profile(self, grid):
-        return counter_profile(self.raw, grid)["X"] / self.N
-
     def diffusion_profile(self, grid):
         return diffusion_scale(self.raw, self.fluid, self.N, grid)
 

@@ -56,7 +56,7 @@ def _random_service(rng):
         return make_service_dist({"family": "weibull",
                                   "shape": float(rng.uniform(0.7, 2.5))})
     return make_service_dist({"family": "pareto",
-                              "alpha": float(rng.uniform(1.5, 3.5))})
+                              "a": float(rng.uniform(1.5, 3.5))})
 
 
 def _random_arrival(rng):

@@ -324,14 +324,42 @@ class TestExitCodes:
         assert "numerics" in res.output
 
     def test_numerical_error_exit_three(self, tmp_path):
+        # gamma(0.5) density is unbounded at 0: at dt = 0.5 the trapezoid
+        # mass of the invariant profile misses 1 by more than the 1e-3 gate
         cfgp = write_cfg(tmp_path, {
             "schema_version": 1, "kind": "fluid",
-            "model": {"service": "no_such_family"},
-            "numerics": {"T": 1.0, "dt": 0.01}})
+            "model": {"service": {"family": "gamma", "shape": 0.5},
+                      "x0": 1.0, "nu0": {"invariant": 1.0}},
+            "numerics": {"T": 1.0, "dt": 0.5}})
         res = CliRunner().invoke(main, ["fluid", "solve", "--config", cfgp,
                                         "--out", str(tmp_path / "x")])
         assert res.exit_code == 3
         assert "numerical error" in res.output
+        assert "nu0 mass" in res.output
+
+    @pytest.mark.parametrize("service", [
+        "no_such_family",
+        {"family": "pareto", "alpha": 3.0},
+        {"family": "lognormal", "sgima": 2.0},
+    ], ids=["unknown-family", "pareto-alpha", "lognormal-sgima"])
+    @pytest.mark.parametrize("command", ["fluid", "sim", "sim-jobs", "limit",
+                                         "dists"])
+    def test_bad_service_spec_exit_two(self, tmp_path, command, service):
+        argv = {"fluid": ["fluid", "solve"], "sim": ["sim", "run"],
+                "sim-jobs": ["sim", "run", "--jobs", "2"],
+                "limit": ["limit", "run"], "dists": ["dists", "check"]}[command]
+        data = {"fluid": {"schema_version": 1, "kind": "fluid",
+                          "model": {"service": "exponential"},
+                          "numerics": {"T": 1.0, "dt": 0.01}},
+                "sim": sim_cfg(), "sim-jobs": sim_cfg(), "limit": limit_cfg(),
+                "dists": {"schema_version": 1, "kind": "dists",
+                          "model": {"service": "exponential"}}}[command]
+        data["model"]["service"] = service
+        cfgp = write_cfg(tmp_path, data)
+        res = CliRunner().invoke(main, argv + ["--config", cfgp,
+                                               "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert "config error: model.service" in res.output
 
     def test_missing_config_file_exit_two(self):
         res = CliRunner().invoke(main, ["sim", "run", "--config",

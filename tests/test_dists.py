@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from queuelab.dists import (
     ArrivalSpec,
+    ServiceSpecError,
     as_rate,
     holder_check,
     make_service_dist,
@@ -87,8 +88,19 @@ class TestFamilies:
         assert abs(dist.cdf(np.array([0.5]))[0] - (1.0 - math.exp(-1.0))) < 1e-12
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceSpecError):
             make_service_dist("uniformish")
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "pareto", "alpha": 3.0},       # pareto's exponent is `a`
+        {"family": "lognormal", "sgima": 2.0},    # misspelt sigma
+    ], ids=["pareto-alpha", "lognormal-sgima"])
+    def test_unconsumed_key_rejected(self, spec):
+        bad = next(k for k in spec if k != "family")
+        with pytest.raises(ServiceSpecError, match=bad):
+            make_service_dist(spec)
+        with pytest.raises(ServiceSpecError, match=bad):
+            make_service_dist(spec["family"], **{bad: spec[bad]})
 
     def test_pareto_requires_finite_mean(self):
         with pytest.raises(ValueError):

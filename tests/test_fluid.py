@@ -9,7 +9,6 @@ from queuelab.dists import make_service_dist
 from queuelab.fluid import (
     FluidInit,
     classify_regime,
-    fluid_age_eval,
     invariant_measure,
     solve_fluid,
 )
@@ -135,7 +134,7 @@ class TestAgeReadout:
                            T=2.0, dt=2e-3)
         for i in (0, 400, 999):
             t = path.grid[i]
-            val = fluid_age_eval(path, lambda x: GAMMA2.hazard(x), t)
+            val = path.age_eval(lambda x: GAMMA2.hazard(x), t)
             assert abs(val - path.Hbar[i]) < 5e-3
 
     def test_exponential_tail_functional(self):

@@ -311,10 +311,27 @@ class TestCmse:
                 f"bound {bound * eps}")
 
 
+def gamma_map(t_grid, K, dist, f, fprime):
+    """Reference wiring of hat_nu's middle term: the entry-kernel functional
+    f(0) K_t + int_0^t K_u xi_f(t-u) du, xi_f = f'(1-G) - f g, trapezoid in u
+    via one FFT convolution."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    n = t_grid.size - 1
+    dt = float(t_grid[1] - t_grid[0])
+    K = np.asarray(K, dtype=float)
+    g = L._grid_density(dist, t_grid)
+    xi = (np.asarray(fprime(t_grid), dtype=float) * np.asarray(dist.sf(t_grid))
+          - np.asarray(f(t_grid), dtype=float) * g)
+    conv = fftconvolve(K, xi)[:n + 1]
+    trap = dt * (conv - 0.5 * (K[0] * xi + K * xi[0]))
+    f0 = float(np.atleast_1d(f(np.array([0.0])))[0])
+    return f0 * K + trap
+
+
 class TestGammaMapAndReadout:
     def test_gamma_map_frozen_value(self):
         tg = np.arange(1001) * 1e-3
-        prof = L.gamma_map(tg, tg.copy(), EXP, ONE, ZERO)
+        prof = gamma_map(tg, tg.copy(), EXP, ONE, ZERO)
         err = abs(float(prof[-1]) - GAMMA_MAP_AT_1)
         assert err < QUAD_TOL, (
             f"gamma map of K=id, f=1 at t=1 gave {prof[-1]}, frozen value "
@@ -328,7 +345,7 @@ class TestGammaMapAndReadout:
         S_f = L.s_op(None, EXP, f, run.t_grid)
         H_f = L.conv_H(run.field, EXP, f)
         direct = L.hat_nu(run.t_grid, EXP, S_f, run.Khat, H_f, f, fp)
-        composed = S_f + L.gamma_map(run.t_grid, run.Khat, EXP, f, fp) - H_f
+        composed = S_f + gamma_map(run.t_grid, run.Khat, EXP, f, fp) - H_f
         diff = float(np.max(np.abs(direct - composed)))
         assert diff < 1e-10, f"read-out routes disagree by {diff}"
 

@@ -1,8 +1,11 @@
-"""Event simulator: exact counting identities, determinism, policies,
-compensator and centered-departure readouts."""
+"""Simulator: exact counting identities, equality with the event loop,
+determinism, policies, compensator and centered-departure readouts."""
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from queuelab.microsim import (
     DEPARTURE,
     SERVICE_START,
     InitialCondition,
+    PathRecord,
     SimConfig,
+    _arrival_feed,
     compensator,
     conservation_check,
     eval_age_functional,
@@ -86,6 +91,239 @@ class TestExactIdentities:
             assert np.all(np.diff(arr) >= 0)
 
 
+def simulate_by_events(config):
+    """Reference wiring of simulate: the event-driven loop.
+
+    Processes arrivals, service starts and departures one at a time with an
+    idle-server heap and a FIFO waiting line; departures win ties, and the
+    departure heap pops equal times in start order.
+    """
+    N, T = config.N, float(config.T)
+    config.arrival.validate_for(N, T)
+    dist = config.service
+    ss = np.random.SeedSequence(config.seed, spawn_key=(config.replicate,))
+    ss_arr, ss_svc, ss_init = ss.spawn(3)
+    rng_arr = np.random.default_rng(ss_arr)
+    rng_svc = np.random.default_rng(ss_svc)
+    rng_init = np.random.default_rng(ss_init)
+
+    x0 = config.initial.x0
+    b0 = min(x0, N)
+    ages0 = config.initial.draw_ages(b0, dist, rng_init)
+
+    span_theta, span_begin, span_end = [], [], []
+    span_fresh, span_cust = [], []
+    # heap entries (departure_time, sequence, server, customer, span_index)
+    heap = []
+    seq = 0
+    idle = list(range(b0, N))
+    heapq.heapify(idle)
+    queue = deque(range(b0, x0))  # FIFO of initial waiters
+
+    if b0 > 0:
+        if config.initial.residual_sampling == "conditional":
+            remaining0 = np.asarray(dist.conditional(rng_init, ages0)) - ages0
+        else:
+            remaining0 = np.asarray(dist.sampler(rng_init, size=b0), dtype=float)
+        remaining0 = np.maximum(remaining0, 0.0)
+        for j in range(b0):
+            span_theta.append(-float(ages0[j]))
+            span_begin.append(0.0)
+            span_end.append(np.inf)
+            span_fresh.append(False)
+            span_cust.append(j)
+            heapq.heappush(heap, (float(remaining0[j]), seq, j, j, len(span_theta) - 1))
+            seq += 1
+
+    ev_time, ev_kind, ev_id, ev_age = [], [], [], []
+    cE, cD, cK, cX, cB = [], [], [], [], []
+    dep_time, dep_age = [], []
+    E, D, K, X, B = 0, 0, 0, x0, b0
+
+    def record(t, kind, cid, age):
+        ev_time.append(t)
+        ev_kind.append(kind)
+        ev_id.append(cid)
+        ev_age.append(age)
+        cE.append(E)
+        cD.append(D)
+        cK.append(K)
+        cX.append(X)
+        cB.append(B)
+
+    svc_buf = np.empty(0)
+    svc_pos = 0
+
+    def draw_service():
+        nonlocal svc_buf, svc_pos
+        if svc_pos >= svc_buf.size:
+            svc_buf = np.asarray(dist.sampler(rng_svc, size=256), dtype=float)
+            svc_pos = 0
+        v = float(svc_buf[svc_pos])
+        svc_pos += 1
+        return v
+
+    def begin_span(t, cid, server):
+        # the caller records rows once the whole transition has settled
+        nonlocal K, B, seq
+        K += 1
+        B += 1
+        span_theta.append(t)
+        span_begin.append(t)
+        span_end.append(np.inf)
+        span_fresh.append(True)
+        span_cust.append(cid)
+        heapq.heappush(heap, (t + draw_service(), seq, server, cid, len(span_theta) - 1))
+        seq += 1
+
+    feed = _arrival_feed(config.arrival, N, T, rng_arr)
+    next_arr = next(feed, None)
+    next_cid = x0
+
+    while True:
+        t_dep = heap[0][0] if heap else np.inf
+        t_arr = next_arr if next_arr is not None else np.inf
+        if t_dep <= t_arr:  # departures win ties
+            t = t_dep
+            if t > T:
+                break
+            _, _, server, cid, si = heapq.heappop(heap)
+            age = t - span_theta[si]
+            span_end[si] = t
+            D += 1
+            X -= 1
+            B -= 1
+            dep_time.append(t)
+            dep_age.append(age)
+            if queue:
+                cid2 = queue.popleft()
+                begin_span(t, cid2, server)
+                record(t, DEPARTURE, cid, age)
+                record(t, SERVICE_START, cid2, 0.0)
+            else:
+                heapq.heappush(idle, server)
+                record(t, DEPARTURE, cid, age)
+        else:
+            t = t_arr
+            if t > T:
+                break
+            E += 1
+            X += 1
+            cid = next_cid
+            next_cid += 1
+            if idle:
+                begin_span(t, cid, heapq.heappop(idle))
+                record(t, ARRIVAL, cid, np.nan)
+                record(t, SERVICE_START, cid, 0.0)
+            else:
+                queue.append(cid)
+                record(t, ARRIVAL, cid, np.nan)
+            next_arr = next(feed, None)
+
+    return PathRecord(
+        N=N, T=T, x0=x0, seed=config.seed, replicate=config.replicate,
+        initial_ages=ages0,
+        ev_time=np.asarray(ev_time), ev_kind=np.asarray(ev_kind, dtype=np.int8),
+        ev_id=np.asarray(ev_id, dtype=np.int64), ev_age=np.asarray(ev_age),
+        E=np.asarray(cE, dtype=np.int64), D=np.asarray(cD, dtype=np.int64),
+        K=np.asarray(cK, dtype=np.int64), X=np.asarray(cX, dtype=np.int64),
+        B=np.asarray(cB, dtype=np.int64),
+        span_theta=np.asarray(span_theta), span_begin=np.asarray(span_begin),
+        span_end=np.asarray(span_end), span_fresh=np.asarray(span_fresh, dtype=bool),
+        span_cust=np.asarray(span_cust, dtype=np.int64),
+        dep_time=np.asarray(dep_time), dep_age=np.asarray(dep_age),
+    )
+
+
+def assert_same_path(got, want):
+    for f in dataclasses.fields(PathRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), f.name
+        else:
+            assert a == b, f.name
+
+
+@dataclasses.dataclass(frozen=True)
+class LatticeArrivals(ArrivalSpec):
+    """Renewal arrivals with a fixed gap between them."""
+
+    gap: float = 0.25
+
+    def interarrival_sampler(self, N):
+        return lambda rng, size=None: np.full(size, self.gap)
+
+
+class TestEqualsEventLoop:
+    """The start-time recursion against the event loop, array by array."""
+
+    LAWS = {**DISTS, "phasetype": make_service_dist("phasetype")}
+    ARRIVALS = {
+        "renewal": ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=0.5, sigma2=0.7),
+        "inhom_poisson": ArrivalSpec(kind="inhom_poisson",
+                                     lambda_bar={"affine": [1.0, 0.5]},
+                                     beta={"const": 1.0}),
+    }
+
+    @given(
+        N=st.integers(1, 30),
+        x0_frac=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**31),
+        law=st.sampled_from(sorted(LAWS)),
+        arrival=st.sampled_from(sorted(ARRIVALS)),
+        T=st.floats(0.3, 3.0),
+        mode=st.sampled_from(["conditional", "fresh"]),
+        ages=st.sampled_from([None, "invariant", "explicit"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_array_equal(self, N, x0_frac, seed, law, arrival, T, mode, ages):
+        x0 = int(round(x0_frac * N))
+        if ages == "explicit":
+            # some ages lie past the piecewise support, so those customers
+            # leave at time 0, all at once
+            ages = np.random.default_rng(seed).exponential(2.0, size=min(x0, N))
+        cfg = SimConfig(N=N, arrival=self.ARRIVALS[arrival], service=self.LAWS[law],
+                        T=T, initial=InitialCondition(x0=x0, ages=ages,
+                                                      residual_sampling=mode),
+                        seed=seed)
+        assert_same_path(simulate(cfg), simulate_by_events(cfg))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("gap,service", [(0.25, 1.0), (0.5, 1.5), (0.25, 0.5)])
+    def test_lattice_ties(self, N, gap, service):
+        # times on a binary lattice: arrivals land exactly on departures
+        det = dataclasses.replace(
+            EXP, name=f"deterministic({service:g})",
+            sampler=lambda rng, size=None: np.full(size, service),
+            conditional=lambda rng, ages: np.maximum(np.asarray(ages), service))
+        ties = 0
+        for x0 in range(2 * N + 1):
+            ages = [0.25 * (j % 4) for j in range(min(x0, N))]
+            for mode in ("conditional", "fresh"):
+                cfg = SimConfig(N=N, arrival=LatticeArrivals(kind="renewal", gap=gap),
+                                service=det, T=4.0, seed=1,
+                                initial=InitialCondition(x0=x0, ages=ages,
+                                                         residual_sampling=mode))
+                path = simulate(cfg)
+                ties += np.isin(path.dep_time, path.ev_time[path.ev_kind == ARRIVAL]).sum()
+                assert_same_path(path, simulate_by_events(cfg))
+        assert ties > 0, "no departure met an arrival"
+
+    def test_equal_time_departures_start_waiters_in_id_order(self):
+        # ages past the support: all four initial customers leave at t = 0
+        # and the four waiters start there, one after each departure
+        cfg = quick_config(N=4, x0=8, dist=PW, ages=[5.0, 6.0, 7.0, 8.0], seed=3)
+        path = simulate(cfg)
+        head = list(zip(path.ev_kind[:8], path.ev_id[:8]))
+        assert head == [(DEPARTURE, 0), (SERVICE_START, 4), (DEPARTURE, 1),
+                        (SERVICE_START, 5), (DEPARTURE, 2), (SERVICE_START, 6),
+                        (DEPARTURE, 3), (SERVICE_START, 7)]
+        assert np.all(path.ev_time[:8] == 0.0)
+        assert_same_path(path, simulate_by_events(cfg))
+
+
+
 class TestDeterminismAndStreams:
     def test_same_seed_same_path(self):
         a = simulate(quick_config(seed=11, x0=4, ages="invariant"))
@@ -137,14 +375,6 @@ class TestPoliciesAndInitialState:
             InitialCondition(x0=1, residual_sampling="resample")
         with pytest.raises(ValueError):
             simulate(quick_config(N=3, x0=3, ages=[0.1, 0.2]))  # 2 ages for 3 slots
-
-    def test_snapshots_match_span_reconstruction(self):
-        cfg = quick_config(N=6, x0=8, ages="invariant", seed=9, T=2.0)
-        cfg = SimConfig(**{**cfg.__dict__, "snapshot_times": [0.5, 1.0, 1.7]})
-        path = simulate(cfg)
-        assert len(path.snapshots) == 3
-        for t, ages in path.snapshots:
-            assert np.allclose(ages, np.sort(path.ages_at(t)))
 
 
 class TestInvariantAges:
