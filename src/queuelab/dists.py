@@ -6,16 +6,26 @@ here: cdf G, density g, hazard h = g/(1-G), support endpoint L, and a
 sampler.  Laws are normalized so the mean service requirement is 1 unless
 the caller opts out.
 
-The module also owns the two operator families built from survival ratios,
+This module is the one kernel layer for service laws.  Each decision the
+other layers need about a law is made here and nowhere else:
+
+    tail_point(eps)        first power of 2 with survival <= eps (capped at
+                           1e6 and at L): where an age grid may stop
+    grid_density(x, dt)    g on a dt-spaced grid, a non-finite node value
+                           (g unbounded at 0) replaced by its cell's
+                           average mass
+    dead_mass_ratio        num/den, and 0 wherever den = 0: mass beyond
+                           the support is dead
+    phi_op, psi_op         the two operator families built from survival
+                           ratios,
 
     (Phi_t f)(x)   = f(x+t) (1-G(x+t)) / (1-G(x))
     (Psi_t f)(x,s) = f(x + (t-s)^+) (1-G(x + (t-s)^+)) / (1-G(x))
 
-the scalar kernel psi_h, the renewal function U (Volterra solve), and the
-Holder-ratio fitter used as a regularity gate.  Ratios are evaluated through
-survival functions directly (never 1 - cdf) so they stay meaningful far into
-the tail; wherever the denominator survival is 0 the ratio is 0 by the
-convention that mass beyond the support is dead.
+plus the scalar kernel psi_h, the renewal function U (Volterra solve), and
+the Holder-ratio fitter used as a regularity gate.  Ratios are evaluated
+through survival functions directly (never 1 - cdf) so they stay
+meaningful far into the tail.
 """
 from __future__ import annotations
 
@@ -37,10 +47,17 @@ __all__ = [
     "phi_op",
     "psi_op",
     "psi_h",
+    "dead_mass_ratio",
     "as_rate",
 ]
 
 _MEAN_TOL = 1e-6
+
+
+def dead_mass_ratio(num, den):
+    """num / den, and 0 wherever den = 0 (mass beyond the support is dead)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
 
 
 class ServiceSpecError(ValueError):
@@ -72,10 +89,35 @@ class ServiceDistribution:
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         den = self.sf(x)
-        num = self.sf(x + t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        return out
+        return dead_mass_ratio(self.sf(x + t), den)
+
+    def tail_point(self, eps):
+        """First of 1, 2, 4, ... with sf <= eps, capped at 1e6 and at L."""
+        hi = 1.0
+        while self.sf(np.array([hi]))[0] > eps and hi < 1e6:
+            hi *= 2.0
+        return min(hi, self.support_end)
+
+    def grid_density(self, x, dt):
+        """g on grid nodes x spaced dt; a non-finite node value (a density
+        unbounded at 0) is replaced by that cell's average mass."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = np.asarray(self.density(x), dtype=float)
+        bad = ~np.isfinite(g)
+        if np.any(bad):
+            lo = np.maximum(x[bad] - dt / 2.0, 0.0)
+            hi = x[bad] + dt / 2.0
+            g[bad] = (self.cdf(hi) - self.cdf(lo)) / (hi - lo)
+        return g
+
+
+def _hazard_from(density, sf):
+    # h = g / (1-G) for laws without a scipy logpdf - logsf route
+    def hazard(x):
+        s = sf(x)
+        return dead_mass_ratio(density(x), s)
+
+    return hazard
 
 
 def _from_scipy(name, frozen, support_end=np.inf, mean=None):
@@ -229,11 +271,6 @@ def _make_phasetype(params, normalize):
     def cdf(x):
         return 1.0 - sf(x)
 
-    def hazard(x):
-        s = sf(x)
-        g = density(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(s > 0.0, g / np.where(s > 0.0, s, 1.0), 0.0)
 
     rates = -np.diag(S)
     jump = S - np.diag(np.diag(S))
@@ -285,7 +322,7 @@ def _make_phasetype(params, normalize):
 
     return ServiceDistribution(
         name=f"phasetype(m={alpha.size})", cdf=cdf, density=density,
-        hazard=hazard, support_end=np.inf, mean=mean, sampler=sampler,
+        hazard=_hazard_from(density, sf), support_end=np.inf, mean=mean, sampler=sampler,
         sf=sf, conditional=conditional,
     )
 
@@ -325,12 +362,6 @@ def _make_piecewise(params, normalize):
         out = np.where((x >= 0.0) & (x < L), values[idx], 0.0)
         return out.reshape(np.shape(x)) if np.ndim(x) else out
 
-    def hazard(x):
-        s = sf(x)
-        g = density(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(s > 0.0, g / np.where(s > 0.0, s, 1.0), 0.0)
-
     def ppf(q):
         q = np.asarray(q, dtype=float)
         return np.interp(q, cum, breaks)
@@ -345,7 +376,8 @@ def _make_piecewise(params, normalize):
         return np.maximum(v, ages)
 
     return ServiceDistribution(
-        name=f"piecewise(L={L:g})", cdf=cdf, density=density, hazard=hazard,
+        name=f"piecewise(L={L:g})", cdf=cdf, density=density,
+        hazard=_hazard_from(density, sf),
         support_end=L, mean=mean, sampler=sampler, sf=sf, conditional=conditional,
     )
 
@@ -393,21 +425,13 @@ def renewal_function(dist, T, dt):
 
     Solves U(t) = 1 + int_0^t g(t-s) U(s) ds by trapezoidal Volterra
     stepping; U(0) = 1 and U is nondecreasing.  First-order accurate
-    (the density may be nonsmooth at 0).  A non-finite density value at a
-    grid node (bounded-support or shape<1 laws) is replaced by that cell's
-    average mass so the stepping stays finite.
+    (the density may be nonsmooth at 0).  The density comes from
+    grid_density, so a shape<1 law stays finite at 0.
     """
     if dt <= 0 or dt > T:
         raise ValueError("need 0 < dt <= T")
     n = int(round(T / dt))
-    t = np.arange(n + 1) * dt
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.asarray(dist.density(t), dtype=float)
-    bad = ~np.isfinite(g)
-    if np.any(bad):
-        lo = np.maximum(t[bad] - dt / 2.0, 0.0)
-        hi = t[bad] + dt / 2.0
-        g[bad] = (dist.cdf(hi) - dist.cdf(lo)) / (hi - lo)
+    g = dist.grid_density(np.arange(n + 1) * dt, dt)
     U = np.ones(n + 1)
     denom = 1.0 - dt * g[0] / 2.0
     if denom <= 0:
@@ -523,9 +547,7 @@ def psi_h(dist, x, t):
     x, t = np.broadcast_arrays(x, t)
     shifted = dist.sf(np.maximum(x - t, 0.0))
     sfx = dist.sf(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(shifted > 0.0, sfx / np.where(shifted > 0.0, shifted, 1.0), 0.0)
-    return np.where(t <= x, ratio, sfx)
+    return np.where(t <= x, dead_mass_ratio(sfx, shifted), sfx)
 
 
 def as_rate(spec):

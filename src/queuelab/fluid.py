@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dists import ServiceDistribution, as_rate
+from .dists import ServiceDistribution, as_rate, dead_mass_ratio
 
 __all__ = [
     "FluidInit",
@@ -75,13 +75,6 @@ def invariant_measure(dist):
     return lambda x: np.asarray(dist.sf(np.asarray(x, dtype=float)))
 
 
-def _tail_point(dist, eps=1e-9):
-    hi = 1.0
-    while dist.sf(np.array([hi]))[0] > eps and hi < 1e6:
-        hi *= 2.0
-    return min(hi, dist.support_end)
-
-
 def _density_on_grid(init, dist, dt):
     """(x_nodes, p0 values, q0 = p0/sf) on a dt-spaced age grid."""
     spec = init.nu0_density
@@ -90,7 +83,7 @@ def _density_on_grid(init, dist, dt):
         return x, np.zeros(2), np.zeros(2)
     if isinstance(spec, dict) and "invariant" in spec:
         mass = float(spec["invariant"])
-        x_max = _tail_point(dist)
+        x_max = dist.tail_point(1e-9)
         x = np.arange(int(np.ceil(x_max / dt)) + 1) * dt
         sf = np.asarray(dist.sf(x))
         return x, mass * sf, np.full(x.size, mass)
@@ -109,9 +102,7 @@ def _density_on_grid(init, dist, dt):
         raise ValueError(f"unrecognized nu0_density: {spec!r}")
     if np.any(p0 < -1e-12):
         raise ValueError("nu0_density must be nonnegative")
-    sf = np.asarray(dist.sf(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q0 = np.where(sf > 0.0, p0 / np.where(sf > 0.0, sf, 1.0), 0.0)
+    q0 = dead_mass_ratio(p0, np.asarray(dist.sf(x)))
     return x, np.maximum(p0, 0.0), q0
 
 
@@ -195,17 +186,10 @@ def solve_fluid(dist, init, T, dt):
     nx = x_nodes.size
     comb = np.arange(nx + n) * dt
     sf_comb = np.asarray(dist.sf(comb))
-    g_comb = np.asarray(dist.density(comb), dtype=float)
-    bad = ~np.isfinite(g_comb)
-    if np.any(bad):
-        lo = np.maximum(comb[bad] - dt / 2.0, 0.0)
-        g_comb[bad] = (dist.cdf(comb[bad] + dt / 2.0) - dist.cdf(lo)) / (comb[bad] + dt / 2.0 - lo)
+    g_comb = dist.grid_density(comb, dt)
     half = (np.arange(n) + 0.5) * dt
     sf_half = np.asarray(dist.sf(half))
-    g_half = np.asarray(dist.density(half), dtype=float)
-    gbad = ~np.isfinite(g_half)
-    if np.any(gbad):
-        g_half[gbad] = (dist.cdf(half[gbad] + dt / 2.0) - dist.cdf(half[gbad] - dt / 2.0)) / dt
+    g_half = dist.grid_density(half, dt)
 
     # transported-initial terms for all t at once: I_w(t_i) = int w(x+t_i) q0(x) dx
     if np.any(q0 != 0.0):

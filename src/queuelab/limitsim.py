@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dists import ServiceDistribution
+from .dists import ServiceDistribution, dead_mass_ratio
 from .fluid import FluidInit, FluidPath, solve_fluid
 
 __all__ = [
@@ -92,11 +92,7 @@ class LimitGrid:
 def resolve_x_max(grid, dist):
     if grid.x_max is not None:
         return float(grid.x_max)
-    hi = 1.0
-    while dist.sf(np.array([hi]))[0] > grid.tail_budget and hi < 1e6:
-        hi *= 2.0
-    hi = min(hi, dist.support_end)
-    return math.ceil(hi / grid.dx) * grid.dx
+    return math.ceil(dist.tail_point(grid.tail_budget) / grid.dx) * grid.dx
 
 
 @dataclass
@@ -237,9 +233,7 @@ def s_op(nu0hat, dist, f, t_grid):
         return out
     if isinstance(nu0hat, dict) and "density" in nu0hat:
         xs, vals = (np.asarray(a, dtype=float) for a in nu0hat["density"])
-        sfx = np.asarray(dist.sf(xs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(sfx > 0.0, vals / np.where(sfx > 0.0, sfx, 1.0), 0.0)
+        q = dead_mass_ratio(vals, np.asarray(dist.sf(xs)))
         out = np.empty(t_grid.size)
         for i, t in enumerate(t_grid):
             w = np.asarray(f(xs + t)) * np.asarray(dist.sf(xs + t)) * q
@@ -259,16 +253,6 @@ def nu0_value(nu0hat, f):
         xs, vals = (np.asarray(a, dtype=float) for a in nu0hat["density"])
         return float(np.trapezoid(np.asarray(f(xs)) * vals, xs))
     raise ValueError(f"unrecognized nu0hat spec: {nu0hat!r}")
-
-
-def _grid_density(dist, t_grid):
-    g = np.asarray(dist.density(t_grid), dtype=float)
-    bad = ~np.isfinite(g)
-    if np.any(bad):
-        dt = float(t_grid[1] - t_grid[0])
-        lo = np.maximum(t_grid[bad] - dt / 2.0, 0.0)
-        g[bad] = (dist.cdf(t_grid[bad] + dt / 2.0) - dist.cdf(lo)) / (t_grid[bad] + dt / 2.0 - lo)
-    return g
 
 
 def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
@@ -296,7 +280,7 @@ def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     v0 = clamp(x0hat)
     if abs(float(Z[0]) - v0) > 1e-9:
         raise ValueError(f"Z(0)={float(Z[0])} inconsistent with regime value {v0}")
-    g = _grid_density(dist, t_grid)
+    g = dist.grid_density(t_grid, dt)
     a = 1.0 - dt * g[0] / 2.0
     if a <= 0:
         raise ValueError("dt too large for this service density at 0")
@@ -337,7 +321,7 @@ def hat_nu(t_grid, dist, S_f, Khat, H_f, f, fprime):
     n = t_grid.size - 1
     dt = float(t_grid[1] - t_grid[0])
     K = np.asarray(Khat, dtype=float)
-    g = _grid_density(dist, t_grid)
+    g = dist.grid_density(t_grid, dt)
     sf = np.asarray(dist.sf(t_grid))
     xi = np.asarray(fprime(t_grid), dtype=float) * sf - np.asarray(f(t_grid), dtype=float) * g
     conv = fftconvolve(K, xi)[:n + 1]
@@ -482,7 +466,7 @@ def rep_hatx_residual(run):
     """
     t_grid = run.t_grid
     dt = float(t_grid[1] - t_grid[0])
-    g = _grid_density(run.spec.dist, t_grid)
+    g = run.spec.dist.grid_density(t_grid, dt)
     K = run.Khat
     conv = fftconvolve(K, g)[:t_grid.size]
     gK = dt * (conv - 0.5 * (K[0] * g + K * g[0]))

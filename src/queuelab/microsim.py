@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dists import ArrivalSpec, ServiceDistribution
+from .dists import ArrivalSpec, ServiceDistribution, phi_op, psi_op
 
 __all__ = [
     "ARRIVAL",
@@ -169,11 +169,7 @@ class PathRecord:
 def invariant_ages(dist, n, rng):
     """Sample n ages from the stationary age density (1 - G(x)) / mean."""
     # numeric inverse of the integrated tail on a grid reaching sf < 1e-9
-    hi = 1.0
-    while dist.sf(np.array([hi]))[0] > 1e-9 and hi < 1e6:
-        hi *= 2.0
-    hi = min(hi, dist.support_end)
-    x = np.linspace(0.0, hi, 4097)
+    x = np.linspace(0.0, dist.tail_point(1e-9), 4097)
     tail = dist.sf(x)
     cdf = np.concatenate([[0.0], np.cumsum((tail[1:] + tail[:-1]) / 2.0 * np.diff(x))])
     cdf /= cdf[-1]
@@ -395,17 +391,12 @@ def representation_residual(path, dist, f, t, dt):
     """
     lhs = eval_age_functional(path, f, t)
     init = ~path.span_fresh
-    a0 = -path.span_theta[init]
-    S = float(np.sum(np.asarray(f(a0 + t)) * dist.survival_ratio(a0, t)))
+    S = float(np.sum(phi_op(dist, f, t)(-path.span_theta[init])))
     fresh = path.span_fresh & (path.span_begin <= t)
     u = path.span_begin[fresh]
     lag = t - u
     Kf = float(np.sum(np.asarray(f(lag)) * dist.sf(lag)))
-
-    def psi_tf(x, s):
-        lag = np.maximum(t - s, 0.0)
-        return np.asarray(f(x + lag)) * dist.survival_ratio(x, lag)
-
+    psi_tf = psi_op(dist, f, t)
     take = path.dep_time <= t
     Qpsi = float(np.sum(psi_tf(path.dep_age[take], path.dep_time[take])))
     _, A = compensator(path, dist, t, dt, phi=psi_tf)
@@ -422,21 +413,16 @@ def shift_consistency_check(path, dist, f, s, t, dt):
     """
     lhs = eval_age_functional(path, f, s + t)
     ages_s = path.ages_at(s)
-    S = float(np.sum(np.asarray(f(ages_s + t)) * dist.survival_ratio(ages_s, t)))
+    S = float(np.sum(phi_op(dist, f, t)(ages_s)))
     fresh = path.span_fresh & (path.span_begin > s) & (path.span_begin <= s + t)
     lag = s + t - path.span_begin[fresh]
     Kf = float(np.sum(np.asarray(f(lag)) * dist.sf(lag)))
-
-    def psi_tf_shift(x, r):
-        # r is absolute time; the window-local clock is r - s
-        lag = np.maximum(s + t - r, 0.0)
-        return np.asarray(f(x + lag)) * dist.survival_ratio(x, lag)
-
+    psi_tf = psi_op(dist, f, s + t)  # takes absolute time r, lag s + t - r
     take = (path.dep_time > s) & (path.dep_time <= s + t)
-    Qpsi = float(np.sum(psi_tf_shift(path.dep_age[take], path.dep_time[take])))
+    Qpsi = float(np.sum(psi_tf(path.dep_age[take], path.dep_time[take])))
     span_idx, k, nodes, ages, n = _left_nodes(path, s, s + t, dt)
     with np.errstate(over="ignore"):
-        vals = dist.hazard(ages) * psi_tf_shift(ages, nodes)
+        vals = dist.hazard(ages) * psi_tf(ages, nodes)
     A = float(vals.sum()) * dt
     H = Qpsi - A
     return lhs - (S - H + Kf)

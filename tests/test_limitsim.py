@@ -319,7 +319,7 @@ def gamma_map(t_grid, K, dist, f, fprime):
     n = t_grid.size - 1
     dt = float(t_grid[1] - t_grid[0])
     K = np.asarray(K, dtype=float)
-    g = L._grid_density(dist, t_grid)
+    g = dist.grid_density(t_grid, dt)
     xi = (np.asarray(fprime(t_grid), dtype=float) * np.asarray(dist.sf(t_grid))
           - np.asarray(f(t_grid), dtype=float) * g)
     conv = fftconvolve(K, xi)[:n + 1]
