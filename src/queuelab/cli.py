@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the library layers: `dists check`,
 `sim run`, `fluid solve`, `limit run`, `verify <battery>`.  Every run
-reads one JSON config (validated against a schema; violations exit 2
+reads one JSON config (validated against a schema, then against the
+service specs and verify overrides the library rejects; violations exit 2
 with the offending field path), writes data files plus a manifest.json
 recording the config hash, seeds, tool version and wall time, and exits
 3 on numerical failures.  `verify` exits 1 when a battery reports a
@@ -496,7 +497,10 @@ _BATTERIES = {
 def _run_verify(battery, cfg, out_flag):
     t0 = time.time()
     overrides = cfg.model.get("overrides", {}) if cfg else {}
-    reports = _BATTERIES[battery](overrides)
+    try:
+        reports = _BATTERIES[battery](overrides)
+    except (ServiceSpecError, scalestats.OverrideError) as e:
+        raise SchemaError(f"model.overrides: {e}") from None
     for r in reports:
         click.echo(r.line())
     if cfg is not None:

@@ -61,7 +61,8 @@ def dead_mass_ratio(num, den):
 
 
 class ServiceSpecError(ValueError):
-    """A service spec names no known family or a key its family does not take."""
+    """A service spec names no known family, a key its family does not take,
+    a value out of range, or a scale key that normalization would drop."""
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,18 @@ def _from_scipy(name, frozen, support_end=np.inf, mean=None):
     )
 
 
+def _scale_param(params, key, default, normalize):
+    # normalization sets this parameter, so a given value would be lost
+    if normalize and key in params:
+        raise ServiceSpecError(f"{key} is set by normalization to mean 1; "
+                               f"give normalize: false to use {key}")
+    return float(params.pop(key, default))
+
+
 def _make_exponential(params, normalize):
-    rate = float(params.pop("rate", 1.0))
+    rate = _scale_param(params, "rate", 1.0, normalize)
     if rate <= 0:
-        raise ValueError("exponential rate must be positive")
+        raise ServiceSpecError("exponential rate must be positive")
     if normalize:
         rate = 1.0
     return _from_scipy(f"exponential(rate={rate:g})",
@@ -168,8 +177,8 @@ def _make_exponential(params, normalize):
 def _make_lognormal(params, normalize):
     sigma = float(params.pop("sigma", 0.5))
     if sigma <= 0:
-        raise ValueError("lognormal sigma must be positive")
-    mu = float(params.pop("mu", 0.0))
+        raise ServiceSpecError("lognormal sigma must be positive")
+    mu = _scale_param(params, "mu", 0.0, normalize)
     if normalize:
         mu = -sigma * sigma / 2.0  # mean exp(mu + sigma^2/2) = 1
     return _from_scipy(f"lognormal(sigma={sigma:g})",
@@ -179,8 +188,8 @@ def _make_lognormal(params, normalize):
 def _make_weibull(params, normalize):
     shape = float(params.pop("shape", 1.5))
     if shape <= 0:
-        raise ValueError("weibull shape must be positive")
-    scale = float(params.pop("scale", 1.0))
+        raise ServiceSpecError("weibull shape must be positive")
+    scale = _scale_param(params, "scale", 1.0, normalize)
     if normalize:
         scale = 1.0 / math.gamma(1.0 + 1.0 / shape)
     return _from_scipy(f"weibull(shape={shape:g})",
@@ -190,8 +199,8 @@ def _make_weibull(params, normalize):
 def _make_gamma(params, normalize):
     shape = float(params.pop("shape", 2.0))
     if shape <= 0:
-        raise ValueError("gamma shape must be positive")
-    scale = float(params.pop("scale", 1.0))
+        raise ServiceSpecError("gamma shape must be positive")
+    scale = _scale_param(params, "scale", 1.0, normalize)
     if normalize:
         scale = 1.0 / shape
     return _from_scipy(f"gamma(shape={shape:g})",
@@ -202,8 +211,8 @@ def _make_pareto(params, normalize):
     # Lomax / Pareto-II so that the support starts at 0 with G(0) = 0
     a = float(params.pop("a", 1.5))
     if a <= 1.0:
-        raise ValueError("pareto exponent must exceed 1 for a finite mean")
-    scale = float(params.pop("scale", 1.0))
+        raise ServiceSpecError("pareto exponent must exceed 1 for a finite mean")
+    scale = _scale_param(params, "scale", 1.0, normalize)
     if normalize:
         scale = a - 1.0
     return _from_scipy(f"pareto(a={a:g})", stats.lomax(c=a, scale=scale))
@@ -211,9 +220,9 @@ def _make_pareto(params, normalize):
 
 def _make_logistic(params, normalize):
     # half-logistic: the positive-support form of the logistic law
-    scale = float(params.pop("scale", 1.0))
+    scale = _scale_param(params, "scale", 1.0, normalize)
     if scale <= 0:
-        raise ValueError("logistic scale must be positive")
+        raise ServiceSpecError("logistic scale must be positive")
     if normalize:
         scale = 1.0 / math.log(4.0)
     return _from_scipy(f"logistic(scale={scale:g})",
@@ -224,15 +233,15 @@ def _make_phasetype(params, normalize):
     alpha = np.asarray(params.pop("alpha", (0.5, 0.5)), dtype=float)
     S = np.asarray(params.pop("S", ((-2.0, 0.0), (0.0, -0.5))), dtype=float)
     if alpha.ndim != 1 or S.shape != (alpha.size, alpha.size):
-        raise ValueError("phase-type needs alpha (m,) and S (m, m)")
+        raise ServiceSpecError("phase-type needs alpha (m,) and S (m, m)")
     if abs(alpha.sum() - 1.0) > 1e-12 or np.any(alpha < 0):
-        raise ValueError("phase-type alpha must be a probability vector")
+        raise ServiceSpecError("phase-type alpha must be a probability vector")
     if np.any(np.diag(S) >= 0) or np.any(S - np.diag(np.diag(S)) < 0):
-        raise ValueError("phase-type S must be a subgenerator")
+        raise ServiceSpecError("phase-type S must be a subgenerator")
     ones = np.ones(alpha.size)
     raw_mean = float(-alpha @ np.linalg.solve(S, ones))
     if not np.isfinite(raw_mean) or raw_mean <= 0:
-        raise ValueError("phase-type mean is not finite and positive")
+        raise ServiceSpecError("phase-type mean is not finite and positive")
     if normalize:
         S = S * raw_mean
     exit_rates = -S @ ones
@@ -332,13 +341,13 @@ def _make_piecewise(params, normalize):
     breaks = np.asarray(params.pop("breaks", (0.0, 1.0, 2.0)), dtype=float)
     values = np.asarray(params.pop("values", (0.75, 0.25)), dtype=float)
     if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0) or breaks[0] != 0.0:
-        raise ValueError("piecewise breaks must increase from 0")
+        raise ServiceSpecError("piecewise breaks must increase from 0")
     if values.size != breaks.size - 1 or np.any(values < 0):
-        raise ValueError("piecewise needs one nonnegative density value per cell")
+        raise ServiceSpecError("piecewise needs one nonnegative density value per cell")
     widths = np.diff(breaks)
     total = float(values @ widths)
     if total <= 0:
-        raise ValueError("piecewise density has zero mass")
+        raise ServiceSpecError("piecewise density has zero mass")
     values = values / total
     raw_mean = float(values @ ((breaks[1:] ** 2 - breaks[:-1] ** 2) / 2.0))
     if normalize:
@@ -399,8 +408,9 @@ def make_service_dist(spec=None, /, normalize=True, **params):
 
     Accepts make_service_dist("lognormal", sigma=0.5) or the config form
     make_service_dist({"family": "lognormal", "sigma": 0.5}).  With
-    normalize=True (default) a scale parameter is chosen so the mean is 1.
-    An unknown family, or a key the family does not take, raises
+    normalize=True (default) a scale parameter (rate, mu or scale) is chosen
+    so the mean is 1, and giving that key as well is an error.  An unknown
+    family, a key the family does not take, or a value out of range raises
     ServiceSpecError.
     """
     if isinstance(spec, dict):
@@ -613,9 +623,22 @@ class ArrivalSpec:
         bt = as_rate(self.beta)
         return lambda t: lb(t) * N - bt(t) * rootN
 
+    def probe_times(self, T, n):
+        """n even points on [0, T] plus every pwlin knot inside it, sorted.
+
+        The rate is linear between pwlin knots, so for const, affine and
+        pwlin specs its extremes over these points are its extremes on
+        [0, T]; a callable rate is only sampled.
+        """
+        knots = [np.asarray(spec["pwlin"]["t"], dtype=float)
+                 for spec in (self.lambda_bar, self.beta)
+                 if isinstance(spec, dict) and "pwlin" in spec]
+        t = np.concatenate([np.linspace(0.0, T, n), *knots])
+        return np.unique(t[(t >= 0.0) & (t <= T)])
+
     def validate_for(self, N, T):
         rate = self.rate_fn(N)
-        probe = np.linspace(0.0, T, 513)
+        probe = self.probe_times(T, 513)
         if np.any(np.asarray(rate(probe)) <= 0.0 if self.kind == "renewal"
                   else np.asarray(rate(probe)) < 0.0):
             raise ValueError(f"arrival rate not admissible for N={N} on [0,{T}]")

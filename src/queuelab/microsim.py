@@ -168,8 +168,14 @@ class PathRecord:
 
 def invariant_ages(dist, n, rng):
     """Sample n ages from the stationary age density (1 - G(x)) / mean."""
-    # numeric inverse of the integrated tail on a grid reaching sf < 1e-9
-    x = np.linspace(0.0, dist.tail_point(1e-9), 4097)
+    # numeric inverse of the integrated tail on 4097 nodes reaching
+    # sf < 1e-9: uniform up to 32, else cells of 32/4096 at 0 growing
+    # geometrically, so a heavy tail does not coarsen the body
+    hi = dist.tail_point(1e-9)
+    if hi <= 32.0:
+        x = np.linspace(0.0, hi, 4097)
+    else:
+        x = np.concatenate([[0.0], np.geomspace(32.0 / 4096, hi, 4096)])
     tail = dist.sf(x)
     cdf = np.concatenate([[0.0], np.cumsum((tail[1:] + tail[:-1]) / 2.0 * np.diff(x))])
     cdf /= cdf[-1]
@@ -190,8 +196,7 @@ def _arrival_feed(arrival, N, T, rng):
                 yield t
     else:
         rate = arrival.rate_fn(N)
-        probe = np.linspace(0.0, T, 2049)
-        M = float(np.max(rate(probe))) * (1.0 + 1e-9)
+        M = float(np.max(rate(arrival.probe_times(T, 2049)))) * (1.0 + 1e-9)
         if M <= 0:
             return
         t = 0.0

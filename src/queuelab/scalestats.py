@@ -28,6 +28,7 @@ from .microsim import (InitialCondition, PathRecord, SimConfig, compensator,
                        simulate)
 
 __all__ = [
+    "OverrideError",
     "TestReport",
     "ScaledPath",
     "counter_profile",
@@ -184,12 +185,16 @@ def moment_bound_check(samples, k, bound, name=None, rng=None):
                       detail=f"mean={mean:.6g}")
 
 
+class OverrideError(ValueError):
+    """A battery override names a key the battery does not take."""
+
+
 def _cfg(defaults, config):
     out = dict(defaults)
     if config:
         unknown = set(config) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise OverrideError(f"unknown config keys: {sorted(unknown)}")
         out.update(config)
     return out
 

@@ -301,6 +301,21 @@ class TestVerifyCommand:
         assert res.exit_code == 1
         assert "FAIL" in res.output
 
+    @pytest.mark.parametrize("extra", [
+        {"bogus": 1},
+        {"service": {"family": "paretoo"}},
+        {"service": {"family": "gamma", "shape": -1.0}},
+    ], ids=["unknown-key", "unknown-family", "bad-shape"])
+    def test_bad_override_exit_two(self, tmp_path, extra):
+        data = json.loads(json.dumps(self.QUICK))
+        data["model"]["overrides"].update(extra)
+        cfgp = write_cfg(tmp_path, data)
+        res = CliRunner().invoke(main, ["verify", "representation",
+                                        "--config", cfgp,
+                                        "--out", str(tmp_path / "v")])
+        assert res.exit_code == 2, res.output
+        assert "config error: model.overrides" in res.output
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfgp = write_cfg(tmp_path, sim_cfg())
         res = CliRunner().invoke(main, ["verify", "representation",
@@ -341,7 +356,10 @@ class TestExitCodes:
         "no_such_family",
         {"family": "pareto", "alpha": 3.0},
         {"family": "lognormal", "sgima": 2.0},
-    ], ids=["unknown-family", "pareto-alpha", "lognormal-sgima"])
+        {"family": "gamma", "shape": -1.0},
+        {"family": "gamma", "shape": 2.0, "scale": 5.0},
+    ], ids=["unknown-family", "pareto-alpha", "lognormal-sgima", "gamma-shape",
+            "gamma-scale"])
     @pytest.mark.parametrize("command", ["fluid", "sim", "sim-jobs", "limit",
                                          "dists"])
     def test_bad_service_spec_exit_two(self, tmp_path, command, service):

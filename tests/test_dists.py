@@ -13,6 +13,7 @@ from queuelab.dists import (
     ArrivalSpec,
     ServiceSpecError,
     as_rate,
+    dead_mass_ratio,
     holder_check,
     make_service_dist,
     phi_op,
@@ -101,6 +102,28 @@ class TestFamilies:
             make_service_dist(spec)
         with pytest.raises(ServiceSpecError, match=bad):
             make_service_dist(spec["family"], **{bad: spec[bad]})
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "gamma", "shape": 2.0, "scale": 5.0},
+        {"family": "exponential", "rate": 4.0},
+        {"family": "lognormal", "mu": 3.0},
+    ], ids=["gamma-scale", "exponential-rate", "lognormal-mu"])
+    def test_scale_key_under_normalize_rejected(self, spec):
+        # normalization sets this key, so a given value would be dropped
+        key = [k for k in spec if k not in ("family", "shape")][0]
+        with pytest.raises(ServiceSpecError, match=f"{key}.*normalize: false"):
+            make_service_dist(spec)
+        raw = make_service_dist({**spec, "normalize": False})
+        assert abs(raw.mean - 1.0) > 0.5, f"{key} ignored with normalize off"
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "gamma", "shape": -1.0},
+        {"family": "pareto", "a": 1.0},
+        {"family": "piecewise", "breaks": [0.0, 1.0], "values": [-1.0]},
+    ], ids=["gamma-shape", "pareto-a", "piecewise-values"])
+    def test_out_of_range_value_is_spec_error(self, spec):
+        with pytest.raises(ServiceSpecError):
+            make_service_dist(spec)
 
     def test_pareto_requires_finite_mean(self):
         with pytest.raises(ValueError):
@@ -253,6 +276,47 @@ class TestOperators:
         assert abs(val - expect) < OPERATOR_TOL
 
 
+class TestKernelLayer:
+    """The service-law decisions every other layer calls instead of
+    re-deriving: tail point, grid density, dead-mass ratio."""
+
+    @pytest.mark.parametrize("spec, point", [
+        ("exponential", 32.0),
+        ({"family": "lognormal", "sigma": 0.5}, 32.0),
+        ({"family": "gamma", "shape": 2.0}, 16.0),
+        ({"family": "weibull", "shape": 1.5}, 16.0),
+        ("logistic", 16.0),
+        ("phasetype", 64.0),
+        ("piecewise", None),  # capped at the support end L
+        ({"family": "pareto", "a": 1.5}, 524288.0),
+    ], ids=["exp", "lognormal", "gamma2", "weibull", "logistic", "phasetype",
+            "piecewise", "pareto"])
+    def test_tail_point(self, spec, point):
+        dist = make_service_dist(spec)
+        expected = dist.support_end if point is None else point
+        assert dist.tail_point(1e-9) == expected
+
+    @pytest.mark.parametrize("spec", [{"family": "gamma", "shape": 0.5},
+                                      {"family": "weibull", "shape": 0.7}],
+                             ids=["gamma0.5", "weibull0.7"])
+    def test_grid_density_cell_average_at_zero(self, spec):
+        dist = make_service_dist(spec)
+        dt = 0.01
+        x = np.arange(50) * dt
+        g = dist.grid_density(x, dt)
+        assert g[0] == (dist.cdf(dt / 2.0) - dist.cdf(0.0)) / (dt / 2.0)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(g[1:], dist.density(x[1:]))
+
+    def test_dead_mass_past_piecewise_support(self):
+        dist = make_service_dist("piecewise")
+        x = dist.support_end + np.array([0.0, 0.5, 3.0])
+        assert np.all(dist.sf(x) == 0.0)
+        assert np.all(dist.hazard(x) == 0.0)
+        assert np.all(dist.survival_ratio(x, 0.25) == 0.0)
+        assert np.all(dead_mass_ratio(np.ones(3), dist.sf(x)) == 0.0)
+
+
 class TestArrivals:
     def test_renewal_rate_and_moments(self):
         arr = ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=1.0, sigma2=0.64)
@@ -283,6 +347,15 @@ class TestArrivals:
         with pytest.raises(ValueError):
             arr.validate_for(N=1, T=1.0)  # rate 1*1 - 1*1 = 0
         arr.validate_for(N=4, T=1.0)
+
+    def test_admissibility_sees_pwlin_dip_between_probe_points(self):
+        # the dip to -1 at t = 0.3001 falls between the 513 even probe points
+        dip = {"pwlin": {"t": [0.0, 0.3, 0.3001, 0.3002, 1.0],
+                         "v": [1.0, 1.0, -1.0, 1.0, 1.0]}}
+        arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=dip, beta=0.0)
+        assert np.all(arr.rate_fn(4)(np.linspace(0.0, 1.0, 513)) >= 0.0)
+        with pytest.raises(ValueError, match="not admissible"):
+            arr.validate_for(N=4, T=1.0)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

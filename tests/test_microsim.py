@@ -377,7 +377,50 @@ class TestPoliciesAndInitialState:
             simulate(quick_config(N=3, x0=3, ages=[0.1, 0.2]))  # 2 ages for 3 slots
 
 
+def invariant_ages_uniform(dist, n, rng):
+    """invariant_ages with its 4097 nodes spread evenly up to the tail point,
+    as it was before heavy tails got a geometric table; the reference for
+    laws whose tail point is at most 32."""
+    hi = 1.0
+    while dist.sf(np.array([hi]))[0] > 1e-9 and hi < 1e6:
+        hi *= 2.0
+    x = np.linspace(0.0, min(hi, dist.support_end), 4097)
+    tail = dist.sf(x)
+    cdf = np.concatenate([[0.0], np.cumsum((tail[1:] + tail[:-1]) / 2.0 * np.diff(x))])
+    cdf /= cdf[-1]
+    return np.interp(rng.uniform(size=n), cdf, x)
+
+
+class _Levels:
+    """rng stand-in whose uniform draws are fixed levels, so invariant_ages
+    returns its inverse table at those levels with no sampling noise."""
+
+    def __init__(self, q):
+        self.q = np.asarray(q, dtype=float)
+
+    def uniform(self, size=None):
+        return self.q
+
+
 class TestInvariantAges:
+    @pytest.mark.parametrize("dist", [
+        EXP, LOGN, GAMMA2, PW, make_service_dist("weibull", shape=1.5),
+        make_service_dist("logistic"), make_service_dist("piecewise")],
+        ids=["exp", "logn", "gamma2", "pw", "weibull", "logistic", "piecewise"])
+    def test_light_tail_draws_unchanged(self, dist):
+        assert dist.tail_point(1e-9) <= 32.0
+        a = invariant_ages(dist, 5000, np.random.default_rng(4))
+        b = invariant_ages_uniform(dist, 5000, np.random.default_rng(4))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("a", [1.5, 3.5])
+    def test_pareto_quantiles(self, a):
+        # stationary age of Lomax(a, scale a-1): P(age > x) = (1 + x/(a-1))^-(a-1)
+        q = np.array([0.25, 0.5, 0.75])
+        exact = (a - 1.0) * ((1.0 - q) ** (-1.0 / (a - 1.0)) - 1.0)
+        got = invariant_ages(make_service_dist("pareto", a=a), q.size, _Levels(q))
+        assert np.all(np.abs(got / exact - 1.0) < 0.03), (got, exact)
+
     def test_exponential_invariant_is_unit_exponential(self):
         rng = np.random.default_rng(0)
         ages = invariant_ages(EXP, 40000, rng)
@@ -388,6 +431,38 @@ class TestInvariantAges:
         rng = np.random.default_rng(1)
         ages = invariant_ages(PW, 5000, rng)
         assert ages.max() <= PW.support_end + 1e-9
+
+
+class _BoundProbe:
+    """rng stand-in for the thinning feed: records the exponential scale
+    1/M of the first candidate and ends the feed there."""
+
+    def __init__(self):
+        self.scales = []
+
+    def exponential(self, scale):
+        self.scales.append(scale)
+        return np.inf
+
+
+class TestThinningBound:
+    @staticmethod
+    def bound(arrival, N, T):
+        rng = _BoundProbe()
+        assert list(_arrival_feed(arrival, N, T, rng)) == []
+        return 1.0 / rng.scales[0]
+
+    def test_pwlin_peak_between_probe_points(self):
+        peak = {"pwlin": {"t": [0.0, 0.3001, 1.0], "v": [1.0, 3.0, 1.0]}}
+        arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=peak, beta=0.0)
+        assert self.bound(arr, 100, 1.0) >= 300.0
+
+    def test_bound_unchanged_where_even_probe_finds_max(self):
+        arr = ArrivalSpec(kind="inhom_poisson", lambda_bar={"affine": [1.0, 0.5]},
+                          beta=1.0)
+        rate = arr.rate_fn(50)
+        even = float(np.max(rate(np.linspace(0.0, 2.0, 2049)))) * (1.0 + 1e-9)
+        assert self.bound(arr, 50, 2.0) == even
 
 
 class TestReadouts:
