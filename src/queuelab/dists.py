@@ -9,8 +9,8 @@ the caller opts out.
 This module is the one kernel layer for service laws.  Each decision the
 other layers need about a law is made here and nowhere else:
 
-    tail_point(eps)        first power of 2 with survival <= eps (capped at
-                           1e6 and at L): where an age grid may stop
+    tail_point(eps)        first power of 2 with survival <= eps (at most
+                           2^20, and at most L): where an age grid may stop
     grid_density(x, dt)    g on a dt-spaced grid, a non-finite node value
                            (g unbounded at 0) replaced by its cell's
                            average mass
@@ -93,7 +93,7 @@ class ServiceDistribution:
         return dead_mass_ratio(self.sf(x + t), den)
 
     def tail_point(self, eps):
-        """First of 1, 2, 4, ... with sf <= eps, capped at 1e6 and at L."""
+        """First of 1, 2, 4, ..., 2^20 with sf <= eps (else 2^20), capped at L."""
         hi = 1.0
         while self.sf(np.array([hi]))[0] > eps and hi < 1e6:
             hi *= 2.0
