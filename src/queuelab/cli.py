@@ -23,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import click
@@ -196,12 +197,15 @@ def validate_config(data):
         run=data.get("run", {}))
 
 
-def load_config(path):
+def _read_json(path):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"(root): not valid JSON ({e})")
-    return validate_config(data)
+
+
+def load_config(path):
+    return validate_config(_read_json(path))
 
 
 def _build_arrival(spec):
@@ -251,42 +255,51 @@ def _build_nu0hat(spec):
                       "or {'density': {'x': [...], 'v': [...]}}")
 
 
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _csv(header, columns):
+    """CSV text; each column is converted once, floats with repr."""
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(rows) + "\n"
 
 
-def _write_csv(path, header, columns):
-    rows = zip(*columns)
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_dir, cfg, seeds, t0, outputs):
+def _finish(out_flag, cfg, seeds, t0, files):
+    """Write the data files {name: text} and the manifest; return the dir."""
+    out = Path(out_flag or cfg.run.get("out") or f"queuelab-{cfg.kind}-out")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
     blob = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
-    manifest = {
+    (out / "manifest.json").write_text(_json({
         "tool": "queuelab",
         "version": __version__,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "seeds": seeds,
         "wall_time_s": round(time.time() - t0, 3),
-        "outputs": sorted(outputs),
-    }
-    (Path(out_dir) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        "outputs": sorted(files),
+    }))
+    return out
 
 
-def _out_dir(cfg, out_flag):
-    out = out_flag or cfg.run.get("out") or f"queuelab-{cfg.kind}-out"
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def _replicates(one, ctx, n, jobs):
+    """[one(ctx, r) for r in range(n)], over `jobs` processes when jobs > 1.
+
+    ctx is built once by the caller and pickled to the workers; its service
+    law crosses as its spec and is rebuilt there.
+    """
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(partial(one, ctx), range(n)))
+    return [one(ctx, r) for r in range(n)]
 
 
-def _run_dists(cfg, out_flag):
+def _run_dists(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
     T = float(cfg.numerics.get("T", 4.0))
@@ -306,30 +319,16 @@ def _run_dists(cfg, out_flag):
         "holder": holder_check(dist, xs, ys).as_dict(),
         "renewal_U": {"T": T, "value": float(renewal_function(dist, T, dt)[-1])},
     }
-    out = _out_dir(cfg, out_flag)
-    (out / "dists_check.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, cfg, [], t0, ["dists_check.json"])
+    _finish(out, cfg, [], t0, {"dists_check.json": _json(report)})
     click.echo(json.dumps(report, sort_keys=True))
     return 0
 
 
-def _sim_one(raw_cfg, replicate):
-    """Worker: rebuild everything from the raw dict (pickling-safe)."""
-    cfg = validate_config(raw_cfg)
-    sim = SimConfig(N=int(cfg.model["N"]),
-                    arrival=_build_arrival(cfg.model["arrival"]),
-                    service=_build_service(cfg.model["service"]),
-                    T=float(cfg.numerics["T"]),
-                    initial=_build_initial(cfg.model.get("initial")),
-                    seed=int(cfg.run.get("seed", 0)),
-                    replicate=replicate)
-    path = simulate(sim)
-    kinds = [KIND_NAMES[k] for k in path.ev_kind]
-    lines = ["time,kind,E,D,K,X,in_service"]
-    for i in range(path.ev_time.size):
-        lines.append(f"{_fmt(path.ev_time[i])},{kinds[i]},{path.E[i]},"
-                     f"{path.D[i]},{path.K[i]},{path.X[i]},{path.B[i]}")
+def _sim_one(sim, replicate):
+    path = simulate(dataclasses.replace(sim, replicate=replicate))
+    kinds = [KIND_NAMES[k] for k in path.ev_kind.tolist()]
+    text = _csv(["time", "kind", "E", "D", "K", "X", "in_service"],
+                [path.ev_time, kinds, path.E, path.D, path.K, path.X, path.B])
     checks = conservation_check(path)
     summary = {
         "replicate": replicate,
@@ -341,41 +340,32 @@ def _sim_one(raw_cfg, replicate):
                   "B": int(path.B[-1]) if path.ev_time.size else path.b0},
         "identity_violations": {k: int(v) for k, v in checks.items()},
     }
-    return "\n".join(lines) + "\n", summary
+    return text, summary
 
 
-def _run_sim(cfg, out_flag, jobs):
+def _run_sim(cfg, out):
     t0 = time.time()
     n_rep = int(cfg.run.get("seeds", 1))
-    jobs = jobs or int(cfg.run.get("jobs", 1))
-    out = _out_dir(cfg, out_flag)
-    raw = cfg.raw
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sim_one, [raw] * n_rep, range(n_rep)))
-    else:
-        results = [_sim_one(raw, r) for r in range(n_rep)]
-    outputs = []
-    summaries = []
-    for r, (csv_text, summary) in enumerate(results):
-        name = f"sim_r{r:04d}.csv"
-        (out / name).write_text(csv_text)
-        outputs.append(name)
-        summaries.append(summary)
-    clean = all(max(s["identity_violations"].values()) == 0 for s in summaries)
-    agg = {"replicates": n_rep, "identities_clean": clean,
-           "per_replicate": summaries}
-    (out / "summary.json").write_text(
-        json.dumps(agg, indent=2, sort_keys=True) + "\n")
-    outputs.append("summary.json")
     seed = int(cfg.run.get("seed", 0))
-    _write_manifest(out, cfg, [[seed, r] for r in range(n_rep)], t0, outputs)
+    sim = SimConfig(N=int(cfg.model["N"]),
+                    arrival=_build_arrival(cfg.model["arrival"]),
+                    service=_build_service(cfg.model["service"]),
+                    T=float(cfg.numerics["T"]),
+                    initial=_build_initial(cfg.model.get("initial")),
+                    seed=seed)
+    results = _replicates(_sim_one, sim, n_rep, int(cfg.run.get("jobs", 1)))
+    files = {f"sim_r{r:04d}.csv": text for r, (text, _) in enumerate(results)}
+    summaries = [summary for _, summary in results]
+    clean = all(max(s["identity_violations"].values()) == 0 for s in summaries)
+    files["summary.json"] = _json({"replicates": n_rep, "identities_clean": clean,
+                                   "per_replicate": summaries})
+    out = _finish(out, cfg, [[seed, r] for r in range(n_rep)], t0, files)
     click.echo(f"{n_rep} replicates -> {out} (identities "
                f"{'clean' if clean else 'VIOLATED'})")
     return 0
 
 
-def _run_fluid(cfg, out_flag):
+def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
     init = FluidInit(Ebar=cfg.model.get("Ebar", 1.0),
@@ -384,16 +374,15 @@ def _run_fluid(cfg, out_flag):
                      x_max=cfg.model.get("x_max"))
     path = solve_fluid(dist, init, float(cfg.numerics["T"]),
                        float(cfg.numerics["dt"]))
-    out = _out_dir(cfg, out_flag)
-    _write_csv(out / "fluid.csv", ["t", "Xbar", "Kbar", "mass", "hazard_load"],
-               [path.grid, path.Xbar, path.Kbar, path.Bbar, path.Hbar])
     summary = {"regime": path.regime,
                "final": {"Xbar": float(path.Xbar[-1]),
                          "Kbar": float(path.Kbar[-1]),
                          "mass": float(path.Bbar[-1])}}
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, cfg, [], t0, ["fluid.csv", "summary.json"])
+    out = _finish(out, cfg, [], t0, {
+        "fluid.csv": _csv(["t", "Xbar", "Kbar", "mass", "hazard_load"],
+                          [path.grid, path.Xbar, path.Kbar, path.Bbar,
+                           path.Hbar]),
+        "summary.json": _json(summary)})
     click.echo(f"regime {path.regime} -> {out}")
     return 0
 
@@ -418,68 +407,36 @@ def _limit_spec(cfg):
                      regime=cfg.model.get("regime"))
 
 
-def _limit_one(spec, fluid_path, replicate):
+def _limit_one(ctx, replicate):
+    spec, fluid_path = ctx
     run = run_limit(dataclasses.replace(spec, replicate=replicate),
                     fluid_path=fluid_path)
     names = sorted(run.nuhat)
-    header = ["t", "Ehat", "Khat", "Xhat", "vhat"] + [f"nu_{n}" for n in names]
-    cols = [run.t_grid, run.Ehat, run.Khat, run.Xhat, run.vhat]
-    cols += [run.nuhat[n] for n in names]
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
+    text = _csv(["t", "Ehat", "Khat", "Xhat", "vhat"] + [f"nu_{n}" for n in names],
+                [run.t_grid, run.Ehat, run.Khat, run.Xhat, run.vhat]
+                + [run.nuhat[n] for n in names])
     summary = {"replicate": replicate, "regime": run.regime,
                "rep_hatx_residual": rep_hatx_residual(run),
                "smg_residual": smg_bookkeeping_residual(run),
                "final_Xhat": float(run.Xhat[-1])}
-    return "\n".join(lines) + "\n", summary
+    return text, summary
 
 
-# (spec, fluid path) of a --jobs worker process, set once by its initializer
-_worker_limit = None
-
-
-def _init_limit_worker(raw_cfg, fluid_path):
-    """Build the spec once per worker.  The fluid path arrives without its
-    service law, whose closures cannot be pickled, and gets the rebuilt one."""
-    global _worker_limit
-    spec = _limit_spec(validate_config(raw_cfg))
-    _worker_limit = (spec, dataclasses.replace(fluid_path, dist=spec.dist))
-
-
-def _limit_worker(replicate):
-    return _limit_one(*_worker_limit, replicate)
-
-
-def _run_limit(cfg, out_flag, paths_flag, jobs):
+def _run_limit(cfg, out):
     t0 = time.time()
-    n_paths = paths_flag or int(cfg.run.get("paths", 1))
-    jobs = jobs or int(cfg.run.get("jobs", 1))
-    out = _out_dir(cfg, out_flag)
+    n_paths = int(cfg.run.get("paths", 1))
     spec = _limit_spec(cfg)
     fluid_path = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
-    if jobs > 1:
-        shipped = dataclasses.replace(fluid_path, dist=None)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_limit_worker,
-                                 initargs=(cfg.raw, shipped)) as pool:
-            results = list(pool.map(_limit_worker, range(n_paths)))
-    else:
-        results = [_limit_one(spec, fluid_path, p) for p in range(n_paths)]
-    outputs = []
-    summaries = []
-    for p, (csv_text, summary) in enumerate(results):
-        name = f"limit_p{p:04d}.csv"
-        (out / name).write_text(csv_text)
-        outputs.append(name)
-        summaries.append(summary)
+    results = _replicates(_limit_one, (spec, fluid_path), n_paths,
+                          int(cfg.run.get("jobs", 1)))
+    files = {f"limit_p{p:04d}.csv": text for p, (text, _) in enumerate(results)}
+    summaries = [summary for _, summary in results]
     worst = max(s["rep_hatx_residual"] for s in summaries)
-    agg = {"paths": n_paths, "regime": summaries[0]["regime"],
-           "worst_rep_hatx_residual": worst, "per_path": summaries}
-    (out / "summary.json").write_text(
-        json.dumps(agg, indent=2, sort_keys=True) + "\n")
-    outputs.append("summary.json")
-    seed = int(cfg.run.get("seed", 0))
-    _write_manifest(out, cfg, [[seed, p] for p in range(n_paths)], t0, outputs)
+    files["summary.json"] = _json({"paths": n_paths,
+                                   "regime": summaries[0]["regime"],
+                                   "worst_rep_hatx_residual": worst,
+                                   "per_path": summaries})
+    out = _finish(out, cfg, [[spec.seed, p] for p in range(n_paths)], t0, files)
     click.echo(f"{n_paths} limit paths ({summaries[0]['regime']}) -> {out}")
     return 0
 
@@ -494,8 +451,10 @@ _BATTERIES = {
 }
 
 
-def _run_verify(battery, cfg, out_flag):
+def _run_verify(battery, cfg, out):
     t0 = time.time()
+    if cfg is None and out is not None:
+        raise SchemaError("run.out: --out writes a report only with --config")
     overrides = cfg.model.get("overrides", {}) if cfg else {}
     try:
         reports = _BATTERIES[battery](overrides)
@@ -504,28 +463,19 @@ def _run_verify(battery, cfg, out_flag):
     for r in reports:
         click.echo(r.line())
     if cfg is not None:
-        out = _out_dir(cfg, out_flag)
-        name = f"verify_{battery}.json"
-        (out / name).write_text(json.dumps(
-            [r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n")
-        _write_manifest(out, cfg, [], t0, [name])
+        _finish(out, cfg, [], t0, {f"verify_{battery}.json":
+                                   _json([r.as_dict() for r in reports])})
     return 0 if scalestats.all_passed(reports) else 1
 
 
-def run(cfg, battery=None, out=None, paths=None, jobs=None):
+def run(cfg, battery=None, out=None):
     """Dispatch a validated config; returns the process exit code."""
-    if cfg is not None and battery is None and cfg.kind == "verify":
+    if battery is not None:
+        return _run_verify(battery, cfg, out)
+    if cfg.kind == "verify":
         raise SchemaError("kind: verify configs run through `verify <battery>`")
-    kind = "verify" if battery else cfg.kind
-    if kind == "dists":
-        return _run_dists(cfg, out)
-    if kind == "sim":
-        return _run_sim(cfg, out, jobs)
-    if kind == "fluid":
-        return _run_fluid(cfg, out)
-    if kind == "limit":
-        return _run_limit(cfg, out, paths, jobs)
-    return _run_verify(battery, cfg, out)
+    return {"dists": _run_dists, "sim": _run_sim, "fluid": _run_fluid,
+            "limit": _run_limit}[cfg.kind](cfg, out)
 
 
 def _execute(fn):
@@ -541,18 +491,15 @@ def _execute(fn):
     sys.exit(code)
 
 
-def _load_with_overrides(config_path, seed, noise_off):
-    cfg = load_config(config_path)
-    if seed is not None or noise_off:
-        run_block = dict(cfg.run)
-        if seed is not None:
-            run_block["seed"] = seed
-        if noise_off:
-            run_block["noise_off"] = True
-        data = dict(cfg.raw)
-        data["run"] = run_block
-        cfg = validate_config(data)
-    return cfg
+def _load_with_flags(config_path, **flags):
+    """Load a config with every given flag put into its run block; the
+    schema then checks flag values as it checks the file's."""
+    data = _read_json(config_path)
+    run_block = data.get("run", {}) if isinstance(data, dict) else None
+    if isinstance(run_block, dict):
+        data["run"] = {**run_block,
+                       **{k: v for k, v in flags.items() if v is not None}}
+    return validate_config(data)
 
 
 _config_opt = click.option("--config", "config_path", required=True,
@@ -595,14 +542,8 @@ def sim():
 @_jobs_opt
 def sim_run(config_path, out, seed, seeds, jobs):
     """Simulate replicates; one event CSV each plus a summary."""
-    def go():
-        cfg = _load_with_overrides(config_path, seed, False)
-        if seeds is not None:
-            data = dict(cfg.raw)
-            data["run"] = dict(cfg.run, seeds=seeds)
-            cfg = validate_config(data)
-        return run(cfg, out=out, jobs=jobs)
-    _execute(go)
+    _execute(lambda: run(_load_with_flags(config_path, seed=seed, seeds=seeds,
+                                          jobs=jobs), out=out))
 
 
 @main.group()
@@ -634,8 +575,9 @@ def limit():
               help="zero both Gaussian inputs (deterministic skeleton)")
 def limit_run(config_path, out, seed, paths, jobs, noise_off):
     """Draw limit paths; one profile CSV each plus a summary."""
-    _execute(lambda: run(_load_with_overrides(config_path, seed, noise_off),
-                         out=out, paths=paths, jobs=jobs))
+    _execute(lambda: run(_load_with_flags(config_path, seed=seed, paths=paths,
+                                          jobs=jobs, noise_off=noise_off or None),
+                         out=out))
 
 
 @main.group()

@@ -30,7 +30,7 @@ meaningful far into the tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -72,7 +72,9 @@ class ServiceDistribution:
     cdf/density/hazard/sf accept scalars or arrays and return ndarrays.
     sampler(rng, size) draws service durations; conditional(rng, ages) draws
     full durations v ~ G given v > age (used for initially-in-service
-    customers).  Safe to share across threads and replicates.
+    customers).  Safe to share across threads and replicates.  A law from
+    make_service_dist records its spec and pickles as that spec, so it
+    crosses process boundaries by being rebuilt.
     """
 
     name: str
@@ -84,6 +86,13 @@ class ServiceDistribution:
     sampler: Callable
     sf: Callable = field(repr=False, default=None)
     conditional: Callable = field(repr=False, default=None)
+    spec: dict = field(repr=False, compare=False, default=None)
+
+    def __reduce__(self):
+        if self.spec is None:
+            raise TypeError(f"{self.name} was not built by make_service_dist "
+                            "and cannot be pickled")
+        return make_service_dist, (self.spec,)
 
     def survival_ratio(self, x, t):
         """(1-G(x+t))/(1-G(x)), with the dead-mass convention 0/0 -> 0."""
@@ -411,7 +420,8 @@ def make_service_dist(spec=None, /, normalize=True, **params):
     normalize=True (default) a scale parameter (rate, mu or scale) is chosen
     so the mean is 1, and giving that key as well is an error.  An unknown
     family, a key the family does not take, or a value out of range raises
-    ServiceSpecError.
+    ServiceSpecError.  The law records the spec it was built from (family,
+    normalize and keys) and pickles as that spec.
     """
     if isinstance(spec, dict):
         params = {**spec, **params}
@@ -421,13 +431,13 @@ def make_service_dist(spec=None, /, normalize=True, **params):
         family = spec
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ServiceSpecError(f"unsupported service family: {family!r}")
-    params = dict(params)
+    recorded = {"family": family, "normalize": normalize, **params}
     dist = _FAMILIES[family](params, normalize)  # pops the keys it takes
     if params:
         raise ServiceSpecError(f"{family} takes no parameter(s) {sorted(params)}")
     if normalize and abs(dist.mean - 1.0) > _MEAN_TOL:
         raise ValueError(f"{family}: normalization failed, mean={dist.mean}")
-    return dist
+    return replace(dist, spec=recorded)
 
 
 def renewal_function(dist, T, dt):
