@@ -7,7 +7,8 @@ service specs and verify overrides the library rejects; violations exit 2
 with the offending field path), writes data files plus a manifest.json
 recording the config hash, seeds, tool version and wall time, and exits
 3 on numerical failures.  `verify` exits 1 when a battery reports a
-failing statistic.
+failing statistic.  Flags (--seed, --seeds, --paths, --jobs, --noise-off)
+are run-block overrides and pass the same schema.
 
 Data outputs are byte-for-byte reproducible for a given config: floats
 are written with repr (shortest round-trip form) and replicate order is

@@ -278,13 +278,17 @@ def _make_phasetype(params, normalize):
             val = np.real(np.exp(np.outer(x, lam)) @ w_g)
             return np.maximum(val, 0.0).reshape(np.shape(x))
     else:
-        def sf(x):
+        def _expm_eval(x, vec):
+            # alpha e^{Sx} vec per point, in the shape of x
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.array([float(alpha @ linalg.expm(S * xi) @ ones) for xi in x])
+            val = [float(alpha @ linalg.expm(S * xi) @ vec) for xi in x.ravel()]
+            return np.array(val).reshape(np.shape(x))
+
+        def sf(x):
+            return _expm_eval(x, ones)
 
         def density(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.array([float(alpha @ linalg.expm(S * xi) @ exit_rates) for xi in x])
+            return _expm_eval(x, exit_rates)
 
     def cdf(x):
         return 1.0 - sf(x)
@@ -419,8 +423,8 @@ def make_service_dist(spec=None, /, normalize=True, **params):
     make_service_dist({"family": "lognormal", "sigma": 0.5}).  With
     normalize=True (default) a scale parameter (rate, mu or scale) is chosen
     so the mean is 1, and giving that key as well is an error.  An unknown
-    family, a key the family does not take, or a value out of range raises
-    ServiceSpecError.  The law records the spec it was built from (family,
+    family, a key the family does not take, or a value out of range or not
+    a number raises ServiceSpecError.  The law records the spec it was built from (family,
     normalize and keys) and pickles as that spec.
     """
     if isinstance(spec, dict):
@@ -432,7 +436,12 @@ def make_service_dist(spec=None, /, normalize=True, **params):
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ServiceSpecError(f"unsupported service family: {family!r}")
     recorded = {"family": family, "normalize": normalize, **params}
-    dist = _FAMILIES[family](params, normalize)  # pops the keys it takes
+    try:
+        dist = _FAMILIES[family](params, normalize)  # pops the keys it takes
+    except ServiceSpecError:
+        raise
+    except (TypeError, ValueError) as e:  # a value that is not a number
+        raise ServiceSpecError(f"{family}: {e}") from None
     if params:
         raise ServiceSpecError(f"{family} takes no parameter(s) {sorted(params)}")
     if normalize and abs(dist.mean - 1.0) > _MEAN_TOL:

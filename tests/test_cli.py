@@ -4,6 +4,7 @@ Configs are tiny on purpose: every command here finishes in well under a
 second so the whole module stays interactive.
 """
 import json
+import pickle
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 from queuelab.cli import SchemaError, load_config, main, validate_config
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit, solve_fluid
+from queuelab.limitsim import LimitGrid, LimitSpec, run_limit
 from queuelab.microsim import SimConfig, simulate
 
 # exp-service renewal mass is exactly 1 + T; dt=1e-3 quadrature stays inside
@@ -213,7 +215,8 @@ class TestLimitRun:
         assert a == b, "with both noise sources off every path is the skeleton"
 
     def test_byte_determinism_and_jobs(self, tmp_path):
-        # --jobs workers get the parent's fluid path, stripped of its law
+        # --jobs workers get the parent's spec and fluid path by pickle;
+        # the law inside both crosses as its spec and is rebuilt there
         cfgp = write_cfg(tmp_path, limit_cfg(paths=3))
         r = CliRunner()
         for sub, extra in (("a", []), ("b", ["--jobs", "2"])):
@@ -235,6 +238,35 @@ class TestLimitRun:
                                   "--paths", "3", "--out", str(out)])
         csvs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
         assert len(csvs) == 3
+
+
+class TestReplicateContext:
+    """What a --jobs worker receives: the run's context, pickled whole."""
+
+    def test_sim_config_round_trip(self):
+        cfg = SimConfig(N=10, arrival=ArrivalSpec("renewal", 1.0),
+                        service=make_service_dist("lognormal", sigma=0.5),
+                        T=1.0, seed=7, replicate=2)
+        a, b = simulate(cfg), simulate(pickle.loads(pickle.dumps(cfg)))
+        assert np.array_equal(a.ev_time, b.ev_time)
+        assert np.array_equal(a.X, b.X)
+
+    def test_limit_spec_and_fluid_path_round_trip(self):
+        spec = LimitSpec(dist=make_service_dist("gamma", shape=2.0),
+                         arrival=ArrivalSpec("renewal", 1.0, beta=0.5),
+                         fluid_init=FluidInit(Ebar=1.0, x0=1.0,
+                                              nu0_density={"invariant": 1.0}),
+                         grid=LimitGrid(T=0.3, dt=0.01, dx=0.1), seed=4)
+        fl = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
+        spec2, fl2 = pickle.loads(pickle.dumps((spec, fl)))
+        for name in ("grid", "Xbar", "Kbar", "Bbar", "Hbar", "q0", "x_nodes"):
+            assert np.array_equal(getattr(fl, name), getattr(fl2, name)), name
+        x = np.linspace(0.0, 4.0, 33)
+        assert np.array_equal(fl.dist.sf(x), fl2.dist.sf(x))
+        a = run_limit(spec, fluid_path=fl)
+        b = run_limit(spec2, fluid_path=fl2)
+        assert np.array_equal(a.Xhat, b.Xhat)
+        assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
 
 
 class TestDistsCheck:
@@ -358,8 +390,9 @@ class TestExitCodes:
         {"family": "lognormal", "sgima": 2.0},
         {"family": "gamma", "shape": -1.0},
         {"family": "gamma", "shape": 2.0, "scale": 5.0},
+        {"family": "gamma", "shape": "abc"},
     ], ids=["unknown-family", "pareto-alpha", "lognormal-sgima", "gamma-shape",
-            "gamma-scale"])
+            "gamma-scale", "gamma-shape-text"])
     @pytest.mark.parametrize("command", ["fluid", "sim", "sim-jobs", "limit",
                                          "dists"])
     def test_bad_service_spec_exit_two(self, tmp_path, command, service):
@@ -378,6 +411,27 @@ class TestExitCodes:
                                                "--out", str(tmp_path / "x")])
         assert res.exit_code == 2, res.output
         assert "config error: model.service" in res.output
+
+    @pytest.mark.parametrize("argv, key", [
+        (["limit", "run", "--paths", "0"], "paths"),
+        (["limit", "run", "--paths", "-1"], "paths"),
+        (["limit", "run", "--jobs", "0"], "jobs"),
+        (["limit", "run", "--jobs", "-2"], "jobs"),
+        (["sim", "run", "--jobs", "0"], "jobs"),
+        (["sim", "run", "--jobs", "-1"], "jobs"),
+        (["verify", "representation"], "out"),
+    ], ids=["limit-paths-0", "limit-paths-neg", "limit-jobs-0", "limit-jobs-neg",
+            "sim-jobs-0", "sim-jobs-neg", "verify-out-no-config"])
+    def test_bad_flag_exit_two(self, tmp_path, argv, key):
+        # a flag is a run-block override: the schema checks it or it is refused
+        out = tmp_path / "x"
+        if argv[0] != "verify":
+            data = sim_cfg() if argv[0] == "sim" else limit_cfg()
+            argv = argv + ["--config", write_cfg(tmp_path, data)]
+        res = CliRunner().invoke(main, argv + ["--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: run.{key}: " in res.output
+        assert not out.exists(), "a rejected flag must write no file"
 
     def test_missing_config_file_exit_two(self):
         res = CliRunner().invoke(main, ["sim", "run", "--config",

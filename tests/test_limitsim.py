@@ -405,6 +405,15 @@ class TestRunInvariants:
         assert L.smg_bookkeeping_residual(sup) < EXACT_TOL
         assert np.all(sup.vhat == 0.0)
 
+    def test_expm_phasetype_law_runs(self):
+        # the expm fallback takes the 2-D meshgrid of fluid_cell_intensity
+        dist = make_service_dist("phasetype", alpha=(1.0, 0.0),
+                                 S=((-2.0, 2.0), (0.0, -2.0)))
+        run = critical_run(seed=39, T=0.2, dt=0.05, dist=dist)
+        assert np.all(np.isfinite(run.Xhat))
+        assert L.rep_hatx_residual(run) < EXACT_TOL
+        assert L.smg_bookkeeping_residual(run) < EXACT_TOL
+
     def test_vhat_is_regime_clamp(self):
         run = critical_run(seed=35)
         assert float(np.max(np.abs(run.vhat - np.minimum(run.Xhat, 0.0)))) == 0.0
