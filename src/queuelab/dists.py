@@ -424,8 +424,8 @@ def make_service_dist(spec=None, /, normalize=True, **params):
     normalize=True (default) a scale parameter (rate, mu or scale) is chosen
     so the mean is 1, and giving that key as well is an error.  An unknown
     family, a key the family does not take, or a value out of range or not
-    a number raises ServiceSpecError.  The law records the spec it was built from (family,
-    normalize and keys) and pickles as that spec.
+    a number raises ServiceSpecError.  The law records the spec it was built
+    from (family, normalize and keys) and pickles as that spec.
     """
     if isinstance(spec, dict):
         params = {**spec, **params}
@@ -440,7 +440,7 @@ def make_service_dist(spec=None, /, normalize=True, **params):
         dist = _FAMILIES[family](params, normalize)  # pops the keys it takes
     except ServiceSpecError:
         raise
-    except (TypeError, ValueError) as e:  # a value that is not a number
+    except (TypeError, ValueError) as e:  # a value the builder cannot read
         raise ServiceSpecError(f"{family}: {e}") from None
     if params:
         raise ServiceSpecError(f"{family} takes no parameter(s) {sorted(params)}")
