@@ -7,8 +7,9 @@ service specs and verify overrides the library rejects; violations exit 2
 with the offending field path), writes data files plus a manifest.json
 recording the config hash, seeds, tool version and wall time, and exits
 3 on numerical failures.  `verify` exits 1 when a battery reports a
-failing statistic.  Flags (--seed, --seeds, --paths, --jobs, --noise-off)
-are run-block overrides and pass the same schema.
+failing statistic.  Each kind's run block takes only the keys that kind
+reads.  Flags (--seed, --seeds, --paths, --jobs, --noise-off) are
+run-block overrides and pass the same schema.
 
 Data outputs are byte-for-byte reproducible for a given config: floats
 are written with repr (shortest round-trip form) and replicate order is
@@ -69,9 +70,15 @@ SCHEMA = {
     },
     "allOf": [
         {"if": {"properties": {"kind": {"const": "dists"}}},
-         "then": {"required": ["model"], "properties": {"model": {
-             "type": "object", "required": ["service"],
-             "properties": {"service": {}}, "additionalProperties": False}}}},
+         "then": {"required": ["model"], "properties": {
+             "model": {"type": "object", "required": ["service"],
+                       "properties": {"service": {}},
+                       "additionalProperties": False},
+             "numerics": {"type": "object",
+                          "properties": {
+                              "T": {"type": "number", "exclusiveMinimum": 0},
+                              "dt": {"type": "number", "exclusiveMinimum": 0}},
+                          "additionalProperties": False}}}},
         {"if": {"properties": {"kind": {"const": "sim"}}},
          "then": {"required": ["model", "numerics"], "properties": {
              "model": {"type": "object",
@@ -129,24 +136,32 @@ SCHEMA = {
                                               "exclusiveMinimum": 0}},
                           "additionalProperties": False}}}},
         {"if": {"properties": {"kind": {"const": "verify"}}},
-         "then": {"properties": {"model": {
-             "type": "object",
-             "properties": {"overrides": {"type": "object"}},
-             "additionalProperties": False}}}},
+         "then": {"properties": {
+             "schema_version": {}, "kind": {}, "run": {},
+             "model": {"type": "object",
+                       "properties": {"overrides": {"type": "object"}},
+                       "additionalProperties": False}},
+             "additionalProperties": False}},
     ],
 }
 
-_RUN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "seeds": {"type": "integer", "minimum": 1},
-        "paths": {"type": "integer", "minimum": 1},
-        "jobs": {"type": "integer", "minimum": 1},
-        "noise_off": {"type": "boolean"},
-        "out": {"type": "string"},
-    },
-    "additionalProperties": False,
+_RUN_KEYS = {
+    "seed": {"type": "integer", "minimum": 0},
+    "seeds": {"type": "integer", "minimum": 1},
+    "paths": {"type": "integer", "minimum": 1},
+    "jobs": {"type": "integer", "minimum": 1},
+    "noise_off": {"type": "boolean"},
+    "out": {"type": "string"},
+}
+
+# the run keys each kind reads; any other key is refused
+_RUN_SCHEMAS = {
+    kind: {"type": "object", "properties": {k: _RUN_KEYS[k] for k in keys},
+           "additionalProperties": False}
+    for kind, keys in (("sim", ("seed", "seeds", "jobs", "out")),
+                       ("limit", ("seed", "paths", "jobs", "noise_off", "out")),
+                       ("fluid", ("out",)), ("dists", ("out",)),
+                       ("verify", ("out",)))
 }
 
 
@@ -184,12 +199,16 @@ def validate_config(data):
                       key=lambda e: list(e.absolute_path))
         if not errs:
             return None
-        parts = prefix + [str(p) for p in errs[0].absolute_path]
-        return (".".join(parts) or "(root)") + ": " + errs[0].message
+        e = errs[0]
+        parts = prefix + [str(p) for p in e.absolute_path]
+        if e.validator == "additionalProperties":  # name the unknown key
+            parts.append(min(set(e.instance) - set(e.schema["properties"])))
+        return (".".join(parts) or "(root)") + ": " + e.message
 
     msg = first_error(SCHEMA, data, [])
     if msg is None:
-        msg = first_error(_RUN_SCHEMA, data.get("run", {}), ["run"])
+        msg = first_error(_RUN_SCHEMAS[data["kind"]], data.get("run", {}),
+                          ["run"])
     if msg is not None:
         raise SchemaError(msg)
     return ExperimentConfig(

@@ -22,10 +22,10 @@ other layers need about a law is made here and nowhere else:
     (Phi_t f)(x)   = f(x+t) (1-G(x+t)) / (1-G(x))
     (Psi_t f)(x,s) = f(x + (t-s)^+) (1-G(x + (t-s)^+)) / (1-G(x))
 
-plus the scalar kernel psi_h, the renewal function U (Volterra solve), and
-the Holder-ratio fitter used as a regularity gate.  Ratios are evaluated
-through survival functions directly (never 1 - cdf) so they stay
-meaningful far into the tail.
+plus the renewal function U (Volterra solve) and the Holder-ratio fitter
+used as a regularity gate.  Ratios are evaluated through survival
+functions directly (never 1 - cdf) so they stay meaningful far into the
+tail.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ __all__ = [
     "holder_check",
     "phi_op",
     "psi_op",
-    "psi_h",
     "dead_mass_ratio",
     "as_rate",
 ]
@@ -256,6 +255,10 @@ def _make_phasetype(params, normalize):
     exit_rates = -S @ ones
     mean = float(-alpha @ np.linalg.solve(S, ones))
 
+    def _expm_stack(x):
+        # e^{S x_i} for every point, in one expm call: (x.size, m, m)
+        return linalg.expm(S[None] * x.reshape(-1)[:, None, None])
+
     # spectral form G(x) = 1 - sum c_i exp(l_i x); S subgenerators are
     # diagonalizable for the families used here, fall back to expm otherwise
     try:
@@ -280,9 +283,8 @@ def _make_phasetype(params, normalize):
     else:
         def _expm_eval(x, vec):
             # alpha e^{Sx} vec per point, in the shape of x
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            val = [float(alpha @ linalg.expm(S * xi) @ vec) for xi in x.ravel()]
-            return np.array(val).reshape(np.shape(x))
+            x = np.asarray(x, dtype=float)
+            return (alpha @ _expm_stack(x) @ vec).reshape(np.shape(x))
 
         def sf(x):
             return _expm_eval(x, ones)
@@ -292,7 +294,6 @@ def _make_phasetype(params, normalize):
 
     def cdf(x):
         return 1.0 - sf(x)
-
 
     rates = -np.diag(S)
     jump = S - np.diag(np.diag(S))
@@ -332,8 +333,7 @@ def _make_phasetype(params, normalize):
         ages = np.asarray(ages, dtype=float)
         flat = ages.reshape(-1)
         phase0 = np.empty(flat.size, dtype=int)
-        for i, a in enumerate(flat):
-            occ = np.real(alpha @ linalg.expm(S * a))
+        for i, occ in enumerate(np.real(alpha @ _expm_stack(flat))):
             tot = occ.sum()
             if tot <= 0:
                 phase0[i] = int(np.argmax(alpha))
@@ -567,16 +567,6 @@ def psi_op(dist, f, t):
         return np.asarray(f(x + lag), dtype=float) * dist.survival_ratio(x, lag)
 
     return psi
-
-
-def psi_h(dist, x, t):
-    """Survival kernel: (1-G(x))/(1-G(x-t)) for t <= x, else 1-G(x)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x, t = np.broadcast_arrays(x, t)
-    shifted = dist.sf(np.maximum(x - t, 0.0))
-    sfx = dist.sf(x)
-    return np.where(t <= x, dead_mass_ratio(sfx, shifted), sfx)
 
 
 def as_rate(spec):

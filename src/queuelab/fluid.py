@@ -27,7 +27,7 @@ this solver's contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -38,7 +38,6 @@ __all__ = [
     "FluidInit",
     "FluidPath",
     "solve_fluid",
-    "invariant_measure",
     "classify_regime",
 ]
 
@@ -68,11 +67,6 @@ class FluidInit:
     def __post_init__(self):
         if self.x0 < 0:
             raise ValueError("x0 must be nonnegative")
-
-
-def invariant_measure(dist):
-    """Stationary age density x -> (1 - G(x)) (mass 1 for mean-1 laws)."""
-    return lambda x: np.asarray(dist.sf(np.asarray(x, dtype=float)))
 
 
 def _density_on_grid(init, dist, dt):

@@ -59,7 +59,6 @@ __all__ = [
     "simulate_hw",
     "run_limit",
     "rep_hatx_residual",
-    "drift_identity_residual",
     "smg_bookkeeping_residual",
     "sae_residual",
 ]
@@ -242,19 +241,6 @@ def s_op(nu0hat, dist, f, t_grid):
     raise ValueError(f"unrecognized nu0hat spec: {nu0hat!r}")
 
 
-def nu0_value(nu0hat, f):
-    """nu0hat(f) at time 0 (atoms or density; zero otherwise)."""
-    if nu0hat is None or nu0hat == "zero":
-        return 0.0
-    if isinstance(nu0hat, dict) and "atoms" in nu0hat:
-        return float(sum(w * float(np.atleast_1d(f(np.array([float(x)])))[0])
-                         for x, w in nu0hat["atoms"]))
-    if isinstance(nu0hat, dict) and "density" in nu0hat:
-        xs, vals = (np.asarray(a, dtype=float) for a in nu0hat["density"])
-        return float(np.trapezoid(np.asarray(f(xs)) * vals, xs))
-    raise ValueError(f"unrecognized nu0hat spec: {nu0hat!r}")
-
-
 def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     """March the centered input system to (Khat, Xhat, vhat).
 
@@ -314,7 +300,15 @@ def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
 
 
 def hat_nu(t_grid, dist, S_f, Khat, H_f, f, fprime):
-    """Measure read-out nuhat_t(f) in the derivative form."""
+    """Measure read-out nuhat_t(f) in the derivative form.
+
+    run_limit uses it whenever f' is given and hat_nu_stieltjes otherwise.
+    The two are different quadratures of one integral: on the bench
+    limit-cli runs (seeds 0-4, dt = 0.01) they differ by at most 5.4e-5
+    on profiles of size about 2.  Both stay, because reading out with the
+    Stieltjes form alone would change the bytes `limit run` writes for
+    every read-out that has f'.
+    """
     # middle term f(0) K_t + int_0^t K_u xi_f(t-u) du, xi_f = f'(1-G) - f g;
     # the tests cross-check it against a standalone wiring (gamma_map)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -486,24 +480,6 @@ def smg_bookkeeping_residual(run):
     else:
         target = run.Ehat + x0 - run.Xhat
     return float(np.max(np.abs(run.Khat - target)))
-
-
-def drift_identity_residual(run):
-    """|int nuhat_s(h) ds - int min(Xhat, 0) ds| at T (left rule).
-
-    An identity only for exponential service in the critical regime,
-    where the hazard load collapses to the mass vhat = min(Xhat, 0);
-    service laws with memory leave an O(1) gap."""
-    dist = run.spec.dist
-    t_grid = run.t_grid
-    dt = float(t_grid[1] - t_grid[0])
-    h = lambda x: np.asarray(dist.hazard(x))
-    S_h = s_op(run.spec.nu0hat, dist, h, t_grid)
-    H_h = conv_H(run.field, dist, h)
-    nu_h = hat_nu_stieltjes(t_grid, dist, S_h, run.Khat, H_h, h)
-    lhs = dt * float(np.sum(nu_h[:-1]))
-    rhs = dt * float(np.sum(np.minimum(run.Xhat, 0.0)[:-1]))
-    return abs(lhs - rhs)
 
 
 def sae_residual(run, f, fprime, t=None):

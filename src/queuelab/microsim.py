@@ -23,8 +23,8 @@ No time discretization enters the path itself, so the counting identities
     every departure event moves D by exactly 1
 
 hold to the last bit, and the tests demand exactly that.  Quadrature enters
-only through the read-out helpers (compensator, centered departure measure,
-transport representation, restart consistency), all first-order in their dt.
+only through the read-out helpers (compensator, transport representation,
+restart consistency), all first-order in their dt.
 
 Randomness is split into independent child streams (arrivals, services,
 initial data) of SeedSequence(seed, spawn_key=(replicate,)), so a
@@ -53,7 +53,6 @@ __all__ = [
     "conservation_check",
     "eval_age_functional",
     "compensator",
-    "martingale",
     "representation_residual",
     "shift_consistency_check",
 ]
@@ -326,11 +325,13 @@ def eval_age_functional(path, f, t):
     return float(np.sum(f(ages)))
 
 
-def _left_nodes(path, t0, t1, dt):
-    """(span index, node time, age) pairs for left-rule nodes on [t0, t1).
+def _left_rule(path, dist, t0, t1, dt, phi=None):
+    """Compensator integrand h(age) phi(age, s) at the left-rule nodes of
+    [t0, t1).
 
-    Node s_k = t0 + k dt carries every span with begin <= s_k < end.
-    Returns (span_idx, k, s, ages, n_nodes).
+    Node s_k = t0 + k dt carries every span with begin <= s_k < end;
+    phi = None means 1.  Returns (k, values, n_nodes): the node index of
+    each value, so callers choose their own reduction.
     """
     n = int(round((t1 - t0) / dt))
     if n <= 0 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
@@ -347,7 +348,11 @@ def _left_nodes(path, t0, t1, dt):
          + np.repeat(k_lo[live], counts))
     s = t0 + k * dt
     ages = s - theta[span_idx]
-    return span_idx, k, s, ages, n
+    with np.errstate(over="ignore"):
+        vals = dist.hazard(ages)
+        if phi is not None:
+            vals = vals * phi(ages, s)
+    return k, vals, n
 
 
 def compensator(path, dist, t, dt, phi=None):
@@ -358,33 +363,11 @@ def compensator(path, dist, t, dt, phi=None):
     error is O(dt).  phi(age, s) defaults to 1.  The age process nu_s is
     rebuilt exactly from the span log; only the time integral is discrete.
     """
-    span_idx, k, s, ages, n = _left_nodes(path, 0.0, t, dt)
-    with np.errstate(over="ignore"):
-        vals = dist.hazard(ages)
-        if phi is not None:
-            vals = vals * phi(ages, s)
+    k, vals, n = _left_rule(path, dist, 0.0, t, dt, phi)
     node_sums = np.bincount(k, weights=vals, minlength=n)
     grid = np.arange(n + 1) * dt
     A = np.concatenate([[0.0], np.cumsum(node_sums) * dt])
     return grid, A
-
-
-def martingale(path, dist, t, dt, phi=None):
-    """Centered departure functional M = Q - A on the grid {0, dt, ..., t}.
-
-    Q is the exact sum of phi(age, time) over departures; A is the
-    compensator quadrature from `compensator`.  Returns (grid, M, Q, A).
-    """
-    grid, A = compensator(path, dist, t, dt, phi=phi)
-    if path.dep_time.size:
-        w = np.ones_like(path.dep_time) if phi is None else phi(path.dep_age, path.dep_time)
-        order = np.argsort(path.dep_time, kind="stable")
-        dt_sorted = path.dep_time[order]
-        cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        Q = cum[np.searchsorted(dt_sorted, grid, side="right")]
-    else:
-        Q = np.zeros_like(grid)
-    return grid, Q - A, Q, A
 
 
 def representation_residual(path, dist, f, t, dt):
@@ -425,9 +408,7 @@ def shift_consistency_check(path, dist, f, s, t, dt):
     psi_tf = psi_op(dist, f, s + t)  # takes absolute time r, lag s + t - r
     take = (path.dep_time > s) & (path.dep_time <= s + t)
     Qpsi = float(np.sum(psi_tf(path.dep_age[take], path.dep_time[take])))
-    span_idx, k, nodes, ages, n = _left_nodes(path, s, s + t, dt)
-    with np.errstate(over="ignore"):
-        vals = dist.hazard(ages) * psi_tf(ages, nodes)
+    _, vals, _ = _left_rule(path, dist, s, s + t, dt, psi_tf)
     A = float(vals.sum()) * dt
     H = Qpsi - A
     return lhs - (S - H + Kf)

@@ -9,8 +9,6 @@ pass scaled-down overrides.
 Scaling conventions: the fluid scale divides counters by N, the
 diffusion scale is sqrt(N) (X/N - fluid), with raw paths evaluated as
 right-continuous steps and the fluid reference interpolated linearly.
-The raw path is always retained, so unscaling is exact (counters are
-integers; rounding removes float noise).
 """
 from __future__ import annotations
 
@@ -23,14 +21,13 @@ import numpy as np
 from .dists import ArrivalSpec, make_service_dist, renewal_function
 from .fluid import FluidInit, solve_fluid
 from .limitsim import LimitGrid, LimitSpec, run_limit, sae_residual, simulate_hw
-from .microsim import (InitialCondition, PathRecord, SimConfig, compensator,
+from .microsim import (InitialCondition, SimConfig, compensator,
                        representation_residual, shift_consistency_check,
                        simulate)
 
 __all__ = [
     "OverrideError",
     "TestReport",
-    "ScaledPath",
     "counter_profile",
     "diffusion_scale",
     "ks_distance",
@@ -94,8 +91,6 @@ def counter_profile(path, grid):
 
 def _fluid_at(fluid, t):
     t = np.asarray(t, dtype=float)
-    if fluid is None:
-        return np.ones_like(t)
     if isinstance(fluid, (int, float)):
         return np.full_like(t, float(fluid))
     return np.interp(t, fluid.grid, fluid.Xbar)
@@ -106,24 +101,6 @@ def diffusion_scale(path, fluid, N, times):
     times = np.asarray(times, dtype=float)
     X = counter_profile(path, times)["X"]
     return math.sqrt(N) * (X / N - _fluid_at(fluid, times))
-
-
-@dataclass(frozen=True)
-class ScaledPath:
-    """A raw path with its scaling context; the raw record is retained."""
-
-    raw: PathRecord
-    N: int
-    fluid: object = None  # FluidPath, a constant, or None (manifold 1)
-
-    def diffusion_profile(self, grid):
-        return diffusion_scale(self.raw, self.fluid, self.N, grid)
-
-    def unscale(self, grid, xhat):
-        """Invert the diffusion scale back to integer headcounts."""
-        base = self.N * (_fluid_at(self.fluid, np.asarray(grid, dtype=float))
-                         + np.asarray(xhat, dtype=float) / math.sqrt(self.N))
-        return np.rint(base).astype(np.int64)
 
 
 def ks_distance(a, b):

@@ -7,6 +7,7 @@ import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ class TestConfigValidation:
         data["run"]["bogus"] = 1
         with pytest.raises(SchemaError, match=r"run.*bogus"):
             validate_config(data)
+
+    def test_bench_cli_configs_valid(self):
+        bench = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+        workloads = json.loads(bench.read_text())["workloads"]
+        kinds = [validate_config(w["config"]).kind for w in workloads.values()
+                 if w["entry"] == "cli.run"]
+        assert sorted(kinds) == ["limit", "sim"]
 
     def test_wrong_schema_version(self):
         data = sim_cfg()
@@ -432,6 +440,41 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         assert f"config error: run.{key}: " in res.output
         assert not out.exists(), "a rejected flag must write no file"
+
+    @pytest.mark.parametrize("argv, block, key, value", [
+        (["sim", "run"], "run", "paths", 7),
+        (["sim", "run"], "run", "noise_off", True),
+        (["limit", "run"], "run", "seeds", 2),
+        (["fluid", "solve"], "run", "seed", 3),
+        (["fluid", "solve"], "run", "jobs", 4),
+        (["dists", "check"], "run", "seeds", 9),
+        (["dists", "check"], "numerics", "bogus", 1),
+        (["verify", "representation"], "run", "seed", 1),
+        (["verify", "representation"], "numerics", None, {"T": 1.0}),
+    ], ids=["sim-paths", "sim-noise-off", "limit-seeds", "fluid-seed",
+            "fluid-jobs", "dists-seeds", "dists-numerics-bogus", "verify-seed",
+            "verify-numerics"])
+    def test_unread_key_exit_two(self, tmp_path, argv, block, key, value):
+        # each kind takes only the run and numerics keys it reads
+        data = {"sim": sim_cfg(), "limit": limit_cfg(),
+                "fluid": {"schema_version": 1, "kind": "fluid",
+                          "model": {"service": "exponential"},
+                          "numerics": {"T": 1.0, "dt": 0.01}},
+                "dists": {"schema_version": 1, "kind": "dists",
+                          "model": {"service": "exponential"},
+                          "numerics": {"T": 1.0, "dt": 0.01}},
+                "verify": {"schema_version": 1, "kind": "verify"}}[argv[0]]
+        if key is None:
+            data[block] = value
+        else:
+            data.setdefault(block, {})[key] = value
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, argv + ["--config", write_cfg(tmp_path, data),
+                                               "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        field = block if key is None else f"{block}.{key}"
+        assert f"config error: {field}: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
 
     def test_missing_config_file_exit_two(self):
         res = CliRunner().invoke(main, ["sim", "run", "--config",

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
+
+from queuelab import dists as dists_module
 
 from queuelab.dists import (
     ArrivalSpec,
@@ -19,7 +22,6 @@ from queuelab.dists import (
     holder_check,
     make_service_dist,
     phi_op,
-    psi_h,
     psi_op,
     renewal_function,
 )
@@ -193,6 +195,36 @@ class TestExpmPhaseType:
             pointwise = np.array([f(np.array([v]))[0] for v in x.ravel()])
             assert np.array_equal(got, pointwise.reshape(x.shape)), kernel
 
+    def test_one_expm_call_equals_per_point_loop(self, monkeypatch):
+        # the reference is e^{Sx} taken one point at a time; S has mean 1
+        # already, so normalization leaves it as written
+        dist = make_service_dist(EXPM_PHASETYPE)
+        alpha = np.array(EXPM_PHASETYPE["alpha"])
+        S = np.array(EXPM_PHASETYPE["S"])
+        x = np.concatenate([np.linspace(0.0, 12.0, 240), [0.0, 40.0]])
+        probes = (x, x[:240].reshape(12, 20))
+        for kernel, vec in (("sf", np.ones(2)), ("density", -S @ np.ones(2))):
+            for pts in probes:
+                ref = [alpha @ linalg.expm(S * v) @ vec for v in pts.ravel()]
+                got = getattr(dist, kernel)(pts)
+                assert np.array_equal(got, np.reshape(ref, pts.shape)), kernel
+        draws = [dist.conditional(np.random.default_rng(5), pts) for pts in probes]
+
+        class PerPoint:
+            eig = staticmethod(linalg.eig)
+
+            @staticmethod
+            def expm(A):
+                if A.ndim == 2:
+                    return linalg.expm(A)
+                return np.stack([linalg.expm(a) for a in A])
+
+        monkeypatch.setattr(dists_module, "linalg", PerPoint)
+        ref_dist = make_service_dist(EXPM_PHASETYPE)
+        for pts, got in zip(probes, draws):
+            ref = ref_dist.conditional(np.random.default_rng(5), pts)
+            assert np.array_equal(got, ref)
+
 
 class TestRenewalFunction:
     def test_exponential_closed_form(self):
@@ -301,26 +333,6 @@ class TestOperators:
         out = phi_op(dist, f, 0.7)(x)
         assert np.max(np.abs(out - math.exp(-0.7))) < OPERATOR_TOL
 
-    @given(t1=st.floats(0.0, 4.0), t2=st.floats(0.0, 4.0))
-    @settings(max_examples=30, deadline=None)
-    def test_psi_h_monotone_in_t(self, t1, t2):
-        dist = make_service_dist("lognormal", sigma=0.5)
-        x = np.linspace(0.05, 6.0, 60)
-        lo, hi = min(t1, t2), max(t1, t2)
-        a = psi_h(dist, x, lo)
-        b = psi_h(dist, x, hi)
-        assert np.all(b <= a + 1e-12), "psi_h must be nonincreasing in t"
-        assert np.all(a <= 1.0 + 1e-12)
-
-    def test_psi_h_branches(self):
-        dist = make_service_dist("gamma", shape=2.0)
-        # t > x branch: plain survival
-        val = psi_h(dist, np.array([0.5]), np.array([2.0]))[0]
-        assert abs(val - dist.sf(np.array([0.5]))[0]) < OPERATOR_TOL
-        # t <= x branch: ratio of survivals
-        val = psi_h(dist, np.array([2.0]), np.array([0.5]))[0]
-        expect = dist.sf(np.array([2.0]))[0] / dist.sf(np.array([1.5]))[0]
-        assert abs(val - expect) < OPERATOR_TOL
 
 
 class TestKernelLayer:

@@ -9,7 +9,6 @@ from queuelab.dists import make_service_dist
 from queuelab.fluid import (
     FluidInit,
     classify_regime,
-    invariant_measure,
     solve_fluid,
 )
 
@@ -30,14 +29,6 @@ class TestStationaryManifold:
         path = solve_fluid(dist, init, T=10.0, dt=dt)
         assert np.max(np.abs(path.Xbar - 1.0)) <= 10.0 * dt
         assert path.regime == "critical"
-
-    def test_invariant_measure_is_survival(self):
-        rho = invariant_measure(LOGN)
-        x = np.linspace(0.0, 5.0, 50)
-        assert np.allclose(rho(x), LOGN.sf(x))
-        # total mass is the mean, which is 1
-        xg = np.linspace(0.0, 40.0, 40001)
-        assert abs(np.trapezoid(rho(xg), xg) - 1.0) < 1e-4
 
     def test_entry_flow_on_manifold_is_arrival_flow(self):
         path = solve_fluid(EXP, FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),

@@ -370,10 +370,12 @@ class TestGammaMapAndReadout:
         assert float(np.max(np.abs(atom - smeared))) < 1e-3
 
     def test_nu0_value_forms(self):
-        assert L.nu0_value(None, ONE) == 0.0
-        assert abs(L.nu0_value({"atoms": [(0.5, 0.3), (1.0, -0.1)]}, ONE) - 0.2) < 1e-14
+        # S_0(f) = nuhat_0(f): the transport at t = 0 is the initial value
+        nu0 = lambda spec: L.s_op(spec, EXP, ONE, [0.0])[0]
+        assert nu0(None) == 0.0
+        assert abs(nu0({"atoms": [(0.5, 0.3), (1.0, -0.1)]}) - 0.2) < 1e-14
         xs = np.linspace(0.0, 2.0, 2001)
-        assert abs(L.nu0_value({"density": (xs, np.ones_like(xs))}, ONE) - 2.0) < 1e-9
+        assert abs(nu0({"density": (xs, np.ones_like(xs))}) - 2.0) < 1e-9
 
 
 class TestRunInvariants:
@@ -423,11 +425,6 @@ class TestRunInvariants:
         # mass component through the identical quadrature
         run = critical_run(seed=36)
         assert float(np.max(np.abs(run.nuhat["one"] - run.vhat))) < EXACT_TOL
-
-    def test_drift_identity_exponential_critical(self):
-        run = critical_run(seed=37)
-        res = L.drift_identity_residual(run)
-        assert res < 1e-3, f"memoryless drift identity defect {res}"
 
     def test_mixed_fluid_regime_rejected(self):
         # overload that drains through the boundary: mixed, not solvable

@@ -25,7 +25,6 @@ from queuelab.microsim import (
     conservation_check,
     eval_age_functional,
     invariant_ages,
-    martingale,
     representation_residual,
     shift_consistency_check,
     simulate,
@@ -484,32 +483,6 @@ class TestReadouts:
         assert abs(A[-1] - exact) <= dt * (n_events + 1) * 1.0 + 1e-12
         assert A[0] == 0.0
         assert np.all(np.diff(A) >= 0.0)
-
-    def test_martingale_q_is_exact_departure_count(self):
-        path = simulate(quick_config(N=6, x0=9, ages="invariant", seed=12, T=2.0))
-        grid, M, Q, A = martingale(path, EXP, 2.0, 1e-3)
-        assert Q[-1] == path.counters_at(2.0)[1]
-        assert np.allclose(M, Q - A)
-
-    def test_martingale_mean_near_zero_and_variance_matches(self):
-        # 400 replicates, M/M/5: the centered count has mean 0 and
-        # variance equal to the expected compensator
-        reps, T, dt = 400, 2.0, 2e-3
-        M_end, A_end = [], []
-        for r in range(reps):
-            cfg = SimConfig(N=5, arrival=ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=0.5),
-                            service=EXP, T=T,
-                            initial=InitialCondition(x0=5, ages="invariant"),
-                            seed=1234, replicate=r)
-            path = simulate(cfg)
-            _, M, _, A = martingale(path, EXP, T, dt)
-            M_end.append(M[-1])
-            A_end.append(A[-1])
-        M_end = np.asarray(M_end)
-        se = M_end.std(ddof=1) / math.sqrt(reps)
-        assert abs(M_end.mean()) < 4.0 * se, f"mean {M_end.mean():.3f} vs SE {se:.3f}"
-        rel = abs(M_end.var(ddof=1) - np.mean(A_end)) / np.mean(A_end)
-        assert rel < 0.30, f"variance mismatch {rel:.2%}"
 
     @pytest.mark.parametrize("dist_key", ["exp", "logn"])
     def test_representation_residual_first_order(self, dist_key):

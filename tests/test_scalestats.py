@@ -94,16 +94,6 @@ class TestScaledPath:
         want = np.sqrt(10) * (path.counters_at(t)[3] / 10 - xbar)
         assert abs(got - want) < 1e-12
 
-    def test_unscale_roundtrip_is_exact(self):
-        path = small_path(seed=6, N=8, x0=5)
-        sp = S.ScaledPath(raw=path, N=8, fluid=1.0)
-        grid = np.linspace(0.0, 3.0, 61)
-        xhat = sp.diffusion_profile(grid)
-        back = sp.unscale(grid, xhat)
-        raw = S.counter_profile(path, grid)["X"].astype(np.int64)
-        assert np.array_equal(back, raw), "unscaling must recover raw integers"
-
-
 class TestQvAndMoments:
     def test_qv_deterministic_cases(self):
         assert S.qv_estimate(np.linspace(0.0, 5.0, 11)) == pytest.approx(2.5)

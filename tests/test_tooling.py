@@ -1,15 +1,19 @@
 """The benchmark's tracer names library functions by (module, attribute);
-a rename in the package must fail here, not in a traced bench run."""
+a rename in the package must fail here, not in a traced bench run.  And
+every public name of the package has a caller outside the tests."""
+import ast
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from queuelab.dists import make_service_dist
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +40,34 @@ def test_traced_names_resolve(tracer):
 def test_traced_law_kernels_exist(tracer):
     law = make_service_dist("exponential")
     assert all(callable(getattr(law, k, None)) for k in tracer.LAW_KERNELS)
+
+
+def _uses(path):
+    """Names a file's code uses or spells as a whole string, outside its
+    __all__; a def or class statement does not use the name it defines."""
+    uses = Counter()
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                uses[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                uses[node.value] += 1
+    return uses
+
+
+def test_public_names_have_callers():
+    uses = Counter()
+    for part in ("src", "demos", "bench"):
+        for path in (ROOT / part).rglob("*.py"):
+            uses += _uses(path)
+    modules = [importlib.import_module(f"queuelab.{path.stem}")
+               for path in (ROOT / "src" / "queuelab").glob("[!_]*.py")]
+    unused = sorted(f"{m.__name__}.{name}" for m in modules
+                    for name in m.__all__ if not uses[name])
+    assert not unused, f"public names no library, demo or bench code uses: {unused}"
