@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from queuelab import dists as dists_module
-
 from queuelab.dists import (
     ArrivalSpec,
     ServiceSpecError,
@@ -332,7 +331,6 @@ class TestOperators:
         x = np.linspace(0.0, 10.0, 50)
         out = phi_op(dist, f, 0.7)(x)
         assert np.max(np.abs(out - math.exp(-0.7))) < OPERATOR_TOL
-
 
 
 class TestKernelLayer:

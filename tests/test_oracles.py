@@ -1,9 +1,7 @@
 """The oracle scripts under tests/oracles derive the constants the suite
 freezes without importing the package; re-derive each one here so a
 frozen value and its derivation cannot drift apart."""
-import importlib.util
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,25 +9,17 @@ import pytest
 import sympy as sp
 
 from test_limitsim import GAMMA_MAP_AT_1
+from test_tooling import load_script
 
 ORACLES = Path(__file__).resolve().parent / "oracles"
 
 
 def _load(name):
-    spec = importlib.util.spec_from_file_location(f"_oracle_{name}",
-                                                  ORACLES / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave the oracle tree as it is
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
+    return load_script(ORACLES / f"{name}.py")
 
 
 def test_renewal_gamma2_series():
-    # frozen in test_dists.TestRenewal.test_gamma2_closed_form
+    # frozen in test_dists.TestRenewalFunction.test_gamma2_closed_form
     oracle = _load("renewal_series_oracle")
     assert oracle.series_gamma2(2.0) == 2.7500838656569755
     assert oracle.series_gamma2(2.0) == pytest.approx(oracle.closed_gamma2(2.0),

@@ -94,6 +94,7 @@ class TestScaledPath:
         want = np.sqrt(10) * (path.counters_at(t)[3] / 10 - xbar)
         assert abs(got - want) < 1e-12
 
+
 class TestQvAndMoments:
     def test_qv_deterministic_cases(self):
         assert S.qv_estimate(np.linspace(0.0, 5.0, 11)) == pytest.approx(2.5)

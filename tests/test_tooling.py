@@ -16,17 +16,22 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+def load_script(path):
+    """Import a script by path without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave the bench tree as it is
+    sys.dont_write_bytecode = True  # leave the script's tree as it is
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return load_script(TRACER)
 
 
 def test_traced_names_resolve(tracer):
