@@ -1,12 +1,12 @@
 """Command-line front end: config-driven experiment runs.
 
 Subcommands map one-to-one onto the library layers: `dists check`,
-`sim run`, `fluid solve`, `limit run`, `verify <battery>`.  Every run
-reads one JSON config (validated against a schema, then against the
-service specs and verify overrides the library rejects; violations exit 2
-with the offending field path), writes data files plus a manifest.json
-recording the config hash, seeds, tool version and wall time, and exits
-3 on numerical failures.  `verify` exits 1 when a battery reports a
+`sim run`, `fluid solve`, `limit run`, `verify <battery>`, and each runs a
+config of its own kind only.  Every run reads one JSON config (validated
+against a schema, then against the service specs and verify overrides the
+library rejects; violations exit 2 with the offending field path),
+writes data files plus a manifest.json recording the config hash, seeds,
+tool version and wall time, and exits 3 on numerical failures.  `verify` exits 1 when a battery reports a
 failing statistic.  Each kind's run block takes only the keys that kind
 reads.  Flags (--seed, --seeds, --paths, --jobs, --noise-off) are
 run-block overrides and pass the same schema.
@@ -36,8 +36,8 @@ from . import __version__
 from .dists import (ArrivalSpec, ServiceSpecError, holder_check,
                     make_service_dist, renewal_function)
 from .fluid import FluidInit, solve_fluid
-from .limitsim import (LimitGrid, LimitSpec, rep_hatx_residual, run_limit,
-                       smg_bookkeeping_residual)
+from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
+                       run_limit, smg_bookkeeping_residual)
 from .microsim import (KIND_NAMES, InitialCondition, SimConfig,
                        conservation_check, simulate)
 from . import scalestats
@@ -224,8 +224,23 @@ def _read_json(path):
         raise SchemaError(f"(root): not valid JSON ({e})")
 
 
-def load_config(path):
-    return validate_config(_read_json(path))
+def load_config(path, kind=None, **flags):
+    """Load and validate a config file for a command that runs `kind`.
+
+    A config of another kind is refused before anything runs.  Every given
+    flag is put into the run block first, so the schema checks flag values
+    as it checks the file's.
+    """
+    data = _read_json(path)
+    if isinstance(data, dict):
+        other = data.get("kind")
+        if kind is not None and isinstance(other, str) and other != kind \
+                and other in _RUN_SCHEMAS:
+            raise SchemaError(f"kind: expected {kind!r}, got {other!r}")
+        flags = {k: v for k, v in flags.items() if v is not None}
+        if flags and isinstance(data.get("run", {}), dict):
+            data["run"] = {**data.get("run", {}), **flags}
+    return validate_config(data)
 
 
 def _build_arrival(spec):
@@ -428,9 +443,8 @@ def _limit_spec(cfg):
 
 
 def _limit_one(ctx, replicate):
-    spec, fluid_path = ctx
-    run = run_limit(dataclasses.replace(spec, replicate=replicate),
-                    fluid_path=fluid_path)
+    spec, plan = ctx
+    run = run_limit(dataclasses.replace(spec, replicate=replicate), plan)
     names = sorted(run.nuhat)
     text = _csv(["t", "Ehat", "Khat", "Xhat", "vhat"] + [f"nu_{n}" for n in names],
                 [run.t_grid, run.Ehat, run.Khat, run.Xhat, run.vhat]
@@ -446,8 +460,7 @@ def _run_limit(cfg, out):
     t0 = time.time()
     n_paths = int(cfg.run.get("paths", 1))
     spec = _limit_spec(cfg)
-    fluid_path = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
-    results = _replicates(_limit_one, (spec, fluid_path), n_paths,
+    results = _replicates(_limit_one, (spec, LimitPlan.for_spec(spec)), n_paths,
                           int(cfg.run.get("jobs", 1)))
     files = {f"limit_p{p:04d}.csv": text for p, (text, _) in enumerate(results)}
     summaries = [summary for _, summary in results]
@@ -511,17 +524,6 @@ def _execute(fn):
     sys.exit(code)
 
 
-def _load_with_flags(config_path, **flags):
-    """Load a config with every given flag put into its run block; the
-    schema then checks flag values as it checks the file's."""
-    data = _read_json(config_path)
-    run_block = data.get("run", {}) if isinstance(data, dict) else None
-    if isinstance(run_block, dict):
-        data["run"] = {**run_block,
-                       **{k: v for k, v in flags.items() if v is not None}}
-    return validate_config(data)
-
-
 _config_opt = click.option("--config", "config_path", required=True,
                            type=click.Path(exists=True, dir_okay=False))
 _out_opt = click.option("--out", default=None, type=click.Path(file_okay=False))
@@ -545,7 +547,7 @@ def dists():
 @_out_opt
 def dists_check(config_path, out):
     """Probe a service law: mean, hazard, regularity, renewal mass."""
-    _execute(lambda: run(load_config(config_path), out=out))
+    _execute(lambda: run(load_config(config_path, "dists"), out=out))
 
 
 @main.group()
@@ -562,8 +564,8 @@ def sim():
 @_jobs_opt
 def sim_run(config_path, out, seed, seeds, jobs):
     """Simulate replicates; one event CSV each plus a summary."""
-    _execute(lambda: run(_load_with_flags(config_path, seed=seed, seeds=seeds,
-                                          jobs=jobs), out=out))
+    _execute(lambda: run(load_config(config_path, "sim", seed=seed, seeds=seeds,
+                                     jobs=jobs), out=out))
 
 
 @main.group()
@@ -576,7 +578,7 @@ def fluid():
 @_out_opt
 def fluid_solve(config_path, out):
     """Solve the fluid path; CSV of t, Xbar, Kbar, mass, hazard_load."""
-    _execute(lambda: run(load_config(config_path), out=out))
+    _execute(lambda: run(load_config(config_path, "fluid"), out=out))
 
 
 @main.group()
@@ -595,8 +597,8 @@ def limit():
               help="zero both Gaussian inputs (deterministic skeleton)")
 def limit_run(config_path, out, seed, paths, jobs, noise_off):
     """Draw limit paths; one profile CSV each plus a summary."""
-    _execute(lambda: run(_load_with_flags(config_path, seed=seed, paths=paths,
-                                          jobs=jobs, noise_off=noise_off or None),
+    _execute(lambda: run(load_config(config_path, "limit", seed=seed, paths=paths,
+                                     jobs=jobs, noise_off=noise_off or None),
                          out=out))
 
 
@@ -612,12 +614,7 @@ def _verify_command(battery):
     @_out_opt
     def _cmd(config_path, out, _battery=battery):
         def go():
-            cfg = None
-            if config_path is not None:
-                cfg = load_config(config_path)
-                if cfg.kind != "verify":
-                    raise SchemaError(
-                        f"kind: expected 'verify', got {cfg.kind!r}")
+            cfg = None if config_path is None else load_config(config_path, "verify")
             return run(cfg, battery=_battery, out=out)
         _execute(go)
     return _cmd

@@ -26,6 +26,14 @@ inputs and degrades every operation to its deterministic skeleton, which
 is the cheapest full-pipeline diagnostic: with zero drift the output is
 exactly zero.
 
+The sample is a linear image of (Ehat, W), so every kernel it applies
+depends on the law, the grid, the fluid path and the test functions only.
+A LimitPlan builds that half once per run: the cell intensities and their
+square roots, the live age columns, the FFT length, and one rFFT of the
+column kernels per test function (plus one for the f = 1 term in Z).  A
+path then draws Ehat, draws W = z sqrt(intensity), takes one rFFT of W
+and runs one inverse rFFT per test function.
+
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
 """
@@ -36,15 +44,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 
 from .dists import ServiceDistribution, dead_mass_ratio
-from .fluid import FluidInit, FluidPath, solve_fluid
+from .fluid import FluidInit, solve_fluid
 
 __all__ = [
     "LimitGrid",
     "MartingaleField",
     "LimitSpec",
+    "LimitPlan",
     "LimitRun",
     "default_test_functions",
     "resolve_x_max",
@@ -96,12 +106,15 @@ def resolve_x_max(grid, dist):
 
 @dataclass
 class MartingaleField:
-    """White-noise field on age-time cells, plus its intensity table."""
+    """White-noise field on age-time cells, plus its intensity table and
+    the rFFT along time of its live columns (LimitPlan.field)."""
 
     t_edges: np.ndarray
     x_edges: np.ndarray
     intensity: np.ndarray  # (nt, nx) cell variances
     W: np.ndarray          # (nt, nx) independent N(0, intensity) draws
+    W_hat: np.ndarray      # (nfft // 2 + 1, live columns) rFFT of W
+    nfft: int
 
     @property
     def dt(self):
@@ -176,41 +189,29 @@ def simulate_hatE(arrival, t_grid, rng, noise_off=False):
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def simulate_field(fpath, grid, dist, rng, noise_off=False):
-    """Draw the centered departure field with fluid cell intensities."""
-    t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid, dist)
+def simulate_field(plan, rng, noise_off=False):
+    """Draw the centered departure field W = z sqrt(intensity)."""
     if noise_off:
-        W = np.zeros_like(intensity)
+        W = np.zeros_like(plan.intensity)
     else:
-        W = rng.standard_normal(intensity.shape) * np.sqrt(intensity)
-    return MartingaleField(t_edges=t_edges, x_edges=x_edges,
-                           intensity=intensity, W=W)
+        W = rng.standard_normal(plan.intensity.shape) * plan.sqrt_intensity
+    return plan.field(W)
 
 
-def conv_H(field, dist, f):
+def conv_H(field, kernel):
     """Hhat_t(f) = field integral of Psi_t f, on all grid edges at once.
 
     Psi separates per age column: (Psi_t f)(x, s) = u_x(t - s) / (1-G(x))
-    with u_x(l) = f(x + l)(1 - G(x + l)), so each column is a causal
-    convolution of its noise row with u_x.
-
-    Only live columns enter: 1-G(x) > 0 and some nonzero noise, so a
-    noise-off field gives exact zeros and 0 * inf never arises.  f and the
-    survival function are called once on the flattened (lag, column) grid,
-    one FFT along the time axis convolves all columns together, and the
-    column results are added in age order, which is the summation order
-    of a column-by-column loop.
+    with u_x(l) = f(x + l)(1 - G(x + l)), so each live column is a causal
+    convolution of its noise row with u_x.  kernel is the plan's rFFT of
+    u_x / (1-G(x)) (LimitPlan.kernel); one inverse rFFT convolves all
+    columns together, and the column results are added in age order, which
+    is the summation order of a column-by-column loop.
     """
-    xm = field.x_mid
-    nt = field.t_mid.size
-    lags = (np.arange(nt) + 0.5) * field.dt
-    sfx = np.asarray(dist.sf(xm))
-    cols = np.flatnonzero((sfx > 0.0) & np.any(field.W != 0.0, axis=0))
-    y = (xm[cols] + lags[:, None]).ravel()
-    U = (np.asarray(f(y), dtype=float) * np.asarray(dist.sf(y))).reshape(nt, cols.size)
-    C = fftconvolve(field.W[:, cols], U / sfx[cols], axes=0)[:nt]
+    nt = field.W.shape[0]
+    C = irfft(field.W_hat * kernel, n=field.nfft, axis=0)[:nt]
     H = np.zeros(nt + 1)
-    for j in range(cols.size):
+    for j in range(C.shape[1]):
         H[1:] += C[:, j]
     return H
 
@@ -368,11 +369,14 @@ def simulate_hw(T, dt, beta, sigma2, x0, n_paths, rng, record_times=(),
     return out
 
 
+def _one(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
 def default_test_functions(dist):
     """The standard read-out family: 1, hazard, survival, exp decay."""
     return {
-        "one": (lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float))),
+        "one": (_one, lambda x: np.zeros_like(np.asarray(x, dtype=float))),
         "hazard": (lambda x: np.asarray(dist.hazard(x)), None),
         "survival": (lambda x: np.asarray(dist.sf(x)),
                      lambda x: -np.asarray(dist.density(x))),
@@ -397,6 +401,96 @@ class LimitSpec:
     test_functions: Optional[dict] = None
     regime: Optional[str] = None
 
+    def tests(self):
+        """The read-out family: test_functions, or the default one."""
+        if self.test_functions is not None:
+            return self.test_functions
+        return default_test_functions(self.dist)
+
+
+def _law_key(dist):
+    # a law from make_service_dist is named fully by its spec
+    return f"{dist.name} {dist.spec!r}"
+
+
+@dataclass(eq=False)
+class LimitPlan:
+    """The path-independent half of the sampler, built once per run.
+
+    for_spec solves the fluid path and keeps what every path of the run
+    applies: the cell intensities and their square roots, the live columns
+    (1-G(x) > 0, so the kernels divide by no zero, and some intensity above
+    0, so a noise-off field gives exact zeros), the FFT length of a full
+    causal convolution along time, and the kernel of each test function
+    plus the f = 1 kernel of Z.  It holds arrays and names only, so it
+    pickles to worker processes; the test functions stay with the spec.
+    """
+
+    law: str
+    grid: LimitGrid
+    regime: str              # the fluid path's regime
+    t_edges: np.ndarray
+    x_edges: np.ndarray
+    intensity: np.ndarray
+    sqrt_intensity: np.ndarray
+    cols: np.ndarray         # live age columns, in age order
+    nfft: int
+    ages: np.ndarray         # x + l on the flattened (lag, live column) grid
+    sf_ages: np.ndarray      # 1-G at those ages
+    sf_cols: np.ndarray      # 1-G at the live columns' midpoints
+    one: np.ndarray = None   # kernel of f = 1, for Z
+    kernels: dict = None     # test-function name -> kernel
+
+    @classmethod
+    def for_spec(cls, spec):
+        """The plan for every replicate of spec's run."""
+        dist, grid = spec.dist, spec.grid
+        fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
+        t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid, dist)
+        nt = t_edges.size - 1
+        xm = (x_edges[:-1] + x_edges[1:]) / 2.0
+        lags = (np.arange(nt) + 0.5) * float(t_edges[1] - t_edges[0])
+        sfx = np.asarray(dist.sf(xm))
+        cols = np.flatnonzero((sfx > 0.0) & np.any(intensity > 0.0, axis=0))
+        ages = (xm[cols] + lags[:, None]).ravel()
+        plan = cls(law=_law_key(dist), grid=grid, regime=fpath.regime,
+                   t_edges=t_edges, x_edges=x_edges, intensity=intensity,
+                   sqrt_intensity=np.sqrt(intensity), cols=cols,
+                   nfft=next_fast_len(2 * nt - 1, real=True), ages=ages,
+                   sf_ages=np.asarray(dist.sf(ages)), sf_cols=sfx[cols])
+        plan.one = plan.kernel(_one)
+        plan.kernels = {name: plan.kernel(f) for name, (f, _) in spec.tests().items()}
+        return plan
+
+    def kernel(self, f):
+        """rFFT along time of u_x(l) / (1-G(x)) on the live columns."""
+        U = (np.asarray(f(self.ages), dtype=float) * self.sf_ages).reshape(
+            self.t_edges.size - 1, self.cols.size)
+        return rfft(U / self.sf_cols, n=self.nfft, axis=0)
+
+    def field(self, W):
+        """W on the plan's cells, with the rFFT of its live columns."""
+        return MartingaleField(t_edges=self.t_edges, x_edges=self.x_edges,
+                               intensity=self.intensity, W=W,
+                               W_hat=rfft(W[:, self.cols], n=self.nfft, axis=0),
+                               nfft=self.nfft)
+
+    def check(self, spec):
+        """Raise ValueError unless the plan was built for this spec's run."""
+        if self.grid.T != spec.grid.T:
+            raise ValueError(f"plan built for horizon T={self.grid.T}, "
+                             f"run asks for T={spec.grid.T}")
+        if self.grid != spec.grid:
+            raise ValueError(f"plan built for grid {self.grid}, run asks for "
+                             f"{spec.grid}")
+        if self.law != _law_key(spec.dist):
+            raise ValueError(f"plan built for law {self.law}, run asks for "
+                             f"{_law_key(spec.dist)}")
+        names = sorted(spec.tests())
+        if sorted(self.kernels) != names:
+            raise ValueError(f"plan built for test functions {sorted(self.kernels)}, "
+                             f"run asks for {names}")
+
 
 @dataclass
 class LimitRun:
@@ -404,7 +498,7 @@ class LimitRun:
 
     spec: LimitSpec
     t_grid: np.ndarray
-    fluid: FluidPath
+    plan: LimitPlan
     field: MartingaleField
     Ehat: np.ndarray
     Shat_1: np.ndarray
@@ -419,35 +513,37 @@ class LimitRun:
     nu0_mass: float
 
 
-def run_limit(spec, fluid_path=None):
-    """Draw one Gaussian limit sample end to end."""
+def run_limit(spec, plan=None):
+    """Draw one Gaussian limit sample end to end.
+
+    plan is the run's LimitPlan; None builds one for this spec.
+    """
+    if plan is None:
+        plan = LimitPlan.for_spec(spec)
+    plan.check(spec)
     dist = spec.dist
     t_grid = spec.grid.t_grid()
-    if fluid_path is None:
-        fluid_path = solve_fluid(dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
-    regime = spec.regime or fluid_path.regime
+    regime = spec.regime or plan.regime
     ss = np.random.SeedSequence(spec.seed, spawn_key=(spec.replicate,))
     ss_E, ss_W = ss.spawn(2)
     Ehat = simulate_hatE(spec.arrival, t_grid, np.random.default_rng(ss_E),
                          noise_off=spec.noise_off)
-    fld = simulate_field(fluid_path, spec.grid, dist,
-                         np.random.default_rng(ss_W), noise_off=spec.noise_off)
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    S1 = s_op(spec.nu0hat, dist, one, t_grid)
-    H1 = conv_H(fld, dist, one)
+    fld = simulate_field(plan, np.random.default_rng(ss_W),
+                         noise_off=spec.noise_off)
+    S1 = s_op(spec.nu0hat, dist, _one, t_grid)
+    H1 = conv_H(fld, plan.one)
     M1 = fld.m1_profile()
     Z = S1 - H1
     Khat, Xhat, vhat = solve_cmse(t_grid, dist, Ehat, spec.x0hat, Z, regime)
-    tests = spec.test_functions if spec.test_functions is not None else default_test_functions(dist)
     nuhat = {}
-    for name, (f, fprime) in tests.items():
+    for name, (f, fprime) in spec.tests().items():
         S_f = s_op(spec.nu0hat, dist, f, t_grid)
-        H_f = conv_H(fld, dist, f)
+        H_f = conv_H(fld, plan.kernels[name])
         if fprime is None:
             nuhat[name] = hat_nu_stieltjes(t_grid, dist, S_f, Khat, H_f, f)
         else:
             nuhat[name] = hat_nu(t_grid, dist, S_f, Khat, H_f, f, fprime)
-    return LimitRun(spec=spec, t_grid=t_grid, fluid=fluid_path, field=fld,
+    return LimitRun(spec=spec, t_grid=t_grid, plan=plan, field=fld,
                     Ehat=Ehat, Shat_1=S1, Hhat_1=H1, M1=M1, Z=Z, Khat=Khat,
                     Xhat=Xhat, vhat=vhat, nuhat=nuhat, regime=regime,
                     nu0_mass=float(S1[0]))
@@ -494,7 +590,7 @@ def sae_residual(run, f, fprime, t=None):
     dt = float(t_grid[1] - t_grid[0])
     i = t_grid.size - 1 if t is None else int(round(t / dt))
     S_f = s_op(run.spec.nu0hat, dist, f, t_grid)
-    H_f = conv_H(run.field, dist, f)
+    H_f = conv_H(run.field, run.plan.kernel(f))
     nu_f = hat_nu_stieltjes(t_grid, dist, S_f, run.Khat, H_f, f)
 
     def w(x):
@@ -502,7 +598,7 @@ def sae_residual(run, f, fprime, t=None):
         return np.asarray(fprime(x)) - np.asarray(f(x)) * np.asarray(dist.hazard(x))
 
     S_w = s_op(run.spec.nu0hat, dist, w, t_grid)
-    H_w = conv_H(run.field, dist, w)
+    H_w = conv_H(run.field, run.plan.kernel(w))
     nu_w = hat_nu_stieltjes(t_grid, dist, S_w, run.Khat, H_w, w)
     drift = dt * float(np.sum(nu_w[:i]))
     fx = np.asarray(f(run.field.x_mid), dtype=float)

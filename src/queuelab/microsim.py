@@ -194,6 +194,9 @@ def _arrival_feed(arrival, N, T, rng):
                     return
                 yield t
     else:
+        # thinning against the rate's maximum over the probe points, which
+        # is exact for config rates; a callable whose rate exceeds it
+        # between probes is refused rather than under-sampled
         rate = arrival.rate_fn(N)
         M = float(np.max(rate(arrival.probe_times(T, 2049)))) * (1.0 + 1e-9)
         if M <= 0:
@@ -203,7 +206,11 @@ def _arrival_feed(arrival, N, T, rng):
             t += rng.exponential(1.0 / M)
             if t > T:
                 return
-            if rng.uniform() * M <= float(np.atleast_1d(rate(np.array([t])))[0]):
+            lam = float(np.atleast_1d(rate(np.array([t])))[0])
+            if lam > M:
+                raise ValueError(f"arrival rate {lam} at t={t} exceeds the "
+                                 f"thinning bound {M} taken from 2049 probe points")
+            if rng.uniform() * M <= lam:
                 yield t
 
 

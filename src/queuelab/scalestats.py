@@ -13,14 +13,15 @@ right-continuous steps and the fluid reference interpolated linearly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .dists import ArrivalSpec, make_service_dist, renewal_function
 from .fluid import FluidInit, solve_fluid
-from .limitsim import LimitGrid, LimitSpec, run_limit, sae_residual, simulate_hw
+from .limitsim import (LimitGrid, LimitPlan, LimitSpec, run_limit, sae_residual,
+                       simulate_hw)
 from .microsim import (InitialCondition, SimConfig, compensator,
                        representation_residual, shift_consistency_check,
                        simulate)
@@ -337,25 +338,29 @@ def verify_sae(config=None):
                 lambda x: np.zeros_like(np.asarray(x, dtype=float))),
     }
     lo, hi = cfg["ratio_band"]
+    means = {fname: [] for fname in funcs}
+    for dtv in cfg["dt_levels"]:
+        grid = LimitGrid(T=cfg["T"], dt=dtv, dx=cfg["dx"])
+        spec = LimitSpec(dist=dist, arrival=arr, fluid_init=init, grid=grid,
+                         seed=cfg["seed"])
+        plan = LimitPlan.for_spec(spec)
+        vals = {fname: [] for fname in funcs}
+        for s in range(cfg["seeds"]):
+            run = run_limit(replace(spec, replicate=s), plan)
+            for fname, (f, fp) in funcs.items():
+                vals[fname].append(abs(sae_residual(run, f, fp)))
+        for fname in funcs:
+            means[fname].append(float(np.mean(vals[fname])))
     reports = []
-    for fname, (f, fp) in funcs.items():
-        means = []
-        for dtv in cfg["dt_levels"]:
-            grid = LimitGrid(T=cfg["T"], dt=dtv, dx=cfg["dx"])
-            fl = solve_fluid(dist, init, grid.T, grid.dt)
-            vals = [abs(sae_residual(run_limit(
-                LimitSpec(dist=dist, arrival=arr, fluid_init=init, grid=grid,
-                          seed=cfg["seed"], replicate=s), fluid_path=fl), f, fp))
-                for s in range(cfg["seeds"])]
-            means.append(float(np.mean(vals)))
-        for i in range(len(means) - 1):
-            ratio = means[i + 1] / means[i]
+    for fname, m in means.items():
+        for i in range(len(m) - 1):
+            ratio = m[i + 1] / m[i]
             reports.append(TestReport(
                 statistic=f"sae-halving-{fname}-L{i}", value=ratio,
                 threshold=hi, passed=lo <= ratio <= hi,
                 replicates=cfg["seeds"],
                 detail=f"dt {cfg['dt_levels'][i]} -> {cfg['dt_levels'][i + 1]}, "
-                       f"defects {means[i]:.5g} -> {means[i + 1]:.5g}"))
+                       f"defects {m[i]:.5g} -> {m[i + 1]:.5g}"))
     # noise-off with zero data: every term must vanish identically
     grid = LimitGrid(T=cfg["T"], dt=cfg["dt_levels"][-1], dx=cfg["dx"])
     run = run_limit(LimitSpec(dist=dist, arrival=arr, fluid_init=init,

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from queuelab.cli import SchemaError, load_config, main, validate_config
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit, solve_fluid
-from queuelab.limitsim import LimitGrid, LimitSpec, run_limit
+from queuelab.limitsim import LimitGrid, LimitPlan, LimitSpec, run_limit
 from queuelab.microsim import SimConfig, simulate
 
 # exp-service renewal mass is exactly 1 + T; dt=1e-3 quadrature stays inside
@@ -266,13 +266,14 @@ class TestReplicateContext:
                                               nu0_density={"invariant": 1.0}),
                          grid=LimitGrid(T=0.3, dt=0.01, dx=0.1), seed=4)
         fl = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
-        spec2, fl2 = pickle.loads(pickle.dumps((spec, fl)))
+        plan = LimitPlan.for_spec(spec)
+        spec2, fl2, plan2 = pickle.loads(pickle.dumps((spec, fl, plan)))
         for name in ("grid", "Xbar", "Kbar", "Bbar", "Hbar", "q0", "x_nodes"):
             assert np.array_equal(getattr(fl, name), getattr(fl2, name)), name
         x = np.linspace(0.0, 4.0, 33)
         assert np.array_equal(fl.dist.sf(x), fl2.dist.sf(x))
-        a = run_limit(spec, fluid_path=fl)
-        b = run_limit(spec2, fluid_path=fl2)
+        a = run_limit(spec, plan)
+        b = run_limit(spec2, plan2)
         assert np.array_equal(a.Xhat, b.Xhat)
         assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
 
@@ -474,6 +475,25 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         field = block if key is None else f"{block}.{key}"
         assert f"config error: {field}: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
+    @pytest.mark.parametrize("argv, kind, data", [
+        (["sim", "run"], "sim", limit_cfg()),
+        (["limit", "run"], "limit", sim_cfg()),
+        (["fluid", "solve"], "fluid", {"schema_version": 1, "kind": "dists",
+                                       "model": {"service": "exponential"}}),
+        (["dists", "check"], "dists", {"schema_version": 1, "kind": "fluid",
+                                       "model": {"service": "exponential"},
+                                       "numerics": {"T": 1.0, "dt": 0.01}}),
+    ], ids=["sim", "limit", "fluid", "dists"])
+    def test_other_kind_exit_two(self, tmp_path, argv, kind, data):
+        # each command runs its own kind only
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, argv + ["--config", write_cfg(tmp_path, data),
+                                               "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert (f"config error: kind: expected '{kind}', got '{data['kind']}'"
+                in res.output)
         assert not out.exists(), "a rejected config must write no file"
 
     def test_missing_config_file_exit_two(self):

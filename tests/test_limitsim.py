@@ -7,6 +7,9 @@ the survival-kernel convolution has variance int_0^t e^-2(t-s) ds.
 Ensemble tolerances are sized from the chi-square spread of a variance
 estimate, rel SE = sqrt(2/n), at 3-4 standard errors.
 """
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -41,13 +44,17 @@ def poisson_arr(lam=1.0, beta=0.0):
     return ArrivalSpec("renewal", lam, beta=beta, sigma2=lam)
 
 
-def critical_run(seed, T=1.5, dt=0.01, dist=EXP, noise_off=False, x0hat=0.0,
-                 nu0hat=None, arrival=None, fluid_path=None):
-    grid = L.LimitGrid(T=T, dt=dt, dx=0.1)
-    spec = L.LimitSpec(dist=dist, arrival=arrival or poisson_arr(),
+def critical_spec(seed=0, T=1.5, dt=0.01, dist=EXP, noise_off=False, x0hat=0.0,
+                  nu0hat=None, arrival=None, dx=0.1, test_functions=None):
+    grid = L.LimitGrid(T=T, dt=dt, dx=dx)
+    return L.LimitSpec(dist=dist, arrival=arrival or poisson_arr(),
                        fluid_init=stationary_init(), grid=grid, x0hat=x0hat,
-                       nu0hat=nu0hat, seed=seed, noise_off=noise_off)
-    return L.run_limit(spec, fluid_path=fluid_path)
+                       nu0hat=nu0hat, seed=seed, noise_off=noise_off,
+                       test_functions=test_functions)
+
+
+def critical_run(seed, plan=None, **kw):
+    return L.run_limit(critical_spec(seed, **kw), plan)
 
 
 class TestGridAndIntensity:
@@ -91,8 +98,10 @@ class TestFieldOracles:
     def setup_class(cls):
         grid = L.LimitGrid(T=1.0, dt=0.025, dx=0.25)
         cls.grid = grid
-        cls.fluid = solve_fluid(EXP, stationary_init(), grid.T, grid.dt)
-        te, xe, inten = L.fluid_cell_intensity(cls.fluid, grid, EXP)
+        cls.plan = L.LimitPlan.for_spec(L.LimitSpec(
+            dist=EXP, arrival=poisson_arr(), fluid_init=stationary_init(),
+            grid=grid, test_functions={"one": (ONE, ZERO)}))
+        te, xe, inten = cls.plan.t_edges, cls.plan.x_edges, cls.plan.intensity
         cls.t_edges, cls.x_edges, cls.intensity = te, xe, inten
         rng = np.random.default_rng(20260822)
         cls.W = rng.standard_normal((cls.REPS,) + inten.shape) * np.sqrt(inten)
@@ -115,9 +124,7 @@ class TestFieldOracles:
         assert abs(v - oracle) < 0.05, f"Var H_1(1) was {v}, oracle {oracle}"
 
     def test_conv_H_matches_direct_cell_sum(self):
-        fld = L.MartingaleField(t_edges=self.t_edges, x_edges=self.x_edges,
-                                intensity=self.intensity, W=self.W[0])
-        H = L.conv_H(fld, EXP, ONE)
+        H = L.conv_H(self.plan.field(self.W[0]), self.plan.kernels["one"])
         nt = self.intensity.shape[0]
         lag = (nt - np.arange(nt) - 0.5) * self.grid.dt
         direct = float((self.W[0] * np.exp(-lag)[:, None]).sum())
@@ -125,8 +132,7 @@ class TestFieldOracles:
             f"FFT column convolution gives {H[-1]}, direct cell sum {direct}")
 
     def test_field_noise_off_is_zero(self):
-        fld = L.simulate_field(self.fluid, self.grid, EXP,
-                               np.random.default_rng(0), noise_off=True)
+        fld = L.simulate_field(self.plan, np.random.default_rng(0), noise_off=True)
         assert np.all(fld.W == 0.0)
 
     def test_arrival_and_field_streams_uncorrelated(self):
@@ -165,7 +171,7 @@ def conv_H_by_column(field, dist, f):
 
 
 class TestConvHBatched:
-    """Batched conv_H against the per-column loop, compared with ==.
+    """The plan's conv_H against the per-column loop, compared with ==.
 
     Both call f and sf on the same points and sum the columns in the same
     order, and a batched FFT along one axis transforms each column exactly
@@ -186,36 +192,95 @@ class TestConvHBatched:
     }
 
     @staticmethod
-    def field(nt=40, nx=60, dt=0.025, dx=0.1, seed=5):
-        W = np.random.default_rng(seed).standard_normal((nt, nx)) * 0.1
-        W[:, [3, 17]] = 0.0  # all-zero columns are skipped
-        return L.MartingaleField(t_edges=np.arange(nt + 1) * dt,
-                                 x_edges=np.arange(nx + 1) * dx,
-                                 intensity=np.ones((nt, nx)), W=W)
+    def read_outs(dist):
+        # float(v) accepts scalars only, so this f needs 1-D input
+        one_d = lambda x: np.array([np.exp(-0.5 * float(v)) for v in x])
+        hz = lambda x: np.asarray(dist.hazard(x))
+        return {"one": (ONE, ZERO), "exp_decay": (EXPD, NEXPD),
+                "hazard": (hz, None), "1-D loop": (one_d, None)}
+
+    PLANS = {}  # law -> plan, shared by the tests of one law
+
+    @classmethod
+    def plan(cls, law):
+        if law not in cls.PLANS:
+            dist = cls.LAWS[law]
+            cls.PLANS[law] = L.LimitPlan.for_spec(L.LimitSpec(
+                dist=dist, arrival=poisson_arr(), fluid_init=stationary_init(),
+                grid=L.LimitGrid(T=1.0, dt=0.025, dx=0.1, x_max=6.0),
+                test_functions=cls.read_outs(dist)))
+        return cls.PLANS[law]
+
+    @classmethod
+    def field(cls, law, seed=5):
+        plan = cls.plan(law)
+        W = L.simulate_field(plan, np.random.default_rng(seed)).W
+        W[:, [3, 17]] = 0.0  # all-zero columns are skipped by the loop
+        return plan.field(W)
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_equals_column_loop(self, law):
         dist = self.LAWS[law]
-        fld = self.field()
+        plan, fld = self.plan(law), self.field(law)
         if law == "piecewise":
             assert np.any(dist.sf(fld.x_mid) == 0.0), "no column past the support"
-        # float(v) accepts scalars only, so this f needs 1-D input
-        one_d = lambda x: np.array([np.exp(-0.5 * float(v)) for v in x])
-        hz = lambda x: np.asarray(dist.hazard(x))
-        for name, f in (("one", ONE), ("exp_decay", EXPD), ("hazard", hz),
-                        ("1-D loop", one_d)):
-            got = L.conv_H(fld, dist, f)
+        for name, (f, _) in self.read_outs(dist).items():
+            got = L.conv_H(fld, plan.kernels[name])
             want = conv_H_by_column(fld, dist, f)
             assert np.array_equal(got, want), (
-                f"{law}, f={name}: batched conv_H differs from the column "
+                f"{law}, f={name}: the plan's conv_H differs from the column "
                 f"loop by {np.max(np.abs(got - want))}")
+        got = L.conv_H(fld, plan.one)
+        assert np.array_equal(got, conv_H_by_column(fld, dist, ONE))
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_noise_off_exact_zeros(self, law):
-        fld = self.field()
-        fld.W[:] = 0.0
-        H = L.conv_H(fld, self.LAWS[law], ONE)
-        assert np.all(H == 0.0) and H.shape == (fld.W.shape[0] + 1,)
+        plan = self.plan(law)
+        fld = L.simulate_field(plan, np.random.default_rng(0), noise_off=True)
+        for kernel in [plan.one, *plan.kernels.values()]:
+            H = L.conv_H(fld, kernel)
+            assert np.all(H == 0.0) and H.shape == (fld.W.shape[0] + 1,)
+            assert not np.any(np.signbit(H)), "noise-off H holds a -0.0"
+
+
+class TestLimitPlan:
+    def test_pickled_plan_gives_equal_runs(self):
+        spec = critical_spec(seed=41, dist=LOGN)
+        plan = L.LimitPlan.for_spec(spec)
+        a = L.run_limit(spec, plan)
+        b = L.run_limit(spec, pickle.loads(pickle.dumps(plan)))
+        for name in ("Ehat", "Hhat_1", "M1", "Khat", "Xhat", "vhat"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.nuhat.keys() == b.nuhat.keys()
+        assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
+
+    def test_shared_plan_equals_own_plan(self):
+        # a plan built once serves every replicate of the run
+        spec = critical_spec(seed=42, dist=LOGN)
+        plan = L.LimitPlan.for_spec(spec)
+        for r in range(3):
+            rep = replace(spec, replicate=r)
+            a, b = L.run_limit(rep, plan), L.run_limit(rep)
+            assert np.array_equal(a.Xhat, b.Xhat)
+            assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
+
+    def test_noise_off_run_exact_zeros(self):
+        run = critical_run(seed=0, dist=LOGN, noise_off=True)
+        assert np.all(run.field.W == 0.0)
+        assert np.all(run.Hhat_1 == 0.0) and np.all(run.M1 == 0.0)
+
+    @pytest.mark.parametrize("other, match", [
+        ({"dx": 0.05}, "grid"),
+        ({"dt": 0.02}, "grid"),
+        ({"T": 1.0}, "horizon"),
+        ({"dist": EXP}, "law"),
+        ({"dist": make_service_dist("lognormal", sigma=0.7)}, "law"),
+        ({"test_functions": {"one": (ONE, ZERO)}}, "test functions"),
+    ], ids=["dx", "dt", "horizon", "family", "parameter", "test-functions"])
+    def test_plan_for_another_run_rejected(self, other, match):
+        plan = L.LimitPlan.for_spec(critical_spec(dist=LOGN))
+        with pytest.raises(ValueError, match=match):
+            L.run_limit(critical_spec(seed=1, **{"dist": LOGN, **other}), plan)
 
 
 class TestHatE:
@@ -343,7 +408,7 @@ class TestGammaMapAndReadout:
         f = lambda x: np.asarray(EXP.sf(x))
         fp = lambda x: -np.asarray(EXP.density(x))
         S_f = L.s_op(None, EXP, f, run.t_grid)
-        H_f = L.conv_H(run.field, EXP, f)
+        H_f = L.conv_H(run.field, run.plan.kernel(f))
         direct = L.hat_nu(run.t_grid, EXP, S_f, run.Khat, H_f, f, fp)
         composed = S_f + gamma_map(run.t_grid, run.Khat, EXP, f, fp) - H_f
         diff = float(np.max(np.abs(direct - composed)))
@@ -354,7 +419,7 @@ class TestGammaMapAndReadout:
         f = lambda x: np.asarray(EXP.sf(x))
         fp = lambda x: -np.asarray(EXP.density(x))
         S_f = L.s_op(None, EXP, f, run.t_grid)
-        H_f = L.conv_H(run.field, EXP, f)
+        H_f = L.conv_H(run.field, run.plan.kernel(f))
         der = L.hat_nu(run.t_grid, EXP, S_f, run.Khat, H_f, f, fp)
         st = L.hat_nu_stieltjes(run.t_grid, EXP, S_f, run.Khat, H_f, f)
         diff = float(np.max(np.abs(der - st)))
@@ -434,8 +499,7 @@ class TestRunInvariants:
         assert fl.regime == "mixed"
         with pytest.raises(ValueError, match="mixed"):
             L.run_limit(L.LimitSpec(dist=EXP, arrival=poisson_arr(0.7),
-                                    fluid_init=init, grid=grid, seed=38),
-                        fluid_path=fl)
+                                    fluid_init=init, grid=grid, seed=38))
 
 
 class TestHalfinWhitt:
@@ -492,10 +556,9 @@ class TestAgeBalance:
         # strict band runs in the acceptance battery with more seeds
         means = []
         for dtv in (0.04, 0.02, 0.01):
-            grid = L.LimitGrid(T=1.0, dt=dtv, dx=0.1)
-            fl = solve_fluid(EXP, stationary_init(), grid.T, grid.dt)
-            vals = [abs(L.sae_residual(critical_run(seed=200 + s, T=1.0, dt=dtv,
-                                                    fluid_path=fl), EXPD, NEXPD))
+            plan = L.LimitPlan.for_spec(critical_spec(T=1.0, dt=dtv))
+            vals = [abs(L.sae_residual(critical_run(200 + s, plan, T=1.0, dt=dtv),
+                                       EXPD, NEXPD))
                     for s in range(24)]
             means.append(float(np.mean(vals)))
         r1, r2 = means[1] / means[0], means[2] / means[1]

@@ -444,6 +444,20 @@ class _BoundProbe:
         return np.inf
 
 
+class _CandidateAt:
+    """rng stand-in for the thinning feed: its first candidate is time t,
+    accepted whenever the rate there reaches half the bound."""
+
+    def __init__(self, t):
+        self.gaps = [t, np.inf]
+
+    def exponential(self, scale):
+        return self.gaps.pop(0)
+
+    def uniform(self):
+        return 0.5
+
+
 class TestThinningBound:
     @staticmethod
     def bound(arrival, N, T):
@@ -455,6 +469,17 @@ class TestThinningBound:
         peak = {"pwlin": {"t": [0.0, 0.3001, 1.0], "v": [1.0, 3.0, 1.0]}}
         arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=peak, beta=0.0)
         assert self.bound(arr, 100, 1.0) >= 300.0
+
+    def test_callable_spike_between_probe_points_refused(self):
+        # probes sit at k/2048; the spike lives inside (614, 615)/2048, so
+        # the bound misses it, and the first candidate lands in it
+        lo, hi = 614.25 / 2048, 614.75 / 2048
+        spike = lambda t: np.where((np.asarray(t) > lo) & (np.asarray(t) < hi),
+                                   10.0, 1.0)
+        arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=spike, beta=0.0)
+        rng = _CandidateAt(0.5 * (lo + hi))
+        with pytest.raises(ValueError, match="thinning bound"):
+            list(_arrival_feed(arr, 100, 1.0, rng))
 
     def test_bound_unchanged_where_even_probe_finds_max(self):
         arr = ArrivalSpec(kind="inhom_poisson", lambda_bar={"affine": [1.0, 0.5]},

@@ -76,3 +76,26 @@ def test_public_names_have_callers():
     unused = sorted(f"{m.__name__}.{name}" for m in modules
                     for name in m.__all__ if not uses[name])
     assert not unused, f"public names no library, demo or bench code uses: {unused}"
+
+
+def test_tracer_counts_a_limit_run(tracer, tmp_path):
+    # the tracer reads conv_H's field and simulate_field's result; a
+    # signature change that breaks a traced bench run fails here
+    from queuelab import cli
+    cfg = cli.validate_config({
+        "schema_version": 1, "kind": "limit",
+        "model": {"service": "exponential",
+                  "arrival": {"kind": "renewal", "lambda_bar": 1.0},
+                  "fluid": {"Ebar": 1.0, "x0": 1.0, "nu0": {"invariant": 1.0}}},
+        "numerics": {"T": 0.2, "dt": 0.02, "dx": 0.1},
+        "run": {"paths": 2}})
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.run(cfg, out=str(tmp_path / "out")) == 0
+    finally:
+        t.uninstall()
+    m = tracer.layer_metrics(t.spans, t.counts)
+    assert m["limitsim.run_limit.calls"] == 2
+    assert m["limitsim.conv_H.columns"] > 0
+    assert m["limitsim.simulate_field.cells"] > 0
