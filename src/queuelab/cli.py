@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -325,12 +326,14 @@ def _finish(out_flag, cfg, seeds, t0, files):
 def _replicates(one, ctx, n, jobs):
     """[one(ctx, r) for r in range(n)], over `jobs` processes when jobs > 1.
 
-    ctx is built once by the caller and pickled to the workers; its service
-    law crosses as its spec and is rebuilt there.
+    ctx is built once by the caller and pickled to the workers once per
+    chunk of replicates, so at most `jobs` times; its service law crosses
+    as its spec and is rebuilt there.  Results come back in replicate order.
     """
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(partial(one, ctx), range(n)))
+            return list(pool.map(partial(one, ctx), range(n),
+                                 chunksize=math.ceil(n / jobs)))
     return [one(ctx, r) for r in range(n)]
 
 

@@ -29,10 +29,13 @@ exactly zero.
 The sample is a linear image of (Ehat, W), so every kernel it applies
 depends on the law, the grid, the fluid path and the test functions only.
 A LimitPlan builds that half once per run: the cell intensities and their
-square roots, the live age columns, the FFT length, and one rFFT of the
-column kernels per test function (plus one for the f = 1 term in Z).  A
-path then draws Ehat, draws W = z sqrt(intensity), takes one rFFT of W
-and runs one inverse rFFT per test function.
+square roots, the live age columns, the FFT length, one rFFT of the
+column kernels per test function (plus one for the f = 1 term in Z), the
+service density on the time grid, and the read-out weights of each test
+function.  A path then draws Ehat, draws W = z sqrt(intensity) and takes
+one rFFT of W's live columns.  Hhat(f) is a sum of column convolutions
+and the transform is linear, so each kernel costs one product with those
+spectra, a sum over the columns and one inverse rFFT.
 
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
@@ -166,11 +169,11 @@ def fluid_cell_intensity(fpath, grid, dist):
     x_edges = np.arange(nx + 1) * grid.dx
     tm = (t_edges[:-1] + t_edges[1:]) / 2.0
     xm = (x_edges[:-1] + x_edges[1:]) / 2.0
-    Xm, Sm = np.meshgrid(xm, tm, indexing="xy")  # (nt, nx)
+    # g depends on the age only: one evaluation per column, broadcast in time
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.asarray(dist.density(Xm), dtype=float)
+        g = np.asarray(dist.density(xm), dtype=float)
     g = np.where(np.isfinite(g), g, 0.0)
-    weight = fluid_age_density_weight(fpath, Xm, Sm)
+    weight = fluid_age_density_weight(fpath, xm[None, :], tm[:, None])  # (nt, nx)
     intensity = g * weight * grid.dx * grid.dt
     return t_edges, x_edges, np.maximum(intensity, 0.0)
 
@@ -203,16 +206,16 @@ def conv_H(field, kernel):
 
     Psi separates per age column: (Psi_t f)(x, s) = u_x(t - s) / (1-G(x))
     with u_x(l) = f(x + l)(1 - G(x + l)), so each live column is a causal
-    convolution of its noise row with u_x.  kernel is the plan's rFFT of
-    u_x / (1-G(x)) (LimitPlan.kernel); one inverse rFFT convolves all
-    columns together, and the column results are added in age order, which
-    is the summation order of a column-by-column loop.
+    convolution of its noise row with u_x, and Hhat(f) is their sum.
+    kernel is the plan's rFFT of u_x / (1-G(x)) (LimitPlan.kernel).  The
+    transform is linear, so the columns are added as spectra and one
+    inverse rFFT gives the sum; it differs from adding per-column inverses
+    by FFT rounding only (about 1e-15 relative).
     """
     nt = field.W.shape[0]
-    C = irfft(field.W_hat * kernel, n=field.nfft, axis=0)[:nt]
     H = np.zeros(nt + 1)
-    for j in range(C.shape[1]):
-        H[1:] += C[:, j]
+    # added onto +0.0, so a zero field gives zeros without a -0.0
+    H[1:] += irfft((field.W_hat * kernel).sum(axis=1), n=field.nfft)[:nt]
     return H
 
 
@@ -300,43 +303,37 @@ def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     return K, X, v
 
 
-def hat_nu(t_grid, dist, S_f, Khat, H_f, f, fprime):
+def hat_nu(t_grid, S_f, Khat, H_f, xi, f0):
     """Measure read-out nuhat_t(f) in the derivative form.
 
-    run_limit uses it whenever f' is given and hat_nu_stieltjes otherwise.
-    The two are different quadratures of one integral: on the bench
-    limit-cli runs (seeds 0-4, dt = 0.01) they differ by at most 5.4e-5
-    on profiles of size about 2.  Both stay, because reading out with the
-    Stieltjes form alone would change the bytes `limit run` writes for
-    every read-out that has f'.
+    xi = f'(1-G) - f g on t_grid and f0 = f(0) are the path-independent
+    weights of f (LimitPlan.readout_weights).  run_limit uses this form
+    whenever f' is given and hat_nu_stieltjes otherwise.  The two are
+    different quadratures of one integral: on the bench limit-cli runs
+    (seeds 0-4, dt = 0.01) they differ by at most 5.4e-5 on profiles of
+    size about 2.  Both stay, because reading out with the Stieltjes form
+    alone would change the bytes `limit run` writes for every read-out
+    that has f'.
     """
-    # middle term f(0) K_t + int_0^t K_u xi_f(t-u) du, xi_f = f'(1-G) - f g;
-    # the tests cross-check it against a standalone wiring (gamma_map)
-    t_grid = np.asarray(t_grid, dtype=float)
-    n = t_grid.size - 1
+    # middle term f(0) K_t + int_0^t K_u xi(t-u) du, trapezoid in u; the
+    # tests cross-check it against a standalone wiring (gamma_map)
+    n = len(t_grid) - 1
     dt = float(t_grid[1] - t_grid[0])
     K = np.asarray(Khat, dtype=float)
-    g = dist.grid_density(t_grid, dt)
-    sf = np.asarray(dist.sf(t_grid))
-    xi = np.asarray(fprime(t_grid), dtype=float) * sf - np.asarray(f(t_grid), dtype=float) * g
     conv = fftconvolve(K, xi)[:n + 1]
     trap = dt * (conv - 0.5 * (K[0] * xi + K * xi[0]))
-    f0 = float(np.atleast_1d(f(np.array([0.0])))[0])
     return np.asarray(S_f, dtype=float) + f0 * K + trap - np.asarray(H_f, dtype=float)
 
 
-def hat_nu_stieltjes(t_grid, dist, S_f, Khat, H_f, f):
+def hat_nu_stieltjes(S_f, Khat, H_f, u):
     """Measure read-out in the entry-increment form, needing no f'.
 
-    The kernel term is sum over steps of dK_j f(t - mid_j)(1-G(t - mid_j)),
-    a causal convolution of the K increments with midpoint-lag weights.
+    The kernel term is sum over steps of dK_j u(t - mid_j), a causal
+    convolution of the K increments with the midpoint-lag weights
+    u = f(l)(1-G(l)) (LimitPlan.readout_weights).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    n = t_grid.size - 1
-    dt = float(t_grid[1] - t_grid[0])
     dK = np.diff(np.asarray(Khat, dtype=float))
-    lags = (np.arange(n) + 0.5) * dt
-    u = np.asarray(f(lags), dtype=float) * np.asarray(dist.sf(lags))
+    n = dK.size
     out = np.zeros(n + 1)
     if n:
         out[1:] = fftconvolve(dK, u)[:n]
@@ -413,6 +410,21 @@ def _law_key(dist):
     return f"{dist.name} {dist.spec!r}"
 
 
+def _fluid_key(init):
+    # one leaf per field of the fluid initial data: numbers as they are, a
+    # node-pair density as one array (repr would abbreviate it), a callable
+    # by its name and anything else by repr; compared with np.array_equal
+    def leaf(v):
+        if v is None or isinstance(v, (int, float)):
+            return v
+        if isinstance(v, tuple):
+            return np.asarray(v, dtype=float)
+        if callable(v):
+            return getattr(v, "__qualname__", type(v).__qualname__)
+        return repr(v)
+    return tuple(leaf(v) for v in (init.Ebar, init.x0, init.nu0_density, init.x_max))
+
+
 @dataclass(eq=False)
 class LimitPlan:
     """The path-independent half of the sampler, built once per run.
@@ -421,12 +433,15 @@ class LimitPlan:
     applies: the cell intensities and their square roots, the live columns
     (1-G(x) > 0, so the kernels divide by no zero, and some intensity above
     0, so a noise-off field gives exact zeros), the FFT length of a full
-    causal convolution along time, and the kernel of each test function
-    plus the f = 1 kernel of Z.  It holds arrays and names only, so it
-    pickles to worker processes; the test functions stay with the spec.
+    causal convolution along time, the kernel of each test function plus
+    the f = 1 kernel of Z, the service density g on the time grid, and the
+    read-out weights of each test function.  It holds arrays and names
+    only, so it pickles to worker processes; the test functions stay with
+    the spec.
     """
 
     law: str
+    fluid: tuple             # _fluid_key of the fluid initial data
     grid: LimitGrid
     regime: str              # the fluid path's regime
     t_edges: np.ndarray
@@ -438,8 +453,13 @@ class LimitPlan:
     ages: np.ndarray         # x + l on the flattened (lag, live column) grid
     sf_ages: np.ndarray      # 1-G at those ages
     sf_cols: np.ndarray      # 1-G at the live columns' midpoints
+    g: np.ndarray            # service density on the time grid (grid_density)
+    sf_t: np.ndarray         # 1-G on the time grid
+    lags: np.ndarray         # midpoint lags (l + 1/2) dt
+    sf_lags: np.ndarray      # 1-G at those lags
     one: np.ndarray = None   # kernel of f = 1, for Z
     kernels: dict = None     # test-function name -> kernel
+    weights: dict = None     # test-function name -> readout_weights
 
     @classmethod
     def for_spec(cls, spec):
@@ -448,18 +468,26 @@ class LimitPlan:
         fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
         t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid, dist)
         nt = t_edges.size - 1
+        dt = float(t_edges[1] - t_edges[0])
         xm = (x_edges[:-1] + x_edges[1:]) / 2.0
-        lags = (np.arange(nt) + 0.5) * float(t_edges[1] - t_edges[0])
+        lags = (np.arange(nt) + 0.5) * dt
         sfx = np.asarray(dist.sf(xm))
         cols = np.flatnonzero((sfx > 0.0) & np.any(intensity > 0.0, axis=0))
         ages = (xm[cols] + lags[:, None]).ravel()
-        plan = cls(law=_law_key(dist), grid=grid, regime=fpath.regime,
+        plan = cls(law=_law_key(dist), fluid=_fluid_key(spec.fluid_init),
+                   grid=grid, regime=fpath.regime,
                    t_edges=t_edges, x_edges=x_edges, intensity=intensity,
                    sqrt_intensity=np.sqrt(intensity), cols=cols,
                    nfft=next_fast_len(2 * nt - 1, real=True), ages=ages,
-                   sf_ages=np.asarray(dist.sf(ages)), sf_cols=sfx[cols])
+                   sf_ages=np.asarray(dist.sf(ages)), sf_cols=sfx[cols],
+                   g=dist.grid_density(t_edges, dt),
+                   sf_t=np.asarray(dist.sf(t_edges)), lags=lags,
+                   sf_lags=np.asarray(dist.sf(lags)))
         plan.one = plan.kernel(_one)
-        plan.kernels = {name: plan.kernel(f) for name, (f, _) in spec.tests().items()}
+        tests = spec.tests()
+        plan.kernels = {name: plan.kernel(f) for name, (f, _) in tests.items()}
+        plan.weights = {name: plan.readout_weights(f, fp)
+                        for name, (f, fp) in tests.items()}
         return plan
 
     def kernel(self, f):
@@ -467,6 +495,19 @@ class LimitPlan:
         U = (np.asarray(f(self.ages), dtype=float) * self.sf_ages).reshape(
             self.t_edges.size - 1, self.cols.size)
         return rfft(U / self.sf_cols, n=self.nfft, axis=0)
+
+    def readout_weights(self, f, fprime):
+        """The path-independent weights of f's measure read-out.
+
+        With f' given, (xi, f(0)) for hat_nu, xi = f'(1-G) - f g on the
+        time grid; without, (u,) for hat_nu_stieltjes, u = f(l)(1-G(l)) at
+        the midpoint lags.
+        """
+        if fprime is None:
+            return (np.asarray(f(self.lags), dtype=float) * self.sf_lags,)
+        xi = (np.asarray(fprime(self.t_edges), dtype=float) * self.sf_t
+              - np.asarray(f(self.t_edges), dtype=float) * self.g)
+        return xi, float(np.atleast_1d(f(np.array([0.0])))[0])
 
     def field(self, W):
         """W on the plan's cells, with the rFFT of its live columns."""
@@ -486,6 +527,10 @@ class LimitPlan:
         if self.law != _law_key(spec.dist):
             raise ValueError(f"plan built for law {self.law}, run asks for "
                              f"{_law_key(spec.dist)}")
+        if not all(np.array_equal(a, b) for a, b in
+                   zip(self.fluid, _fluid_key(spec.fluid_init))):
+            raise ValueError(f"plan built for other fluid initial data, run "
+                             f"asks for {spec.fluid_init}")
         names = sorted(spec.tests())
         if sorted(self.kernels) != names:
             raise ValueError(f"plan built for test functions {sorted(self.kernels)}, "
@@ -540,9 +585,9 @@ def run_limit(spec, plan=None):
         S_f = s_op(spec.nu0hat, dist, f, t_grid)
         H_f = conv_H(fld, plan.kernels[name])
         if fprime is None:
-            nuhat[name] = hat_nu_stieltjes(t_grid, dist, S_f, Khat, H_f, f)
+            nuhat[name] = hat_nu_stieltjes(S_f, Khat, H_f, *plan.weights[name])
         else:
-            nuhat[name] = hat_nu(t_grid, dist, S_f, Khat, H_f, f, fprime)
+            nuhat[name] = hat_nu(t_grid, S_f, Khat, H_f, *plan.weights[name])
     return LimitRun(spec=spec, t_grid=t_grid, plan=plan, field=fld,
                     Ehat=Ehat, Shat_1=S1, Hhat_1=H1, M1=M1, Z=Z, Khat=Khat,
                     Xhat=Xhat, vhat=vhat, nuhat=nuhat, regime=regime,
@@ -556,7 +601,7 @@ def rep_hatx_residual(run):
     """
     t_grid = run.t_grid
     dt = float(t_grid[1] - t_grid[0])
-    g = run.spec.dist.grid_density(t_grid, dt)
+    g = run.plan.g
     K = run.Khat
     conv = fftconvolve(K, g)[:t_grid.size]
     gK = dt * (conv - 0.5 * (K[0] * g + K * g[0]))
@@ -589,17 +634,18 @@ def sae_residual(run, f, fprime, t=None):
     t_grid = run.t_grid
     dt = float(t_grid[1] - t_grid[0])
     i = t_grid.size - 1 if t is None else int(round(t / dt))
+    plan = run.plan
     S_f = s_op(run.spec.nu0hat, dist, f, t_grid)
-    H_f = conv_H(run.field, run.plan.kernel(f))
-    nu_f = hat_nu_stieltjes(t_grid, dist, S_f, run.Khat, H_f, f)
+    H_f = conv_H(run.field, plan.kernel(f))
+    nu_f = hat_nu_stieltjes(S_f, run.Khat, H_f, *plan.readout_weights(f, None))
 
     def w(x):
         x = np.asarray(x, dtype=float)
         return np.asarray(fprime(x)) - np.asarray(f(x)) * np.asarray(dist.hazard(x))
 
     S_w = s_op(run.spec.nu0hat, dist, w, t_grid)
-    H_w = conv_H(run.field, run.plan.kernel(w))
-    nu_w = hat_nu_stieltjes(t_grid, dist, S_w, run.Khat, H_w, w)
+    H_w = conv_H(run.field, plan.kernel(w))
+    nu_w = hat_nu_stieltjes(S_w, run.Khat, H_w, *plan.readout_weights(w, None))
     drift = dt * float(np.sum(nu_w[:i]))
     fx = np.asarray(f(run.field.x_mid), dtype=float)
     Mf = float(np.sum(run.field.W[:i, :] @ fx))

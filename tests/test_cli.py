@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from queuelab import cli
 from queuelab.cli import SchemaError, load_config, main, validate_config
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit, solve_fluid
@@ -276,6 +277,30 @@ class TestReplicateContext:
         b = run_limit(spec2, plan2)
         assert np.array_equal(a.Xhat, b.Xhat)
         assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
+
+
+class CountedContext:
+    """A replicate context that counts how often the parent pickles it."""
+
+    pickles = 0
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return CountedContext, ()
+
+
+def square_replicate(ctx, r):
+    return r * r
+
+
+class TestReplicateFanOut:
+    def test_context_pickled_once_per_worker(self):
+        CountedContext.pickles = 0
+        got = cli._replicates(square_replicate, CountedContext(), 6, 2)
+        assert got == [r * r for r in range(6)], "results out of replicate order"
+        assert CountedContext.pickles <= 2, (
+            f"context pickled {CountedContext.pickles} times for 6 replicates "
+            f"on 2 workers")
 
 
 class TestDistsCheck:

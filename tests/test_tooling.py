@@ -80,7 +80,8 @@ def test_public_names_have_callers():
 
 def test_tracer_counts_a_limit_run(tracer, tmp_path):
     # the tracer reads conv_H's field and simulate_field's result; a
-    # signature change that breaks a traced bench run fails here
+    # signature change that breaks a traced bench run fails here, and so
+    # does a read-out or solver inlined out of its traced layer
     from queuelab import cli
     cfg = cli.validate_config({
         "schema_version": 1, "kind": "limit",
@@ -99,3 +100,5 @@ def test_tracer_counts_a_limit_run(tracer, tmp_path):
     assert m["limitsim.run_limit.calls"] == 2
     assert m["limitsim.conv_H.columns"] > 0
     assert m["limitsim.simulate_field.cells"] > 0
+    assert m["limitsim.readout.calls"] > 0
+    assert m["limitsim.solve_cmse.steps"] > 0
