@@ -12,8 +12,8 @@ import numpy as np
 
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit
-from queuelab.limitsim import (LimitGrid, LimitSpec, rep_hatx_residual,
-                               run_limit, sae_residual,
+from queuelab.limitsim import (LimitGrid, LimitPlan, LimitSpec,
+                               rep_hatx_residual, run_limit, sae_residual,
                                smg_bookkeeping_residual)
 
 
@@ -24,8 +24,8 @@ def one_regime(label, Ebar, x0, mass, dt):
         fluid_init=FluidInit(Ebar=Ebar, x0=x0,
                              nu0_density={"invariant": mass} if mass else None),
         grid=LimitGrid(T=1.0, dt=dt, dx=0.05),
-        seed=3, replicate=0)
-    run = run_limit(spec)
+        seed=3)
+    run = run_limit(LimitPlan.for_spec(spec))
     rep = rep_hatx_residual(run)
     smg = smg_bookkeeping_residual(run)
     print(f"  {label:<14} regime={run.regime:<13} "
@@ -44,28 +44,28 @@ def main():
           "f(x) = exp(-x):")
     f = np.exp
     for dt in [0.04, 0.02, 0.01]:
+        plan = LimitPlan.for_spec(LimitSpec(
+            dist=make_service_dist("exponential"),
+            arrival=ArrivalSpec("renewal", 1.0, beta=0.5, sigma2=1.0),
+            fluid_init=FluidInit(Ebar=1.0, x0=1.0,
+                                 nu0_density={"invariant": 1.0}),
+            grid=LimitGrid(T=1.0, dt=dt, dx=0.1),
+            seed=5))
         runs = []
         for r in range(16):
-            spec = LimitSpec(
-                dist=make_service_dist("exponential"),
-                arrival=ArrivalSpec("renewal", 1.0, beta=0.5, sigma2=1.0),
-                fluid_init=FluidInit(Ebar=1.0, x0=1.0,
-                                     nu0_density={"invariant": 1.0}),
-                grid=LimitGrid(T=1.0, dt=dt, dx=0.1),
-                seed=5, replicate=r)
-            run = run_limit(spec)
+            run = run_limit(plan, r)
             runs.append(abs(sae_residual(
                 run, lambda x: np.exp(-x), lambda x: -np.exp(-x))))
         print(f"  dt={dt:<6} mean |residual| = {np.mean(runs):.5f}")
     print("  (halving dt roughly halves the residual: first-order balance)")
 
-    off = run_limit(LimitSpec(
+    off = run_limit(LimitPlan.for_spec(LimitSpec(
         dist=make_service_dist("exponential"),
         arrival=ArrivalSpec("renewal", 1.0, beta=0.0, sigma2=1.0),
         fluid_init=FluidInit(Ebar=1.0, x0=1.0,
                              nu0_density={"invariant": 1.0}),
         grid=LimitGrid(T=1.0, dt=0.01, dx=0.1),
-        noise_off=True))
+        noise_off=True)))
     res = sae_residual(off, lambda x: np.exp(-x), lambda x: -np.exp(-x))
     print(f"\nnoise off, zero inputs: residual = {res} (exactly zero; the "
           "discretization itself is balanced)")

@@ -6,13 +6,13 @@ root-N fluctuation to (a) sampled second-order limit paths and (b) the
 one-dimensional reflected-drift SDE they collapse to for memoryless
 service.  Prints a quantile table instead of drawing plots.
 
-    python3 demos/scales_side_by_side.py          # ~2 min
+    python3 demos/scales_side_by_side.py          # ~15 s
 """
 import numpy as np
 
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit
-from queuelab.limitsim import LimitGrid, LimitSpec, run_limit, simulate_hw
+from queuelab.limitsim import LimitGrid, LimitPlan, LimitSpec, run_limit, simulate_hw
 from queuelab.microsim import InitialCondition, SimConfig, simulate
 from queuelab.scalestats import counter_profile, diffusion_scale, ks_distance
 
@@ -53,16 +53,12 @@ def main():
     hw = simulate_hw(T=T, dt=2.5e-3, beta=BETA, sigma2=1.0, x0=0.0,
                      n_paths=200_000, rng=rng, record_times=(T,))[T]
 
-    grid = LimitGrid(T=T, dt=0.01, dx=0.05)
-    spec_rng = np.empty(REPS)
-    for r in range(REPS):
-        run = run_limit(LimitSpec(
-            dist=make_service_dist("exponential"),
-            arrival=ArrivalSpec("renewal", 1.0, beta=BETA, sigma2=1.0),
-            fluid_init=FluidInit(Ebar=1.0, x0=1.0,
-                                 nu0_density={"invariant": 1.0}),
-            grid=grid, seed=13, replicate=r))
-        spec_rng[r] = run.Xhat[-1]
+    plan = LimitPlan.for_spec(LimitSpec(
+        dist=make_service_dist("exponential"),
+        arrival=ArrivalSpec("renewal", 1.0, beta=BETA, sigma2=1.0),
+        fluid_init=FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),
+        grid=LimitGrid(T=T, dt=0.01, dx=0.05), seed=13))
+    spec_rng = np.array([run_limit(plan, r).Xhat[-1] for r in range(REPS)])
 
     print(f"\ndiffusion scale at t={T}: quantiles of sqrt(N)(X/N - 1)")
     qs = [0.1, 0.25, 0.5, 0.75, 0.9]

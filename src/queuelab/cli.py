@@ -57,6 +57,14 @@ _ARRIVAL_SCHEMA = {
     "additionalProperties": False,
 }
 
+# fluid initial data: a fluid config's model, a limit config's model.fluid
+_FLUID_INIT_PROPERTIES = {
+    "Ebar": {},
+    "x0": {"type": "number", "minimum": 0},
+    "nu0": {},
+    "x_max": {"type": "number"},
+}
+
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -102,12 +110,7 @@ SCHEMA = {
         {"if": {"properties": {"kind": {"const": "fluid"}}},
          "then": {"required": ["model", "numerics"], "properties": {
              "model": {"type": "object", "required": ["service"],
-                       "properties": {
-                           "service": {},
-                           "Ebar": {},
-                           "x0": {"type": "number", "minimum": 0},
-                           "nu0": {},
-                           "x_max": {"type": "number"}},
+                       "properties": {"service": {}, **_FLUID_INIT_PROPERTIES},
                        "additionalProperties": False},
              "numerics": {"type": "object", "required": ["T", "dt"],
                           "properties": {
@@ -121,7 +124,9 @@ SCHEMA = {
                        "properties": {
                            "service": {},
                            "arrival": _ARRIVAL_SCHEMA,
-                           "fluid": {"type": "object"},
+                           "fluid": {"type": "object",
+                                     "properties": _FLUID_INIT_PROPERTIES,
+                                     "additionalProperties": False},
                            "x0hat": {"type": "number"},
                            "nu0hat": {},
                            "regime": {"enum": ["subcritical", "critical",
@@ -266,7 +271,7 @@ def _build_initial(spec):
                                                        "conditional"))
 
 
-def _build_fluid_nu0(spec):
+def _build_fluid_nu0(spec, where):
     if spec is None:
         return None
     if isinstance(spec, dict) and "invariant" in spec:
@@ -274,8 +279,16 @@ def _build_fluid_nu0(spec):
     if isinstance(spec, dict) and "grid" in spec:
         g = spec["grid"]
         return (np.asarray(g["x"], dtype=float), np.asarray(g["p"], dtype=float))
-    raise SchemaError("model.nu0: expected null, {'invariant': m} or "
+    raise SchemaError(f"{where}.nu0: expected null, {{'invariant': m}} or "
                       "{'grid': {'x': [...], 'p': [...]}}")
+
+
+def _build_fluid_init(block, x0, where):
+    """FluidInit from the fluid keys of the config block at `where`; x0 is
+    the block's default initial headcount."""
+    return FluidInit(Ebar=block.get("Ebar", 1.0), x0=float(block.get("x0", x0)),
+                     nu0_density=_build_fluid_nu0(block.get("nu0"), where),
+                     x_max=block.get("x_max"))
 
 
 def _build_nu0hat(spec):
@@ -406,10 +419,7 @@ def _run_sim(cfg, out):
 def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
-    init = FluidInit(Ebar=cfg.model.get("Ebar", 1.0),
-                     x0=float(cfg.model.get("x0", 0.0)),
-                     nu0_density=_build_fluid_nu0(cfg.model.get("nu0")),
-                     x_max=cfg.model.get("x_max"))
+    init = _build_fluid_init(cfg.model, 0.0, "model")
     path = solve_fluid(dist, init, float(cfg.numerics["T"]),
                        float(cfg.numerics["dt"]))
     summary = {"regime": path.regime,
@@ -426,11 +436,8 @@ def _run_fluid(cfg, out):
 
 
 def _limit_spec(cfg):
-    """The limit run's spec at replicate 0; its paths differ only there."""
-    fm = cfg.model["fluid"]
-    init = FluidInit(Ebar=fm.get("Ebar", 1.0), x0=float(fm.get("x0", 1.0)),
-                     nu0_density=_build_fluid_nu0(fm.get("nu0")),
-                     x_max=fm.get("x_max"))
+    """The limit run's spec; its paths differ only in the replicate index."""
+    init = _build_fluid_init(cfg.model["fluid"], 1.0, "model.fluid")
     grid = LimitGrid(T=float(cfg.numerics["T"]), dt=float(cfg.numerics["dt"]),
                      dx=float(cfg.numerics["dx"]),
                      x_max=cfg.numerics.get("x_max"),
@@ -445,9 +452,8 @@ def _limit_spec(cfg):
                      regime=cfg.model.get("regime"))
 
 
-def _limit_one(ctx, replicate):
-    spec, plan = ctx
-    run = run_limit(dataclasses.replace(spec, replicate=replicate), plan)
+def _limit_one(plan, replicate):
+    run = run_limit(plan, replicate)
     names = sorted(run.nuhat)
     text = _csv(["t", "Ehat", "Khat", "Xhat", "vhat"] + [f"nu_{n}" for n in names],
                 [run.t_grid, run.Ehat, run.Khat, run.Xhat, run.vhat]
@@ -462,9 +468,8 @@ def _limit_one(ctx, replicate):
 def _run_limit(cfg, out):
     t0 = time.time()
     n_paths = int(cfg.run.get("paths", 1))
-    spec = _limit_spec(cfg)
-    results = _replicates(_limit_one, (spec, LimitPlan.for_spec(spec)), n_paths,
-                          int(cfg.run.get("jobs", 1)))
+    plan = LimitPlan.for_spec(_limit_spec(cfg))
+    results = _replicates(_limit_one, plan, n_paths, int(cfg.run.get("jobs", 1)))
     files = {f"limit_p{p:04d}.csv": text for p, (text, _) in enumerate(results)}
     summaries = [summary for _, summary in results]
     worst = max(s["rep_hatx_residual"] for s in summaries)
@@ -472,7 +477,8 @@ def _run_limit(cfg, out):
                                    "regime": summaries[0]["regime"],
                                    "worst_rep_hatx_residual": worst,
                                    "per_path": summaries})
-    out = _finish(out, cfg, [[spec.seed, p] for p in range(n_paths)], t0, files)
+    out = _finish(out, cfg, [[plan.spec.seed, p] for p in range(n_paths)], t0,
+                  files)
     click.echo(f"{n_paths} limit paths ({summaries[0]['regime']}) -> {out}")
     return 0
 

@@ -28,14 +28,16 @@ exactly zero.
 
 The sample is a linear image of (Ehat, W), so every kernel it applies
 depends on the law, the grid, the fluid path and the test functions only.
-A LimitPlan builds that half once per run: the cell intensities and their
-square roots, the live age columns, the FFT length, one rFFT of the
-column kernels per test function (plus one for the f = 1 term in Z), the
-service density on the time grid, and the read-out weights of each test
-function.  A path then draws Ehat, draws W = z sqrt(intensity) and takes
-one rFFT of W's live columns.  Hhat(f) is a sum of column convolutions
-and the transform is linear, so each kernel costs one product with those
-spectra, a sum over the columns and one inverse rFFT.
+A LimitPlan holds the run's spec and builds that half once per run: the
+regime, the cell intensities and their square roots, the live age
+columns, the FFT length, one rFFT of the column kernels per test function
+(plus one for the f = 1 term in Z), the service density on the time grid,
+and the transported initial term and read-out weights of each test
+function.  Path r of the run (run_limit(plan, r)) then draws Ehat, draws
+W = z sqrt(intensity) and takes one rFFT of W's live columns.  Hhat(f) is
+a sum of column convolutions and the transform is linear, so each kernel
+costs one product with those spectra, a sum over the columns and one
+inverse rFFT.
 
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
@@ -109,27 +111,12 @@ def resolve_x_max(grid, dist):
 
 @dataclass
 class MartingaleField:
-    """White-noise field on age-time cells, plus its intensity table and
-    the rFFT along time of its live columns (LimitPlan.field)."""
+    """White-noise field on the plan's age-time cells, plus the rFFT along
+    time of its live columns (LimitPlan.field)."""
 
-    t_edges: np.ndarray
-    x_edges: np.ndarray
-    intensity: np.ndarray  # (nt, nx) cell variances
     W: np.ndarray          # (nt, nx) independent N(0, intensity) draws
     W_hat: np.ndarray      # (nfft // 2 + 1, live columns) rFFT of W
     nfft: int
-
-    @property
-    def dt(self):
-        return float(self.t_edges[1] - self.t_edges[0])
-
-    @property
-    def t_mid(self):
-        return (self.t_edges[:-1] + self.t_edges[1:]) / 2.0
-
-    @property
-    def x_mid(self):
-        return (self.x_edges[:-1] + self.x_edges[1:]) / 2.0
 
     def m1_profile(self):
         """Mhat_t(1) on the grid edges: cumulative sum of full rows."""
@@ -393,7 +380,6 @@ class LimitSpec:
     x0hat: float = 0.0
     nu0hat: object = None
     seed: int = 0
-    replicate: int = 0
     noise_off: bool = False
     test_functions: Optional[dict] = None
     regime: Optional[str] = None
@@ -405,45 +391,25 @@ class LimitSpec:
         return default_test_functions(self.dist)
 
 
-def _law_key(dist):
-    # a law from make_service_dist is named fully by its spec
-    return f"{dist.name} {dist.spec!r}"
-
-
-def _fluid_key(init):
-    # one leaf per field of the fluid initial data: numbers as they are, a
-    # node-pair density as one array (repr would abbreviate it), a callable
-    # by its name and anything else by repr; compared with np.array_equal
-    def leaf(v):
-        if v is None or isinstance(v, (int, float)):
-            return v
-        if isinstance(v, tuple):
-            return np.asarray(v, dtype=float)
-        if callable(v):
-            return getattr(v, "__qualname__", type(v).__qualname__)
-        return repr(v)
-    return tuple(leaf(v) for v in (init.Ebar, init.x0, init.nu0_density, init.x_max))
-
-
 @dataclass(eq=False)
 class LimitPlan:
-    """The path-independent half of the sampler, built once per run.
+    """One limit run: its spec and the path-independent half of the
+    sampler, built once.
 
     for_spec solves the fluid path and keeps what every path of the run
-    applies: the cell intensities and their square roots, the live columns
-    (1-G(x) > 0, so the kernels divide by no zero, and some intensity above
-    0, so a noise-off field gives exact zeros), the FFT length of a full
-    causal convolution along time, the kernel of each test function plus
-    the f = 1 kernel of Z, the service density g on the time grid, and the
-    read-out weights of each test function.  It holds arrays and names
-    only, so it pickles to worker processes; the test functions stay with
-    the spec.
+    applies: the regime, the cell intensities and their square roots, the
+    live columns (1-G(x) > 0, so the kernels divide by no zero, and some
+    intensity above 0, so a noise-off field gives exact zeros), the FFT
+    length of a full causal convolution along time, the kernel of each
+    test function plus the f = 1 kernel of Z, the service density g on the
+    time grid, the transported initial terms S_t(1) and S_t(f), and the
+    read-out weights of each test function.  It pickles to worker
+    processes with its spec: the law crosses as its spec and the default
+    test functions are rebuilt from it.
     """
 
-    law: str
-    fluid: tuple             # _fluid_key of the fluid initial data
-    grid: LimitGrid
-    regime: str              # the fluid path's regime
+    spec: LimitSpec
+    regime: str              # spec.regime, else the fluid path's regime
     t_edges: np.ndarray
     x_edges: np.ndarray
     intensity: np.ndarray
@@ -458,12 +424,14 @@ class LimitPlan:
     lags: np.ndarray         # midpoint lags (l + 1/2) dt
     sf_lags: np.ndarray      # 1-G at those lags
     one: np.ndarray = None   # kernel of f = 1, for Z
+    S_one: np.ndarray = None  # S_t(1) on the time grid
     kernels: dict = None     # test-function name -> kernel
     weights: dict = None     # test-function name -> readout_weights
+    S: dict = None           # test-function name -> S_t(f) on the time grid
 
     @classmethod
     def for_spec(cls, spec):
-        """The plan for every replicate of spec's run."""
+        """The plan for every path of spec's run."""
         dist, grid = spec.dist, spec.grid
         fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
         t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid, dist)
@@ -474,8 +442,7 @@ class LimitPlan:
         sfx = np.asarray(dist.sf(xm))
         cols = np.flatnonzero((sfx > 0.0) & np.any(intensity > 0.0, axis=0))
         ages = (xm[cols] + lags[:, None]).ravel()
-        plan = cls(law=_law_key(dist), fluid=_fluid_key(spec.fluid_init),
-                   grid=grid, regime=fpath.regime,
+        plan = cls(spec=spec, regime=spec.regime or fpath.regime,
                    t_edges=t_edges, x_edges=x_edges, intensity=intensity,
                    sqrt_intensity=np.sqrt(intensity), cols=cols,
                    nfft=next_fast_len(2 * nt - 1, real=True), ages=ages,
@@ -484,11 +451,18 @@ class LimitPlan:
                    sf_t=np.asarray(dist.sf(t_edges)), lags=lags,
                    sf_lags=np.asarray(dist.sf(lags)))
         plan.one = plan.kernel(_one)
+        plan.S_one = s_op(spec.nu0hat, dist, _one, t_edges)
         tests = spec.tests()
         plan.kernels = {name: plan.kernel(f) for name, (f, _) in tests.items()}
         plan.weights = {name: plan.readout_weights(f, fp)
                         for name, (f, fp) in tests.items()}
+        plan.S = {name: s_op(spec.nu0hat, dist, f, t_edges)
+                  for name, (f, _) in tests.items()}
         return plan
+
+    @property
+    def x_mid(self):
+        return (self.x_edges[:-1] + self.x_edges[1:]) / 2.0
 
     def kernel(self, f):
         """rFFT along time of u_x(l) / (1-G(x)) on the live columns."""
@@ -511,30 +485,8 @@ class LimitPlan:
 
     def field(self, W):
         """W on the plan's cells, with the rFFT of its live columns."""
-        return MartingaleField(t_edges=self.t_edges, x_edges=self.x_edges,
-                               intensity=self.intensity, W=W,
-                               W_hat=rfft(W[:, self.cols], n=self.nfft, axis=0),
-                               nfft=self.nfft)
-
-    def check(self, spec):
-        """Raise ValueError unless the plan was built for this spec's run."""
-        if self.grid.T != spec.grid.T:
-            raise ValueError(f"plan built for horizon T={self.grid.T}, "
-                             f"run asks for T={spec.grid.T}")
-        if self.grid != spec.grid:
-            raise ValueError(f"plan built for grid {self.grid}, run asks for "
-                             f"{spec.grid}")
-        if self.law != _law_key(spec.dist):
-            raise ValueError(f"plan built for law {self.law}, run asks for "
-                             f"{_law_key(spec.dist)}")
-        if not all(np.array_equal(a, b) for a, b in
-                   zip(self.fluid, _fluid_key(spec.fluid_init))):
-            raise ValueError(f"plan built for other fluid initial data, run "
-                             f"asks for {spec.fluid_init}")
-        names = sorted(spec.tests())
-        if sorted(self.kernels) != names:
-            raise ValueError(f"plan built for test functions {sorted(self.kernels)}, "
-                             f"run asks for {names}")
+        return MartingaleField(
+            W=W, W_hat=rfft(W[:, self.cols], n=self.nfft, axis=0), nfft=self.nfft)
 
 
 @dataclass
@@ -546,52 +498,45 @@ class LimitRun:
     plan: LimitPlan
     field: MartingaleField
     Ehat: np.ndarray
-    Shat_1: np.ndarray
     Hhat_1: np.ndarray
     M1: np.ndarray
-    Z: np.ndarray
     Khat: np.ndarray
     Xhat: np.ndarray
     vhat: np.ndarray
     nuhat: dict
     regime: str
-    nu0_mass: float
 
 
-def run_limit(spec, plan=None):
-    """Draw one Gaussian limit sample end to end.
+def run_limit(plan, replicate=0):
+    """Draw path `replicate` of the plan's run end to end.
 
-    plan is the run's LimitPlan; None builds one for this spec.
+    Its Gaussian inputs come from SeedSequence(spec.seed,
+    spawn_key=(replicate,)), so (seed, replicate) pins the path.
     """
-    if plan is None:
-        plan = LimitPlan.for_spec(spec)
-    plan.check(spec)
-    dist = spec.dist
-    t_grid = spec.grid.t_grid()
-    regime = spec.regime or plan.regime
-    ss = np.random.SeedSequence(spec.seed, spawn_key=(spec.replicate,))
+    spec = plan.spec
+    t_grid = plan.t_edges
+    ss = np.random.SeedSequence(spec.seed, spawn_key=(replicate,))
     ss_E, ss_W = ss.spawn(2)
     Ehat = simulate_hatE(spec.arrival, t_grid, np.random.default_rng(ss_E),
                          noise_off=spec.noise_off)
     fld = simulate_field(plan, np.random.default_rng(ss_W),
                          noise_off=spec.noise_off)
-    S1 = s_op(spec.nu0hat, dist, _one, t_grid)
     H1 = conv_H(fld, plan.one)
     M1 = fld.m1_profile()
-    Z = S1 - H1
-    Khat, Xhat, vhat = solve_cmse(t_grid, dist, Ehat, spec.x0hat, Z, regime)
+    Khat, Xhat, vhat = solve_cmse(t_grid, spec.dist, Ehat, spec.x0hat,
+                                  plan.S_one - H1, plan.regime)
     nuhat = {}
-    for name, (f, fprime) in spec.tests().items():
-        S_f = s_op(spec.nu0hat, dist, f, t_grid)
+    for name, (_, fprime) in spec.tests().items():
         H_f = conv_H(fld, plan.kernels[name])
         if fprime is None:
-            nuhat[name] = hat_nu_stieltjes(S_f, Khat, H_f, *plan.weights[name])
+            nuhat[name] = hat_nu_stieltjes(plan.S[name], Khat, H_f,
+                                           *plan.weights[name])
         else:
-            nuhat[name] = hat_nu(t_grid, S_f, Khat, H_f, *plan.weights[name])
+            nuhat[name] = hat_nu(t_grid, plan.S[name], Khat, H_f,
+                                 *plan.weights[name])
     return LimitRun(spec=spec, t_grid=t_grid, plan=plan, field=fld,
-                    Ehat=Ehat, Shat_1=S1, Hhat_1=H1, M1=M1, Z=Z, Khat=Khat,
-                    Xhat=Xhat, vhat=vhat, nuhat=nuhat, regime=regime,
-                    nu0_mass=float(S1[0]))
+                    Ehat=Ehat, Hhat_1=H1, M1=M1, Khat=Khat, Xhat=Xhat,
+                    vhat=vhat, nuhat=nuhat, regime=plan.regime)
 
 
 def rep_hatx_residual(run):
@@ -601,11 +546,11 @@ def rep_hatx_residual(run):
     """
     t_grid = run.t_grid
     dt = float(t_grid[1] - t_grid[0])
-    g = run.plan.g
+    g, S1 = run.plan.g, run.plan.S_one
     K = run.Khat
     conv = fftconvolve(K, g)[:t_grid.size]
     gK = dt * (conv - 0.5 * (K[0] * g + K * g[0]))
-    Dt = run.nu0_mass - run.Shat_1 - run.M1 + run.Hhat_1 + gK
+    Dt = S1[0] - S1 - run.M1 + run.Hhat_1 + gK
     return float(np.max(np.abs(run.Xhat - (run.spec.x0hat + run.Ehat - run.M1 - Dt))))
 
 
@@ -647,7 +592,7 @@ def sae_residual(run, f, fprime, t=None):
     H_w = conv_H(run.field, plan.kernel(w))
     nu_w = hat_nu_stieltjes(S_w, run.Khat, H_w, *plan.readout_weights(w, None))
     drift = dt * float(np.sum(nu_w[:i]))
-    fx = np.asarray(f(run.field.x_mid), dtype=float)
+    fx = np.asarray(f(plan.x_mid), dtype=float)
     Mf = float(np.sum(run.field.W[:i, :] @ fx))
     f0 = float(np.atleast_1d(f(np.array([0.0])))[0])
     return float(nu_f[i] - nu_f[0] - drift + Mf - f0 * run.Khat[i])

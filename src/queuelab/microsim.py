@@ -23,8 +23,9 @@ No time discretization enters the path itself, so the counting identities
     every departure event moves D by exactly 1
 
 hold to the last bit, and the tests demand exactly that.  Quadrature enters
-only through the read-out helpers (compensator, transport representation,
-restart consistency), all first-order in their dt.
+only through the read-out helpers (compensator and the restart
+consistency check, whose s = 0 case is the transport representation), all
+first-order in their dt.
 
 Randomness is split into independent child streams (arrivals, services,
 initial data) of SeedSequence(seed, spawn_key=(replicate,)), so a
@@ -53,7 +54,6 @@ __all__ = [
     "conservation_check",
     "eval_age_functional",
     "compensator",
-    "representation_residual",
     "shift_consistency_check",
 ]
 
@@ -362,46 +362,25 @@ def _left_rule(path, dist, t0, t1, dt, phi=None):
     return k, vals, n
 
 
-def compensator(path, dist, t, dt, phi=None):
+def compensator(path, dist, t, dt):
     """Quadrature reconstruction of the departure compensator profile.
 
     Returns (grid, A) with grid = {0, dt, ..., t} and
-    A(t_m) ~ int_0^{t_m} <phi(., s) h(.), nu_s> ds by the left rule, so the
-    error is O(dt).  phi(age, s) defaults to 1.  The age process nu_s is
-    rebuilt exactly from the span log; only the time integral is discrete.
+    A(t_m) ~ int_0^{t_m} <h, nu_s> ds by the left rule, so the error is
+    O(dt).  The age process nu_s is rebuilt exactly from the span log;
+    only the time integral is discrete.
     """
-    k, vals, n = _left_rule(path, dist, 0.0, t, dt, phi)
+    k, vals, n = _left_rule(path, dist, 0.0, t, dt)
     node_sums = np.bincount(k, weights=vals, minlength=n)
     grid = np.arange(n + 1) * dt
     A = np.concatenate([[0.0], np.cumsum(node_sums) * dt])
     return grid, A
 
 
-def representation_residual(path, dist, f, t, dt):
-    """Transport representation defect at time t, O(dt) by construction.
-
-    Compares the exact <f, nu_t> against
-        (initial transport) - (centered departures) + (fresh-entry kernel)
-    where only the compensator inside the centered term is quadrature.
-    """
-    lhs = eval_age_functional(path, f, t)
-    init = ~path.span_fresh
-    S = float(np.sum(phi_op(dist, f, t)(-path.span_theta[init])))
-    fresh = path.span_fresh & (path.span_begin <= t)
-    u = path.span_begin[fresh]
-    lag = t - u
-    Kf = float(np.sum(np.asarray(f(lag)) * dist.sf(lag)))
-    psi_tf = psi_op(dist, f, t)
-    take = path.dep_time <= t
-    Qpsi = float(np.sum(psi_tf(path.dep_age[take], path.dep_time[take])))
-    _, A = compensator(path, dist, t, dt, phi=psi_tf)
-    H = Qpsi - A[-1]
-    return lhs - (S - H + Kf)
-
-
 def shift_consistency_check(path, dist, f, s, t, dt):
     """Restart defect: rebuild <f, nu_{s+t}> from the state at time s.
 
+    At s = 0 it is the transport representation defect of <f, nu_t>.
     Transports the exact age population at s forward by t, adds the kernel
     of fresh entries in (s, s+t], subtracts the centered departure term of
     that window (compensator by left-rule quadrature on [s, s+t]).  O(dt).

@@ -13,7 +13,7 @@ right-continuous steps and the fluid reference interpolated linearly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,8 +23,7 @@ from .fluid import FluidInit, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, run_limit, sae_residual,
                        simulate_hw)
 from .microsim import (InitialCondition, SimConfig, compensator,
-                       representation_residual, shift_consistency_check,
-                       simulate)
+                       shift_consistency_check, simulate)
 
 __all__ = [
     "OverrideError",
@@ -341,12 +340,12 @@ def verify_sae(config=None):
     means = {fname: [] for fname in funcs}
     for dtv in cfg["dt_levels"]:
         grid = LimitGrid(T=cfg["T"], dt=dtv, dx=cfg["dx"])
-        spec = LimitSpec(dist=dist, arrival=arr, fluid_init=init, grid=grid,
-                         seed=cfg["seed"])
-        plan = LimitPlan.for_spec(spec)
+        plan = LimitPlan.for_spec(LimitSpec(dist=dist, arrival=arr,
+                                            fluid_init=init, grid=grid,
+                                            seed=cfg["seed"]))
         vals = {fname: [] for fname in funcs}
         for s in range(cfg["seeds"]):
-            run = run_limit(replace(spec, replicate=s), plan)
+            run = run_limit(plan, s)
             for fname, (f, fp) in funcs.items():
                 vals[fname].append(abs(sae_residual(run, f, fp)))
         for fname in funcs:
@@ -363,8 +362,9 @@ def verify_sae(config=None):
                        f"defects {m[i]:.5g} -> {m[i + 1]:.5g}"))
     # noise-off with zero data: every term must vanish identically
     grid = LimitGrid(T=cfg["T"], dt=cfg["dt_levels"][-1], dx=cfg["dx"])
-    run = run_limit(LimitSpec(dist=dist, arrival=arr, fluid_init=init,
-                              grid=grid, seed=0, noise_off=True))
+    run = run_limit(LimitPlan.for_spec(LimitSpec(
+        dist=dist, arrival=arr, fluid_init=init, grid=grid, seed=0,
+        noise_off=True)))
     res = max(abs(sae_residual(run, f, fp)) for f, fp in funcs.values())
     reports.append(TestReport(statistic="sae-noise-off-zero", value=res,
                               threshold=0.0, passed=res == 0.0, replicates=1))
@@ -389,7 +389,8 @@ def verify_representation(config=None):
     lo, hi = cfg["ratio_band"]
     reports = []
     for label, res_fn in (
-            ("readout", lambda p, d: representation_residual(p, dist, f, cfg["T"], d)),
+            ("readout", lambda p, d: shift_consistency_check(
+                p, dist, f, 0.0, cfg["T"], d)),
             ("restart", lambda p, d: shift_consistency_check(
                 p, dist, f, cfg["shift"], cfg["T"] - cfg["shift"], d))):
         means = [float(np.mean([abs(res_fn(p, dtv)) for p in paths]))

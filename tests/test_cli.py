@@ -267,14 +267,14 @@ class TestReplicateContext:
                                               nu0_density={"invariant": 1.0}),
                          grid=LimitGrid(T=0.3, dt=0.01, dx=0.1), seed=4)
         fl = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
-        plan = LimitPlan.for_spec(spec)
-        spec2, fl2, plan2 = pickle.loads(pickle.dumps((spec, fl, plan)))
+        plan = LimitPlan.for_spec(spec)  # carries the spec to the workers
+        fl2, plan2 = pickle.loads(pickle.dumps((fl, plan)))
         for name in ("grid", "Xbar", "Kbar", "Bbar", "Hbar", "q0", "x_nodes"):
             assert np.array_equal(getattr(fl, name), getattr(fl2, name)), name
         x = np.linspace(0.0, 4.0, 33)
         assert np.array_equal(fl.dist.sf(x), fl2.dist.sf(x))
-        a = run_limit(spec, plan)
-        b = run_limit(spec2, plan2)
+        a = run_limit(plan)
+        b = run_limit(plan2)
         assert np.array_equal(a.Xhat, b.Xhat)
         assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
 
@@ -500,6 +500,20 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         field = block if key is None else f"{block}.{key}"
         assert f"config error: {field}: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
+    @pytest.mark.parametrize("key, value", [
+        ("X0", 0.5), ("x0", -1), ("nu0", {"bogus": 1.0})],
+        ids=["typo", "negative-x0", "bad-nu0"])
+    def test_limit_fluid_block_checked(self, tmp_path, key, value):
+        # model.fluid takes a fluid config's initial-data keys and values
+        data = limit_cfg()
+        data["model"]["fluid"][key] = value
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, ["limit", "run", "--config",
+                                        write_cfg(tmp_path, data), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: model.fluid.{key}: " in res.output
         assert not out.exists(), "a rejected config must write no file"
 
     @pytest.mark.parametrize("argv, kind, data", [

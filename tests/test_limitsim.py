@@ -8,7 +8,6 @@ Ensemble tolerances are sized from the chi-square spread of a variance
 estimate, rel SE = sqrt(2/n), at 3-4 standard errors.
 """
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,8 +53,8 @@ def critical_spec(seed=0, T=1.5, dt=0.01, dist=EXP, noise_off=False, x0hat=0.0,
                        test_functions=test_functions)
 
 
-def critical_run(seed, plan=None, **kw):
-    return L.run_limit(critical_spec(seed, **kw), plan)
+def critical_run(seed, **kw):
+    return L.run_limit(L.LimitPlan.for_spec(critical_spec(seed, **kw)))
 
 
 class TestGridAndIntensity:
@@ -155,11 +154,11 @@ class TestFieldOracles:
             f"arrival and departure noise correlate at {corr} over {reps} draws")
 
 
-def conv_H_by_column(field, dist, f):
+def conv_H_by_column(plan, field, dist, f):
     """Reference wiring of conv_H: one FFT convolution per age column."""
-    xm = field.x_mid
-    nt = field.t_mid.size
-    lags = (np.arange(nt) + 0.5) * field.dt
+    xm = plan.x_mid
+    nt = field.W.shape[0]
+    lags = (np.arange(nt) + 0.5) * (plan.t_edges[1] - plan.t_edges[0])
     sfx = np.asarray(dist.sf(xm))
     H = np.zeros(nt + 1)
     for a in range(xm.size):
@@ -232,13 +231,13 @@ class TestConvHBatched:
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_equals_column_loop(self, law):
-        dist = self.LAWS[law]
+        dist, plan = self.LAWS[law], self.plan(law)
         fld = self.field(law)
         if law == "piecewise":
-            assert np.any(dist.sf(fld.x_mid) == 0.0), "no column past the support"
+            assert np.any(dist.sf(plan.x_mid) == 0.0), "no column past the support"
         for name, f, kernel in self.kernels(law):
             got = L.conv_H(fld, kernel)
-            want = conv_H_by_column(fld, dist, f)
+            want = conv_H_by_column(plan, fld, dist, f)
             gap = float(np.max(np.abs(got - want)))
             assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(want)))), (
                 f"{law}, f={name}: the plan's conv_H differs from the column "
@@ -254,7 +253,7 @@ class TestConvHBatched:
             fld = plan.field(one_col)
             for name, f, kernel in self.kernels(law):
                 got = L.conv_H(fld, kernel)
-                want = conv_H_by_column(fld, dist, f)
+                want = conv_H_by_column(plan, fld, dist, f)
                 assert np.array_equal(got, want), (
                     f"{law}, f={name}, column {col}: conv_H differs from the "
                     f"column loop by {np.max(np.abs(got - want))}")
@@ -264,7 +263,8 @@ class TestConvHBatched:
         # the density is evaluated once per age column and broadcast in
         # time; the (nt, nx) meshgrid evaluation gives the same table
         dist, plan = self.LAWS[law], self.plan(law)
-        fl = solve_fluid(dist, stationary_init(), plan.grid.T, plan.grid.dt)
+        grid = plan.spec.grid
+        fl = solve_fluid(dist, stationary_init(), grid.T, grid.dt)
         tm = (plan.t_edges[:-1] + plan.t_edges[1:]) / 2.0
         xm = (plan.x_edges[:-1] + plan.x_edges[1:]) / 2.0
         Xm, Sm = np.meshgrid(xm, tm, indexing="xy")
@@ -272,7 +272,7 @@ class TestConvHBatched:
             g = np.asarray(dist.density(Xm), dtype=float)
         g = np.where(np.isfinite(g), g, 0.0)
         want = np.maximum(g * L.fluid_age_density_weight(fl, Xm, Sm)
-                          * plan.grid.dx * plan.grid.dt, 0.0)
+                          * grid.dx * grid.dt, 0.0)
         assert np.array_equal(plan.intensity, want)
 
     @pytest.mark.parametrize("law", sorted(LAWS))
@@ -287,10 +287,9 @@ class TestConvHBatched:
 
 class TestLimitPlan:
     def test_pickled_plan_gives_equal_runs(self):
-        spec = critical_spec(seed=41, dist=LOGN)
-        plan = L.LimitPlan.for_spec(spec)
-        a = L.run_limit(spec, plan)
-        b = L.run_limit(spec, pickle.loads(pickle.dumps(plan)))
+        plan = L.LimitPlan.for_spec(critical_spec(seed=41, dist=LOGN))
+        a = L.run_limit(plan)
+        b = L.run_limit(pickle.loads(pickle.dumps(plan)))
         for name in ("Ehat", "Hhat_1", "M1", "Khat", "Xhat", "vhat"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.nuhat.keys() == b.nuhat.keys()
@@ -301,8 +300,8 @@ class TestLimitPlan:
         spec = critical_spec(seed=42, dist=LOGN)
         plan = L.LimitPlan.for_spec(spec)
         for r in range(3):
-            rep = replace(spec, replicate=r)
-            a, b = L.run_limit(rep, plan), L.run_limit(rep)
+            a = L.run_limit(plan, r)
+            b = L.run_limit(L.LimitPlan.for_spec(spec), r)
             assert np.array_equal(a.Xhat, b.Xhat)
             assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
 
@@ -311,41 +310,15 @@ class TestLimitPlan:
         assert np.all(run.field.W == 0.0)
         assert np.all(run.Hhat_1 == 0.0) and np.all(run.M1 == 0.0)
 
-    @pytest.mark.parametrize("other, match", [
-        ({"dx": 0.05}, "grid"),
-        ({"dt": 0.02}, "grid"),
-        ({"T": 1.0}, "horizon"),
-        ({"dist": EXP}, "law"),
-        ({"dist": make_service_dist("lognormal", sigma=0.7)}, "law"),
-        ({"test_functions": {"one": (ONE, ZERO)}}, "test functions"),
-        # its own plan would be "mixed" and refused; this one is "critical"
-        ({"fluid_init": FluidInit(Ebar=2.0, x0=0.0)}, "fluid initial data"),
-    ], ids=["dx", "dt", "horizon", "family", "parameter", "test-functions",
-            "fluid-init"])
-    def test_plan_for_another_run_rejected(self, other, match):
-        plan = L.LimitPlan.for_spec(critical_spec(dist=LOGN))
-        with pytest.raises(ValueError, match=match):
-            L.run_limit(critical_spec(seed=1, **{"dist": LOGN, **other}), plan)
-
-    def test_plan_for_other_density_nodes_rejected(self):
-        # a node-pair density is compared value by value, not by its repr
-        xs = np.linspace(0.0, 12.0, 2401)
-        p0 = np.exp(-xs)
-        init = lambda p: FluidInit(Ebar=1.0, x0=1.0, nu0_density=(xs, p))
-        plan = L.LimitPlan.for_spec(critical_spec(fluid_init=init(p0)))
-        L.run_limit(critical_spec(seed=1, fluid_init=init(p0.copy())), plan)
-        moved = p0.copy()
-        moved[1200] *= 1.0 + 1e-12
-        with pytest.raises(ValueError, match="fluid initial data"):
-            L.run_limit(critical_spec(seed=1, fluid_init=init(moved)), plan)
-
     def test_readouts_use_the_plan_weights(self):
-        # run_limit's nuhat is the read-out on readout_weights, bit for bit
+        # run_limit's nuhat is the read-out on the plan's S_t(f) and
+        # readout_weights, bit for bit
         spec = critical_spec(seed=43, dist=LOGN)
-        run = L.run_limit(spec)
+        run = L.run_limit(L.LimitPlan.for_spec(spec))
         plan, tg = run.plan, run.t_grid
         for name, (f, fp) in spec.tests().items():
             S_f = L.s_op(None, LOGN, f, tg)
+            assert np.array_equal(plan.S[name], S_f), name
             H_f = L.conv_H(run.field, plan.kernels[name])
             w = plan.readout_weights(f, fp)
             want = (L.hat_nu_stieltjes(S_f, run.Khat, H_f, *w) if fp is None
@@ -532,17 +505,17 @@ class TestRunInvariants:
 
         grid = L.LimitGrid(T=1.5, dt=0.01, dx=0.1)
         init_sub = FluidInit(Ebar=0.5, x0=0.5, nu0_density={"invariant": 0.5})
-        sub = L.run_limit(L.LimitSpec(
+        sub = L.run_limit(L.LimitPlan.for_spec(L.LimitSpec(
             dist=EXP, arrival=poisson_arr(0.5), fluid_init=init_sub, grid=grid,
-            x0hat=0.2, nu0hat={"atoms": [(0.3, 0.2)]}, seed=33))
+            x0hat=0.2, nu0hat={"atoms": [(0.3, 0.2)]}, seed=33)))
         assert sub.regime == "subcritical"
         assert L.smg_bookkeeping_residual(sub) == 0.0, (
             "subcritical entry perturbation must be a bitwise arrival copy")
 
         init_sup = FluidInit(Ebar=1.5, x0=1.0, nu0_density={"invariant": 1.0})
-        sup = L.run_limit(L.LimitSpec(
+        sup = L.run_limit(L.LimitPlan.for_spec(L.LimitSpec(
             dist=EXP, arrival=poisson_arr(1.5), fluid_init=init_sup, grid=grid,
-            x0hat=0.4, seed=34))
+            x0hat=0.4, seed=34)))
         assert sup.regime == "supercritical"
         assert L.smg_bookkeeping_residual(sup) < EXACT_TOL
         assert np.all(sup.vhat == 0.0)
@@ -573,8 +546,9 @@ class TestRunInvariants:
         fl = solve_fluid(EXP, init, grid.T, grid.dt)
         assert fl.regime == "mixed"
         with pytest.raises(ValueError, match="mixed"):
-            L.run_limit(L.LimitSpec(dist=EXP, arrival=poisson_arr(0.7),
-                                    fluid_init=init, grid=grid, seed=38))
+            L.run_limit(L.LimitPlan.for_spec(L.LimitSpec(
+                dist=EXP, arrival=poisson_arr(0.7), fluid_init=init, grid=grid,
+                seed=38)))
 
 
 class TestHalfinWhitt:
@@ -631,8 +605,7 @@ class TestAgeBalance:
         # strict band runs in the acceptance battery with more seeds
         means = []
         for dtv in (0.04, 0.02, 0.01):
-            plan = L.LimitPlan.for_spec(critical_spec(T=1.0, dt=dtv))
-            vals = [abs(L.sae_residual(critical_run(200 + s, plan, T=1.0, dt=dtv),
+            vals = [abs(L.sae_residual(critical_run(200 + s, T=1.0, dt=dtv),
                                        EXPD, NEXPD))
                     for s in range(24)]
             means.append(float(np.mean(vals)))

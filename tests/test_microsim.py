@@ -25,7 +25,6 @@ from queuelab.microsim import (
     conservation_check,
     eval_age_functional,
     invariant_ages,
-    representation_residual,
     shift_consistency_check,
     simulate,
 )
@@ -520,18 +519,12 @@ class TestReadouts:
                             initial=InitialCondition(x0=10, ages="invariant"),
                             seed=77, replicate=r)
             path = simulate(cfg)
-            res_coarse.append(abs(representation_residual(path, dist, f, 2.0, 4e-3)))
-            res_fine.append(abs(representation_residual(path, dist, f, 2.0, 2e-3)))
+            # the restart check from s = 0 is the representation defect
+            res_coarse.append(abs(shift_consistency_check(path, dist, f, 0.0, 2.0, 4e-3)))
+            res_fine.append(abs(shift_consistency_check(path, dist, f, 0.0, 2.0, 2e-3)))
         ratio = np.mean(res_fine) / np.mean(res_coarse)
         assert 0.2 < ratio < 0.9, f"halving dt gave ratio {ratio:.3f}"
         assert np.mean(res_fine) < 0.05
-
-    def test_shift_consistency_at_zero_equals_representation(self):
-        path = simulate(quick_config(N=5, x0=7, ages="invariant", seed=42, T=3.0))
-        f = lambda x: np.exp(-x)
-        a = shift_consistency_check(path, EXP, f, 0.0, 2.0, 1e-3)
-        b = representation_residual(path, EXP, f, 2.0, 1e-3)
-        assert abs(a - b) < 1e-10
 
     def test_shift_consistency_small_midpath(self):
         vals = []
