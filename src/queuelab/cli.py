@@ -45,24 +45,53 @@ from . import scalestats
 
 __all__ = ["ExperimentConfig", "load_config", "validate_config", "run", "main"]
 
+_NUMBERS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_NULL = {"type": "null"}
+
+
+def _forms(*plain, **keyed):
+    """A value of a plain schema or a one-key object {key: keyed[key]}."""
+    return {"anyOf": [*plain, *({"type": "object", "required": [k],
+                                 "properties": {k: v}, "additionalProperties": False}
+                                for k, v in keyed.items())]}
+
+
+def _lists(*keys):
+    """An object of the given number lists."""
+    return {"type": "object", "required": list(keys),
+            "properties": dict.fromkeys(keys, _NUMBERS),
+            "additionalProperties": False}
+
+
+# the rate specs dists.as_rate takes from a config
+_RATE_SPEC = _forms({"type": "number"}, const={"type": "number"},
+                    affine={**_NUMBERS, "minItems": 2, "maxItems": 2},
+                    pwlin=_lists("t", "v"))
+
+# renewal arrivals take constant rates and sigma2; inhom_poisson takes
+# rate specs and no sigma2, which its diffusion does not read
+_ARRIVAL_KEYS = {
+    "renewal": {"lambda_bar": {"type": "number", "exclusiveMinimum": 0},
+                "beta": {"type": "number"},
+                "sigma2": {"type": "number", "exclusiveMinimum": 0}},
+    "inhom_poisson": {"lambda_bar": _RATE_SPEC, "beta": _RATE_SPEC},
+}
 _ARRIVAL_SCHEMA = {
     "type": "object",
     "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["renewal", "inhom_poisson"]},
-        "lambda_bar": {},
-        "beta": {},
-        "sigma2": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
+    "properties": {"kind": {"enum": list(_ARRIVAL_KEYS)}},
+    "allOf": [{"if": {"required": ["kind"],
+                      "properties": {"kind": {"const": kind}}},
+               "then": {"properties": {"kind": {}, **keys},
+                        "additionalProperties": False}}
+              for kind, keys in _ARRIVAL_KEYS.items()],
 }
 
 # fluid initial data: a fluid config's model, a limit config's model.fluid
 _FLUID_INIT_PROPERTIES = {
-    "Ebar": {},
+    "Ebar": _RATE_SPEC,
     "x0": {"type": "number", "minimum": 0},
-    "nu0": {},
-    "x_max": {"type": "number"},
+    "nu0": _forms(_NULL, invariant={"type": "number"}, grid=_lists("x", "p")),
 }
 
 SCHEMA = {
@@ -98,7 +127,9 @@ SCHEMA = {
                            "arrival": _ARRIVAL_SCHEMA,
                            "initial": {"type": "object", "properties": {
                                "x0": {"type": "integer", "minimum": 0},
-                               "ages": {},
+                               "ages": _forms(_NULL, {"const": "invariant"}, {
+                                   "type": "array",
+                                   "items": {"type": "number", "minimum": 0}}),
                                "residual_sampling": {
                                    "enum": ["conditional", "fresh"]}},
                                "additionalProperties": False}},
@@ -128,18 +159,16 @@ SCHEMA = {
                                      "properties": _FLUID_INIT_PROPERTIES,
                                      "additionalProperties": False},
                            "x0hat": {"type": "number"},
-                           "nu0hat": {},
-                           "regime": {"enum": ["subcritical", "critical",
-                                               "supercritical"]}},
+                           "nu0hat": _forms(_NULL, density=_lists("x", "v"), atoms={
+                               "type": "array", "items": {**_NUMBERS, "minItems": 2,
+                                                          "maxItems": 2}})},
                        "additionalProperties": False},
              "numerics": {"type": "object", "required": ["T", "dt", "dx"],
                           "properties": {
                               "T": {"type": "number", "exclusiveMinimum": 0},
                               "dt": {"type": "number", "exclusiveMinimum": 0},
                               "dx": {"type": "number", "exclusiveMinimum": 0},
-                              "x_max": {"type": "number"},
-                              "tail_budget": {"type": "number",
-                                              "exclusiveMinimum": 0}},
+                              "x_max": {"type": "number"}},
                           "additionalProperties": False}}}},
         {"if": {"properties": {"kind": {"const": "verify"}}},
          "then": {"properties": {
@@ -271,37 +300,19 @@ def _build_initial(spec):
                                                        "conditional"))
 
 
-def _build_fluid_nu0(spec, where):
-    if spec is None:
-        return None
-    if isinstance(spec, dict) and "invariant" in spec:
-        return {"invariant": float(spec["invariant"])}
-    if isinstance(spec, dict) and "grid" in spec:
-        g = spec["grid"]
-        return (np.asarray(g["x"], dtype=float), np.asarray(g["p"], dtype=float))
-    raise SchemaError(f"{where}.nu0: expected null, {{'invariant': m}} or "
-                      "{'grid': {'x': [...], 'p': [...]}}")
+def _arrays(block, *keys):
+    """The library's array tuple for a config object of number lists."""
+    return tuple(np.asarray(block[k], dtype=float) for k in keys)
 
 
-def _build_fluid_init(block, x0, where):
-    """FluidInit from the fluid keys of the config block at `where`; x0 is
-    the block's default initial headcount."""
+def _build_fluid_init(block, x0):
+    """FluidInit from the fluid keys of a config block; x0 is the block's
+    default initial headcount."""
+    nu0 = block.get("nu0")
+    if nu0 is not None and "grid" in nu0:
+        nu0 = _arrays(nu0["grid"], "x", "p")
     return FluidInit(Ebar=block.get("Ebar", 1.0), x0=float(block.get("x0", x0)),
-                     nu0_density=_build_fluid_nu0(block.get("nu0"), where),
-                     x_max=block.get("x_max"))
-
-
-def _build_nu0hat(spec):
-    if spec is None:
-        return None
-    if isinstance(spec, dict) and "atoms" in spec:
-        return {"atoms": [(float(x), float(w)) for x, w in spec["atoms"]]}
-    if isinstance(spec, dict) and "density" in spec:
-        d = spec["density"]
-        return {"density": (np.asarray(d["x"], dtype=float),
-                            np.asarray(d["v"], dtype=float))}
-    raise SchemaError("model.nu0hat: expected null, {'atoms': [[x, w], ...]} "
-                      "or {'density': {'x': [...], 'v': [...]}}")
+                     nu0_density=nu0)
 
 
 def _csv(header, columns):
@@ -384,11 +395,7 @@ def _sim_one(sim, replicate):
     summary = {
         "replicate": replicate,
         "events": int(path.ev_time.size),
-        "final": {"E": int(path.E[-1]) if path.ev_time.size else 0,
-                  "D": int(path.D[-1]) if path.ev_time.size else 0,
-                  "K": int(path.K[-1]) if path.ev_time.size else 0,
-                  "X": int(path.X[-1]) if path.ev_time.size else path.x0,
-                  "B": int(path.B[-1]) if path.ev_time.size else path.b0},
+        "final": dict(zip("EDKXB", path.counters_at(path.T))),
         "identity_violations": {k: int(v) for k, v in checks.items()},
     }
     return text, summary
@@ -419,7 +426,7 @@ def _run_sim(cfg, out):
 def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
-    init = _build_fluid_init(cfg.model, 0.0, "model")
+    init = _build_fluid_init(cfg.model, 0.0)
     path = solve_fluid(dist, init, float(cfg.numerics["T"]),
                        float(cfg.numerics["dt"]))
     summary = {"regime": path.regime,
@@ -437,19 +444,21 @@ def _run_fluid(cfg, out):
 
 def _limit_spec(cfg):
     """The limit run's spec; its paths differ only in the replicate index."""
-    init = _build_fluid_init(cfg.model["fluid"], 1.0, "model.fluid")
-    grid = LimitGrid(T=float(cfg.numerics["T"]), dt=float(cfg.numerics["dt"]),
-                     dx=float(cfg.numerics["dx"]),
-                     x_max=cfg.numerics.get("x_max"),
-                     tail_budget=float(cfg.numerics.get("tail_budget", 1e-6)))
+    init = _build_fluid_init(cfg.model["fluid"], 1.0)
+    nu0hat = cfg.model.get("nu0hat")
+    if nu0hat is not None and "density" in nu0hat:
+        nu0hat = {"density": _arrays(nu0hat["density"], "x", "v")}
+    try:  # the schema admits LimitGrid's fields only
+        grid = LimitGrid(**{k: float(v) for k, v in cfg.numerics.items()})
+    except ValueError as e:  # its message starts with the field's name
+        raise SchemaError(f"numerics.{e}") from None
     return LimitSpec(dist=_build_service(cfg.model["service"]),
                      arrival=_build_arrival(cfg.model["arrival"]),
                      fluid_init=init, grid=grid,
                      x0hat=float(cfg.model.get("x0hat", 0.0)),
-                     nu0hat=_build_nu0hat(cfg.model.get("nu0hat")),
+                     nu0hat=nu0hat,
                      seed=int(cfg.run.get("seed", 0)),
-                     noise_off=bool(cfg.run.get("noise_off", False)),
-                     regime=cfg.model.get("regime"))
+                     noise_off=bool(cfg.run.get("noise_off", False)))
 
 
 def _limit_one(plan, replicate):

@@ -129,7 +129,7 @@ def _hazard_from(density, sf):
     return hazard
 
 
-def _from_scipy(name, frozen, support_end=np.inf, mean=None):
+def _from_scipy(name, frozen, mean=None):
     mean = float(frozen.mean()) if mean is None else float(mean)
 
     def cdf(x):
@@ -159,7 +159,7 @@ def _from_scipy(name, frozen, support_end=np.inf, mean=None):
 
     return ServiceDistribution(
         name=name, cdf=cdf, density=density, hazard=hazard,
-        support_end=float(support_end), mean=mean, sampler=sampler,
+        support_end=np.inf, mean=mean, sampler=sampler,
         sf=sf, conditional=conditional,
     )
 
@@ -477,12 +477,11 @@ class HolderReport:
 
     C_G: float
     gamma_G: float
-    max_violation: float
     grid_used: dict
 
     def as_dict(self):
         return {"C_G": self.C_G, "gamma_G": self.gamma_G,
-                "max_violation": self.max_violation, "grid_used": self.grid_used}
+                "grid_used": self.grid_used}
 
 
 def _holder_ratios(dist, x_grid, y_grid, gamma):
@@ -512,36 +511,23 @@ def _density_explodes(dist, z_lo, z_hi):
     return g1 > 1.5 * g2 and g1 > 2.0 * max(gmid, 1e-300)
 
 
-def holder_check(dist, x_grid, y_grid, gamma=None, C=None):
+def holder_check(dist, x_grid, y_grid):
     """Fit the smallest grid constant for the survival-ratio Holder bound.
 
     Exponent search is restricted to {1, 1/2}.  gamma=1 is reported (its
     constant is sup g / survival on the touched range) unless the density
     blows up at the low end of that range, where no finite Lipschitz
-    constant survives grid refinement; then 1/2 is reported.  Passing an
-    explicit (gamma, C) turns the call into a pure check and the report's
-    max_violation is the worst exceedance of that bound on the grid.
+    constant survives grid refinement; then 1/2 is reported.
     """
     x = np.asarray(x_grid, dtype=float)
     y = np.asarray(y_grid, dtype=float)
     grid_used = {"x": [float(x.min()), float(x.max()), int(x.size)],
                  "y": [float(y.min()), float(y.max()), int(y.size)]}
-    if gamma is not None:
-        if gamma not in (1.0, 0.5):
-            raise ValueError("gamma must be 1 or 0.5")
-        ratios = _holder_ratios(dist, x, y, gamma)
-        fit = float(ratios.max()) if ratios.size else 0.0
-        if C is None:
-            return HolderReport(fit, gamma, 0.0, grid_used)
-        viol = max(0.0, fit - float(C)) if ratios.size else 0.0
-        return HolderReport(float(C), gamma, viol, grid_used)
     z_lo = float(x.min() + y.min())
     z_hi = float(x.max() + y.max())
-    if _density_explodes(dist, z_lo, z_hi):
-        c_half = float(_holder_ratios(dist, x, y, 0.5).max())
-        return HolderReport(c_half, 0.5, 0.0, grid_used)
-    c1 = float(_holder_ratios(dist, x, y, 1.0).max())
-    return HolderReport(c1, 1.0, 0.0, grid_used)
+    gamma = 0.5 if _density_explodes(dist, z_lo, z_hi) else 1.0
+    return HolderReport(float(_holder_ratios(dist, x, y, gamma).max()), gamma,
+                        grid_used)
 
 
 def phi_op(dist, f, t):

@@ -235,16 +235,15 @@ def solve_fluid(dist, init, T, dt):
     return path
 
 
-def classify_regime(path, tol=None):
+def classify_regime(path):
     """Label the trajectory by where the headcount sits against capacity.
 
     Each node is zoned below / at / above capacity with a band of half
-    width tol (default 10 * dt).  A path visiting at most two zones in one
+    width 10 * dt.  A path visiting at most two zones in one
     direction is labeled by its final zone (subcritical / critical /
     supercritical); re-entries or three-zone paths are flagged "mixed".
     """
-    if tol is None:
-        tol = 10.0 * path.dt
+    tol = 10.0 * path.dt
     X = path.Xbar
     zones = np.where(X < 1.0 - tol, -1, np.where(X > 1.0 + tol, 1, 0))
     collapsed = zones[np.concatenate([[True], np.diff(zones) != 0])]

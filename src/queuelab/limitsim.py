@@ -79,25 +79,32 @@ __all__ = [
 ]
 
 
+TAIL_BUDGET = 1e-6
+
+
 @dataclass(frozen=True)
 class LimitGrid:
     """Uniform time step dt on [0, T], age cells of width dx up to x_max.
 
     x_max = None resolves against the service law: the smallest age with
-    survival below tail_budget, so the truncated field mass is negligible.
+    survival below TAIL_BUDGET, so the truncated field mass is negligible.
+    An x_max below dx would leave no age cell, so no departure noise; it
+    is refused.  Each error message starts with the field it names.
     """
 
     T: float
     dt: float
     dx: float
     x_max: Optional[float] = None
-    tail_budget: float = 1e-6
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0 or self.dx <= 0:
             raise ValueError("T, dt, dx must be positive")
         if int(round(self.T / self.dt)) < 1:
-            raise ValueError("need at least one time step")
+            raise ValueError(f"T: {self.T} holds no time step of dt = {self.dt}")
+        if self.x_max is not None and self.x_max < self.dx:
+            raise ValueError(f"x_max: {self.x_max} is below dx = {self.dx}, "
+                             "so the field has no age cell")
 
     def t_grid(self):
         return np.arange(int(round(self.T / self.dt)) + 1) * self.dt
@@ -106,7 +113,7 @@ class LimitGrid:
 def resolve_x_max(grid, dist):
     if grid.x_max is not None:
         return float(grid.x_max)
-    return math.ceil(dist.tail_point(grid.tail_budget) / grid.dx) * grid.dx
+    return math.ceil(dist.tail_point(TAIL_BUDGET) / grid.dx) * grid.dx
 
 
 @dataclass
@@ -209,11 +216,11 @@ def conv_H(field, kernel):
 def s_op(nu0hat, dist, f, t_grid):
     """Transported initial perturbation S_t(f) = nu0hat(Phi_t f).
 
-    nu0hat: None or "zero"; {"atoms": [(x, w), ...]};
+    nu0hat: None; {"atoms": [(x, w), ...]};
     {"density": (x_nodes, values)} integrated by trapezoid.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if nu0hat is None or nu0hat == "zero":
+    if nu0hat is None:
         return np.zeros(t_grid.size)
     if isinstance(nu0hat, dict) and "atoms" in nu0hat:
         out = np.zeros(t_grid.size)
@@ -247,10 +254,9 @@ def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size - 1
     dt = float(t_grid[1] - t_grid[0])
-    if regime == "mixed":
-        raise ValueError("mixed regime trajectories are outside this solver")
     if regime not in ("subcritical", "critical", "supercritical"):
-        raise ValueError(f"unknown regime: {regime!r}")
+        raise ValueError(f"regime {regime!r}: mixed or unknown regimes are "
+                         "outside this solver")
     clamp = {"subcritical": lambda x: x,
              "critical": lambda x: min(x, 0.0),
              "supercritical": lambda x: 0.0}[regime]
@@ -382,7 +388,6 @@ class LimitSpec:
     seed: int = 0
     noise_off: bool = False
     test_functions: Optional[dict] = None
-    regime: Optional[str] = None
 
     def tests(self):
         """The read-out family: test_functions, or the default one."""
@@ -409,7 +414,7 @@ class LimitPlan:
     """
 
     spec: LimitSpec
-    regime: str              # spec.regime, else the fluid path's regime
+    regime: str              # the fluid path's regime
     t_edges: np.ndarray
     x_edges: np.ndarray
     intensity: np.ndarray
@@ -442,7 +447,7 @@ class LimitPlan:
         sfx = np.asarray(dist.sf(xm))
         cols = np.flatnonzero((sfx > 0.0) & np.any(intensity > 0.0, axis=0))
         ages = (xm[cols] + lags[:, None]).ravel()
-        plan = cls(spec=spec, regime=spec.regime or fpath.regime,
+        plan = cls(spec=spec, regime=fpath.regime,
                    t_edges=t_edges, x_edges=x_edges, intensity=intensity,
                    sqrt_intensity=np.sqrt(intensity), cols=cols,
                    nfft=next_fast_len(2 * nt - 1, real=True), ages=ages,
@@ -568,17 +573,17 @@ def smg_bookkeeping_residual(run):
     return float(np.max(np.abs(run.Khat - target)))
 
 
-def sae_residual(run, f, fprime, t=None):
-    """Defect of the semimartingale age balance for phi(x, s) = f(x).
+def sae_residual(run, f, fprime):
+    """Defect of the semimartingale age balance for phi(x, s) = f(x) at T.
 
-    nuhat_t(f) - nuhat_0(f) - int_0^t nuhat_s(f' - f h) ds
-    + (field mass of f up to t) - f(0) Khat_t, all terms on the sample.
+    nuhat_T(f) - nuhat_0(f) - int_0^T nuhat_s(f' - f h) ds
+    + (field mass of f up to T) - f(0) Khat_T, all terms on the sample.
     Left-rule outer integral: O(dt).  noise_off with zero data gives 0.
     """
     dist = run.spec.dist
     t_grid = run.t_grid
     dt = float(t_grid[1] - t_grid[0])
-    i = t_grid.size - 1 if t is None else int(round(t / dt))
+    i = t_grid.size - 1
     plan = run.plan
     S_f = s_op(run.spec.nu0hat, dist, f, t_grid)
     H_f = conv_H(run.field, plan.kernel(f))

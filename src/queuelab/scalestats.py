@@ -43,8 +43,8 @@ __all__ = [
     "verify_representation",
 ]
 
-# two-sided KS critical coefficients c(alpha): D > c sqrt((n+m)/(nm))
-_KS_COEFF = {0.10: 1.2238, 0.05: 1.3581, 0.01: 1.6276}
+# two-sided KS critical coefficient at level 0.05: D > c sqrt((n+m)/(nm))
+_KS_C = 1.3581
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,9 @@ def ks_distance(a, b):
     return float(np.max(np.abs(cum[block_end])) / (a.size * b.size))
 
 
-def ks_critical(n, m, alpha=0.05):
-    """Two-sided KS rejection threshold at level alpha."""
-    try:
-        c = _KS_COEFF[alpha]
-    except KeyError:
-        raise ValueError(f"alpha must be one of {sorted(_KS_COEFF)}")
-    return c * math.sqrt((n + m) / (n * m))
+def ks_critical(n, m):
+    """Two-sided KS rejection threshold at level 0.05."""
+    return _KS_C * math.sqrt((n + m) / (n * m))
 
 
 def qv_estimate(x):
@@ -140,11 +136,11 @@ def qv_estimate(x):
     return float(np.sum(np.diff(x) ** 2))
 
 
-def moment_bound_check(samples, k, bound, name=None, rng=None):
+def moment_bound_check(samples, k, bound, name=None):
     """95% upper confidence bound on E[S^k] held below a bound.
 
     Normal approximation for 1000+ replicates, otherwise a percentile
-    bootstrap of the mean (2000 resamples).
+    bootstrap of the mean (2000 resamples, seed 12345).
     """
     s = np.asarray(samples, dtype=float) ** k
     n = s.size
@@ -153,7 +149,7 @@ def moment_bound_check(samples, k, bound, name=None, rng=None):
     if n >= 1000:
         ucb = mean + 1.6449 * se
     else:
-        rng = rng or np.random.default_rng(12345)
+        rng = np.random.default_rng(12345)
         boot = rng.choice(s, size=(2000, n), replace=True).mean(axis=1)
         ucb = float(np.quantile(boot, 0.95))
     return TestReport(statistic=name or f"moment-k{k}", value=ucb,
@@ -176,8 +172,8 @@ def _cfg(defaults, config):
     return out
 
 
-def _poisson(lam=1.0, beta=0.0):
-    return ArrivalSpec("renewal", lam, beta=beta, sigma2=lam)
+def _poisson(lam=1.0):
+    return ArrivalSpec("renewal", lam, sigma2=lam)
 
 
 def verify_flln(config=None):
@@ -338,11 +334,13 @@ def verify_sae(config=None):
     }
     lo, hi = cfg["ratio_band"]
     means = {fname: [] for fname in funcs}
+    # sae_residual reads out f itself, so the plans build no read-outs
     for dtv in cfg["dt_levels"]:
         grid = LimitGrid(T=cfg["T"], dt=dtv, dx=cfg["dx"])
         plan = LimitPlan.for_spec(LimitSpec(dist=dist, arrival=arr,
                                             fluid_init=init, grid=grid,
-                                            seed=cfg["seed"]))
+                                            seed=cfg["seed"],
+                                            test_functions={}))
         vals = {fname: [] for fname in funcs}
         for s in range(cfg["seeds"]):
             run = run_limit(plan, s)
@@ -364,7 +362,7 @@ def verify_sae(config=None):
     grid = LimitGrid(T=cfg["T"], dt=cfg["dt_levels"][-1], dx=cfg["dx"])
     run = run_limit(LimitPlan.for_spec(LimitSpec(
         dist=dist, arrival=arr, fluid_init=init, grid=grid, seed=0,
-        noise_off=True)))
+        noise_off=True, test_functions={})))
     res = max(abs(sae_residual(run, f, fp)) for f, fp in funcs.values())
     reports.append(TestReport(statistic="sae-noise-off-zero", value=res,
                               threshold=0.0, passed=res == 0.0, replicates=1))

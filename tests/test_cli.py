@@ -316,7 +316,6 @@ class TestDistsCheck:
         rep = json.loads((out / "dists_check.json").read_text())
         assert rep["name"].startswith("exponential")
         assert rep["mean"] == pytest.approx(1.0)
-        assert rep["holder"]["max_violation"] == 0.0
         assert rep["renewal_U"]["value"] == pytest.approx(3.0,
                                                           abs=RENEWAL_TOL), (
             "rate-1 exponential renewal mass at T=2 is 1 + T = 3")
@@ -477,11 +476,16 @@ class TestExitCodes:
         (["dists", "check"], "numerics", "bogus", 1),
         (["verify", "representation"], "run", "seed", 1),
         (["verify", "representation"], "numerics", None, {"T": 1.0}),
+        (["limit", "run"], "model", "regime", "subcritical"),
+        (["limit", "run"], "numerics", "tail_budget", 1e-3),
+        (["fluid", "solve"], "model", "x_max", 25.0),
     ], ids=["sim-paths", "sim-noise-off", "limit-seeds", "fluid-seed",
             "fluid-jobs", "dists-seeds", "dists-numerics-bogus", "verify-seed",
-            "verify-numerics"])
+            "verify-numerics", "limit-regime", "limit-tail-budget",
+            "fluid-x-max"])
     def test_unread_key_exit_two(self, tmp_path, argv, block, key, value):
-        # each kind takes only the run and numerics keys it reads
+        # each kind takes only the model, run and numerics keys it reads;
+        # a limit run's regime is its fluid path's
         data = {"sim": sim_cfg(), "limit": limit_cfg(),
                 "fluid": {"schema_version": 1, "kind": "fluid",
                           "model": {"service": "exponential"},
@@ -503,8 +507,10 @@ class TestExitCodes:
         assert not out.exists(), "a rejected config must write no file"
 
     @pytest.mark.parametrize("key, value", [
-        ("X0", 0.5), ("x0", -1), ("nu0", {"bogus": 1.0})],
-        ids=["typo", "negative-x0", "bad-nu0"])
+        ("X0", 0.5), ("x0", -1), ("nu0", {"bogus": 1.0}), ("x_max", 25.0),
+        ("nu0", {"grid": {"x": [0.0, 1.0]}}), ("Ebar", {"rate": 1.0})],
+        ids=["typo", "negative-x0", "bad-nu0", "x-max", "grid-without-p",
+             "dict-ebar"])
     def test_limit_fluid_block_checked(self, tmp_path, key, value):
         # model.fluid takes a fluid config's initial-data keys and values
         data = limit_cfg()
@@ -514,6 +520,51 @@ class TestExitCodes:
                                         write_cfg(tmp_path, data), "--out", str(out)])
         assert res.exit_code == 2, res.output
         assert f"config error: model.fluid.{key}: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
+    @pytest.mark.parametrize("kind, where, value, field", [
+        ("sim", "model.arrival.lambda_bar", {"const": 1.0},
+         "model.arrival.lambda_bar"),
+        ("sim", "model.arrival.beta", [0.5], "model.arrival.beta"),
+        ("sim", "model.arrival.lambda_bar", "1.0", "model.arrival.lambda_bar"),
+        ("sim", "model.arrival", {"kind": "inhom_poisson",
+                                  "lambda_bar": {"pwlin": {"t": [0.0, 1.0]}}},
+         "model.arrival.lambda_bar"),
+        ("sim", "model.arrival", {"kind": "inhom_poisson", "lambda_bar": 1.0,
+                                  "sigma2": 1.0}, "model.arrival.sigma2"),
+        ("sim", "model.initial", {"x0": 10, "ages": "foo"},
+         "model.initial.ages"),
+        ("fluid", "model.nu0", {"invariant": "x"}, "model.nu0"),
+        ("limit", "model.nu0hat", {"atoms": [[1.0]]}, "model.nu0hat"),
+        ("limit", "model.nu0hat", {"density": {"x": [0.0, 1.0]}},
+         "model.nu0hat"),
+        ("limit", "numerics.x_max", -1, "numerics.x_max"),
+        ("limit", "numerics.x_max", 0, "numerics.x_max"),
+        ("limit", "numerics.x_max", 0.04, "numerics.x_max"),
+        ("limit", "numerics.T", 0.004, "numerics.T"),
+    ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
+            "pwlin-without-v", "inhom-sigma2", "ages-string",
+            "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
+            "x-max-negative", "x-max-zero", "x-max-below-dx", "no-time-step"])
+    def test_bad_shape_exit_two(self, tmp_path, kind, where, value, field):
+        # every config shape the builders take is checked before anything
+        # runs; limit numerics have dx = 0.05 and dt = 0.01
+        data = {"sim": sim_cfg(), "limit": limit_cfg(),
+                "fluid": {"schema_version": 1, "kind": "fluid",
+                          "model": {"service": "exponential"},
+                          "numerics": {"T": 1.0, "dt": 0.01}}}[kind]
+        *parents, key = where.split(".")
+        block = data
+        for name in parents:
+            block = block[name]
+        block[key] = value
+        argv = {"sim": ["sim", "run"], "limit": ["limit", "run"],
+                "fluid": ["fluid", "solve"]}[kind]
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, argv + ["--config", write_cfg(tmp_path, data),
+                                               "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: {field}: " in res.output
         assert not out.exists(), "a rejected config must write no file"
 
     @pytest.mark.parametrize("argv, kind, data", [

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from queuelab.dists import make_service_dist
-from queuelab.fluid import (
-    FluidInit,
-    classify_regime,
-    solve_fluid,
-)
+from queuelab.fluid import FluidInit, solve_fluid
 
 EXP = make_service_dist("exponential")
 LOGN = make_service_dist("lognormal", sigma=0.5)
@@ -104,11 +100,6 @@ class TestRegimes:
         init = FluidInit(Ebar={"affine": [0.4, 0.4]}, x0=0.0)
         path = solve_fluid(EXP, init, T=5.0, dt=2e-3)
         assert path.regime == "mixed"
-
-    def test_explicit_tol_override(self):
-        path = solve_fluid(EXP, FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),
-                           T=2.0, dt=1e-3)
-        assert classify_regime(path, tol=0.5) == "critical"
 
 
 class TestAgeReadout:

@@ -62,7 +62,7 @@ class TestGridAndIntensity:
         grid = L.LimitGrid(T=1.0, dt=0.05, dx=0.25)
         xm = L.resolve_x_max(grid, EXP)
         # exp survival crosses 1e-6 at -ln(1e-6) ~ 13.8
-        assert xm >= -np.log(grid.tail_budget) - 1e-9
+        assert xm >= -np.log(L.TAIL_BUDGET) - 1e-9
         assert abs(xm / grid.dx - round(xm / grid.dx)) < 1e-9
         explicit = L.LimitGrid(T=1.0, dt=0.05, dx=0.25, x_max=6.0)
         assert L.resolve_x_max(explicit, EXP) == 6.0

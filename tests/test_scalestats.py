@@ -62,8 +62,6 @@ class TestKsDistance:
     def test_critical_value(self):
         want = 1.3581 * np.sqrt(2.0 / 100.0)
         assert abs(S.ks_critical(100, 100) - want) < 1e-12
-        with pytest.raises(ValueError):
-            S.ks_critical(100, 100, alpha=0.2)
 
 
 class TestScaledPath:
