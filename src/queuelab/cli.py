@@ -34,7 +34,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .dists import (ArrivalSpec, ServiceSpecError, holder_check,
+from .dists import (ArrivalSpec, ServiceSpecError, as_rate, holder_check,
                     make_service_dist, renewal_function)
 from .fluid import FluidInit, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
@@ -67,6 +67,12 @@ def _lists(*keys):
 _RATE_SPEC = _forms({"type": "number"}, const={"type": "number"},
                     affine={**_NUMBERS, "minItems": 2, "maxItems": 2},
                     pwlin=_lists("t", "v"))
+
+# where each kind's model holds rate specs; a pwlin one must also have
+# strictly increasing t and one v per t, which the schema cannot say
+_RATE_FIELDS = {"sim": ("arrival.lambda_bar", "arrival.beta"),
+                "limit": ("arrival.lambda_bar", "arrival.beta", "fluid.Ebar"),
+                "fluid": ("Ebar",)}
 
 # renewal arrivals take constant rates and sigma2; inhom_poisson takes
 # rate specs and no sigma2, which its diffusion does not read
@@ -246,6 +252,15 @@ def validate_config(data):
                           ["run"])
     if msg is not None:
         raise SchemaError(msg)
+    for where in _RATE_FIELDS.get(data["kind"], ()):
+        spec = data["model"]
+        for key in where.split("."):
+            spec = spec.get(key, {})
+        if isinstance(spec, dict) and "pwlin" in spec:
+            try:
+                as_rate(spec)
+            except ValueError as e:
+                raise SchemaError(f"model.{where}.pwlin: {e}") from None
     return ExperimentConfig(
         schema_version=data["schema_version"], kind=data["kind"],
         model=data.get("model", {}), numerics=data.get("numerics", {}),

@@ -11,6 +11,8 @@ other layers need about a law is made here and nowhere else:
 
     tail_point(eps)        first power of 2 with survival <= eps (at most
                            2^20, and at most L): where an age grid may stop
+    age_table              the stationary age law's cdf on 4097 nodes,
+                           built on first use and kept on the law
     grid_density(x, dt)    g on a dt-spaced grid, a non-finite node value
                            (g unbounded at 0) replaced by its cell's
                            average mass
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,7 +76,9 @@ class ServiceDistribution:
     full durations v ~ G given v > age (used for initially-in-service
     customers).  Safe to share across threads and replicates.  A law from
     make_service_dist records its spec and pickles as that spec, so it
-    crosses process boundaries by being rebuilt.
+    crosses process boundaries by being rebuilt; a cached table such as
+    age_table is rebuilt there on first use, and dataclasses.replace starts
+    the copy without it.
     """
 
     name: str
@@ -106,6 +111,27 @@ class ServiceDistribution:
         while self.sf(np.array([hi]))[0] > eps and hi < 1e6:
             hi *= 2.0
         return min(hi, self.support_end)
+
+    @cached_property
+    def age_table(self):
+        """(x, F): nodes and the stationary age cdf F(x) = int_0^x (1-G) / m
+        at them, for drawing invariant ages by inversion; read-only.
+
+        4097 nodes reach sf < 1e-9: uniform up to 32, else cells of 32/4096
+        at 0 growing geometrically, so a heavy tail does not coarsen the
+        body.  The trapezoid integral is normalized by its own total.
+        """
+        hi = self.tail_point(1e-9)
+        if hi <= 32.0:
+            x = np.linspace(0.0, hi, 4097)
+        else:
+            x = np.concatenate([[0.0], np.geomspace(32.0 / 4096, hi, 4096)])
+        tail = self.sf(x)
+        cdf = np.concatenate([[0.0], np.cumsum((tail[1:] + tail[:-1]) / 2.0 * np.diff(x))])
+        cdf /= cdf[-1]
+        x.flags.writeable = False
+        cdf.flags.writeable = False
+        return x, cdf
 
     def grid_density(self, x, dt):
         """g on grid nodes x spaced dt; a non-finite node value (a density
@@ -560,7 +586,8 @@ def as_rate(spec):
 
     Accepted forms: a number, a callable, {"const": c},
     {"affine": [a, b]} meaning a + b t, or
-    {"pwlin": {"t": [...], "v": [...]}} (linear interpolation, clamped).
+    {"pwlin": {"t": [...], "v": [...]}} (linear interpolation, clamped;
+    t strictly increasing, one v per t, else ValueError).
     """
     if callable(spec):
         return spec
@@ -577,6 +604,10 @@ def as_rate(spec):
         if "pwlin" in spec:
             tt = np.asarray(spec["pwlin"]["t"], dtype=float)
             vv = np.asarray(spec["pwlin"]["v"], dtype=float)
+            if tt.ndim != 1 or tt.shape != vv.shape:
+                raise ValueError(f"t and v differ in length ({tt.size} and {vv.size})")
+            if not np.all(np.diff(tt) > 0.0):
+                raise ValueError(f"t must be strictly increasing, got {tt.tolist()}")
             return lambda t: np.interp(np.asarray(t, dtype=float), tt, vv)
     raise ValueError(f"unrecognized rate spec: {spec!r}")
 

@@ -16,10 +16,11 @@ age read-out uses.  Each step closes the loop
     Kbar = <1, nu> - <1, nu_0> + int <h, nu_s> ds
     1 - <1, nu_t> = (1 - Xbar_t)^+
 
-with a scalar Picard iteration on the newest kappa cell (at most 50
-sweeps, tolerance 1e-10).  Everything is first-order in dt; the
-cell-midpoint kernel keeps the stationary profile stationary to O(dt^2)
-per step, which the 10*dt invariance test relies on.
+with a scalar Picard iteration on the newest kappa cell (tolerance
+1e-10; a step still off it after 50 sweeps raises ArithmeticError).
+Everything is first-order in dt; the cell-midpoint kernel keeps the
+stationary profile stationary to O(dt^2) per step, which the 10*dt
+invariance test relies on.
 
 Initial age densities must be absolutely continuous; atoms are outside
 this solver's contract.
@@ -164,8 +165,10 @@ def solve_fluid(dist, init, T, dt):
 
     Per step: evaluate mass and hazard load from the transport kernels,
     advance the entry flow so the non-idling closure holds, iterating the
-    newest entry cell to a 1e-10 fixed point.  Raises if the initial
-    density mass disagrees with min(x0, 1) by more than 1e-3.
+    newest entry cell to a 1e-10 fixed point.  Raises ValueError if the
+    initial density mass disagrees with min(x0, 1) by more than 1e-3, and
+    ArithmeticError, naming the step and its last residual, if a step does
+    not reach the fixed point in PICARD_MAX sweeps.
     """
     if dt <= 0 or T <= 0 or dt > T:
         raise ValueError("need 0 < dt <= T")
@@ -217,10 +220,15 @@ def solve_fluid(dist, init, T, dt):
             X_i = init.x0 + Ebar[i] - D_i
             B_target = min(max(X_i, 0.0), 1.0)
             kap_new = max(B_target - B[0] + D_i - K[i - 1], 0.0)
-            if abs(kap_new - kap) < PICARD_TOL:
-                kap = kap_new
-                break
+            residual = abs(kap_new - kap)
             kap = kap_new
+            if residual < PICARD_TOL:
+                break
+        else:
+            raise ArithmeticError(
+                f"fluid Picard iteration did not converge at step {i} "
+                f"(t={grid[i]:g}): residual {residual:.3e} after "
+                f"{PICARD_MAX} sweeps")
         kappa[i - 1] = kap
         H[i] = base_H + g_half[0] * kap
         B[i] = base_B + sf_half[0] * kap

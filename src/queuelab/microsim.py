@@ -3,10 +3,16 @@
 The state is (arrivals so far, headcount, the multiset of in-service ages).
 With FCFS and identical servers it follows from one recursion over
 customers (Kiefer & Wolfowitz 1955): customer k starts at
-max(a_k, earliest time a server frees) and leaves S_k later, one heap
-replacement per customer on the servers' free times.  The event log,
-counters, spans and departures are then built from the start and end times
-by one sort and cumulative sums.  Three tie rules fix the log's row order:
+s_k = max(a_k, earliest time a server frees) and leaves S_k later, one
+replacement per customer on a heap of the servers' free times, held as
+plain floats.  The loop records only s_k; the end times s_k + S_k are the
+same sums taken again as one array.  Which customer freed each start's
+server comes from one sort of the (free time, customer) pairs, idle
+servers as customer -1: the heap pops them in sorted order, because the
+pair (s_k + S_k, k) it pushes is larger than the pair it popped for k.
+The event log, counters, spans and departures are then built from the
+start and end times by one more sort and cumulative sums.  Three tie rules
+fix the log's row order:
 
     at equal times, departures come before arrivals
     equal-time departures come in customer-id order
@@ -30,7 +36,9 @@ first-order in their dt.
 Randomness is split into independent child streams (arrivals, services,
 initial data) of SeedSequence(seed, spawn_key=(replicate,)), so a
 (seed, replicate) pair pins the whole path.  Service durations are drawn in
-blocks of 256 and used in start order.
+blocks of 256 and used in start order, one sampler call per 256 starts.
+Renewal gaps are drawn in blocks of 256 as well and summed in order.
+Invariant initial ages invert a table the law builds once (age_table).
 """
 from __future__ import annotations
 
@@ -167,51 +175,76 @@ class PathRecord:
 
 def invariant_ages(dist, n, rng):
     """Sample n ages from the stationary age density (1 - G(x)) / mean."""
-    # numeric inverse of the integrated tail on 4097 nodes reaching
-    # sf < 1e-9: uniform up to 32, else cells of 32/4096 at 0 growing
-    # geometrically, so a heavy tail does not coarsen the body
-    hi = dist.tail_point(1e-9)
-    if hi <= 32.0:
-        x = np.linspace(0.0, hi, 4097)
-    else:
-        x = np.concatenate([[0.0], np.geomspace(32.0 / 4096, hi, 4096)])
-    tail = dist.sf(x)
-    cdf = np.concatenate([[0.0], np.cumsum((tail[1:] + tail[:-1]) / 2.0 * np.diff(x))])
-    cdf /= cdf[-1]
+    x, cdf = dist.age_table  # built once per law
     return np.interp(rng.uniform(size=n), cdf, x)
 
 
-def _arrival_feed(arrival, N, T, rng):
-    """Yield arrival times in (0, T] one at a time, deterministically."""
+def _arrival_times(arrival, N, T, rng):
+    """Arrival times in (0, T], in order, as an array."""
     if arrival.kind == "renewal":
+        # a cumsum over [t, *gaps] adds the gaps one at a time, the same
+        # rounding as t += dt; the stream ends at the first time past T
         sampler = arrival.interarrival_sampler(N)
-        t = 0.0
+        t, blocks = 0.0, []
         while True:
-            block = sampler(rng, size=256)
-            for dt in block:
-                t += dt
-                if t > T:
-                    return
-                yield t
-    else:
-        # thinning against the rate's maximum over the probe points, which
-        # is exact for config rates; a callable whose rate exceeds it
-        # between probes is refused rather than under-sampled
-        rate = arrival.rate_fn(N)
-        M = float(np.max(rate(arrival.probe_times(T, 2049)))) * (1.0 + 1e-9)
-        if M <= 0:
-            return
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / M)
-            if t > T:
-                return
-            lam = float(np.atleast_1d(rate(np.array([t])))[0])
-            if lam > M:
-                raise ValueError(f"arrival rate {lam} at t={t} exceeds the "
-                                 f"thinning bound {M} taken from 2049 probe points")
-            if rng.uniform() * M <= lam:
-                yield t
+            times = np.cumsum(np.concatenate([[t], sampler(rng, size=256)]))[1:]
+            cut = int(np.searchsorted(times, T, side="right"))
+            blocks.append(times[:cut])
+            if cut < times.size:
+                return np.concatenate(blocks)
+            t = times[-1]
+    # thinning against the rate's maximum over the probe points, which is
+    # exact for config rates; a callable whose rate exceeds it between
+    # probes is refused rather than under-sampled.  Exponential and
+    # uniform draws interleave on one stream, so candidates go one by one.
+    rate = arrival.rate_fn(N)
+    M = float(np.max(rate(arrival.probe_times(T, 2049)))) * (1.0 + 1e-9)
+    if M <= 0:
+        return np.zeros(0)
+    times, t = [], 0.0
+    while True:
+        t += rng.exponential(1.0 / M)
+        if t > T:
+            return np.array(times, dtype=float)
+        lam = float(np.atleast_1d(rate(np.array([t])))[0])
+        if lam > M:
+            raise ValueError(f"arrival rate {lam} at t={t} exceeds the "
+                             f"thinning bound {M} taken from 2049 probe points")
+        if rng.uniform() * M <= lam:
+            times.append(t)
+
+
+def _start_times(ready, free, T, draw):
+    """FCFS start times up to T by the Kiefer-Wolfowitz recursion.
+
+    ready: when each waiting customer could first start, nondecreasing;
+    free: the servers' free times, a list heapified in place.  Customer k
+    starts at s = max(ready[k], min(free)) and that server frees at s plus
+    k's service time.  Services come from draw() in blocks of 256, one
+    call per 256 starts.  Returns the start times (a list) and the drawn
+    blocks.
+    """
+    heapq.heapify(free)
+    heapreplace = heapq.heapreplace
+    start, blocks = [], []
+    record = start.append
+    # every ready time is at most T, so a start passes T only by waiting
+    # for a server that frees after T; starts are nondecreasing, so then
+    # nobody later starts by T either
+    for i in range(0, ready.size, 256):
+        if free[0] > T:
+            break
+        block = draw()
+        blocks.append(block)
+        for s, v in zip(ready[i:i + 256].tolist(), block.tolist()):
+            f = free[0]
+            if f > s:
+                if f > T:
+                    return start, blocks
+                s = f
+            heapreplace(free, s + v)
+            record(s)
+    return start, blocks
 
 
 def simulate(config):
@@ -238,45 +271,42 @@ def simulate(config):
 
     # customer k: in service at 0 (k < b0), waiting at 0 (k < x0), or the
     # (k - x0)-th arrival; ready[k - b0] is when k could first start
-    arrivals = list(_arrival_feed(config.arrival, N, T, rng_arr))
-    ready = [-np.inf] * (x0 - b0) + arrivals
-    end = remaining0.tolist()  # end[k]: departure time of customer k
-    free = [(e, j) for j, e in enumerate(end)] + [(0.0, -1)] * (N - b0)
-    heapq.heapify(free)  # (time the server frees, customer freeing it)
-    start, freed_by = [], []
-    svc, pos = [], 0
-    for k, a in enumerate(ready, start=b0):
-        f, j = free[0]
-        s = f if f > a else a
-        if s > T:
-            break  # starts are nondecreasing in k: nobody later starts by T
-        if pos == len(svc):  # one sampler call per 256 starts
-            svc, pos = np.asarray(dist.sampler(rng_svc, size=256), dtype=float).tolist(), 0
-        e = s + svc[pos]
-        pos += 1
-        heapq.heapreplace(free, (e, k))
-        start.append(s)
-        end.append(e)
-        freed_by.append(j)
+    arrivals = _arrival_times(config.arrival, N, T, rng_arr)
+    ready = np.concatenate([np.full(x0 - b0, -np.inf), arrivals])
+    start, blocks = _start_times(
+        ready, remaining0.tolist() + [0.0] * (N - b0), T,
+        lambda: np.asarray(dist.sampler(rng_svc, size=256), dtype=float))
+    m, n_arr = len(start), arrivals.size
+    st_t = np.asarray(start, dtype=float)
+    st_end = st_t + np.concatenate([np.zeros(0), *blocks])[:m]  # the loop's sums
 
     # spans are indexed by customer id: the b0 initial ones, then FCFS starts
-    m, n_arr = len(start), len(arrivals)
-    end = np.asarray(end)
-    theta = np.concatenate([-ages0, start])
+    end = np.concatenate([remaining0, st_end])  # departure time of customer k
+    # who freed each start's server: the heap popped its (free time,
+    # customer) pairs in sorted order, since each pushed (end_k, k) exceeds
+    # the pair popped for k (end_k >= s_k >= that free time, and k beats
+    # the popped customer on a tie).  So the idle servers, (0.0, -1), pop
+    # first, then the customers by (end, id): a stable sort of end
+    freed_by = np.concatenate([np.full(N - b0, -1),
+                               np.argsort(end, kind="stable")])[:m]
+    theta = np.concatenate([-ages0, st_t])
     done = end <= T
     dep_id = np.nonzero(done)[0]
     dep_t = end[done]
     arr_id = np.arange(x0, x0 + n_arr)
     st_id = np.arange(b0, b0 + m)
-    st_t = np.asarray(start)
     # a start that waited follows the departure that freed its server,
-    # otherwise its own arrival; departures precede arrivals at equal times
-    waited = st_t > np.asarray(ready[:m])
+    # otherwise its own arrival; departures precede arrivals at equal times.
+    # Rows sort by time, then by one integer packing (rank, customer, start
+    # row last): departures and waited starts have rank 0, arrivals and
+    # the starts they trigger rank 1
+    waited = st_t > ready[:m]
     t = np.concatenate([dep_t, arrivals, st_t])
-    rank = np.concatenate([np.zeros(dep_id.size), np.ones(n_arr), ~waited])
-    key = np.concatenate([dep_id, arr_id, np.where(waited, freed_by, st_id)])
-    tail = np.concatenate([np.zeros(dep_id.size + n_arr), np.ones(m)])
-    order = np.lexsort((tail, key, rank, t))
+    n_ids = x0 + n_arr + 1  # customer id + 1 lies in [0, n_ids)
+    tie = 2 * np.concatenate([dep_id + 1, n_ids + arr_id + 1,
+                              np.where(waited, freed_by + 1, n_ids + st_id + 1)])
+    tie[dep_id.size + n_arr:] += 1
+    order = np.lexsort((tie, t))
     ev_time = t[order]
     ev_kind = np.repeat(np.array([DEPARTURE, ARRIVAL, SERVICE_START], dtype=np.int8),
                         [dep_id.size, n_arr, m])[order]

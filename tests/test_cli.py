@@ -417,6 +417,20 @@ class TestExitCodes:
         assert "numerical error" in res.output
         assert "nu0 mass" in res.output
 
+    def test_picard_exhaustion_exit_three(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("queuelab.fluid.PICARD_MAX", 1)
+        cfgp = write_cfg(tmp_path, {
+            "schema_version": 1, "kind": "fluid",
+            "model": {"service": {"family": "lognormal", "sigma": 0.5},
+                      "x0": 1.0, "nu0": {"invariant": 1.0}},
+            "numerics": {"T": 1.0, "dt": 0.01}})
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, ["fluid", "solve", "--config", cfgp,
+                                        "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "numerical error: fluid Picard iteration did not converge" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("service", [
         "no_such_family",
         {"family": "pareto", "alpha": 3.0},
@@ -565,6 +579,41 @@ class TestExitCodes:
                                                "--out", str(out)])
         assert res.exit_code == 2, res.output
         assert f"config error: {field}: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
+    @pytest.mark.parametrize("kind, where, pwlin, message", [
+        ("sim", "model.arrival.lambda_bar", {"t": [0.0, 1.0, 2.0], "v": [1.0, 2.0]},
+         "t and v differ in length (3 and 2)"),
+        ("sim", "model.arrival.beta", {"t": [2.0, 1.0, 0.0], "v": [0.0, 0.5, 1.0]},
+         "t must be strictly increasing"),
+        ("fluid", "model.Ebar", {"t": [0.0, 1.0], "v": [1.0]},
+         "t and v differ in length (2 and 1)"),
+        ("limit", "model.fluid.Ebar", {"t": [0.0, 0.0], "v": [1.0, 1.0]},
+         "t must be strictly increasing"),
+    ], ids=["sim-lengths", "sim-decreasing", "fluid-ebar-lengths",
+            "limit-ebar-repeated-knot"])
+    def test_bad_pwlin_exit_two(self, tmp_path, kind, where, pwlin, message):
+        # np.interp would fail on unequal lengths and silently misread a
+        # t that does not increase
+        data = {"sim": sim_cfg(), "limit": limit_cfg(),
+                "fluid": {"schema_version": 1, "kind": "fluid",
+                          "model": {"service": "exponential"},
+                          "numerics": {"T": 1.0, "dt": 0.01}}}[kind]
+        if kind == "sim":
+            data["model"]["arrival"] = {"kind": "inhom_poisson",
+                                        "lambda_bar": 1.0, "beta": 0.0}
+        *parents, key = where.split(".")
+        block = data
+        for name in parents:
+            block = block[name]
+        block[key] = {"pwlin": pwlin}
+        argv = {"sim": ["sim", "run"], "limit": ["limit", "run"],
+                "fluid": ["fluid", "solve"]}[kind]
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, argv + ["--config", write_cfg(tmp_path, data),
+                                               "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: {where}.pwlin: {message}" in res.output
         assert not out.exists(), "a rejected config must write no file"
 
     @pytest.mark.parametrize("argv, kind, data", [

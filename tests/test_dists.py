@@ -355,6 +355,17 @@ class TestKernelLayer:
         with np.errstate(divide="ignore"):
             assert np.array_equal(g[1:], dist.density(x[1:]))
 
+    def test_age_table_built_once_and_not_carried(self):
+        # the table lives on the law: built on first use, read-only, left
+        # out of its pickle (the law pickles as its spec) and of a replace
+        dist = make_service_dist("lognormal", sigma=0.5)
+        x, cdf = dist.age_table
+        assert dist.age_table[0] is x
+        assert x.size == cdf.size == 4097 and cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert not (x.flags.writeable or cdf.flags.writeable)
+        assert "age_table" not in vars(pickle.loads(pickle.dumps(dist)))
+        assert "age_table" not in vars(dataclasses.replace(dist, name="copy"))
+
     def test_dead_mass_past_piecewise_support(self):
         dist = make_service_dist("piecewise")
         x = dist.support_end + np.array([0.0, 0.5, 3.0])
@@ -416,3 +427,12 @@ class TestArrivals:
         assert np.allclose(as_rate({"pwlin": {"t": [0.0, 2.0], "v": [0.0, 4.0]}})(t), [0.0, 2.0, 4.0])
         with pytest.raises(ValueError):
             as_rate("fast")
+
+    @pytest.mark.parametrize("pwlin, match", [
+        ({"t": [0.0, 1.0, 2.0], "v": [1.0, 2.0]}, "differ in length"),
+        ({"t": [2.0, 1.0, 0.0], "v": [1.0, 2.0, 3.0]}, "strictly increasing"),
+        ({"t": [0.0, 1.0, 1.0], "v": [1.0, 2.0, 3.0]}, "strictly increasing"),
+    ], ids=["lengths", "decreasing", "repeated-knot"])
+    def test_as_rate_refuses_bad_pwlin(self, pwlin, match):
+        with pytest.raises(ValueError, match=match):
+            as_rate({"pwlin": pwlin})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from queuelab import fluid
 from queuelab.dists import make_service_dist
 from queuelab.fluid import FluidInit, solve_fluid
 
@@ -160,6 +161,13 @@ class TestValidation:
         path = solve_fluid(EXP, FluidInit(Ebar=1.0, x0=0.5, nu0_density=(xs, 0.5 * np.exp(-xs))),
                            T=1.0, dt=1e-2)
         assert abs(path.Bbar[0] - 0.5) < 1e-3
+
+    def test_picard_exhaustion_raises(self, monkeypatch):
+        # one sweep cannot confirm the fixed point of a critical step
+        monkeypatch.setattr(fluid, "PICARD_MAX", 1)
+        with pytest.raises(ArithmeticError, match=r"at step \d+ \(t=\S+\): residual \d"):
+            solve_fluid(LOGN, FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),
+                        T=1.0, dt=1e-2)
 
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from queuelab.microsim import (
     InitialCondition,
     PathRecord,
     SimConfig,
-    _arrival_feed,
+    _arrival_times,
     compensator,
     conservation_check,
     eval_age_functional,
@@ -87,6 +87,37 @@ class TestExactIdentities:
         assert np.all(np.diff(path.ev_time) >= 0.0)
         for arr in (path.E, path.D, path.K):
             assert np.all(np.diff(arr) >= 0)
+
+
+def arrival_feed(arrival, N, T, rng):
+    """Reference arrival stream: yield times in (0, T] one at a time, adding
+    the renewal gaps to a running time one by one."""
+    if arrival.kind == "renewal":
+        sampler = arrival.interarrival_sampler(N)
+        t = 0.0
+        while True:
+            block = sampler(rng, size=256)
+            for dt in block:
+                t += dt
+                if t > T:
+                    return
+                yield t
+    else:
+        rate = arrival.rate_fn(N)
+        M = float(np.max(rate(arrival.probe_times(T, 2049)))) * (1.0 + 1e-9)
+        if M <= 0:
+            return
+        t = 0.0
+        while True:
+            t += rng.exponential(1.0 / M)
+            if t > T:
+                return
+            lam = float(np.atleast_1d(rate(np.array([t])))[0])
+            if lam > M:
+                raise ValueError(f"arrival rate {lam} at t={t} exceeds the "
+                                 f"thinning bound {M} taken from 2049 probe points")
+            if rng.uniform() * M <= lam:
+                yield t
 
 
 def simulate_by_events(config):
@@ -174,7 +205,7 @@ def simulate_by_events(config):
         heapq.heappush(heap, (t + draw_service(), seq, server, cid, len(span_theta) - 1))
         seq += 1
 
-    feed = _arrival_feed(config.arrival, N, T, rng_arr)
+    feed = arrival_feed(config.arrival, N, T, rng_arr)
     next_arr = next(feed, None)
     next_cid = x0
 
@@ -320,6 +351,94 @@ class TestEqualsEventLoop:
         assert np.all(path.ev_time[:8] == 0.0)
         assert_same_path(path, simulate_by_events(cfg))
 
+    @pytest.mark.parametrize("replicate", [0, 1])
+    @pytest.mark.parametrize("law", ["exp", "logn"])
+    def test_heavy_traffic_shape(self, law, replicate):
+        # the fclt battery's shape: about 2,300 customers and 5,700 events,
+        # so the service draws span several blocks, and some starts wait
+        # for a departure
+        cfg = SimConfig(N=400, arrival=ArrivalSpec("renewal", 1.0, beta=1.0),
+                        service=DISTS[law], T=5.0,
+                        initial=InitialCondition(x0=400, ages="invariant"),
+                        seed=202, replicate=replicate)
+        path = simulate(cfg)
+        assert path.span_fresh.sum() > 4 * 256
+        assert_same_path(path, simulate_by_events(cfg))
+
+
+class TestArrivalTimes:
+    """The block arrival stream against the one-at-a-time reference."""
+
+    ARRIVALS = {
+        "poisson": (ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=1.0), 400, 5.0),
+        "gamma": (ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=0.5, sigma2=0.7),
+                  30, 3.0),
+        "affine": (TestEqualsEventLoop.ARRIVALS["inhom_poisson"], 30, 3.0),
+        "pwlin": (ArrivalSpec(kind="inhom_poisson", beta=0.0, lambda_bar={
+            "pwlin": {"t": [0.0, 1.0, 3.0], "v": [1.0, 1.4, 0.8]}}), 30, 3.0),
+        # the last arrival lands exactly on T: inside a block, and as the
+        # last gap of a block
+        "lattice-on-T": (LatticeArrivals(kind="renewal", gap=0.25), 1, 4.0),
+        "lattice-block-end-on-T": (LatticeArrivals(kind="renewal", gap=1 / 64), 1, 4.0),
+        "lattice-past-T": (LatticeArrivals(kind="renewal", gap=0.3), 1, 3.0),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(ARRIVALS))
+    def test_bitwise_equal_to_scalar_feed(self, name, seed):
+        arrival, N, T = self.ARRIVALS[name]
+        got = _arrival_times(arrival, N, T, np.random.default_rng(seed))
+        want = np.array(list(arrival_feed(arrival, N, T, np.random.default_rng(seed))),
+                        dtype=float)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if name.endswith("on-T"):
+            assert got[-1] == T and got.size in (16, 256)
+
+
+def counting_law(law):
+    """law with its sf and sampler counting their calls in the returned dict."""
+    calls = {"sf": 0, "sampler": 0}
+
+    def sf(x):
+        calls["sf"] += 1
+        return law.sf(x)
+
+    def sampler(rng, size=None):
+        calls["sampler"] += 1
+        return law.sampler(rng, size=size)
+
+    return dataclasses.replace(law, sf=sf, sampler=sampler), calls
+
+
+class TestWorkCounts:
+    def test_invariant_age_table_built_once_per_law(self):
+        law, calls = counting_law(LOGN)
+        cfg = quick_config(N=50, x0=50, ages="invariant", dist=law)
+        simulate(cfg)
+        assert calls["sf"] > 0
+        calls["sf"] = 0
+        simulate(dataclasses.replace(cfg, replicate=1))
+        assert calls["sf"] == 0
+
+    @pytest.mark.parametrize("N, x0, T", [(400, 400, 5.0), (5, 0, 2.0), (3, 40, 1.0)])
+    def test_one_sampler_call_per_256_starts(self, N, x0, T):
+        law, calls = counting_law(EXP)
+        path = simulate(quick_config(N=N, x0=x0, T=T, ages="invariant", dist=law))
+        starts = int(path.span_fresh.sum())
+        assert calls["sampler"] == math.ceil(starts / 256)
+
+    def test_no_draw_for_a_block_nobody_starts_in(self):
+        # one server, unit services, 300 waiters: exactly 256 starts by T,
+        # and the 257th waiter would start after T
+        det, calls = counting_law(dataclasses.replace(
+            EXP, sampler=lambda rng, size=None: np.full(size, 1.0),
+            conditional=lambda rng, ages: np.maximum(np.asarray(ages), 1.0)))
+        path = simulate(SimConfig(N=1, arrival=POISSON, service=det, T=256.0,
+                                  initial=InitialCondition(x0=301, ages=[0.0])))
+        assert int(path.span_fresh.sum()) == 256
+        assert calls["sampler"] == 1
+
 
 
 class TestDeterminismAndStreams:
@@ -461,7 +580,7 @@ class TestThinningBound:
     @staticmethod
     def bound(arrival, N, T):
         rng = _BoundProbe()
-        assert list(_arrival_feed(arrival, N, T, rng)) == []
+        assert _arrival_times(arrival, N, T, rng).size == 0
         return 1.0 / rng.scales[0]
 
     def test_pwlin_peak_between_probe_points(self):
@@ -478,7 +597,7 @@ class TestThinningBound:
         arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=spike, beta=0.0)
         rng = _CandidateAt(0.5 * (lo + hi))
         with pytest.raises(ValueError, match="thinning bound"):
-            list(_arrival_feed(arr, 100, 1.0, rng))
+            _arrival_times(arr, 100, 1.0, rng)
 
     def test_bound_unchanged_where_even_probe_finds_max(self):
         arr = ArrivalSpec(kind="inhom_poisson", lambda_bar={"affine": [1.0, 0.5]},
