@@ -28,10 +28,10 @@ No time discretization enters the path itself, so the counting identities
     K(t) = X(t)^N - X(0)^N + D(t)      x^N meaning min(x, N)
     every departure event moves D by exactly 1
 
-hold to the last bit, and the tests demand exactly that.  Quadrature enters
-only through the read-out helpers (compensator and the restart
-consistency check, whose s = 0 case is the transport representation), all
-first-order in their dt.
+hold to the last bit, and the tests demand exactly that.  The departure
+compensator is exact too: per span, an increment of -log(1-G).  Quadrature
+enters only through the restart check (whose s = 0 case is the transport
+representation), first-order in its dt.
 
 Randomness is split into independent child streams (arrivals, services,
 initial data) of SeedSequence(seed, spawn_key=(replicate,)), so a
@@ -362,49 +362,42 @@ def eval_age_functional(path, f, t):
     return float(np.sum(f(ages)))
 
 
-def _left_rule(path, dist, t0, t1, dt, phi=None):
-    """Compensator integrand h(age) phi(age, s) at the left-rule nodes of
-    [t0, t1).
+def _live_pairs(path, nodes):
+    """(node index, span index) for each span live at each of the
+    nondecreasing nodes (begin <= node < end), span by span."""
+    lo = np.searchsorted(nodes, path.span_begin)
+    counts = np.maximum(np.searchsorted(nodes, path.span_end) - lo, 0)
+    span = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts  # where each span's pairs start
+    return np.arange(span.size) - np.repeat(first - lo, counts), span
 
-    Node s_k = t0 + k dt carries every span with begin <= s_k < end;
-    phi = None means 1.  Returns (k, values, n_nodes): the node index of
-    each value, so callers choose their own reduction.
+
+def compensator(path, dist, times):
+    """The departure compensator A(t) = int_0^t <h, nu_s> ds, exactly, at
+    each of the nondecreasing times in [0, T] (past T the path is unknown).
+
+    A span's age grows at unit rate, so it adds Lambda(a1) - Lambda(a0),
+    Lambda = -log(1-G), from its age a0 at begin to a1 at min(t, end); a
+    finished span adds all of it at its departure time.  A span with
+    a1 <= a0 or 1-G(a0) = 0 adds exactly 0, the dead-mass convention.
     """
-    n = int(round((t1 - t0) / dt))
-    if n <= 0 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValueError("quadrature window must be a whole number of steps")
-    begin, end, theta = path.span_begin, path.span_end, path.span_theta
-    k_lo = np.maximum(np.ceil((begin - t0) / dt - 1e-9), 0.0).astype(np.int64)
-    k_hi = np.minimum(np.ceil((end - t0) / dt - 1e-9), float(n)).astype(np.int64)
-    counts = np.maximum(k_hi - k_lo, 0)
-    live = counts > 0
-    counts = counts[live]
-    span_idx = np.repeat(np.nonzero(live)[0], counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    k = (np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
-         + np.repeat(k_lo[live], counts))
-    s = t0 + k * dt
-    ages = s - theta[span_idx]
-    with np.errstate(over="ignore"):
-        vals = dist.hazard(ages)
-        if phi is not None:
-            vals = vals * phi(ages, s)
-    return k, vals, n
-
-
-def compensator(path, dist, t, dt):
-    """Quadrature reconstruction of the departure compensator profile.
-
-    Returns (grid, A) with grid = {0, dt, ..., t} and
-    A(t_m) ~ int_0^{t_m} <h, nu_s> ds by the left rule, so the error is
-    O(dt).  The age process nu_s is rebuilt exactly from the span log;
-    only the time integral is discrete.
-    """
-    k, vals, n = _left_rule(path, dist, 0.0, t, dt)
-    node_sums = np.bincount(k, weights=vals, minlength=n)
-    grid = np.arange(n + 1) * dt
-    A = np.concatenate([[0.0], np.cumsum(node_sums) * dt])
-    return grid, A
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise ValueError("compensator times must be nondecreasing")
+    theta, end = path.span_theta, path.span_end
+    done = np.flatnonzero(np.isfinite(end))
+    done = done[np.argsort(end[done], kind="stable")]
+    k, live = _live_pairs(path, times)
+    span = np.concatenate([done, live])
+    a0 = path.span_begin - theta
+    a1 = np.concatenate([end[done], times[k]]) - theta[span]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam0 = -np.log(dist.sf(a0))[span]
+        step = -np.log(dist.sf(a1)) - lam0
+    step = np.where((a1 > a0[span]) & np.isfinite(lam0), step, 0.0)
+    A = np.cumsum(np.concatenate([[0.0], step[:done.size]]))
+    return (A[np.searchsorted(end[done], times, side="right")]
+            + np.bincount(k, weights=step[done.size:], minlength=times.size))
 
 
 def shift_consistency_check(path, dist, f, s, t, dt):
@@ -415,16 +408,20 @@ def shift_consistency_check(path, dist, f, s, t, dt):
     of fresh entries in (s, s+t], subtracts the centered departure term of
     that window (compensator by left-rule quadrature on [s, s+t]).  O(dt).
     """
+    n = int(round(t / dt))
+    if n <= 0 or abs(s + n * dt - (s + t)) > 1e-9 * max(1.0, abs(s + t)):
+        raise ValueError("quadrature window must be a whole number of steps")
     lhs = eval_age_functional(path, f, s + t)
-    ages_s = path.ages_at(s)
-    S = float(np.sum(phi_op(dist, f, t)(ages_s)))
+    S = float(np.sum(phi_op(dist, f, t)(path.ages_at(s))))
     fresh = path.span_fresh & (path.span_begin > s) & (path.span_begin <= s + t)
     lag = s + t - path.span_begin[fresh]
     Kf = float(np.sum(np.asarray(f(lag)) * dist.sf(lag)))
     psi_tf = psi_op(dist, f, s + t)  # takes absolute time r, lag s + t - r
     take = (path.dep_time > s) & (path.dep_time <= s + t)
     Qpsi = float(np.sum(psi_tf(path.dep_age[take], path.dep_time[take])))
-    _, vals, _ = _left_rule(path, dist, s, s + t, dt, psi_tf)
-    A = float(vals.sum()) * dt
-    H = Qpsi - A
-    return lhs - (S - H + Kf)
+    nodes = s + np.arange(n) * dt
+    k, span = _live_pairs(path, nodes)
+    ages = nodes[k] - path.span_theta[span]
+    with np.errstate(over="ignore"):
+        A = float((dist.hazard(ages) * psi_tf(ages, nodes[k])).sum()) * dt
+    return lhs - (S - (Qpsi - A) + Kf)

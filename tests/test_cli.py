@@ -366,20 +366,23 @@ class TestVerifyCommand:
         assert res.exit_code == 1
         assert "FAIL" in res.output
 
-    @pytest.mark.parametrize("extra", [
-        {"bogus": 1},
-        {"service": {"family": "paretoo"}},
-        {"service": {"family": "gamma", "shape": -1.0}},
-    ], ids=["unknown-key", "unknown-family", "bad-shape"])
-    def test_bad_override_exit_two(self, tmp_path, extra):
-        data = json.loads(json.dumps(self.QUICK))
-        data["model"]["overrides"].update(extra)
+    @pytest.mark.parametrize("battery, overrides", [
+        ("representation", {**QUICK["model"]["overrides"], "bogus": 1}),
+        ("representation", {**QUICK["model"]["overrides"],
+                            "service": {"family": "paretoo"}}),
+        ("representation", {**QUICK["model"]["overrides"],
+                            "service": {"family": "gamma", "shape": -1.0}}),
+        ("moments", {"dt": 0.001}),  # the exact compensator has no step
+    ], ids=["unknown-key", "unknown-family", "bad-shape", "moments-dt"])
+    def test_bad_override_exit_two(self, tmp_path, battery, overrides):
+        data = {**self.QUICK, "model": {"overrides": overrides}}
         cfgp = write_cfg(tmp_path, data)
-        res = CliRunner().invoke(main, ["verify", "representation",
-                                        "--config", cfgp,
-                                        "--out", str(tmp_path / "v")])
+        out = tmp_path / "v"
+        res = CliRunner().invoke(main, ["verify", battery, "--config", cfgp,
+                                        "--out", str(out)])
         assert res.exit_code == 2, res.output
         assert "config error: model.overrides" in res.output
+        assert not out.exists(), "a rejected config must write no file"
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfgp = write_cfg(tmp_path, sim_cfg())

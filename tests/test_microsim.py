@@ -607,6 +607,27 @@ class TestThinningBound:
         assert self.bound(arr, 50, 2.0) == even
 
 
+def span_sum(path, dist, T):
+    """The compensator at T as a sum over spans of log(1-G(a0)) -
+    log(1-G(a1)), open spans cut at T (acceptance criterion 02's form)."""
+    mask = path.span_begin < T
+    a0 = (path.span_begin - path.span_theta)[mask]
+    a1 = (np.minimum(path.span_end, T) - path.span_theta)[mask]
+    return float(np.sum(np.log(dist.sf(a0)) - np.log(dist.sf(a1))))
+
+
+def left_rule_compensator(path, dist, t, dt):
+    """The compensator on {0, dt, ..., t} by the left rule: every span
+    live at node k dt adds h(age) dt there."""
+    n = int(round(t / dt))
+    sums = np.zeros(n)
+    for theta, begin, end in zip(path.span_theta, path.span_begin, path.span_end):
+        k = np.arange(n)
+        k = k[(k * dt >= begin) & (k * dt < end)]
+        sums[k] += dist.hazard(k * dt - theta)
+    return np.arange(n + 1) * dt, np.concatenate([[0.0], np.cumsum(sums) * dt])
+
+
 class TestReadouts:
     def test_age_functional_constant_equals_busy_count(self):
         path = simulate(quick_config(N=7, x0=10, ages="invariant", seed=6, T=3.0))
@@ -615,17 +636,63 @@ class TestReadouts:
             assert eval_age_functional(path, lambda a: np.ones_like(a), t) == B
 
     def test_compensator_matches_exact_busy_integral_for_exp(self):
-        # unit hazard: the compensator is the time integral of the busy count
+        # unit hazard: the compensator is the time integral of the busy
+        # count, here at 0, at every event time and at T
         path = simulate(quick_config(N=6, x0=6, ages="invariant", seed=8, T=2.0))
-        dt = 1e-3
-        grid, A = compensator(path, EXP, 2.0, dt)
         times = np.concatenate([[0.0], path.ev_time[path.ev_time <= 2.0], [2.0]])
-        Bvals = np.array([path.counters_at(u)[4] for u in times[:-1]], dtype=float)
-        exact = float(np.sum(Bvals * np.diff(times)))
-        n_events = int(np.sum(path.ev_time <= 2.0))
-        assert abs(A[-1] - exact) <= dt * (n_events + 1) * 1.0 + 1e-12
+        busy = np.array([path.counters_at(u)[4] for u in times[:-1]], dtype=float)
+        exact = np.concatenate([[0.0], np.cumsum(busy * np.diff(times))])
+        A = compensator(path, EXP, times)
         assert A[0] == 0.0
         assert np.all(np.diff(A) >= 0.0)
+        np.testing.assert_allclose(A, exact, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dist_key", ["gamma2", "logn"])
+    def test_compensator_equals_span_sum(self, dist_key):
+        dist = DISTS[dist_key]
+        for r in range(5):
+            path = simulate(SimConfig(N=20, arrival=POISSON, service=dist, T=2.0,
+                                      initial=InitialCondition(x0=20, ages="invariant"),
+                                      seed=12, replicate=r))
+            want = [span_sum(path, dist, 1.0), span_sum(path, dist, 2.0)]
+            np.testing.assert_allclose(compensator(path, dist, [1.0, 2.0]), want,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_left_rule_converges_first_order(self):
+        paths = [simulate(SimConfig(N=10, arrival=POISSON, service=LOGN, T=2.0,
+                                    initial=InitialCondition(x0=10, ages="invariant"),
+                                    seed=21, replicate=r)) for r in range(8)]
+        errs = []
+        for dt in (8e-3, 4e-3, 2e-3, 1e-3):
+            gaps = []
+            for path in paths:
+                grid, A = left_rule_compensator(path, LOGN, 2.0, dt)
+                gaps.append(np.max(np.abs(A - compensator(path, LOGN, grid))))
+            errs.append(np.mean(gaps))
+        ratios = np.array(errs[1:]) / np.array(errs[:-1])
+        assert np.all((ratios > 0.3) & (ratios < 0.7)), f"ratios {ratios}"
+
+    def test_dead_span_adds_zero(self):
+        # the span started at the support's end L leaves at once, at age L
+        # where Lambda is infinite; like a dead-mass ratio it adds 0, so A
+        # is the other initial span's increment until the first start
+        dist = make_service_dist("piecewise")
+        path = simulate(SimConfig(
+            N=2, arrival=POISSON, service=dist, T=1.0,
+            initial=InitialCondition(x0=2, ages=[dist.support_end, 0.3])))
+        assert path.span_begin[0] == path.span_end[0] == 0.0
+        first = path.span_begin[2] if path.span_begin.size > 2 else 1.0
+        times = np.array([0.0, 0.5, 1.0]) * first
+        a1 = np.minimum(times, path.span_end[1]) + 0.3
+        A = compensator(path, dist, times)
+        assert np.all(np.isfinite(A))
+        np.testing.assert_allclose(A, np.log(dist.sf(0.3)) - np.log(dist.sf(a1)),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_compensator_refuses_decreasing_times(self):
+        path = simulate(quick_config(N=3, x0=3, seed=1))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            compensator(path, EXP, [2.0, 1.0])
 
     @pytest.mark.parametrize("dist_key", ["exp", "logn"])
     def test_representation_residual_first_order(self, dist_key):

@@ -154,6 +154,15 @@ class TestBatteries:
         assert all(r.passed for r in reports), [r.line() for r in reports]
         assert all(r.replicates == 120 for r in reports)
 
+    def test_moments_read_every_t_from_one_path(self):
+        # each path runs to the largest T and A is read at every T, so the
+        # order of T_values changes only the order of the reports
+        cfg = {"reps": 20, "N": 10, "ks": [1, 2], "services": ["exponential"]}
+        up = S.verify_moments({**cfg, "T_values": [1.0, 2.0]})
+        down = S.verify_moments({**cfg, "T_values": [2.0, 1.0]})
+        assert [r.statistic for r in down] == [r.statistic for r in up[2:] + up[:2]]
+        assert {r.statistic: r.value for r in down} == {r.statistic: r.value for r in up}
+
     def test_sae_scaled_down(self):
         reports = S.verify_sae({"seeds": 6, "dt_levels": [0.04, 0.02],
                                 "ratio_band": [0.05, 1.5]})
