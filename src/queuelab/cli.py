@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the library layers: `dists check`,
 `sim run`, `fluid solve`, `limit run`, `verify <battery>`, and each runs a
 config of its own kind only.  Every run reads one JSON config (validated
-against a schema, then against the service specs and verify overrides the
-library rejects; violations exit 2 with the offending field path),
+against a schema, then against the service specs, verify overrides and
+inconsistent initial data the library rejects; violations exit 2 with the
+offending field path),
 writes data files plus a manifest.json recording the config hash, seeds,
 tool version and wall time, and exits 3 on numerical failures.  `verify` exits 1 when a battery reports a
 failing statistic.  Each kind's run block takes only the keys that kind
@@ -36,7 +37,7 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from .dists import (ArrivalSpec, ServiceSpecError, as_rate, holder_check,
                     make_service_dist, renewal_function)
-from .fluid import FluidInit, solve_fluid
+from .fluid import FluidInit, InitialDataError, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
                        run_limit, smg_bookkeeping_residual)
 from .microsim import (KIND_NAMES, InitialCondition, SimConfig,
@@ -442,8 +443,11 @@ def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
     init = _build_fluid_init(cfg.model, 0.0)
-    path = solve_fluid(dist, init, float(cfg.numerics["T"]),
-                       float(cfg.numerics["dt"]))
+    try:
+        path = solve_fluid(dist, init, float(cfg.numerics["T"]),
+                           float(cfg.numerics["dt"]))
+    except InitialDataError as e:  # raised before the solver steps
+        raise SchemaError(f"model.{e}") from None
     summary = {"regime": path.regime,
                "final": {"Xbar": float(path.Xbar[-1]),
                          "Kbar": float(path.Kbar[-1]),
@@ -492,7 +496,10 @@ def _limit_one(plan, replicate):
 def _run_limit(cfg, out):
     t0 = time.time()
     n_paths = int(cfg.run.get("paths", 1))
-    plan = LimitPlan.for_spec(_limit_spec(cfg))
+    try:
+        plan = LimitPlan.for_spec(_limit_spec(cfg))
+    except InitialDataError as e:  # nu0 sits in model.fluid, x0hat in model
+        raise SchemaError(f"model.{'fluid.' if e.field == 'nu0' else ''}{e}") from None
     results = _replicates(_limit_one, plan, n_paths, int(cfg.run.get("jobs", 1)))
     files = {f"limit_p{p:04d}.csv": text for p, (text, _) in enumerate(results)}
     summaries = [summary for _, summary in results]

@@ -36,6 +36,7 @@ from scipy.signal import fftconvolve
 from .dists import ServiceDistribution, as_rate, dead_mass_ratio
 
 __all__ = [
+    "InitialDataError",
     "FluidInit",
     "FluidPath",
     "solve_fluid",
@@ -44,6 +45,16 @@ __all__ = [
 
 PICARD_MAX = 50
 PICARD_TOL = 1e-10
+MASS_TOL = 1e-3
+
+
+class InitialDataError(ValueError):
+    """Initial data that contradict each other or the law.  field names the
+    input at fault (nu0, x0hat) and the message starts with it."""
+
+    def __init__(self, field, message):
+        super().__init__(f"{field}: {message}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,29 @@ def _density_on_grid(init, dist, dt):
         raise ValueError("nu0_density must be nonnegative")
     q0 = dead_mass_ratio(p0, np.asarray(dist.sf(x)))
     return x, np.maximum(p0, 0.0), q0
+
+
+def _check_nu0_mass(init, dist):
+    """Refuse an initial density whose stated mass is not min(x0, 1).
+
+    The mass is exact where the spec gives it: m * mean for
+    {"invariant": m}, the trapezoid over the nodes of an (x, values)
+    pair.  A callable density states none; the solver checks its
+    discretized mass.
+    """
+    spec = init.nu0_density
+    if isinstance(spec, dict) and "invariant" in spec:
+        mass = float(spec["invariant"]) * dist.mean
+    elif isinstance(spec, tuple):
+        mass = float(np.trapezoid(spec[1], spec[0]))
+    elif spec is None:
+        mass = 0.0
+    else:
+        return
+    target = min(init.x0, 1.0)
+    if abs(mass - target) > MASS_TOL:
+        raise InitialDataError(
+            "nu0", f"mass {mass:.6f} must equal min(x0, 1) = {target:.6f}")
 
 
 def _cumulative_arrivals(Ebar, grid):
@@ -165,19 +199,21 @@ def solve_fluid(dist, init, T, dt):
 
     Per step: evaluate mass and hazard load from the transport kernels,
     advance the entry flow so the non-idling closure holds, iterating the
-    newest entry cell to a 1e-10 fixed point.  Raises ValueError if the
-    initial density mass disagrees with min(x0, 1) by more than 1e-3, and
+    newest entry cell to a 1e-10 fixed point.  Raises InitialDataError if
+    the initial density states a mass other than min(x0, 1), ValueError if
+    its mass on the dt grid misses it by more than MASS_TOL, and
     ArithmeticError, naming the step and its last residual, if a step does
     not reach the fixed point in PICARD_MAX sweeps.
     """
     if dt <= 0 or T <= 0 or dt > T:
         raise ValueError("need 0 < dt <= T")
+    _check_nu0_mass(init, dist)
     n = int(round(T / dt))
     grid = np.arange(n + 1) * dt
     x_nodes, p0, q0 = _density_on_grid(init, dist, dt)
     mass0 = _trapz_dot(p0, dt) if p0.size > 1 else 0.0
     target0 = min(init.x0, 1.0)
-    if abs(mass0 - target0) > 1e-3:
+    if abs(mass0 - target0) > MASS_TOL:
         raise ValueError(f"nu0 mass {mass0:.6f} must equal min(x0, 1) = {target0:.6f}")
 
     nx = x_nodes.size

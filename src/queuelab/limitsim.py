@@ -53,7 +53,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 
 from .dists import ServiceDistribution, dead_mass_ratio
-from .fluid import FluidInit, solve_fluid
+from .fluid import FluidInit, InitialDataError, solve_fluid
 
 __all__ = [
     "LimitGrid",
@@ -239,6 +239,12 @@ def s_op(nu0hat, dist, f, t_grid):
     raise ValueError(f"unrecognized nu0hat spec: {nu0hat!r}")
 
 
+# vhat as a function of Xhat in each regime
+_CLAMP = {"subcritical": lambda x: x,
+          "critical": lambda x: min(x, 0.0),
+          "supercritical": lambda x: 0.0}
+
+
 def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     """March the centered input system to (Khat, Xhat, vhat).
 
@@ -254,13 +260,10 @@ def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size - 1
     dt = float(t_grid[1] - t_grid[0])
-    if regime not in ("subcritical", "critical", "supercritical"):
+    if regime not in _CLAMP:
         raise ValueError(f"regime {regime!r}: mixed or unknown regimes are "
                          "outside this solver")
-    clamp = {"subcritical": lambda x: x,
-             "critical": lambda x: min(x, 0.0),
-             "supercritical": lambda x: 0.0}[regime]
-    v0 = clamp(x0hat)
+    v0 = _CLAMP[regime](x0hat)
     if abs(float(Z[0]) - v0) > 1e-9:
         raise ValueError(f"Z(0)={float(Z[0])} inconsistent with regime value {v0}")
     g = dist.grid_density(t_grid, dt)
@@ -440,6 +443,14 @@ class LimitPlan:
         dist, grid = spec.dist, spec.grid
         fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
         t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid, dist)
+        # Z(0) = S_0(1), so solve_cmse's check on it is decided here
+        S_one = s_op(spec.nu0hat, dist, _one, t_edges)
+        if fpath.regime in _CLAMP:
+            v0 = _CLAMP[fpath.regime](spec.x0hat)
+            if abs(float(S_one[0]) - v0) > 1e-9:
+                raise InitialDataError(
+                    "x0hat", f"{spec.x0hat} clamps to {v0} in the {fpath.regime} "
+                    f"regime, but the nu0hat mass is {float(S_one[0])}")
         nt = t_edges.size - 1
         dt = float(t_edges[1] - t_edges[0])
         xm = (x_edges[:-1] + x_edges[1:]) / 2.0
@@ -454,9 +465,8 @@ class LimitPlan:
                    sf_ages=np.asarray(dist.sf(ages)), sf_cols=sfx[cols],
                    g=dist.grid_density(t_edges, dt),
                    sf_t=np.asarray(dist.sf(t_edges)), lags=lags,
-                   sf_lags=np.asarray(dist.sf(lags)))
+                   sf_lags=np.asarray(dist.sf(lags)), S_one=S_one)
         plan.one = plan.kernel(_one)
-        plan.S_one = s_op(spec.nu0hat, dist, _one, t_edges)
         tests = spec.tests()
         plan.kernels = {name: plan.kernel(f) for name, (f, _) in tests.items()}
         plan.weights = {name: plan.readout_weights(f, fp)

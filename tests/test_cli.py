@@ -559,13 +559,24 @@ class TestExitCodes:
         ("limit", "numerics.x_max", 0, "numerics.x_max"),
         ("limit", "numerics.x_max", 0.04, "numerics.x_max"),
         ("limit", "numerics.T", 0.004, "numerics.T"),
+        # the stated nu0 mass must be min(x0, 1): x0 is 0 in the fluid
+        # config and 1 in the limit one
+        ("fluid", "model.nu0", {"invariant": 0.4}, "model.nu0"),
+        ("fluid", "model.nu0", {"grid": {"x": [0.0, 1.0, 2.0],
+                                         "p": [0.25, 0.25, 0.0]}}, "model.nu0"),
+        ("limit", "model.fluid.nu0", {"invariant": 0.5}, "model.fluid.nu0"),
+        # Z(0), the nu0hat mass (0 here), must be the critical clamp of x0hat
+        ("limit", "model.x0hat", -0.3, "model.x0hat"),
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
             "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
-            "x-max-negative", "x-max-zero", "x-max-below-dx", "no-time-step"])
+            "x-max-negative", "x-max-zero", "x-max-below-dx", "no-time-step",
+            "nu0-invariant-mass", "nu0-grid-mass", "limit-nu0-mass",
+            "x0hat-clamp"])
     def test_bad_shape_exit_two(self, tmp_path, kind, where, value, field):
-        # every config shape the builders take is checked before anything
-        # runs; limit numerics have dx = 0.05 and dt = 0.01
+        # every config shape the builders take, and every agreement between
+        # initial data the run needs, is checked before anything runs;
+        # limit numerics have dx = 0.05 and dt = 0.01
         data = {"sim": sim_cfg(), "limit": limit_cfg(),
                 "fluid": {"schema_version": 1, "kind": "fluid",
                           "model": {"service": "exponential"},
