@@ -14,7 +14,7 @@ from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit
 from queuelab.limitsim import (LimitGrid, LimitPlan, LimitSpec,
                                rep_hatx_residual, run_limit, sae_residual,
-                               smg_bookkeeping_residual)
+                               sae_test_functions, smg_bookkeeping_residual)
 
 
 def one_regime(label, Ebar, x0, mass, dt):
@@ -42,7 +42,8 @@ def main():
 
     print("\nweak age-balance residual on the critical path, "
           "f(x) = exp(-x):")
-    f = np.exp
+    exp_decay = sae_test_functions(make_service_dist("exponential"), {
+        "exp_decay": (lambda x: np.exp(-x), lambda x: -np.exp(-x))})
     for dt in [0.04, 0.02, 0.01]:
         plan = LimitPlan.for_spec(LimitSpec(
             dist=make_service_dist("exponential"),
@@ -50,12 +51,9 @@ def main():
             fluid_init=FluidInit(Ebar=1.0, x0=1.0,
                                  nu0_density={"invariant": 1.0}),
             grid=LimitGrid(T=1.0, dt=dt, dx=0.1),
-            seed=5))
-        runs = []
-        for r in range(16):
-            run = run_limit(plan, r)
-            runs.append(abs(sae_residual(
-                run, lambda x: np.exp(-x), lambda x: -np.exp(-x))))
+            seed=5, test_functions=exp_decay))
+        runs = [abs(sae_residual(run_limit(plan, r), "exp_decay"))
+                for r in range(16)]
         print(f"  dt={dt:<6} mean |residual| = {np.mean(runs):.5f}")
     print("  (halving dt roughly halves the residual: first-order balance)")
 
@@ -65,8 +63,8 @@ def main():
         fluid_init=FluidInit(Ebar=1.0, x0=1.0,
                              nu0_density={"invariant": 1.0}),
         grid=LimitGrid(T=1.0, dt=0.01, dx=0.1),
-        noise_off=True)))
-    res = sae_residual(off, lambda x: np.exp(-x), lambda x: -np.exp(-x))
+        noise_off=True, test_functions=exp_decay)))
+    res = sae_residual(off, "exp_decay")
     print(f"\nnoise off, zero inputs: residual = {res} (exactly zero; the "
           "discretization itself is balanced)")
     assert res == 0.0

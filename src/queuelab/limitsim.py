@@ -28,16 +28,13 @@ exactly zero.
 
 The sample is a linear image of (Ehat, W), so every kernel it applies
 depends on the law, the grid, the fluid path and the test functions only.
-A LimitPlan holds the run's spec and builds that half once per run: the
-regime, the cell intensities and their square roots, the live age
-columns, the FFT length, one rFFT of the column kernels per test function
-(plus one for the f = 1 term in Z), the service density on the time grid,
-and the transported initial term and read-out weights of each test
-function.  Path r of the run (run_limit(plan, r)) then draws Ehat, draws
-W = z sqrt(intensity) and takes one rFFT of W's live columns.  Hhat(f) is
-a sum of column convolutions and the transform is linear, so each kernel
-costs one product with those spectra, a sum over the columns and one
-inverse rFFT.
+A LimitPlan holds the run's spec and builds that half once per run, and
+nothing else builds any of it: solve_cmse takes the plan's service
+density g, and sae_residual reads the run's own read-outs.  Path r of the
+run (run_limit(plan, r)) then draws Ehat, draws W = z sqrt(intensity)
+and takes one rFFT of W's live columns.  Hhat(f) is a sum of column
+convolutions and the transform is linear, so each kernel costs one
+product with those spectra, a sum over the columns and one inverse rFFT.
 
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
@@ -75,6 +72,7 @@ __all__ = [
     "run_limit",
     "rep_hatx_residual",
     "smg_bookkeeping_residual",
+    "sae_test_functions",
     "sae_residual",
 ]
 
@@ -245,17 +243,25 @@ _CLAMP = {"subcritical": lambda x: x,
           "supercritical": lambda x: 0.0}
 
 
-def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
+def _trapezoid_conv(K, w, dt):
+    """int_0^t K_u w(t-u) du on every grid edge: trapezoid in u, one FFT."""
+    conv = fftconvolve(K, w)[:K.size]
+    return dt * (conv - 0.5 * (K[0] * w + K * w[0]))
+
+
+def solve_cmse(t_grid, g, Ehat, x0hat, Z, regime):
     """March the centered input system to (Khat, Xhat, vhat).
 
-    Z is the exogenous measure input S_t(1) - Hhat_t(1); the system closes
+    g is the service density on t_grid (grid_density, LimitPlan.g) and Z
+    the exogenous measure input S_t(1) - Hhat_t(1); the system closes
 
         vhat = Z + Khat - g * Khat        (trapezoid convolution)
         Khat = Ehat + x0 - Xhat + vhat - vhat(0)
         vhat = regime clamp of Xhat
 
-    Each step has a closed-form solution; subcritical Khat is a bitwise
-    copy of Ehat.  Z(0) must match the regime clamp of x0hat.
+    Subcritical Khat is a bitwise copy of Ehat, so Xhat is one convolution;
+    the other regimes solve each step in closed form.  Z(0) must match the
+    regime clamp of x0hat.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size - 1
@@ -266,18 +272,14 @@ def solve_cmse(t_grid, dist, Ehat, x0hat, Z, regime):
     v0 = _CLAMP[regime](x0hat)
     if abs(float(Z[0]) - v0) > 1e-9:
         raise ValueError(f"Z(0)={float(Z[0])} inconsistent with regime value {v0}")
-    g = dist.grid_density(t_grid, dt)
     a = 1.0 - dt * g[0] / 2.0
     if a <= 0:
         raise ValueError("dt too large for this service density at 0")
 
     if regime == "subcritical":
         K = np.asarray(Ehat, dtype=float).copy()
-        X = np.empty(n + 1)
+        X = np.asarray(Z, dtype=float) + K - _trapezoid_conv(K, g, dt)
         X[0] = x0hat
-        for i in range(1, n + 1):
-            C = dt * (0.5 * g[i] * K[0] + float(g[i - 1:0:-1] @ K[1:i]))
-            X[i] = Z[i] + a * K[i] - C
         return K, X, X.copy()
 
     K = np.zeros(n + 1)
@@ -303,21 +305,18 @@ def hat_nu(t_grid, S_f, Khat, H_f, xi, f0):
     """Measure read-out nuhat_t(f) in the derivative form.
 
     xi = f'(1-G) - f g on t_grid and f0 = f(0) are the path-independent
-    weights of f (LimitPlan.readout_weights).  run_limit uses this form
-    whenever f' is given and hat_nu_stieltjes otherwise.  The two are
-    different quadratures of one integral: on the bench limit-cli runs
-    (seeds 0-4, dt = 0.01) they differ by at most 5.4e-5 on profiles of
-    size about 2.  Both stay, because reading out with the Stieltjes form
-    alone would change the bytes `limit run` writes for every read-out
-    that has f'.
+    weights of f (LimitPlan.readout_weights); the middle term f(0) K_t +
+    int_0^t K_u xi(t-u) du is the trapezoid convolution solve_cmse uses.
+    run_limit uses this form whenever f' is given and hat_nu_stieltjes
+    otherwise.  The two are different quadratures of one integral: on the
+    bench limit-cli runs (seeds 0-4, dt = 0.01) they differ by at most
+    5.4e-5 on profiles of size about 2.  Both stay, because reading out
+    with the Stieltjes form alone would change the bytes `limit run`
+    writes for every read-out that has f'.
     """
-    # middle term f(0) K_t + int_0^t K_u xi(t-u) du, trapezoid in u; the
-    # tests cross-check it against a standalone wiring (gamma_map)
-    n = len(t_grid) - 1
-    dt = float(t_grid[1] - t_grid[0])
+    # the tests cross-check the middle term against gamma_map
     K = np.asarray(Khat, dtype=float)
-    conv = fftconvolve(K, xi)[:n + 1]
-    trap = dt * (conv - 0.5 * (K[0] * xi + K * xi[0]))
+    trap = _trapezoid_conv(K, xi, float(t_grid[1] - t_grid[0]))
     return np.asarray(S_f, dtype=float) + f0 * K + trap - np.asarray(H_f, dtype=float)
 
 
@@ -410,8 +409,9 @@ class LimitPlan:
     intensity above 0, so a noise-off field gives exact zeros), the FFT
     length of a full causal convolution along time, the kernel of each
     test function plus the f = 1 kernel of Z, the service density g on the
-    time grid, the transported initial terms S_t(1) and S_t(f), and the
-    read-out weights of each test function.  It pickles to worker
+    time grid (for solve_cmse and rep_hatx_residual), the transported
+    initial terms S_t(1) and S_t(f), and the read-out weights of each test
+    function.  It pickles to worker
     processes with its spec: the law crosses as its spec and the default
     test functions are rebuilt from it.
     """
@@ -538,7 +538,7 @@ def run_limit(plan, replicate=0):
                          noise_off=spec.noise_off)
     H1 = conv_H(fld, plan.one)
     M1 = fld.m1_profile()
-    Khat, Xhat, vhat = solve_cmse(t_grid, spec.dist, Ehat, spec.x0hat,
+    Khat, Xhat, vhat = solve_cmse(t_grid, plan.g, Ehat, spec.x0hat,
                                   plan.S_one - H1, plan.regime)
     nuhat = {}
     for name, (_, fprime) in spec.tests().items():
@@ -559,12 +559,9 @@ def rep_hatx_residual(run):
 
     Xhat = x0 + Ehat - M(1) - [nu0(1) - S(1) - M(1) + H(1) + g * Khat].
     """
-    t_grid = run.t_grid
-    dt = float(t_grid[1] - t_grid[0])
-    g, S1 = run.plan.g, run.plan.S_one
-    K = run.Khat
-    conv = fftconvolve(K, g)[:t_grid.size]
-    gK = dt * (conv - 0.5 * (K[0] * g + K * g[0]))
+    dt = float(run.t_grid[1] - run.t_grid[0])
+    S1 = run.plan.S_one
+    gK = _trapezoid_conv(run.Khat, run.plan.g, dt)
     Dt = S1[0] - S1 - run.M1 + run.Hhat_1 + gK
     return float(np.max(np.abs(run.Xhat - (run.spec.x0hat + run.Ehat - run.M1 - Dt))))
 
@@ -583,31 +580,33 @@ def smg_bookkeeping_residual(run):
     return float(np.max(np.abs(run.Khat - target)))
 
 
-def sae_residual(run, f, fprime):
+def sae_test_functions(dist, funcs):
+    """Read-out entries of sae_residual: each {name: (f, f')} gives
+    name: (f, None) and name + ":drift": (w, None), w = f' - f h, which
+    run_limit reads out in the Stieltjes form the balance is written in."""
+    out = {}
+    for name, (f, fprime) in funcs.items():
+        def w(x, f=f, fprime=fprime):
+            x = np.asarray(x, dtype=float)
+            return np.asarray(fprime(x)) - np.asarray(f(x)) * np.asarray(dist.hazard(x))
+        out[name], out[name + ":drift"] = (f, None), (w, None)
+    return out
+
+
+def sae_residual(run, name):
     """Defect of the semimartingale age balance for phi(x, s) = f(x) at T.
 
     nuhat_T(f) - nuhat_0(f) - int_0^T nuhat_s(f' - f h) ds
-    + (field mass of f up to T) - f(0) Khat_T, all terms on the sample.
+    + (field mass of f up to T) - f(0) Khat_T, all terms on the sample,
+    for the entry `name` of sae_test_functions in the run's spec.
     Left-rule outer integral: O(dt).  noise_off with zero data gives 0.
     """
-    dist = run.spec.dist
-    t_grid = run.t_grid
-    dt = float(t_grid[1] - t_grid[0])
-    i = t_grid.size - 1
-    plan = run.plan
-    S_f = s_op(run.spec.nu0hat, dist, f, t_grid)
-    H_f = conv_H(run.field, plan.kernel(f))
-    nu_f = hat_nu_stieltjes(S_f, run.Khat, H_f, *plan.readout_weights(f, None))
-
-    def w(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(fprime(x)) - np.asarray(f(x)) * np.asarray(dist.hazard(x))
-
-    S_w = s_op(run.spec.nu0hat, dist, w, t_grid)
-    H_w = conv_H(run.field, plan.kernel(w))
-    nu_w = hat_nu_stieltjes(S_w, run.Khat, H_w, *plan.readout_weights(w, None))
-    drift = dt * float(np.sum(nu_w[:i]))
-    fx = np.asarray(f(plan.x_mid), dtype=float)
+    dt = float(run.t_grid[1] - run.t_grid[0])
+    i = run.t_grid.size - 1
+    f = run.spec.tests()[name][0]
+    nu_f = run.nuhat[name]
+    drift = dt * float(np.sum(run.nuhat[name + ":drift"][:i]))
+    fx = np.asarray(f(run.plan.x_mid), dtype=float)
     Mf = float(np.sum(run.field.W[:i, :] @ fx))
     f0 = float(np.atleast_1d(f(np.array([0.0])))[0])
     return float(nu_f[i] - nu_f[0] - drift + Mf - f0 * run.Khat[i])

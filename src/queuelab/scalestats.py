@@ -21,7 +21,7 @@ import numpy as np
 from .dists import ArrivalSpec, make_service_dist, renewal_function
 from .fluid import FluidInit, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, run_limit, sae_residual,
-                       simulate_hw)
+                       sae_test_functions, simulate_hw)
 from .microsim import (InitialCondition, SimConfig, compensator,
                        shift_consistency_check, simulate)
 
@@ -332,20 +332,20 @@ def verify_sae(config=None):
         "one": (lambda x: np.ones_like(np.asarray(x, dtype=float)),
                 lambda x: np.zeros_like(np.asarray(x, dtype=float))),
     }
+    tests = sae_test_functions(dist, funcs)
     lo, hi = cfg["ratio_band"]
     means = {fname: [] for fname in funcs}
-    # sae_residual reads out f itself, so the plans build no read-outs
     for dtv in cfg["dt_levels"]:
         grid = LimitGrid(T=cfg["T"], dt=dtv, dx=cfg["dx"])
         plan = LimitPlan.for_spec(LimitSpec(dist=dist, arrival=arr,
                                             fluid_init=init, grid=grid,
                                             seed=cfg["seed"],
-                                            test_functions={}))
+                                            test_functions=tests))
         vals = {fname: [] for fname in funcs}
         for s in range(cfg["seeds"]):
             run = run_limit(plan, s)
-            for fname, (f, fp) in funcs.items():
-                vals[fname].append(abs(sae_residual(run, f, fp)))
+            for fname in funcs:
+                vals[fname].append(abs(sae_residual(run, fname)))
         for fname in funcs:
             means[fname].append(float(np.mean(vals[fname])))
     reports = []
@@ -362,8 +362,8 @@ def verify_sae(config=None):
     grid = LimitGrid(T=cfg["T"], dt=cfg["dt_levels"][-1], dx=cfg["dx"])
     run = run_limit(LimitPlan.for_spec(LimitSpec(
         dist=dist, arrival=arr, fluid_init=init, grid=grid, seed=0,
-        noise_off=True, test_functions={})))
-    res = max(abs(sae_residual(run, f, fp)) for f, fp in funcs.values())
+        noise_off=True, test_functions=tests)))
+    res = max(abs(sae_residual(run, fname)) for fname in funcs)
     reports.append(TestReport(statistic="sae-noise-off-zero", value=res,
                               threshold=0.0, passed=res == 0.0, replicates=1))
     return reports

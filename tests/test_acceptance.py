@@ -190,9 +190,10 @@ def test_criterion_09_centered_system_lipschitz_and_subcritical_identity():
     U = float(renewal_function(dist, T, 1e-3)[-1])
     bound = 3.0 * (1.0 + U) * LIPSCHITZ_EPS
 
+    g = dist.grid_density(t_grid, dt)
     E0 = 0.2 * np.sin(2 * np.pi * t_grid)
     Z0 = 0.1 * np.sin(2 * np.pi * t_grid)
-    K0, X0, v0 = solve_cmse(t_grid, dist, E0, 0.0, Z0, "critical")
+    K0, X0, v0 = solve_cmse(t_grid, g, E0, 0.0, Z0, "critical")
     rng = np.random.default_rng(1009)
     worst = 0.0
     for _ in range(100):
@@ -200,7 +201,7 @@ def test_criterion_09_centered_system_lipschitz_and_subcritical_identity():
         dE = rng.uniform(-LIPSCHITZ_EPS, LIPSCHITZ_EPS, t_grid.size)
         dZ = rng.uniform(-LIPSCHITZ_EPS, LIPSCHITZ_EPS, t_grid.size)
         dZ[0] = dx0
-        K, X, v = solve_cmse(t_grid, dist, E0 + dE, dx0, Z0 + dZ, "critical")
+        K, X, v = solve_cmse(t_grid, g, E0 + dE, dx0, Z0 + dZ, "critical")
         dev = max(np.max(np.abs(K - K0)), np.max(np.abs(X - X0)),
                   np.max(np.abs(v - v0)))
         worst = max(worst, dev)
@@ -214,7 +215,7 @@ def test_criterion_09_centered_system_lipschitz_and_subcritical_identity():
         E = np.cumsum(rng.normal(0.0, np.sqrt(dt), t_grid.size))
         Z = rng.normal(0.0, 0.05, t_grid.size)
         Z[0] = -0.3
-        K, _, _ = solve_cmse(t_grid, dist, E, -0.3, Z, "subcritical")
+        K, _, _ = solve_cmse(t_grid, g, E, -0.3, Z, "subcritical")
         assert np.array_equal(K, E), (
             "subcritical entry process must equal the arrival input exactly")
     elapsed = time.time() - t0

@@ -57,6 +57,59 @@ def critical_run(seed, **kw):
     return L.run_limit(L.LimitPlan.for_spec(critical_spec(seed, **kw)))
 
 
+# the two test functions of scalestats.verify_sae
+SAE = {"exp-decay": (EXPD, NEXPD), "one": (ONE, ZERO)}
+
+
+def sae_run(seed, dist=EXP, **kw):
+    return critical_run(seed, dist=dist,
+                        test_functions=L.sae_test_functions(dist, SAE), **kw)
+
+
+def sae_reference(run, f, fprime):
+    """Age-balance defect with every read-out built per call: S_t, the
+    field kernel and the Stieltjes weights of f and of w = f' - f h."""
+    dist, plan, tg = run.spec.dist, run.plan, run.t_grid
+    dt = float(tg[1] - tg[0])
+    i = tg.size - 1
+
+    def readout(phi):
+        S = L.s_op(run.spec.nu0hat, dist, phi, tg)
+        H = L.conv_H(run.field, plan.kernel(phi))
+        return L.hat_nu_stieltjes(S, run.Khat, H, *plan.readout_weights(phi, None))
+
+    def w(x):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(fprime(x)) - np.asarray(f(x)) * np.asarray(dist.hazard(x))
+
+    nu_f = readout(f)
+    drift = dt * float(np.sum(readout(w)[:i]))
+    fx = np.asarray(f(plan.x_mid), dtype=float)
+    Mf = float(np.sum(run.field.W[:i, :] @ fx))
+    f0 = float(np.atleast_1d(f(np.array([0.0])))[0])
+    return float(nu_f[i] - nu_f[0] - drift + Mf - f0 * run.Khat[i])
+
+
+def grid_g(dist, t_grid):
+    """solve_cmse's density input: the law's density on the time grid."""
+    return dist.grid_density(t_grid, float(t_grid[1] - t_grid[0]))
+
+
+def subcritical_loop(t_grid, g, Ehat, x0hat, Z):
+    """Subcritical Xhat by the step loop: Khat = Ehat is known, so each
+    step is Z + (1 - dt g(0)/2) Khat minus the trapezoid sum of g * Khat."""
+    n = t_grid.size - 1
+    dt = float(t_grid[1] - t_grid[0])
+    a = 1.0 - dt * g[0] / 2.0
+    K = np.asarray(Ehat, dtype=float)
+    X = np.empty(n + 1)
+    X[0] = x0hat
+    for i in range(1, n + 1):
+        C = dt * (0.5 * g[i] * K[0] + float(g[i - 1:0:-1] @ K[1:i]))
+        X[i] = Z[i] + a * K[i] - C
+    return X
+
+
 class TestGridAndIntensity:
     def test_x_max_from_tail_budget(self):
         grid = L.LimitGrid(T=1.0, dt=0.05, dx=0.25)
@@ -345,6 +398,11 @@ class TestHatE:
         assert np.allclose(E, -0.7 * t_grid, atol=1e-12)
 
 
+def cmse(t_grid, *args):
+    """solve_cmse under exponential service."""
+    return L.solve_cmse(t_grid, grid_g(EXP, t_grid), *args)
+
+
 class TestCmse:
     T_GRID = np.arange(1001) * 1e-3
 
@@ -352,15 +410,31 @@ class TestCmse:
         rng = np.random.default_rng(3)
         E = np.concatenate([[0.0], np.cumsum(rng.standard_normal(1000) * 0.03)])
         Z = np.full(1001, 0.25)  # constant initial mass input, Z(0) = x0hat
-        K, X, v = L.solve_cmse(self.T_GRID, EXP, E, 0.25, Z, "subcritical")
+        K, X, v = cmse(self.T_GRID, E, 0.25, Z, "subcritical")
         assert np.array_equal(K, E), "subcritical entry perturbation must copy arrivals"
         assert np.array_equal(v, X), "subcritical mass perturbation must equal headcount"
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    @pytest.mark.parametrize("dist", [EXP, LOGN, make_service_dist("gamma", shape=0.5)],
+                             ids=["exponential", "lognormal", "gamma"])
+    def test_subcritical_convolution_matches_step_loop(self, dist, dt):
+        # one FFT convolution against the step loop: FFT rounding only
+        tg = np.arange(int(round(1.0 / dt)) + 1) * dt
+        rng = np.random.default_rng(4)
+        E = np.concatenate([[0.0], np.cumsum(rng.standard_normal(tg.size - 1)
+                                             * np.sqrt(dt))])
+        Z = 0.2 + 0.1 * np.sin(2 * np.pi * tg)  # Z(0) = x0hat
+        g = grid_g(dist, tg)
+        _, X, _ = L.solve_cmse(tg, g, E, 0.2, Z, "subcritical")
+        ref = subcritical_loop(tg, g, E, 0.2, Z)
+        rel = float(np.max(np.abs(X - ref))) / float(np.max(np.abs(ref)))
+        assert rel <= 1e-13, f"{dist.name} dt={dt}: Xhat moved {rel:.2e} relative"
 
     def test_critical_noise_off_closed_form(self):
         # drift beta=1 from x0hat=1: linear decay to the boundary at t=1,
         # then exponential relaxation e^-(t-1) - 1
         tg = np.arange(3001) * 1e-3
-        K, X, v = L.solve_cmse(tg, EXP, -tg, 1.0, np.zeros_like(tg), "critical")
+        K, X, v = cmse(tg, -tg, 1.0, np.zeros_like(tg), "critical")
         ref = np.where(tg <= 1.0, 1.0 - tg, np.exp(-(tg - 1.0)) - 1.0)
         err = float(np.max(np.abs(X - ref)))
         assert err < 1e-5, f"noise-off critical path off by {err}"
@@ -370,14 +444,13 @@ class TestCmse:
         # mass deficit -e^-t: zero entry response, X rides the input
         tg = self.T_GRID
         Z = -np.exp(-tg)
-        K, X, v = L.solve_cmse(tg, EXP, np.zeros_like(tg), -1.0, Z, "critical")
+        K, X, v = cmse(tg, np.zeros_like(tg), -1.0, Z, "critical")
         assert float(np.max(np.abs(X + np.exp(-tg)))) < 1e-12
         assert float(np.max(np.abs(K))) < 1e-12
 
     def test_supercritical_drift_only(self):
         tg = self.T_GRID
-        K, X, v = L.solve_cmse(tg, EXP, -0.5 * tg, 0.4, np.zeros_like(tg),
-                               "supercritical")
+        K, X, v = cmse(tg, -0.5 * tg, 0.4, np.zeros_like(tg), "supercritical")
         assert np.allclose(K, 0.0, atol=1e-12)
         assert np.allclose(X, 0.4 - 0.5 * tg, atol=1e-12)
         assert np.all(v == 0.0)
@@ -385,20 +458,20 @@ class TestCmse:
     def test_mixed_rejected(self):
         tg = self.T_GRID
         with pytest.raises(ValueError, match="mixed"):
-            L.solve_cmse(tg, EXP, np.zeros_like(tg), 0.0, np.zeros_like(tg), "mixed")
+            cmse(tg, np.zeros_like(tg), 0.0, np.zeros_like(tg), "mixed")
         with pytest.raises(ValueError, match="regime"):
-            L.solve_cmse(tg, EXP, np.zeros_like(tg), 0.0, np.zeros_like(tg), "bogus")
+            cmse(tg, np.zeros_like(tg), 0.0, np.zeros_like(tg), "bogus")
 
     def test_initial_mass_mismatch_rejected(self):
         tg = self.T_GRID
         Z = np.full(tg.size, 0.3)  # claims nu0hat(1) = 0.3
         with pytest.raises(ValueError, match="inconsistent"):
-            L.solve_cmse(tg, EXP, np.zeros_like(tg), 0.0, Z, "subcritical")
+            cmse(tg, np.zeros_like(tg), 0.0, Z, "subcritical")
 
     def test_dt_too_large_for_density_rejected(self):
         tg = np.array([0.0, 2.5, 5.0])
         with pytest.raises(ValueError, match="dt too large"):
-            L.solve_cmse(tg, EXP, np.zeros(3), 0.0, np.zeros(3), "critical")
+            cmse(tg, np.zeros(3), 0.0, np.zeros(3), "critical")
 
     def test_lipschitz_in_the_arrival_input(self):
         # perturbing the input by eps moves every output by at most
@@ -409,12 +482,12 @@ class TestCmse:
         rng = np.random.default_rng(5)
         E = np.concatenate([[0.0], np.cumsum(rng.standard_normal(100) * 0.1)])
         Z = np.zeros(101)
-        base = L.solve_cmse(tg, EXP, E, 0.5, Z, "critical")
+        base = cmse(tg, E, 0.5, Z, "critical")
         eps = 0.05
         for _ in range(5):
             dE = (2.0 * rng.random(101) - 1.0) * eps
             dE[0] = 0.0
-            pert = L.solve_cmse(tg, EXP, E + dE, 0.5, Z, "critical")
+            pert = cmse(tg, E + dE, 0.5, Z, "critical")
             dev = max(float(np.max(np.abs(p - b))) for p, b in zip(pert, base))
             assert dev <= bound * eps, (
                 f"output moved {dev} under an eps={eps} input perturbation, "
@@ -584,12 +657,22 @@ class TestHalfinWhitt:
 
 class TestAgeBalance:
     def test_noise_off_zero_inputs_exactly_zero(self):
-        run = critical_run(seed=0, noise_off=True)
+        run = sae_run(seed=0, noise_off=True)
         assert np.all(run.Ehat == 0.0) and np.all(run.Khat == 0.0)
         assert np.all(run.Xhat == 0.0)
-        for f, fp in ((EXPD, NEXPD), (ONE, ZERO)):
-            res = L.sae_residual(run, f, fp)
+        for name in SAE:
+            res = L.sae_residual(run, name)
             assert res == 0.0, f"noise-off zero-input balance defect {res}"
+
+    @pytest.mark.parametrize("dist", [EXP, LOGN], ids=["exponential", "lognormal"])
+    def test_run_readouts_equal_per_call_reference(self, dist):
+        # the residual read from run.nuhat is the per-call construction,
+        # bit for bit
+        runs = [sae_run(seed, dist=dist) for seed in (51, 52, 53)]
+        runs.append(sae_run(0, dist=dist, noise_off=True))
+        for run in runs:
+            for name, (f, fp) in SAE.items():
+                assert L.sae_residual(run, name) == sae_reference(run, f, fp), name
 
     def test_noise_off_drift_matches_cmse(self):
         # full pipeline with beta=1 drift only reproduces the closed form
@@ -605,8 +688,8 @@ class TestAgeBalance:
         # strict band runs in the acceptance battery with more seeds
         means = []
         for dtv in (0.04, 0.02, 0.01):
-            vals = [abs(L.sae_residual(critical_run(200 + s, T=1.0, dt=dtv),
-                                       EXPD, NEXPD))
+            vals = [abs(L.sae_residual(sae_run(200 + s, T=1.0, dt=dtv),
+                                       "exp-decay"))
                     for s in range(24)]
             means.append(float(np.mean(vals)))
         r1, r2 = means[1] / means[0], means[2] / means[1]
