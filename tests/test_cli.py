@@ -38,15 +38,23 @@ def sim_cfg(seeds=2, seed=7, N=10, T=1.0):
             "run": {"seeds": seeds, "seed": seed}}
 
 
-def limit_cfg(paths=2, seed=3):
+def limit_cfg(paths=2, seed=3, fluid=None):
     return {"schema_version": 1, "kind": "limit",
             "model": {"service": "exponential",
                       "arrival": {"kind": "renewal", "lambda_bar": 1.0,
                                   "beta": 0.5},
-                      "fluid": {"Ebar": 1.0, "x0": 1.0,
-                                "nu0": {"invariant": 1.0}}},
+                      "fluid": fluid or {"Ebar": 1.0, "x0": 1.0,
+                                         "nu0": {"invariant": 1.0}}},
             "numerics": {"T": 0.5, "dt": 0.01, "dx": 0.05},
             "run": {"paths": paths, "seed": seed}}
+
+
+# a fluid start in each regime the limit sampler solves
+REGIME_FLUIDS = pytest.mark.parametrize("regime, fluid", [
+    pytest.param(regime, fluid, id=regime) for regime, fluid in (
+        ("critical", {"Ebar": 1.0, "x0": 1.0, "nu0": {"invariant": 1.0}}),
+        ("subcritical", {"Ebar": 0.5, "x0": 0.5, "nu0": {"invariant": 0.5}}),
+        ("supercritical", {"Ebar": 1.5, "x0": 1.0, "nu0": {"invariant": 1.0}}))])
 
 
 def read_csv(path):
@@ -199,8 +207,9 @@ class TestFluidSolve:
 
 
 class TestLimitRun:
-    def test_outputs_and_summary(self, tmp_path):
-        cfgp = write_cfg(tmp_path, limit_cfg())
+    @REGIME_FLUIDS
+    def test_outputs_and_summary(self, tmp_path, regime, fluid):
+        cfgp = write_cfg(tmp_path, limit_cfg(fluid=fluid))
         out = tmp_path / "l"
         res = CliRunner().invoke(main, ["limit", "run", "--config", cfgp,
                                         "--out", str(out)])
@@ -209,7 +218,7 @@ class TestLimitRun:
         assert header == ["t", "Ehat", "Khat", "Xhat", "vhat", "nu_exp_decay",
                           "nu_hazard", "nu_one", "nu_survival"]
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["paths"] == 2
+        assert summary["paths"] == 2 and summary["regime"] == regime
         assert summary["worst_rep_hatx_residual"] < 1e-10, (
             "representation residual is a machine-precision identity; "
             f"got {summary['worst_rep_hatx_residual']:.3e}")
@@ -223,10 +232,11 @@ class TestLimitRun:
         b = (out / "limit_p0001.csv").read_bytes()
         assert a == b, "with both noise sources off every path is the skeleton"
 
-    def test_byte_determinism_and_jobs(self, tmp_path):
+    @REGIME_FLUIDS
+    def test_byte_determinism_and_jobs(self, tmp_path, regime, fluid):
         # --jobs workers get the parent's spec and fluid path by pickle;
         # the law inside both crosses as its spec and is rebuilt there
-        cfgp = write_cfg(tmp_path, limit_cfg(paths=3))
+        cfgp = write_cfg(tmp_path, limit_cfg(paths=3, fluid=fluid))
         r = CliRunner()
         for sub, extra in (("a", []), ("b", ["--jobs", "2"])):
             res = r.invoke(main, ["limit", "run", "--config", cfgp,
