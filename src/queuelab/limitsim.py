@@ -411,9 +411,8 @@ class LimitPlan:
     test function plus the f = 1 kernel of Z, the service density g on the
     time grid (for solve_cmse and rep_hatx_residual), the transported
     initial terms S_t(1) and S_t(f), and the read-out weights of each test
-    function.  It pickles to worker
-    processes with its spec: the law crosses as its spec and the default
-    test functions are rebuilt from it.
+    function.  It pickles to worker processes with its spec: the law
+    crosses as its spec and the default test functions are rebuilt from it.
     """
 
     spec: LimitSpec
