@@ -82,17 +82,8 @@ class FluidInit:
 
 
 def _density_on_grid(init, dist, dt):
-    """(x_nodes, p0 values, q0 = p0/sf) on a dt-spaced age grid."""
+    """q0 = p0/sf on a dt-spaced age grid for a density start."""
     spec = init.nu0_density
-    if spec is None:
-        x = np.array([0.0, dt])
-        return x, np.zeros(2), np.zeros(2)
-    if isinstance(spec, dict) and "invariant" in spec:
-        mass = float(spec["invariant"])
-        x_max = dist.tail_point(1e-9)
-        x = np.arange(int(np.ceil(x_max / dt)) + 1) * dt
-        sf = np.asarray(dist.sf(x))
-        return x, mass * sf, np.full(x.size, mass)
     if isinstance(spec, tuple):
         nodes, vals = (np.asarray(a, dtype=float) for a in spec)
         x_max = float(nodes[-1])
@@ -108,8 +99,7 @@ def _density_on_grid(init, dist, dt):
         raise ValueError(f"unrecognized nu0_density: {spec!r}")
     if np.any(p0 < -1e-12):
         raise ValueError("nu0_density must be nonnegative")
-    q0 = dead_mass_ratio(p0, np.asarray(dist.sf(x)))
-    return x, np.maximum(p0, 0.0), q0
+    return dead_mass_ratio(p0, np.asarray(dist.sf(x)))
 
 
 def _check_nu0_mass(init, dist):
@@ -144,14 +134,24 @@ def _cumulative_arrivals(Ebar, grid):
     if isinstance(Ebar, (int, float)):
         return float(Ebar) * grid
     rate = as_rate(Ebar)(grid)
-    out = np.concatenate([[0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(grid))])
+    return np.concatenate([[0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(grid))])
+
+
+def _transported(w, q0, dt, W=None):
+    """I_w(t_i) = int w(x + t_i) q0(x) dx at t_i = i dt, w on {0, dt, ...}.
+
+    q0 on dt age nodes: trapezoid in x, one FFT correlation.  A constant
+    q0 = m (an invariant start) needs no age grid: m (W - int_0^t w), W =
+    int_0^inf w, by cumulative trapezoid, clipped where it overshoots W."""
+    n = w.size - np.size(q0)
+    if not np.any(q0):
+        return np.zeros(n + 1)
+    if np.ndim(q0) == 0:
+        head = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) / 2.0)]) * dt
+        return np.maximum(q0 * (W - head), 0.0)
+    out = fftconvolve(w, q0[::-1], mode="valid") * dt
+    out -= 0.5 * dt * (w[:n + 1] * q0[0] + w[q0.size - 1:] * q0[-1])
     return out
-
-
-def _trapz_dot(vals, dx):
-    # trapezoid with uniform spacing: full sum minus half the endpoints
-    s = float(np.sum(vals))
-    return dx * (s - 0.5 * (float(vals[0]) + float(vals[-1])))
 
 
 @dataclass
@@ -167,8 +167,7 @@ class FluidPath:
     kappa: np.ndarray
     regime: str
     dist: ServiceDistribution = field(repr=False)
-    q0: np.ndarray = field(repr=False)
-    x_nodes: np.ndarray = field(repr=False)
+    q0: object = field(repr=False)  # nu0/(1-G) on dt age nodes, or the constant m
     sf_comb: np.ndarray = field(repr=False)
     sf_half: np.ndarray = field(repr=False)
 
@@ -185,9 +184,14 @@ class FluidPath:
     def age_eval(self, f, t):
         """<f, nu_t> through the same kernels the solver stepped with."""
         i = self._index(t)
-        nx = self.x_nodes.size
-        w = np.asarray(f(self.x_nodes + t), dtype=float) * self.sf_comb[i:i + nx] * self.q0
-        out = _trapz_dot(w, self.dt) if nx > 1 else 0.0
+        m = i + np.size(self.q0)
+        w = np.asarray(f(np.arange(m) * self.dt), dtype=float) * self.sf_comb[:m]
+        W = None
+        if np.ndim(self.q0) == 0 and self.q0:
+            # int_0^inf f (1-G) = mean * <f, stationary age law>; mean for f = 1
+            x, F = self.dist.age_table
+            W = self.dist.mean * np.trapezoid(np.asarray(f(x), dtype=float), F)
+        out = float(_transported(w, self.q0, self.dt, W)[-1])
         if i > 0:
             lags = (np.arange(i, 0, -1) - 0.5) * self.dt
             out += float(np.asarray(f(lags), dtype=float) @ (self.sf_half[i - 1::-1] * self.kappa[:i]))
@@ -210,30 +214,24 @@ def solve_fluid(dist, init, T, dt):
     _check_nu0_mass(init, dist)
     n = int(round(T / dt))
     grid = np.arange(n + 1) * dt
-    x_nodes, p0, q0 = _density_on_grid(init, dist, dt)
-    mass0 = _trapz_dot(p0, dt) if p0.size > 1 else 0.0
-    target0 = min(init.x0, 1.0)
-    if abs(mass0 - target0) > MASS_TOL:
-        raise ValueError(f"nu0 mass {mass0:.6f} must equal min(x0, 1) = {target0:.6f}")
+    spec = init.nu0_density
+    if spec is None or isinstance(spec, dict) and "invariant" in spec:
+        q0 = float(spec["invariant"]) if spec else 0.0
+    else:
+        q0 = _density_on_grid(init, dist, dt)
 
-    nx = x_nodes.size
-    comb = np.arange(nx + n) * dt
+    comb = np.arange(np.size(q0) + n) * dt
     sf_comb = np.asarray(dist.sf(comb))
-    g_comb = dist.grid_density(comb, dt)
     half = (np.arange(n) + 0.5) * dt
     sf_half = np.asarray(dist.sf(half))
     g_half = dist.grid_density(half, dt)
 
-    # transported-initial terms for all t at once: I_w(t_i) = int w(x+t_i) q0(x) dx
-    if np.any(q0 != 0.0):
-        qr = q0[::-1]
-        I1 = fftconvolve(sf_comb, qr, mode="valid") * dt
-        I1 -= 0.5 * dt * (sf_comb[:n + 1] * q0[0] + sf_comb[nx - 1:nx + n] * q0[-1])
-        I2 = fftconvolve(g_comb, qr, mode="valid") * dt
-        I2 -= 0.5 * dt * (g_comb[:n + 1] * q0[0] + g_comb[nx - 1:nx + n] * q0[-1])
-    else:
-        I1 = np.zeros(n + 1)
-        I2 = np.zeros(n + 1)
+    # transported-initial terms for all t at once: mass and hazard load
+    I1 = _transported(sf_comb, q0, dt, dist.mean)
+    I2 = _transported(dist.grid_density(comb, dt), q0, dt, 1.0)
+    target0 = min(init.x0, 1.0)
+    if abs(I1[0] - target0) > MASS_TOL:
+        raise ValueError(f"nu0 mass {I1[0]:.6f} must equal min(x0, 1) = {target0:.6f}")
 
     Ebar = _cumulative_arrivals(init.Ebar, grid)
     B = np.empty(n + 1)
@@ -273,7 +271,7 @@ def solve_fluid(dist, init, T, dt):
         K[i] = K[i - 1] + kap
 
     path = FluidPath(grid=grid, Xbar=X, Kbar=K, Bbar=B, Hbar=H, Dbar=Dc,
-                     kappa=kappa, regime="", dist=dist, q0=q0, x_nodes=x_nodes,
+                     kappa=kappa, regime="", dist=dist, q0=q0,
                      sf_comb=sf_comb, sf_half=sf_half)
     path.regime = classify_regime(path)
     return path

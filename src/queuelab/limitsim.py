@@ -137,9 +137,11 @@ def fluid_age_density_weight(fpath, x, s):
     dt = fpath.dt
     out = np.empty(x.shape)
     init_branch = x >= s
-    # initial customers: age x at time s had age x - s at time 0
-    xi = np.clip(x[init_branch] - s[init_branch], 0.0, fpath.x_nodes[-1])
-    out[init_branch] = np.interp(xi, fpath.x_nodes, fpath.q0, left=0.0, right=0.0)
+    # initial customers had age x - s at time 0; a constant q0 is one node
+    q0 = np.atleast_1d(fpath.q0)
+    nodes = np.arange(q0.size) * dt
+    xi = np.clip(x[init_branch] - s[init_branch], 0.0, nodes[-1])
+    out[init_branch] = np.interp(xi, nodes, q0, left=0.0, right=0.0)
     # entered at time s - x inside cell floor((s-x)/dt): rate kappa/dt
     born = s[~init_branch] - x[~init_branch]
     c = np.clip(np.floor(born / dt).astype(np.int64), 0, fpath.kappa.size - 1)

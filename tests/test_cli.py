@@ -279,7 +279,7 @@ class TestReplicateContext:
         fl = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
         plan = LimitPlan.for_spec(spec)  # carries the spec to the workers
         fl2, plan2 = pickle.loads(pickle.dumps((fl, plan)))
-        for name in ("grid", "Xbar", "Kbar", "Bbar", "Hbar", "q0", "x_nodes"):
+        for name in ("grid", "Xbar", "Kbar", "Bbar", "Hbar", "q0", "sf_comb"):
             assert np.array_equal(getattr(fl, name), getattr(fl2, name)), name
         x = np.linspace(0.0, 4.0, 33)
         assert np.array_equal(fl.dist.sf(x), fl2.dist.sf(x))
@@ -417,12 +417,12 @@ class TestExitCodes:
         assert "numerics" in res.output
 
     def test_numerical_error_exit_three(self, tmp_path):
-        # gamma(0.5) density is unbounded at 0: at dt = 0.5 the trapezoid
-        # mass of the invariant profile misses 1 by more than the 1e-3 gate
+        # the grid states mass 1, but its spike falls between the nodes of
+        # the dt = 0.5 age grid, so the solver's B(0) misses the 1e-3 gate
         cfgp = write_cfg(tmp_path, {
             "schema_version": 1, "kind": "fluid",
-            "model": {"service": {"family": "gamma", "shape": 0.5},
-                      "x0": 1.0, "nu0": {"invariant": 1.0}},
+            "model": {"service": "exponential", "x0": 1.0,
+                      "nu0": {"grid": {"x": [0, 0.1, 0.2], "p": [0, 10, 0]}}},
             "numerics": {"T": 1.0, "dt": 0.5}})
         res = CliRunner().invoke(main, ["fluid", "solve", "--config", cfgp,
                                         "--out", str(tmp_path / "x")])
