@@ -115,7 +115,8 @@ class ServiceDistribution:
     @cached_property
     def age_table(self):
         """(x, F): nodes and the stationary age cdf F(x) = int_0^x (1-G) / m
-        at them, for drawing invariant ages by inversion; read-only.
+        at them, for drawing invariant ages by inversion and for the fluid
+        age read-out of an invariant start; read-only.
 
         4097 nodes reach sf < 1e-9: uniform up to 32, else cells of 32/4096
         at 0 growing geometrically, so a heavy tail does not coarsen the

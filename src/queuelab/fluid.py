@@ -20,7 +20,14 @@ with a scalar Picard iteration on the newest kappa cell (tolerance
 1e-10; a step still off it after 50 sweeps raises ArithmeticError).
 Everything is first-order in dt; the cell-midpoint kernel keeps the
 stationary profile stationary to O(dt^2) per step, which the 10*dt
-invariance test relies on.
+invariance test relies on.  A density unbounded at 0 enters its first
+cell with that cell's mass G(dt)/dt, since g(dt/2) understates it.
+
+The transported-initial term int w(x+t) q0(x) dx, q0 = nu0/(1-G), has one
+helper.  A density start is laid on a dt-spaced age grid.  The invariant
+start {"invariant": m} has q0 = m, so the term is m (int_0^inf w -
+int_0^t w) on the time grid alone: its mass m * mean is exact, and no age
+grid is built, however heavy the tail.
 
 Initial age densities must be absolutely continuous; atoms are outside
 this solver's contract.
@@ -68,6 +75,8 @@ class FluidInit:
     nu0_density: initial age density; None (empty), a callable p0(x),
     {"invariant": mass} for mass * (1-G), or a pair (x_nodes, values).
     Must integrate to min(x0, 1): the surplus (x0 - 1)^+ waits unaged.
+    An invariant start is exact mass with no age grid; the other two are
+    resampled on a dt-spaced age grid.
     x_max: upper age support bound when a callable density needs one.
     """
 
@@ -167,7 +176,7 @@ class FluidPath:
     kappa: np.ndarray
     regime: str
     dist: ServiceDistribution = field(repr=False)
-    q0: object = field(repr=False)  # nu0/(1-G) on dt age nodes, or the constant m
+    q0: np.ndarray | float = field(repr=False)  # nu0/(1-G) on dt age nodes, or m
     sf_comb: np.ndarray = field(repr=False)
     sf_half: np.ndarray = field(repr=False)
 
@@ -205,7 +214,8 @@ def solve_fluid(dist, init, T, dt):
     advance the entry flow so the non-idling closure holds, iterating the
     newest entry cell to a 1e-10 fixed point.  Raises InitialDataError if
     the initial density states a mass other than min(x0, 1), ValueError if
-    its mass on the dt grid misses it by more than MASS_TOL, and
+    B(0), its mass as the solver sees it, misses that by more than
+    MASS_TOL (a density start the dt grid under-resolves), and
     ArithmeticError, naming the step and its last residual, if a step does
     not reach the fixed point in PICARD_MAX sweeps.
     """
@@ -225,6 +235,9 @@ def solve_fluid(dist, init, T, dt):
     half = (np.arange(n) + 0.5) * dt
     sf_half = np.asarray(dist.sf(half))
     g_half = dist.grid_density(half, dt)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not np.isfinite(dist.density(np.zeros(1))[0]):
+            g_half[0] = dist.cdf(np.array([dt]))[0] / dt  # the first cell's mass
 
     # transported-initial terms for all t at once: mass and hazard load
     I1 = _transported(sf_comb, q0, dt, dist.mean)

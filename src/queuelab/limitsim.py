@@ -164,9 +164,7 @@ def fluid_cell_intensity(fpath, grid, dist):
     tm = (t_edges[:-1] + t_edges[1:]) / 2.0
     xm = (x_edges[:-1] + x_edges[1:]) / 2.0
     # g depends on the age only: one evaluation per column, broadcast in time
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.asarray(dist.density(xm), dtype=float)
-    g = np.where(np.isfinite(g), g, 0.0)
+    g = dist.grid_density(xm, grid.dx)
     weight = fluid_age_density_weight(fpath, xm[None, :], tm[:, None])  # (nt, nx)
     intensity = g * weight * grid.dx * grid.dt
     return t_edges, x_edges, np.maximum(intensity, 0.0)

@@ -2,6 +2,12 @@
 regime labels, age read-out consistency."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +18,9 @@ from queuelab.fluid import FluidInit, solve_fluid
 EXP = make_service_dist("exponential")
 LOGN = make_service_dist("lognormal", sigma=0.5)
 GAMMA2 = make_service_dist("gamma", shape=2.0)
+# densities unbounded at 0
+GAMMA05 = make_service_dist("gamma", shape=0.5)
+WEIB07 = make_service_dist("weibull", shape=0.7)
 
 
 def nonidling_residual(path):
@@ -19,7 +28,8 @@ def nonidling_residual(path):
 
 
 class TestStationaryManifold:
-    @pytest.mark.parametrize("dist", [EXP, LOGN, GAMMA2], ids=["exp", "logn", "gamma2"])
+    @pytest.mark.parametrize("dist", [EXP, LOGN, GAMMA2, GAMMA05, WEIB07],
+                             ids=["exp", "logn", "gamma2", "gamma05", "weibull07"])
     def test_invariant_density_stays_put(self, dist):
         dt = 1e-3
         init = FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})
@@ -31,6 +41,40 @@ class TestStationaryManifold:
         path = solve_fluid(EXP, FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),
                            T=5.0, dt=1e-3)
         assert np.max(np.abs(path.Kbar - path.grid)) < 5e-3
+
+
+class TestHeavyTails:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the child's peak from /proc")
+    def test_pareto_invariant_start_stays_small(self):
+        # a dt grid out to the 1e-9 tail point of pareto(1.5) would hold 52
+        # million age nodes at dt = 0.01; the invariant start needs none.
+        # The child caps its address space so a regression fails there
+        # instead of exhausting the machine.  Its peak is VmHWM: ru_maxrss
+        # survives exec and would report the test runner's own peak.
+        code = textwrap.dedent("""
+            import resource
+            soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+            from queuelab.dists import make_service_dist
+            from queuelab.fluid import FluidInit, solve_fluid
+            path = solve_fluid(make_service_dist("pareto", a=1.5),
+                               FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),
+                               2.0, 0.01)
+            assert path.regime == "critical", path.regime
+            with open("/proc/self/status") as fh:
+                print(next(line for line in fh if line.startswith("VmHWM:")))
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(fluid.__file__).resolve().parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        peak_mb = int(res.stdout.split()[-2]) / 1024  # "VmHWM: <n> kB"
+        assert peak_mb < 200, f"pareto invariant solve peaked at {peak_mb:.0f} MB"
 
 
 class TestClosureInvariants:
