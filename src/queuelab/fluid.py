@@ -193,8 +193,8 @@ class FluidPath:
     def age_eval(self, f, t):
         """<f, nu_t> through the same kernels the solver stepped with."""
         i = self._index(t)
-        m = i + np.size(self.q0)
-        w = np.asarray(f(np.arange(m) * self.dt), dtype=float) * self.sf_comb[:m]
+        nw = i + np.size(self.q0)
+        w = np.asarray(f(np.arange(nw) * self.dt), dtype=float) * self.sf_comb[:nw]
         W = None
         if np.ndim(self.q0) == 0 and self.q0:
             # int_0^inf f (1-G) = mean * <f, stationary age law>; mean for f = 1

@@ -54,7 +54,7 @@ class TestHeavyTails:
         # survives exec and would report the test runner's own peak.
         code = textwrap.dedent("""
             import resource
-            soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
             cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
             resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
             from queuelab.dists import make_service_dist
@@ -149,12 +149,14 @@ class TestRegimes:
 
 class TestAgeReadout:
     def test_mass_readout_equals_busy_mass_exactly(self):
-        path = solve_fluid(LOGN, FluidInit(Ebar=1.3, x0=0.7, nu0_density={"invariant": 0.7}),
-                           T=3.0, dt=2e-3)
+        xs = np.linspace(0.0, 30.0, 3001)
         one = lambda x: np.ones_like(x)
-        for i in range(0, path.grid.size, 150):
-            t = path.grid[i]
-            assert abs(path.age_eval(one, t) - path.Bbar[i]) < 1e-10
+        for nu0 in ({"invariant": 0.7}, (xs, 0.7 * LOGN.sf(xs))):
+            path = solve_fluid(LOGN, FluidInit(Ebar=1.3, x0=0.7, nu0_density=nu0),
+                               T=3.0, dt=2e-3)
+            for i in range(0, path.grid.size, 150):
+                t = path.grid[i]
+                assert abs(path.age_eval(one, t) - path.Bbar[i]) < 1e-10
 
     def test_hazard_readout_equals_hazard_load(self):
         path = solve_fluid(GAMMA2, FluidInit(Ebar=1.0, x0=0.5, nu0_density={"invariant": 0.5}),
