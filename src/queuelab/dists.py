@@ -6,6 +6,14 @@ here: cdf G, density g, hazard h = g/(1-G), support endpoint L, and a
 sampler.  Laws are normalized so the mean service requirement is 1 unless
 the caller opts out.
 
+Every law is a closed form on numpy and scipy.special.  Exponential,
+lognormal, weibull, gamma, pareto (Lomax) and logistic (half-logistic)
+apply scipy.stats' formulas and edge conventions in standard units, so
+their values and seeded draws are the frozen scipy laws' (to an ulp for
+four weibull shapes, noted above the family builders); phase-type is a
+spectral or matrix-exponential form and piecewise a table.  Importing
+scipy.stats, about a second per process, would buy nothing here.
+
 This module is the one kernel layer for service laws.  Each decision the
 other layers need about a law is made here and nowhere else:
 
@@ -34,10 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 __all__ = [
     "ServiceDistribution",
@@ -148,7 +157,7 @@ class ServiceDistribution:
 
 
 def _hazard_from(density, sf):
-    # h = g / (1-G) for laws without a scipy logpdf - logsf route
+    # h = g / (1-G) for laws without a log-density minus log-survival route
     def hazard(x):
         s = sf(x)
         return dead_mass_ratio(density(x), s)
@@ -156,37 +165,66 @@ def _hazard_from(density, sf):
     return hazard
 
 
-def _from_scipy(name, frozen, mean=None):
-    mean = float(frozen.mean()) if mean is None else float(mean)
+def _scaled_law(name, scale, mean, k, open_at_zero=False):
+    """A law on [0, inf) from its kernels in standard units z = x/scale.
+
+    k holds numpy/scipy.special kernels of z on the support (pdf, logpdf,
+    cdf, sf, logsf), the inverse survival function isf of q in (0, 1) and
+    a standard draw(rng, size).  Around them this applies scipy.stats'
+    rv_continuous conventions, so the law reads as the frozen scipy law
+    did: cdf 0 and sf 1 for z <= 0, density 0 below 0 (also at 0 when
+    open_at_zero), NaN in gives NaN out, the density divided by scale,
+    draws multiplied by it, and hazard exp(log g - log(1-G)) with every
+    non-finite value read as 0.
+    """
+    log_scale = np.log(scale)
+
+    def _z(x):
+        return np.asarray(x, dtype=float) / scale
+
+    def _out(z, low_mask, low, kernel):
+        # kernel on the support, low off it; a 0-d input gives a scalar
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            val = kernel(z)
+        out = np.where(low_mask, low, val)
+        return out[()] if out.ndim == 0 else out
 
     def cdf(x):
-        return frozen.cdf(np.asarray(x, dtype=float))
-
-    def density(x):
-        return frozen.pdf(np.asarray(x, dtype=float))
+        z = _z(x)
+        return _out(z, z <= 0.0, 0.0, k.cdf)
 
     def sf(x):
-        return frozen.sf(np.asarray(x, dtype=float))
+        z = _z(x)
+        return _out(z, z <= 0.0, 1.0, k.sf)
+
+    def density(x):
+        z = _z(x)
+        return _out(z, z <= 0.0 if open_at_zero else z < 0.0, 0.0,
+                    lambda z: k.pdf(z) / scale)
 
     def hazard(x):
-        x = np.asarray(x, dtype=float)
+        z = _z(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h = np.exp(frozen.logpdf(x) - frozen.logsf(x))
-        return np.where(np.isfinite(h), h, 0.0)
+            h = np.exp(k.logpdf(z) - log_scale - k.logsf(z))
+        on = z > 0.0 if open_at_zero else z >= 0.0
+        return np.where(on & np.isfinite(h), h, 0.0)
 
     def sampler(rng, size=None):
-        return frozen.rvs(size=size, random_state=rng)
+        return k.draw(rng, () if size is None else size) * scale
 
     def conditional(rng, ages):
-        # v ~ G given v > a, via the inverse survival function
+        # v ~ G given v > a, by the inverse survival function of q = u sf(a):
+        # q < 1 since u < 1, and every isf kernel reads q = 0 (u = 0, or sf
+        # underflow) as the upper end of the support, inf
         ages = np.asarray(ages, dtype=float)
         u = rng.uniform(size=ages.shape)
-        v = frozen.isf(u * frozen.sf(ages))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = k.isf(u * sf(ages)) * scale
         return np.maximum(v, ages)
 
     return ServiceDistribution(
         name=name, cdf=cdf, density=density, hazard=hazard,
-        support_end=np.inf, mean=mean, sampler=sampler,
+        support_end=np.inf, mean=float(mean), sampler=sampler,
         sf=sf, conditional=conditional,
     )
 
@@ -199,14 +237,40 @@ def _scale_param(params, key, default, normalize):
     return float(params.pop(key, default))
 
 
+def _split_logsf(median, sf, cdf):
+    # rv_continuous's own log-survival for laws with no closed form of it:
+    # log sf above the median, log1p(-cdf) at or below it
+    def logsf(z):
+        above = z > median
+        out = np.empty(z.shape)
+        out[above] = np.log(sf(z[above]))
+        out[~above] = np.log1p(-cdf(z[~above]))
+        return out
+
+    return logsf
+
+
+# Standard-unit kernels, one namespace per family, each written as scipy
+# 1.17's own formula in its parameter names (s, c, a), so the laws keep
+# scipy's values and draws bit for bit.  One exception: numpy raises to a
+# scalar exponent of exactly 2 or 1/2 by square or sqrt, and scipy's
+# exponent is a scalar only when some input lies off the support.  So
+# weibull with shape 0.5 or 2 (every kernel and conditional) or 1.5 or 3
+# (density) can differ from scipy by an ulp of the power: at most 1.1e-13
+# relative, in the deep tail.
+
 def _make_exponential(params, normalize):
     rate = _scale_param(params, "rate", 1.0, normalize)
     if rate <= 0:
         raise ServiceSpecError("exponential rate must be positive")
     if normalize:
         rate = 1.0
-    return _from_scipy(f"exponential(rate={rate:g})",
-                       stats.expon(scale=1.0 / rate), mean=1.0 / rate)
+    k = SimpleNamespace(
+        pdf=lambda z: np.exp(-z), logpdf=lambda z: -z,
+        cdf=lambda z: -special.expm1(-z), sf=lambda z: np.exp(-z),
+        logsf=lambda z: -z, isf=lambda q: -np.log(q),
+        draw=lambda rng, size: rng.standard_exponential(size))
+    return _scaled_law(f"exponential(rate={rate:g})", 1.0 / rate, 1.0 / rate, k)
 
 
 def _make_lognormal(params, normalize):
@@ -216,8 +280,23 @@ def _make_lognormal(params, normalize):
     mu = _scale_param(params, "mu", 0.0, normalize)
     if normalize:
         mu = -sigma * sigma / 2.0  # mean exp(mu + sigma^2/2) = 1
-    return _from_scipy(f"lognormal(sigma={sigma:g})",
-                       stats.lognorm(s=sigma, scale=math.exp(mu)))
+    s = sigma
+    two_s2 = 2 * (s * s)
+    root_2pi = np.sqrt(2 * np.pi)
+
+    def logpdf(z):
+        return -np.log(z) ** 2 / two_s2 - np.log(s * z * root_2pi)
+
+    k = SimpleNamespace(
+        pdf=lambda z: np.exp(logpdf(z)), logpdf=logpdf,
+        cdf=lambda z: special.ndtr(np.log(z) / s),
+        sf=lambda z: special.ndtr(-(np.log(z) / s)),
+        logsf=lambda z: special.log_ndtr(-(np.log(z) / s)),
+        isf=lambda q: np.exp(s * -special.ndtri(q)),
+        draw=lambda rng, size: np.exp(s * rng.standard_normal(size)))
+    scale = math.exp(mu)
+    return _scaled_law(f"lognormal(sigma={sigma:g})", scale,
+                       np.sqrt(np.exp(s * s)) * scale, k, open_at_zero=True)
 
 
 def _make_weibull(params, normalize):
@@ -227,8 +306,19 @@ def _make_weibull(params, normalize):
     scale = _scale_param(params, "scale", 1.0, normalize)
     if normalize:
         scale = 1.0 / math.gamma(1.0 + 1.0 / shape)
-    return _from_scipy(f"weibull(shape={shape:g})",
-                       stats.weibull_min(c=shape, scale=scale))
+    c = shape
+    log_c = np.log(c)
+    k = SimpleNamespace(
+        pdf=lambda z: c * np.power(z, c - 1) * np.exp(-np.power(z, c)),
+        logpdf=lambda z: log_c + special.xlogy(c - 1, z) - np.power(z, c),
+        cdf=lambda z: -special.expm1(-np.power(z, c)),
+        sf=lambda z: np.exp(-np.power(z, c)),
+        logsf=lambda z: -np.power(z, c),
+        isf=lambda q: np.power(-np.log(q), 1 / c),
+        draw=lambda rng, size: np.power(-special.log1p(-rng.uniform(size=size)),
+                                        1.0 / c))
+    return _scaled_law(f"weibull(shape={shape:g})", scale,
+                       special.gamma(1.0 + 1.0 / c) * scale, k)
 
 
 def _make_gamma(params, normalize):
@@ -238,8 +328,24 @@ def _make_gamma(params, normalize):
     scale = _scale_param(params, "scale", 1.0, normalize)
     if normalize:
         scale = 1.0 / shape
-    return _from_scipy(f"gamma(shape={shape:g})",
-                       stats.gamma(a=shape, scale=scale))
+    a = shape
+    log_norm = special.gammaln(a)
+
+    def logpdf(z):
+        return special.xlogy(a - 1.0, z) - z - log_norm
+
+    def cdf(z):
+        return special.gammainc(a, z)
+
+    def sf(z):
+        return special.gammaincc(a, z)
+
+    k = SimpleNamespace(
+        pdf=lambda z: np.exp(logpdf(z)), logpdf=logpdf, cdf=cdf, sf=sf,
+        logsf=_split_logsf(special.gammaincinv(a, 0.5), sf, cdf),
+        isf=lambda q: special.gammainccinv(a, q),
+        draw=lambda rng, size: rng.standard_gamma(a, size))
+    return _scaled_law(f"gamma(shape={shape:g})", scale, a * scale, k)
 
 
 def _make_pareto(params, normalize):
@@ -250,7 +356,18 @@ def _make_pareto(params, normalize):
     scale = _scale_param(params, "scale", 1.0, normalize)
     if normalize:
         scale = a - 1.0
-    return _from_scipy(f"pareto(a={a:g})", stats.lomax(c=a, scale=scale))
+    c = a
+    log_c = np.log(c)
+    k = SimpleNamespace(
+        pdf=lambda z: c * 1.0 / (1.0 + z) ** (c + 1.0),
+        logpdf=lambda z: log_c - (c + 1) * special.log1p(z),
+        cdf=lambda z: -special.expm1(-c * special.log1p(z)),
+        sf=lambda z: np.exp(-c * special.log1p(z)),
+        logsf=lambda z: -c * special.log1p(z),
+        isf=lambda q: np.power(q, -1.0 / c) - 1,
+        draw=lambda rng, size: special.expm1(
+            -special.log1p(-rng.uniform(size=size)) / c))
+    return _scaled_law(f"pareto(a={a:g})", scale, (c / (c - 1.0) - 1.0) * scale, k)
 
 
 def _make_logistic(params, normalize):
@@ -260,8 +377,25 @@ def _make_logistic(params, normalize):
         raise ServiceSpecError("logistic scale must be positive")
     if normalize:
         scale = 1.0 / math.log(4.0)
-    return _from_scipy(f"logistic(scale={scale:g})",
-                       stats.halflogistic(scale=scale))
+    log_2 = np.log(2)
+
+    def logpdf(z):
+        return log_2 - z - 2. * special.log1p(np.exp(-z))
+
+    def isf(q):
+        return np.where(q < 0.5, -special.logit(0.5 * q), 2 * np.arctanh(1 - q))
+
+    def cdf(z):
+        return np.tanh(z / 2.0)
+
+    def sf(z):
+        return 2 * special.expit(-z)
+
+    k = SimpleNamespace(
+        pdf=lambda z: np.exp(logpdf(z)), logpdf=logpdf, cdf=cdf, sf=sf,
+        logsf=_split_logsf(2 * np.arctanh(0.5), sf, cdf), isf=isf,
+        draw=lambda rng, size: 2 * np.arctanh(rng.uniform(size=size)))
+    return _scaled_law(f"logistic(scale={scale:g})", scale, 2 * log_2 * scale, k)
 
 
 def _make_phasetype(params, normalize):

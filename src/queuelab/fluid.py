@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .dists import ServiceDistribution, as_rate, dead_mass_ratio
 
@@ -48,6 +48,7 @@ __all__ = [
     "FluidPath",
     "solve_fluid",
     "classify_regime",
+    "fftconvolve",
 ]
 
 PICARD_MAX = 50
@@ -146,6 +147,18 @@ def _cumulative_arrivals(Ebar, grid):
     return np.concatenate([[0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(grid))])
 
 
+def fftconvolve(a, b):
+    """Full linear convolution of the 1-D float arrays a and b.
+
+    One real FFT of the next fast length, or a plain product when either
+    has length 1: scipy.signal.fftconvolve's full mode, bit for bit."""
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    m = next_fast_len(n, real=True)
+    return irfft(rfft(a, m) * rfft(b, m), m)[:n]
+
+
 def _transported(w, q0, dt, W=None):
     """I_w(t_i) = int w(x + t_i) q0(x) dx at t_i = i dt, w on {0, dt, ...}.
 
@@ -158,7 +171,7 @@ def _transported(w, q0, dt, W=None):
     if np.ndim(q0) == 0:
         head = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) / 2.0)]) * dt
         return np.maximum(q0 * (W - head), 0.0)
-    out = fftconvolve(w, q0[::-1], mode="valid") * dt
+    out = fftconvolve(w, q0[::-1])[q0.size - 1:w.size] * dt
     out -= 0.5 * dt * (w[:n + 1] * q0[0] + w[q0.size - 1:] * q0[-1])
     return out
 

@@ -47,10 +47,9 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import fftconvolve
 
 from .dists import ServiceDistribution, dead_mass_ratio
-from .fluid import FluidInit, InitialDataError, solve_fluid
+from .fluid import FluidInit, InitialDataError, fftconvolve, solve_fluid
 
 __all__ = [
     "LimitGrid",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, stats
 
 from queuelab import dists as dists_module
 from queuelab.dists import (
@@ -151,6 +151,131 @@ class TestFamilies:
         resid = dist.conditional(rng, ages) - ages
         assert abs(resid.mean() - 1.0) < 5.0 / math.sqrt(40000.0) * 1.0 * 1.5
         assert abs(np.mean(resid > 1.0) - math.exp(-1.0)) < 0.02
+
+
+# The six families scipy.stats also has, against its frozen laws with the
+# same parameters, normalized and not; scipy.stats is a reference in the
+# tests only.  Each entry: the spec and the scipy law it names.
+SCIPY_LAWS = [
+    ({"family": "exponential"}, lambda: stats.expon(scale=1.0)),
+    ({"family": "exponential", "normalize": False, "rate": 2.5},
+     lambda: stats.expon(scale=1.0 / 2.5)),
+    ({"family": "lognormal", "sigma": 0.5},
+     lambda: stats.lognorm(s=0.5, scale=math.exp(-0.125))),
+    ({"family": "lognormal", "normalize": False, "sigma": 0.8, "mu": 0.3},
+     lambda: stats.lognorm(s=0.8, scale=math.exp(0.3))),
+    ({"family": "weibull", "shape": 1.5},
+     lambda: stats.weibull_min(c=1.5, scale=1.0 / math.gamma(1.0 + 1.0 / 1.5))),
+    ({"family": "weibull", "shape": 0.8},
+     lambda: stats.weibull_min(c=0.8, scale=1.0 / math.gamma(1.0 + 1.0 / 0.8))),
+    ({"family": "weibull", "normalize": False, "shape": 1.5, "scale": 2.0},
+     lambda: stats.weibull_min(c=1.5, scale=2.0)),
+    ({"family": "gamma", "shape": 2.0}, lambda: stats.gamma(a=2.0, scale=0.5)),
+    ({"family": "gamma", "shape": 0.5}, lambda: stats.gamma(a=0.5, scale=2.0)),
+    ({"family": "gamma", "normalize": False, "shape": 2.0, "scale": 0.7},
+     lambda: stats.gamma(a=2.0, scale=0.7)),
+    ({"family": "pareto", "a": 1.5}, lambda: stats.lomax(c=1.5, scale=0.5)),
+    ({"family": "pareto", "normalize": False, "a": 2.5, "scale": 3.0},
+     lambda: stats.lomax(c=2.5, scale=3.0)),
+    ({"family": "logistic"}, lambda: stats.halflogistic(scale=1.0 / math.log(4.0))),
+    ({"family": "logistic", "normalize": False, "scale": 0.4},
+     lambda: stats.halflogistic(scale=0.4)),
+]
+# numpy takes an exponent of exactly 2 or 1/2 as square or sqrt, which scipy
+# does only when some input lies off the support: these agree to an ulp
+# of the power, not bit for bit (the kernels still meet 1e-12)
+SCIPY_POWER_LAWS = [
+    ({"family": "weibull", "shape": 2.0},
+     lambda: stats.weibull_min(c=2.0, scale=1.0 / math.gamma(1.5))),
+    ({"family": "weibull", "shape": 0.5},
+     lambda: stats.weibull_min(c=0.5, scale=0.5)),
+]
+
+
+def _law_id(case):
+    spec = case[0]
+    return "-".join(str(v) for k, v in spec.items() if k != "normalize") + (
+        "-raw" if spec.get("normalize") is False else "")
+
+
+def _probe_grid(ref):
+    """Off-support points, NaN, the body and the tail out to sf ~ 1e-300."""
+    hi = 1.0
+    while ref.sf(hi) > 1e-300:
+        hi *= 1.5
+    return np.concatenate([
+        [np.nan, -np.inf, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300, np.inf],
+        np.geomspace(1e-12, 1e-2, 40), np.linspace(0.0, 10.0, 2001),
+        np.geomspace(10.0, hi, 400)])
+
+
+def _scipy_hazard(ref, x):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.exp(ref.logpdf(x) - ref.logsf(x))
+    return np.where(np.isfinite(h), h, 0.0)
+
+
+class _ZeroEveryThird:
+    """A generator whose uniforms are 0 at every third draw: u = 0 sends
+    the conditional draw to the upper end of the support."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, size=None):
+        u = self.rng.uniform(size=size)
+        u.flat[::3] = 0.0
+        return u
+
+
+def _conditional_pairs(law, ref):
+    ages = [np.linspace(0.0, 5.0, 400), np.linspace(0.0, 3.0, 12).reshape(3, 4)]
+    for rng_of in (np.random.default_rng, _ZeroEveryThird):
+        for a in ages:
+            got = law.conditional(rng_of(4), a)
+            u = rng_of(4).uniform(size=a.shape)
+            with np.errstate(divide="ignore"):
+                yield got, np.maximum(ref.isf(u * ref.sf(a)), a)
+
+
+class TestScipyParity:
+    @pytest.mark.parametrize("case", SCIPY_LAWS + SCIPY_POWER_LAWS, ids=_law_id)
+    def test_kernels_match_scipy(self, case):
+        spec, frozen = case
+        law, ref = make_service_dist(spec), frozen()
+        x = _probe_grid(ref)
+        with np.errstate(all="ignore"):
+            pairs = {"cdf": (law.cdf(x), ref.cdf(x)), "sf": (law.sf(x), ref.sf(x)),
+                     "density": (law.density(x), ref.pdf(x)),
+                     "hazard": (law.hazard(x), _scipy_hazard(ref, x))}
+        for kernel, (got, want) in pairs.items():
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                       equal_nan=True, err_msg=kernel)
+        grid = np.linspace(0.0, 4.0, 12).reshape(3, 4)
+        assert law.sf(grid).shape == grid.shape
+        assert type(law.cdf(0.5)) is type(ref.cdf(0.5))
+
+    @pytest.mark.parametrize("case", SCIPY_LAWS, ids=_law_id)
+    def test_draws_and_mean_equal_scipy(self, case):
+        spec, frozen = case
+        law, ref = make_service_dist(spec), frozen()
+        assert repr(law.mean) == repr(float(ref.mean()))
+        for size in (None, 256, (3, 4)):
+            got = law.sampler(np.random.default_rng(8), size)
+            want = ref.rvs(size=size, random_state=np.random.default_rng(8))
+            assert type(got) is type(want) and np.array_equal(got, want), size
+        for got, want in _conditional_pairs(law, ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", SCIPY_POWER_LAWS, ids=_law_id)
+    def test_power_law_draws_within_an_ulp(self, case):
+        spec, frozen = case
+        law, ref = make_service_dist(spec), frozen()
+        assert repr(law.mean) == repr(float(ref.mean()))
+        got = law.sampler(np.random.default_rng(8), 256)
+        assert np.array_equal(got, ref.rvs(size=256, random_state=np.random.default_rng(8)))
+        for got, want in _conditional_pairs(law, ref):
+            np.testing.assert_allclose(got, want, rtol=4.5e-16, atol=0.0)
 
 
 class TestPickle:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from queuelab import fluid
 from queuelab.dists import make_service_dist
@@ -25,6 +26,19 @@ WEIB07 = make_service_dist("weibull", shape=0.7)
 
 def nonidling_residual(path):
     return float(np.max(np.abs(path.Bbar - np.clip(np.minimum(path.Xbar, 1.0), 0.0, None))))
+
+
+class TestFFTConvolve:
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9),
+                                        (9, 2), (201, 201), (201, 57), (5001, 5001)])
+    def test_equals_scipy_signal(self, n1, n2):
+        rng = np.random.default_rng(n1 * 10000 + n2)
+        a, b = rng.standard_normal(n1), rng.standard_normal(n2)
+        assert np.array_equal(fluid.fftconvolve(a, b), signal.fftconvolve(a, b))
+        if n1 >= n2:  # the valid-mode correlation of _transported
+            q = b[::-1]
+            assert np.array_equal(fluid.fftconvolve(a, q)[n2 - 1:n1],
+                                  signal.fftconvolve(a, q, mode="valid"))
 
 
 class TestStationaryManifold:

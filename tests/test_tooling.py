@@ -4,6 +4,8 @@ every public name of the package has a caller outside the tests."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -45,6 +47,19 @@ def test_traced_names_resolve(tracer):
 def test_traced_law_kernels_exist(tracer):
     law = make_service_dist("exponential")
     assert all(callable(getattr(law, k, None)) for k in tracer.LAW_KERNELS)
+
+
+def test_cli_import_loads_no_scipy_stats_or_signal():
+    # queuelab.cli imports every layer; the service laws are closed forms
+    # and the convolutions use scipy.fft, so neither heavy package may load
+    code = ("import sys, queuelab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]", f"import queuelab.cli loaded {res.stdout}"
 
 
 def _uses(path):
