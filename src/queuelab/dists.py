@@ -10,9 +10,10 @@ Every law is a closed form on numpy and scipy.special.  Exponential,
 lognormal, weibull, gamma, pareto (Lomax) and logistic (half-logistic)
 apply scipy.stats' formulas and edge conventions in standard units, so
 their values and seeded draws are the frozen scipy laws' (to an ulp for
-four weibull shapes, noted above the family builders); phase-type is a
-spectral or matrix-exponential form and piecewise a table.  Importing
-scipy.stats, about a second per process, would buy nothing here.
+four weibull shapes, noted above the family builders); phase-type is
+alpha e^{Sx} by binary powers of e^{Sh} and one Taylor step, the same
+route for every generator, and piecewise a table.  Importing scipy.stats
+(about a second per process) or scipy.linalg would buy nothing here.
 
 This module is the one kernel layer for service laws.  Each decision the
 other layers need about a law is made here and nowhere else:
@@ -46,7 +47,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 __all__ = [
     "ServiceDistribution",
@@ -398,6 +399,77 @@ def _make_logistic(params, normalize):
     return _scaled_law(f"logistic(scale={scale:g})", scale, 2 * log_2 * scale, k)
 
 
+_TAYLOR_TERMS = 16  # the Taylor tail past it is below (1/2)^17 / 17! < 1e-19
+
+
+def _phase_occupancy(alpha, S):
+    """x -> alpha e^{Sx} at every point of x, as an (m, x.size) array: row
+    j is phase j's occupancy, column i belongs to point x.flat[i].
+
+    Scaling and squaring on row vectors (Moler & Van Loan, SIAM Rev. 45,
+    2003): with h = 1/(2 ||S||_inf) and x = k h + r, 0 <= r < h, a point
+    takes alpha times E^{2^b} for each bit b of k, E = e^{Sh}, then one
+    Taylor step e^{Sr}.  Both exponentials are taken as e^{-cr} e^{(S+cI)r}
+    with c the largest rate, so every Taylor term is nonnegative: no
+    cancellation and no negative entry.  Each vector-matrix product is
+    written out entry by entry, so a point's value does not depend on the
+    other points in the call.  A point reads alpha at x <= 0, 0 at +inf
+    and NaN at NaN.
+    """
+    m = alpha.size
+    c = float(np.max(-np.diag(S)))
+    A = S + c * np.eye(m)
+    h = 1.0 / (2.0 * np.abs(S).sum(axis=1).max())  # ||A r|| <= c h <= 1/2
+
+    def times(p, M):
+        # p @ M for every column of p
+        out = M[0][:, None] * p[0]
+        for i in range(1, m):
+            out += M[i][:, None] * p[i]
+        return out
+
+    def taylor(p, r):
+        acc = p  # Horner form of p e^{Ar}, then the shift back
+        for j in range(_TAYLOR_TERMS, 0, -1):
+            acc = p + times(acc, A) * (r / j)
+        return acc * np.exp(-c * r)
+
+    E = taylor(np.eye(m), h).T  # taylor puts row i of e^{Sh} in column i
+
+    def occupancy(x):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        # k stays in int64; every law has underflowed long before 2^62 steps
+        t = np.clip(x, 0.0, h * 2.0 ** 62)
+        k, r = np.divmod(np.where(np.isnan(t), 0.0, t), h)
+        k = k.astype(np.int64)
+        p = np.repeat(alpha[:, None], x.size, axis=1)
+        power = E
+        for b in range(int(k.max(initial=0)).bit_length()):
+            p = np.where((k >> b) & 1 == 1, times(p, power), p)
+            power = power @ power
+        p = taylor(p, r)
+        p[:, x == np.inf] = 0.0
+        p[:, np.isnan(x)] = np.nan
+        return p
+
+    return occupancy
+
+
+def _draw_phases(rng, occ, idle):
+    """One phase per column of occ (an (m, n) occupancy), with probability
+    proportional to the column, and idle for a column with no mass.  This
+    is Generator.choice's arithmetic (cumsum of p, divided by its last
+    entry, the count of entries <= a uniform) with one rng.random draw per
+    live column, so it draws what a per-point rng.choice loop draws."""
+    phase = np.full(occ.shape[1], idle)
+    tot = occ.sum(axis=0)
+    live = tot > 0
+    cdf = np.cumsum(occ[:, live] / tot[live], axis=0)
+    cdf /= cdf[-1]
+    phase[live] = np.sum(cdf <= rng.random(cdf.shape[1]), axis=0)
+    return phase
+
+
 def _make_phasetype(params, normalize):
     alpha = np.asarray(params.pop("alpha", (0.5, 0.5)), dtype=float)
     S = np.asarray(params.pop("S", ((-2.0, 0.0), (0.0, -0.5))), dtype=float)
@@ -413,48 +485,29 @@ def _make_phasetype(params, normalize):
         raise ServiceSpecError("phase-type mean is not finite and positive")
     if normalize:
         S = S * raw_mean
-    exit_rates = -S @ ones
+    exit_rates = (-S @ ones)[:, None]  # a column: it weights occupancy rows
     mean = float(-alpha @ np.linalg.solve(S, ones))
+    occupancy = _phase_occupancy(alpha, S)
 
-    def _expm_stack(x):
-        # e^{S x_i} for every point, in one expm call: (x.size, m, m)
-        return linalg.expm(S[None] * x.reshape(-1)[:, None, None])
-
-    # spectral form G(x) = 1 - sum c_i exp(l_i x); S subgenerators are
-    # diagonalizable for the families used here, fall back to expm otherwise
-    try:
-        lam, V = linalg.eig(S)
-        Vinv = np.linalg.inv(V)
-        cond_ok = np.linalg.cond(V) < 1e8
-    except np.linalg.LinAlgError:
-        cond_ok = False
-    if cond_ok:
-        w_sf = (alpha @ V) * (Vinv @ ones)       # sf(x) = sum w exp(lam x)
-        w_g = (alpha @ V) * (Vinv @ exit_rates)  # g(x)  = sum w exp(lam x)
-
-        def sf(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            val = np.real(np.exp(np.outer(x, lam)) @ w_sf)
-            return np.clip(val, 0.0, 1.0).reshape(np.shape(x))
-
-        def density(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            val = np.real(np.exp(np.outer(x, lam)) @ w_g)
-            return np.maximum(val, 0.0).reshape(np.shape(x))
-    else:
-        def _expm_eval(x, vec):
-            # alpha e^{Sx} vec per point, in the shape of x
-            x = np.asarray(x, dtype=float)
-            return (alpha @ _expm_stack(x) @ vec).reshape(np.shape(x))
-
-        def sf(x):
-            return _expm_eval(x, ones)
-
-        def density(x):
-            return _expm_eval(x, exit_rates)
+    # _scaled_law's edge conventions: sf 1 for x <= 0, density and hazard 0
+    # below 0; +inf reads occupancy 0, NaN reads NaN (hazard 0)
+    def sf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= 0.0, 1.0, occupancy(x).sum(axis=0).reshape(x.shape))
 
     def cdf(x):
         return 1.0 - sf(x)
+
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        g = np.sum(exit_rates * occupancy(x), axis=0)
+        return np.where(x < 0.0, 0.0, g.reshape(x.shape))
+
+    def hazard(x):
+        x = np.asarray(x, dtype=float)
+        p = occupancy(x)
+        h = dead_mass_ratio(np.sum(exit_rates * p, axis=0), p.sum(axis=0))
+        return np.where(x < 0.0, 0.0, h.reshape(x.shape))
 
     rates = -np.diag(S)
     jump = S - np.diag(np.diag(S))
@@ -493,19 +546,13 @@ def _make_phasetype(params, normalize):
         # phase occupancy at the attained age, then resume the chain
         ages = np.asarray(ages, dtype=float)
         flat = ages.reshape(-1)
-        phase0 = np.empty(flat.size, dtype=int)
-        for i, occ in enumerate(np.real(alpha @ _expm_stack(flat))):
-            tot = occ.sum()
-            if tot <= 0:
-                phase0[i] = int(np.argmax(alpha))
-            else:
-                phase0[i] = rng.choice(alpha.size, p=np.maximum(occ, 0.0) / np.maximum(occ, 0.0).sum())
+        phase0 = _draw_phases(rng, occupancy(flat), int(np.argmax(alpha)))
         resid = _simulate_from(rng, phase0)
         return (flat + resid).reshape(ages.shape)
 
     return ServiceDistribution(
         name=f"phasetype(m={alpha.size})", cdf=cdf, density=density,
-        hazard=_hazard_from(density, sf), support_end=np.inf, mean=mean, sampler=sampler,
+        hazard=hazard, support_end=np.inf, mean=mean, sampler=sampler,
         sf=sf, conditional=conditional,
     )
 

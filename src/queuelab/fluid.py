@@ -35,7 +35,6 @@ this solver's contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -69,44 +68,30 @@ class InitialDataError(ValueError):
 class FluidInit:
     """Fluid initial data and arrival input.
 
-    Ebar: cumulative arrival mass; a number lam means Ebar(t) = lam t, a
-    rate spec (see as_rate) is integrated on the solver grid, a callable
-    is used as the cumulative function itself.
+    Ebar: the arrival input; a number lam means Ebar(t) = lam t, any other
+    rate spec (see as_rate) is a rate, integrated on the solver grid.
     x0: initial scaled headcount (nonnegative).
-    nu0_density: initial age density; None (empty), a callable p0(x),
-    {"invariant": mass} for mass * (1-G), or a pair (x_nodes, values).
-    Must integrate to min(x0, 1): the surplus (x0 - 1)^+ waits unaged.
-    An invariant start is exact mass with no age grid; the other two are
-    resampled on a dt-spaced age grid.
-    x_max: upper age support bound when a callable density needs one.
+    nu0_density: initial age density; None (empty), {"invariant": mass}
+    for mass * (1-G), or a pair (x_nodes, values) read by linear
+    interpolation and 0 past the last node.  Must integrate to min(x0, 1):
+    the surplus (x0 - 1)^+ waits unaged.  An invariant start is exact mass
+    with no age grid; a pair is resampled on a dt-spaced age grid.
     """
 
     Ebar: object = 1.0
     x0: float = 0.0
     nu0_density: object = None
-    x_max: Optional[float] = None
 
     def __post_init__(self):
         if self.x0 < 0:
             raise ValueError("x0 must be nonnegative")
 
 
-def _density_on_grid(init, dist, dt):
-    """q0 = p0/sf on a dt-spaced age grid for a density start."""
-    spec = init.nu0_density
-    if isinstance(spec, tuple):
-        nodes, vals = (np.asarray(a, dtype=float) for a in spec)
-        x_max = float(nodes[-1])
-        x = np.arange(int(np.ceil(x_max / dt)) + 1) * dt
-        p0 = np.interp(x, nodes, vals, left=0.0, right=0.0)
-    elif callable(spec):
-        x_max = init.x_max
-        if x_max is None:
-            raise ValueError("a callable nu0_density needs x_max")
-        x = np.arange(int(np.ceil(x_max / dt)) + 1) * dt
-        p0 = np.asarray(spec(x), dtype=float)
-    else:
-        raise ValueError(f"unrecognized nu0_density: {spec!r}")
+def _density_on_grid(nodes, vals, dist, dt):
+    """q0 = p0/sf on a dt-spaced age grid for an (x_nodes, values) start."""
+    nodes, vals = (np.asarray(a, dtype=float) for a in (nodes, vals))
+    x = np.arange(int(np.ceil(nodes[-1] / dt)) + 1) * dt
+    p0 = np.interp(x, nodes, vals, left=0.0, right=0.0)
     if np.any(p0 < -1e-12):
         raise ValueError("nu0_density must be nonnegative")
     return dead_mass_ratio(p0, np.asarray(dist.sf(x)))
@@ -115,20 +100,19 @@ def _density_on_grid(init, dist, dt):
 def _check_nu0_mass(init, dist):
     """Refuse an initial density whose stated mass is not min(x0, 1).
 
-    The mass is exact where the spec gives it: m * mean for
-    {"invariant": m}, the trapezoid over the nodes of an (x, values)
-    pair.  A callable density states none; the solver checks its
-    discretized mass.
+    Every accepted start states its mass exactly: 0 for None, m * mean
+    for {"invariant": m}, the trapezoid over the nodes of an (x, values)
+    pair.  Any other form raises ValueError.
     """
     spec = init.nu0_density
-    if isinstance(spec, dict) and "invariant" in spec:
+    if spec is None:
+        mass = 0.0
+    elif isinstance(spec, dict) and "invariant" in spec:
         mass = float(spec["invariant"]) * dist.mean
     elif isinstance(spec, tuple):
         mass = float(np.trapezoid(spec[1], spec[0]))
-    elif spec is None:
-        mass = 0.0
     else:
-        return
+        raise ValueError(f"unrecognized nu0_density: {spec!r}")
     target = min(init.x0, 1.0)
     if abs(mass - target) > MASS_TOL:
         raise InitialDataError(
@@ -136,11 +120,6 @@ def _check_nu0_mass(init, dist):
 
 
 def _cumulative_arrivals(Ebar, grid):
-    if callable(Ebar):
-        probe = np.asarray(Ebar(grid), dtype=float)
-        if probe.shape != grid.shape:
-            raise ValueError("cumulative Ebar must be vectorized over t")
-        return probe
     if isinstance(Ebar, (int, float)):
         return float(Ebar) * grid
     rate = as_rate(Ebar)(grid)
@@ -238,10 +217,10 @@ def solve_fluid(dist, init, T, dt):
     n = int(round(T / dt))
     grid = np.arange(n + 1) * dt
     spec = init.nu0_density
-    if spec is None or isinstance(spec, dict) and "invariant" in spec:
-        q0 = float(spec["invariant"]) if spec else 0.0
+    if isinstance(spec, tuple):
+        q0 = _density_on_grid(*spec, dist, dt)
     else:
-        q0 = _density_on_grid(init, dist, dt)
+        q0 = float(spec["invariant"]) if spec else 0.0
 
     comb = np.arange(np.size(q0) + n) * dt
     sf_comb = np.asarray(dist.sf(comb))

@@ -148,14 +148,16 @@ def fluid_age_density_weight(fpath, x, s):
     return out
 
 
-def fluid_cell_intensity(fpath, grid, dist):
+def fluid_cell_intensity(fpath, grid):
     """(nt, nx) table of cell variances from the fluid departure flow.
 
-    Midpoint evaluation of int_cell h(x) nu_s(dx) ds, written through the
-    density g = h (1-G) so bounded-support laws stay finite.
+    Midpoint evaluation of int_cell h(x) nu_s(dx) ds for the path's law,
+    written through the density g = h (1-G) so bounded-support laws stay
+    finite.
     """
     if fpath.grid[-1] + 1e-9 < grid.T:
         raise ValueError("fluid path does not cover the limit horizon")
+    dist = fpath.dist
     x_max = resolve_x_max(grid, dist)
     t_edges = grid.t_grid()
     nx = int(round(x_max / grid.dx))
@@ -440,7 +442,7 @@ class LimitPlan:
         """The plan for every path of spec's run."""
         dist, grid = spec.dist, spec.grid
         fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
-        t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid, dist)
+        t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid)
         # Z(0) = S_0(1), so solve_cmse's check on it is decided here
         S_one = s_op(spec.nu0hat, dist, _one, t_edges)
         if fpath.regime in _CLAMP:

@@ -42,9 +42,15 @@ ALL_FAMILIES = [
     {"family": "phasetype", "alpha": [0.4, 0.6], "S": [[-3.0, 1.0], [0.0, -0.7]]},
     {"family": "piecewise", "breaks": [0.0, 0.5, 2.0], "values": [1.2, 0.2]},
 ]
-# Erlang-2 generator: defective, so sf and density take the expm fallback
+# Erlang-2 generator: defective (not diagonalizable)
 EXPM_PHASETYPE = {"family": "phasetype", "alpha": [1.0, 0.0],
                   "S": [[-2.0, 2.0], [0.0, -2.0]]}
+FAMILY_IDS = ["exponential", "lognormal", "weibull1.5", "weibull0.8", "gamma",
+              "pareto", "logistic", "phasetype", "piecewise", "phasetype-expm"]
+# the default law, the ALL_FAMILIES law, Erlang-2 and a coupled 3-phase law
+PHASETYPE_LAWS = [{"family": "phasetype"}, ALL_FAMILIES[7], EXPM_PHASETYPE,
+                  {"family": "phasetype", "alpha": [0.5, 0.3, 0.2],
+                   "S": [[-3.0, 1.0, 0.5], [0.2, -1.0, 0.3], [0.0, 0.4, -0.8]]}]
 
 
 def _ages_inside_support(dist, n=64, seed=0):
@@ -78,6 +84,20 @@ class TestFamilies:
         assert np.all(np.diff(G) >= -1e-12)
         assert abs(G[0]) < 1e-12
         assert dist.cdf(np.array([dist.support_end if np.isfinite(dist.support_end) else 1e9]))[0] > 1 - 1e-6
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES + [EXPM_PHASETYPE], ids=FAMILY_IDS)
+    def test_edge_values(self, spec):
+        # every family reads as scipy's laws do below 0, at 0 and at +inf;
+        # weibull of shape > 1 and gamma keep scipy's density inf * 0 = NaN
+        # at +inf, every other law reads 0 there
+        dist = make_service_dist(spec)
+        x = np.array([-1.0, 0.0, np.inf])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cdf, sf, g, h = (getattr(dist, k)(x) for k in ("cdf", "sf", "density", "hazard"))
+        assert cdf.tolist() == [0.0, 0.0, 1.0] and sf.tolist() == [1.0, 1.0, 0.0]
+        assert h[0] == 0.0 and h[1] >= 0.0 and h[2] == 0.0
+        assert g[0] == 0.0 and g[1] >= 0.0
+        assert g[2] == 0.0 or (np.isnan(g[2]) and spec["family"] in ("weibull", "gamma"))
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s["family"] + str(s.get("shape", s.get("sigma", s.get("a", "")))))
     def test_sampler_mean(self, spec):
@@ -282,9 +302,7 @@ class TestPickle:
     """A law pickles as its spec and is rebuilt on load; the rebuilt law
     must agree with the original exactly, kernels and draws alike."""
 
-    @pytest.mark.parametrize("spec", ALL_FAMILIES + [EXPM_PHASETYPE], ids=[
-        "exponential", "lognormal", "weibull1.5", "weibull0.8", "gamma",
-        "pareto", "logistic", "phasetype", "piecewise", "phasetype-expm"])
+    @pytest.mark.parametrize("spec", ALL_FAMILIES + [EXPM_PHASETYPE], ids=FAMILY_IDS)
     def test_round_trip(self, spec):
         dist = make_service_dist(spec)
         back = pickle.loads(pickle.dumps(dist))
@@ -309,45 +327,61 @@ class TestPickle:
 
 
 class TestExpmPhaseType:
+    """alpha e^{Sx} on one route for every phase-type law, defective
+    generators included."""
+
+    @staticmethod
+    def _generator(spec):
+        # (alpha, S) as the law holds them: S rescaled to mean 1
+        alpha = np.array(spec.get("alpha", [0.5, 0.5]))
+        S = np.array(spec.get("S", [[-2.0, 0.0], [0.0, -0.5]]))
+        return alpha, S * float(-alpha @ np.linalg.solve(S, np.ones(alpha.size)))
+
     def test_2d_input_equals_pointwise(self):
-        dist = make_service_dist(EXPM_PHASETYPE)
         x = np.linspace(0.0, 4.0, 12).reshape(3, 4)
-        for kernel in ("sf", "density", "cdf", "hazard"):
-            f = getattr(dist, kernel)
-            got = f(x)
-            assert got.shape == x.shape, kernel
-            pointwise = np.array([f(np.array([v]))[0] for v in x.ravel()])
-            assert np.array_equal(got, pointwise.reshape(x.shape)), kernel
+        for spec in PHASETYPE_LAWS:
+            dist = make_service_dist(spec)
+            for kernel in ("sf", "density", "cdf", "hazard"):
+                f = getattr(dist, kernel)
+                got = f(x)
+                assert got.shape == x.shape, kernel
+                pointwise = np.array([f(np.array([v]))[0] for v in x.ravel()])
+                assert np.array_equal(got, pointwise.reshape(x.shape)), kernel
 
-    def test_one_expm_call_equals_per_point_loop(self, monkeypatch):
-        # the reference is e^{Sx} taken one point at a time; S has mean 1
-        # already, so normalization leaves it as written
-        dist = make_service_dist(EXPM_PHASETYPE)
-        alpha = np.array(EXPM_PHASETYPE["alpha"])
-        S = np.array(EXPM_PHASETYPE["S"])
-        x = np.concatenate([np.linspace(0.0, 12.0, 240), [0.0, 40.0]])
-        probes = (x, x[:240].reshape(12, 20))
-        for kernel, vec in (("sf", np.ones(2)), ("density", -S @ np.ones(2))):
-            for pts in probes:
-                ref = [alpha @ linalg.expm(S * v) @ vec for v in pts.ravel()]
-                got = getattr(dist, kernel)(pts)
-                assert np.array_equal(got, np.reshape(ref, pts.shape)), kernel
-        draws = [dist.conditional(np.random.default_rng(5), pts) for pts in probes]
+    def test_within_1e12_of_per_point_expm(self):
+        # the reference is scipy's e^{Sx} taken one point at a time, down
+        # to sf ~ 1e-54 (Erlang-2 at 64)
+        x = np.linspace(0.0, 64.0, 641)
+        for spec in PHASETYPE_LAWS:
+            dist = make_service_dist(spec)
+            alpha, S = self._generator(spec)
+            ones = np.ones(alpha.size)
+            for pts in (x, x[:640].reshape(32, 20)):
+                occ = np.array([alpha @ linalg.expm(S * v) for v in pts.ravel()])
+                for kernel, vec in (("sf", ones), ("density", -S @ ones)):
+                    ref = np.reshape(occ @ vec, pts.shape)
+                    np.testing.assert_allclose(getattr(dist, kernel)(pts), ref,
+                                               rtol=1e-12, atol=0.0, err_msg=kernel)
 
-        class PerPoint:
-            eig = staticmethod(linalg.eig)
+    def test_conditional_equals_choice_loop(self, monkeypatch):
+        # the batched phase draw against one rng.choice per age on the same
+        # occupancies; an age of 1e4 has none left and takes the idle phase
+        def choice_loop(rng, occ, idle):
+            phase = np.empty(occ.shape[1], dtype=int)
+            for i, col in enumerate(occ.T):
+                tot = col.sum()
+                phase[i] = idle if tot <= 0 else rng.choice(col.size, p=col / tot)
+            return phase
 
-            @staticmethod
-            def expm(A):
-                if A.ndim == 2:
-                    return linalg.expm(A)
-                return np.stack([linalg.expm(a) for a in A])
-
-        monkeypatch.setattr(dists_module, "linalg", PerPoint)
-        ref_dist = make_service_dist(EXPM_PHASETYPE)
-        for pts, got in zip(probes, draws):
-            ref = ref_dist.conditional(np.random.default_rng(5), pts)
-            assert np.array_equal(got, ref)
+        ages = np.concatenate([np.linspace(0.0, 12.0, 240), [0.0, 40.0, 1e4]])
+        probes = (ages, ages[:240].reshape(12, 20))
+        laws = [make_service_dist(spec) for spec in PHASETYPE_LAWS]
+        draws = [[law.conditional(np.random.default_rng(5), a) for a in probes]
+                 for law in laws]
+        monkeypatch.setattr(dists_module, "_draw_phases", choice_loop)
+        for law, got in zip(laws, draws):
+            for a, g in zip(probes, got):
+                assert np.array_equal(g, law.conditional(np.random.default_rng(5), a))
 
 
 class TestRenewalFunction:

@@ -207,14 +207,11 @@ class TestValidation:
         # B(0) carries the O(dt^2) trapezoid error of the initial mass
         assert abs(path.Bbar[0] - 1.0) < 1e-4
 
-    def test_callable_density_needs_xmax(self):
-        with pytest.raises(ValueError):
-            solve_fluid(EXP, FluidInit(Ebar=1.0, x0=0.5, nu0_density=lambda x: 0.5 * np.exp(-x)),
-                        T=1.0, dt=1e-2)
-        path = solve_fluid(EXP, FluidInit(Ebar=1.0, x0=0.5,
-                                          nu0_density=lambda x: 0.5 * np.exp(-x), x_max=25.0),
-                           T=1.0, dt=1e-2)
-        assert abs(path.Bbar[0] - 0.5) < 1e-3
+    @pytest.mark.parametrize("nu0", [lambda x: 0.5 * np.exp(-x), {"mass": 0.5}],
+                             ids=["callable", "dict-without-invariant"])
+    def test_unrecognized_nu0_rejected(self, nu0):
+        with pytest.raises(ValueError, match="unrecognized nu0_density"):
+            solve_fluid(EXP, FluidInit(Ebar=1.0, x0=0.5, nu0_density=nu0), T=1.0, dt=1e-2)
 
     def test_grid_density_pair(self):
         xs = np.linspace(0.0, 30.0, 3001)

@@ -125,7 +125,7 @@ class TestGridAndIntensity:
         # time, so the cells must sum to T up to midpoint + tail error
         grid = L.LimitGrid(T=1.0, dt=0.025, dx=0.25)
         fl = solve_fluid(EXP, stationary_init(), grid.T, grid.dt)
-        _, _, inten = L.fluid_cell_intensity(fl, grid, EXP)
+        _, _, inten = L.fluid_cell_intensity(fl, grid)
         total = float(inten.sum())
         assert abs(total - grid.T) < 0.01, (
             f"cell intensities sum to {total}, expected ~{grid.T} on the "
@@ -135,7 +135,7 @@ class TestGridAndIntensity:
         grid = L.LimitGrid(T=2.0, dt=0.025, dx=0.25)
         fl = solve_fluid(EXP, stationary_init(), 1.0, grid.dt)
         with pytest.raises(ValueError, match="horizon"):
-            L.fluid_cell_intensity(fl, grid, EXP)
+            L.fluid_cell_intensity(fl, grid)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -242,7 +242,7 @@ class TestConvHBatched:
         "gamma2": make_service_dist("gamma", shape=2.0),
         "lomax": make_service_dist("pareto", a=2.5),
         "phasetype": make_service_dist("phasetype"),
-        # Erlang-2 generator is defective: the expm fallback evaluates sf
+        # Erlang-2 generator: defective (not diagonalizable)
         "phasetype_expm": make_service_dist("phasetype", alpha=(1.0, 0.0),
                                             S=((-2.0, 2.0), (0.0, -2.0))),
         # support ends at 8/3: sf(x_mid) = 0 on the columns past it
@@ -594,10 +594,10 @@ class TestRunInvariants:
         assert np.all(sup.vhat == 0.0)
 
     def test_expm_phasetype_law_runs(self):
-        # the expm fallback takes the 2-D meshgrid of fluid_cell_intensity
+        # a defective generator on the limit-cli grid (dt 0.01, dx 0.05)
         dist = make_service_dist("phasetype", alpha=(1.0, 0.0),
                                  S=((-2.0, 2.0), (0.0, -2.0)))
-        run = critical_run(seed=39, T=0.2, dt=0.05, dist=dist)
+        run = critical_run(seed=39, T=0.5, dt=0.01, dx=0.05, dist=dist)
         assert np.all(np.isfinite(run.Xhat))
         assert L.rep_hatx_residual(run) < EXACT_TOL
         assert L.smg_bookkeeping_residual(run) < EXACT_TOL

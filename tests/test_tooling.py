@@ -49,11 +49,13 @@ def test_traced_law_kernels_exist(tracer):
     assert all(callable(getattr(law, k, None)) for k in tracer.LAW_KERNELS)
 
 
-def test_cli_import_loads_no_scipy_stats_or_signal():
+def test_cli_import_loads_no_scipy_stats_signal_or_linalg():
     # queuelab.cli imports every layer; the service laws are closed forms
-    # and the convolutions use scipy.fft, so neither heavy package may load
+    # on numpy and scipy.special and the convolutions use scipy.fft, so
+    # none of these heavier packages may load
     code = ("import sys, queuelab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'], "
+            "['scipy', 'linalg'])))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     res = subprocess.run([sys.executable, "-c", code], env=env,
