@@ -2,15 +2,17 @@
 
 Subcommands map one-to-one onto the library layers: `dists check`,
 `sim run`, `fluid solve`, `limit run`, `verify <battery>`, and each runs a
-config of its own kind only.  Every run reads one JSON config (validated
-against a schema, then against the service specs, verify overrides and
-inconsistent initial data the library rejects; violations exit 2 with the
-offending field path),
-writes data files plus a manifest.json recording the config hash, seeds,
-tool version and wall time, and exits 3 on numerical failures.  `verify` exits 1 when a battery reports a
-failing statistic.  Each kind's run block takes only the keys that kind
-reads.  Flags (--seed, --seeds, --paths, --jobs, --noise-off) are
-run-block overrides and pass the same schema.
+config of its own kind only.  Every run reads one JSON config.  Its header
+(schema_version, kind) is checked first, then the whole config in one pass
+against the kind's closed schema in SCHEMAS, which takes only the model,
+numerics and run keys that kind reads.  Flags (--seed, --seeds, --paths,
+--jobs, --noise-off) are run-block overrides and pass the same schema.
+Service specs, verify overrides, a step longer than T and inconsistent
+initial data are refused as the run builds them, before anything is
+written.  A config error exits 2 naming the offending field path, a
+numerical failure exits 3, and `verify` exits 1 when a battery reports a
+failing statistic.  A run writes data files plus a manifest.json recording
+the config hash, seeds, tool version and wall time.
 
 Data outputs are byte-for-byte reproducible for a given config: floats
 are written with repr (shortest round-trip form) and replicate order is
@@ -48,26 +50,24 @@ __all__ = ["ExperimentConfig", "load_config", "validate_config", "run", "main"]
 
 _NUMBERS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _NULL = {"type": "null"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+
+def _object(*required, **properties):
+    """A closed object of the given properties, the named ones required."""
+    return {"type": "object", "required": list(required),
+            "properties": properties, "additionalProperties": False}
 
 
 def _forms(*plain, **keyed):
     """A value of a plain schema or a one-key object {key: keyed[key]}."""
-    return {"anyOf": [*plain, *({"type": "object", "required": [k],
-                                 "properties": {k: v}, "additionalProperties": False}
-                                for k, v in keyed.items())]}
-
-
-def _lists(*keys):
-    """An object of the given number lists."""
-    return {"type": "object", "required": list(keys),
-            "properties": dict.fromkeys(keys, _NUMBERS),
-            "additionalProperties": False}
+    return {"anyOf": [*plain, *(_object(k, **{k: v}) for k, v in keyed.items())]}
 
 
 # the rate specs dists.as_rate takes from a config
 _RATE_SPEC = _forms({"type": "number"}, const={"type": "number"},
                     affine={**_NUMBERS, "minItems": 2, "maxItems": 2},
-                    pwlin=_lists("t", "v"))
+                    pwlin=_object("t", "v", t=_NUMBERS, v=_NUMBERS))
 
 # where each kind's model holds rate specs; a pwlin one must also have
 # strictly increasing t and one v per t, which the schema cannot say
@@ -78,9 +78,9 @@ _RATE_FIELDS = {"sim": ("arrival.lambda_bar", "arrival.beta"),
 # renewal arrivals take constant rates and sigma2; inhom_poisson takes
 # rate specs and no sigma2, which its diffusion does not read
 _ARRIVAL_KEYS = {
-    "renewal": {"lambda_bar": {"type": "number", "exclusiveMinimum": 0},
+    "renewal": {"lambda_bar": _POSITIVE,
                 "beta": {"type": "number"},
-                "sigma2": {"type": "number", "exclusiveMinimum": 0}},
+                "sigma2": _POSITIVE},
     "inhom_poisson": {"lambda_bar": _RATE_SPEC, "beta": _RATE_SPEC},
 }
 _ARRIVAL_SCHEMA = {
@@ -95,96 +95,11 @@ _ARRIVAL_SCHEMA = {
 }
 
 # fluid initial data: a fluid config's model, a limit config's model.fluid
-_FLUID_INIT_PROPERTIES = {
+_FLUID_INIT = {
     "Ebar": _RATE_SPEC,
     "x0": {"type": "number", "minimum": 0},
-    "nu0": _forms(_NULL, invariant={"type": "number"}, grid=_lists("x", "p")),
-}
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "kind"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": 1},
-        "kind": {"enum": ["sim", "fluid", "limit", "verify", "dists"]},
-        "model": {"type": "object"},
-        "numerics": {"type": "object"},
-        "run": {"type": "object"},
-    },
-    "allOf": [
-        {"if": {"properties": {"kind": {"const": "dists"}}},
-         "then": {"required": ["model"], "properties": {
-             "model": {"type": "object", "required": ["service"],
-                       "properties": {"service": {}},
-                       "additionalProperties": False},
-             "numerics": {"type": "object",
-                          "properties": {
-                              "T": {"type": "number", "exclusiveMinimum": 0},
-                              "dt": {"type": "number", "exclusiveMinimum": 0}},
-                          "additionalProperties": False}}}},
-        {"if": {"properties": {"kind": {"const": "sim"}}},
-         "then": {"required": ["model", "numerics"], "properties": {
-             "model": {"type": "object",
-                       "required": ["N", "service", "arrival"],
-                       "properties": {
-                           "N": {"type": "integer", "minimum": 1},
-                           "service": {},
-                           "arrival": _ARRIVAL_SCHEMA,
-                           "initial": {"type": "object", "properties": {
-                               "x0": {"type": "integer", "minimum": 0},
-                               "ages": _forms(_NULL, {"const": "invariant"}, {
-                                   "type": "array",
-                                   "items": {"type": "number", "minimum": 0}}),
-                               "residual_sampling": {
-                                   "enum": ["conditional", "fresh"]}},
-                               "additionalProperties": False}},
-                       "additionalProperties": False},
-             "numerics": {"type": "object", "required": ["T"],
-                          "properties": {"T": {"type": "number",
-                                               "exclusiveMinimum": 0}},
-                          "additionalProperties": False}}}},
-        {"if": {"properties": {"kind": {"const": "fluid"}}},
-         "then": {"required": ["model", "numerics"], "properties": {
-             "model": {"type": "object", "required": ["service"],
-                       "properties": {"service": {}, **_FLUID_INIT_PROPERTIES},
-                       "additionalProperties": False},
-             "numerics": {"type": "object", "required": ["T", "dt"],
-                          "properties": {
-                              "T": {"type": "number", "exclusiveMinimum": 0},
-                              "dt": {"type": "number", "exclusiveMinimum": 0}},
-                          "additionalProperties": False}}}},
-        {"if": {"properties": {"kind": {"const": "limit"}}},
-         "then": {"required": ["model", "numerics"], "properties": {
-             "model": {"type": "object",
-                       "required": ["service", "arrival", "fluid"],
-                       "properties": {
-                           "service": {},
-                           "arrival": _ARRIVAL_SCHEMA,
-                           "fluid": {"type": "object",
-                                     "properties": _FLUID_INIT_PROPERTIES,
-                                     "additionalProperties": False},
-                           "x0hat": {"type": "number"},
-                           "nu0hat": _forms(_NULL, density=_lists("x", "v"), atoms={
-                               "type": "array", "items": {**_NUMBERS, "minItems": 2,
-                                                          "maxItems": 2}})},
-                       "additionalProperties": False},
-             "numerics": {"type": "object", "required": ["T", "dt", "dx"],
-                          "properties": {
-                              "T": {"type": "number", "exclusiveMinimum": 0},
-                              "dt": {"type": "number", "exclusiveMinimum": 0},
-                              "dx": {"type": "number", "exclusiveMinimum": 0},
-                              "x_max": {"type": "number"}},
-                          "additionalProperties": False}}}},
-        {"if": {"properties": {"kind": {"const": "verify"}}},
-         "then": {"properties": {
-             "schema_version": {}, "kind": {}, "run": {},
-             "model": {"type": "object",
-                       "properties": {"overrides": {"type": "object"}},
-                       "additionalProperties": False}},
-             "additionalProperties": False}},
-    ],
+    "nu0": _forms(_NULL, invariant={"type": "number"},
+                  grid=_object("x", "p", x=_NUMBERS, p=_NUMBERS)),
 }
 
 _RUN_KEYS = {
@@ -196,15 +111,58 @@ _RUN_KEYS = {
     "out": {"type": "string"},
 }
 
-# the run keys each kind reads; any other key is refused
-_RUN_SCHEMAS = {
-    kind: {"type": "object", "properties": {k: _RUN_KEYS[k] for k in keys},
-           "additionalProperties": False}
-    for kind, keys in (("sim", ("seed", "seeds", "jobs", "out")),
-                       ("limit", ("seed", "paths", "jobs", "noise_off", "out")),
-                       ("fluid", ("out",)), ("dists", ("out",)),
-                       ("verify", ("out",)))
+
+def _config(kind, *required, run, **blocks):
+    """One kind's closed config: the header, its blocks (the named ones
+    required) and a run block of the _RUN_KEYS that kind reads."""
+    schema = _object("schema_version", "kind", *required,
+                     schema_version={"const": 1}, kind={"const": kind},
+                     run=_object(**{k: _RUN_KEYS[k] for k in run}), **blocks)
+    # jsonschema reports in keyword order: an unknown root key comes
+    # before a missing block
+    return {"additionalProperties": False, **schema}
+
+
+SCHEMAS = {
+    "sim": _config(
+        "sim", "model", "numerics", run=("seed", "seeds", "jobs", "out"),
+        model=_object("N", "service", "arrival",
+                      N={"type": "integer", "minimum": 1}, service={},
+                      arrival=_ARRIVAL_SCHEMA,
+                      initial=_object(
+                          x0={"type": "integer", "minimum": 0},
+                          ages=_forms(_NULL, {"const": "invariant"}, {
+                              "type": "array",
+                              "items": {"type": "number", "minimum": 0}}),
+                          residual_sampling={"enum": ["conditional", "fresh"]})),
+        numerics=_object("T", T=_POSITIVE)),
+    "fluid": _config(
+        "fluid", "model", "numerics", run=("out",),
+        model=_object("service", service={}, **_FLUID_INIT),
+        numerics=_object("T", "dt", T=_POSITIVE, dt=_POSITIVE)),
+    "limit": _config(
+        "limit", "model", "numerics",
+        run=("seed", "paths", "jobs", "noise_off", "out"),
+        model=_object("service", "arrival", "fluid", service={},
+                      arrival=_ARRIVAL_SCHEMA, fluid=_object(**_FLUID_INIT),
+                      x0hat={"type": "number"},
+                      nu0hat=_forms(_NULL,
+                                    density=_object("x", "v", x=_NUMBERS, v=_NUMBERS),
+                                    atoms={"type": "array", "items": {
+                                        **_NUMBERS, "minItems": 2, "maxItems": 2}})),
+        numerics=_object("T", "dt", "dx", T=_POSITIVE, dt=_POSITIVE, dx=_POSITIVE,
+                         x_max={"type": "number"})),
+    "verify": _config("verify", run=("out",),
+                      model=_object(overrides={"type": "object"})),
+    "dists": _config("dists", "model", run=("out",),
+                     model=_object("service", service={}),
+                     numerics=_object(T=_POSITIVE, dt=_POSITIVE)),
 }
+
+# what validate_config checks before it picks a kind's schema
+_HEADER = {"type": "object", "required": ["schema_version", "kind"],
+           "properties": {"schema_version": {"const": 1},
+                          "kind": {"enum": list(SCHEMAS)}}}
 
 
 @dataclass(frozen=True)
@@ -228,29 +186,29 @@ class SchemaError(ValueError):
     pass
 
 
-def validate_config(data):
-    """Validate a raw dict against the config schema; return ExperimentConfig.
+def _first_error(schema, doc):
+    """The message of the error first in field-path order, or None."""
+    errs = sorted(Draft202012Validator(schema).iter_errors(doc),
+                  key=lambda e: list(e.absolute_path))
+    if not errs:
+        return None
+    e = errs[0]
+    parts = [str(p) for p in e.absolute_path]
+    if e.validator == "additionalProperties":  # name the unknown key
+        parts.append(min(set(e.instance) - set(e.schema["properties"])))
+    return (".".join(parts) or "(root)") + ": " + e.message
 
-    Raises SchemaError whose message starts with the offending field path.
+
+def validate_config(data):
+    """Validate a raw dict against its kind's schema; return ExperimentConfig.
+
+    The header (schema_version, kind) is checked first, then the whole
+    config against SCHEMAS[kind] in one pass.  Raises SchemaError whose
+    message starts with the offending field path.
     """
     if not isinstance(data, dict):
         raise SchemaError("(root): config must be a JSON object")
-
-    def first_error(schema, doc, prefix):
-        errs = sorted(Draft202012Validator(schema).iter_errors(doc),
-                      key=lambda e: list(e.absolute_path))
-        if not errs:
-            return None
-        e = errs[0]
-        parts = prefix + [str(p) for p in e.absolute_path]
-        if e.validator == "additionalProperties":  # name the unknown key
-            parts.append(min(set(e.instance) - set(e.schema["properties"])))
-        return (".".join(parts) or "(root)") + ": " + e.message
-
-    msg = first_error(SCHEMA, data, [])
-    if msg is None:
-        msg = first_error(_RUN_SCHEMAS[data["kind"]], data.get("run", {}),
-                          ["run"])
+    msg = _first_error(_HEADER, data) or _first_error(SCHEMAS[data["kind"]], data)
     if msg is not None:
         raise SchemaError(msg)
     for where in _RATE_FIELDS.get(data["kind"], ()):
@@ -268,13 +226,6 @@ def validate_config(data):
         run=data.get("run", {}))
 
 
-def _read_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"(root): not valid JSON ({e})")
-
-
 def load_config(path, kind=None, **flags):
     """Load and validate a config file for a command that runs `kind`.
 
@@ -282,11 +233,14 @@ def load_config(path, kind=None, **flags):
     flag is put into the run block first, so the schema checks flag values
     as it checks the file's.
     """
-    data = _read_json(path)
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"(root): not valid JSON ({e})")
     if isinstance(data, dict):
         other = data.get("kind")
         if kind is not None and isinstance(other, str) and other != kind \
-                and other in _RUN_SCHEMAS:
+                and other in SCHEMAS:
             raise SchemaError(f"kind: expected {kind!r}, got {other!r}")
         flags = {k: v for k, v in flags.items() if v is not None}
         if flags and isinstance(data.get("run", {}), dict):
@@ -294,26 +248,11 @@ def load_config(path, kind=None, **flags):
     return validate_config(data)
 
 
-def _build_arrival(spec):
-    return ArrivalSpec(kind=spec["kind"],
-                       lambda_bar=spec.get("lambda_bar", 1.0),
-                       beta=spec.get("beta", 0.0),
-                       sigma2=spec.get("sigma2"))
-
-
 def _build_service(spec):
     try:
         return make_service_dist(spec)
     except ServiceSpecError as e:
         raise SchemaError(f"model.service: {e}") from None
-
-
-def _build_initial(spec):
-    spec = spec or {}
-    return InitialCondition(x0=spec.get("x0", 0),
-                            ages=spec.get("ages"),
-                            residual_sampling=spec.get("residual_sampling",
-                                                       "conditional"))
 
 
 def _arrays(block, *keys):
@@ -329,6 +268,15 @@ def _build_fluid_init(block, x0):
         nu0 = _arrays(nu0["grid"], "x", "p")
     return FluidInit(Ebar=block.get("Ebar", 1.0), x0=float(block.get("x0", x0)),
                      nu0_density=nu0)
+
+
+def _time_step(numerics, T=None, dt=None):
+    """(T, dt) of a numerics block, else the defaults; a step longer than
+    the horizon is a config error."""
+    T, dt = float(numerics.get("T", T)), float(numerics.get("dt", dt))
+    if dt > T:
+        raise SchemaError(f"numerics.dt: {dt} is longer than T = {T}")
+    return T, dt
 
 
 def _csv(header, columns):
@@ -380,8 +328,7 @@ def _replicates(one, ctx, n, jobs):
 def _run_dists(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
-    T = float(cfg.numerics.get("T", 4.0))
-    dt = float(cfg.numerics.get("dt", 1e-3))
+    T, dt = _time_step(cfg.numerics, 4.0, 1e-3)
     probe = np.linspace(0.0, min(dist.support_end, 8.0), 257)[:-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hz = np.asarray(dist.hazard(probe), dtype=float)
@@ -422,10 +369,10 @@ def _run_sim(cfg, out):
     n_rep = int(cfg.run.get("seeds", 1))
     seed = int(cfg.run.get("seed", 0))
     sim = SimConfig(N=int(cfg.model["N"]),
-                    arrival=_build_arrival(cfg.model["arrival"]),
+                    arrival=ArrivalSpec(**cfg.model["arrival"]),
                     service=_build_service(cfg.model["service"]),
                     T=float(cfg.numerics["T"]),
-                    initial=_build_initial(cfg.model.get("initial")),
+                    initial=InitialCondition(**cfg.model.get("initial", {})),
                     seed=seed)
     results = _replicates(_sim_one, sim, n_rep, int(cfg.run.get("jobs", 1)))
     files = {f"sim_r{r:04d}.csv": text for r, (text, _) in enumerate(results)}
@@ -443,9 +390,9 @@ def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
     init = _build_fluid_init(cfg.model, 0.0)
+    T, dt = _time_step(cfg.numerics)
     try:
-        path = solve_fluid(dist, init, float(cfg.numerics["T"]),
-                           float(cfg.numerics["dt"]))
+        path = solve_fluid(dist, init, T, dt)
     except InitialDataError as e:  # raised before the solver steps
         raise SchemaError(f"model.{e}") from None
     summary = {"regime": path.regime,
@@ -472,7 +419,7 @@ def _limit_spec(cfg):
     except ValueError as e:  # its message starts with the field's name
         raise SchemaError(f"numerics.{e}") from None
     return LimitSpec(dist=_build_service(cfg.model["service"]),
-                     arrival=_build_arrival(cfg.model["arrival"]),
+                     arrival=ArrivalSpec(**cfg.model["arrival"]),
                      fluid_init=init, grid=grid,
                      x0hat=float(cfg.model.get("x0hat", 0.0)),
                      nu0hat=nu0hat,

@@ -176,7 +176,9 @@ def _scaled_law(name, scale, mean, k, open_at_zero=False):
     did: cdf 0 and sf 1 for z <= 0, density 0 below 0 (also at 0 when
     open_at_zero), NaN in gives NaN out, the density divided by scale,
     draws multiplied by it, and hazard exp(log g - log(1-G)) with every
-    non-finite value read as 0.
+    non-finite value read as 0.  One departure: the density is 0 at +inf
+    for every law, where scipy's weibull (shape > 1) and gamma formulas
+    give inf * 0 = NaN.
     """
     log_scale = np.log(scale)
 
@@ -200,8 +202,8 @@ def _scaled_law(name, scale, mean, k, open_at_zero=False):
 
     def density(x):
         z = _z(x)
-        return _out(z, z <= 0.0 if open_at_zero else z < 0.0, 0.0,
-                    lambda z: k.pdf(z) / scale)
+        off = (z <= 0.0 if open_at_zero else z < 0.0) | (z == np.inf)
+        return _out(z, off, 0.0, lambda z: k.pdf(z) / scale)
 
     def hazard(x):
         z = _z(x)

@@ -97,8 +97,8 @@ class LimitGrid:
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0 or self.dx <= 0:
             raise ValueError("T, dt, dx must be positive")
-        if int(round(self.T / self.dt)) < 1:
-            raise ValueError(f"T: {self.T} holds no time step of dt = {self.dt}")
+        if self.dt > self.T:
+            raise ValueError(f"T: {self.T} is shorter than the step dt = {self.dt}")
         if self.x_max is not None and self.x_max < self.dx:
             raise ValueError(f"x_max: {self.x_max} is below dx = {self.dx}, "
                              "so the field has no age cell")

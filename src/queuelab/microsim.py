@@ -151,7 +151,6 @@ class PathRecord:
     span_begin: np.ndarray
     span_end: np.ndarray
     span_fresh: np.ndarray
-    span_cust: np.ndarray
     dep_time: np.ndarray
     dep_age: np.ndarray
 
@@ -330,7 +329,6 @@ def simulate(config):
         span_theta=theta, span_begin=np.concatenate([np.zeros(b0), st_t]),
         span_end=np.where(done, end, np.inf),
         span_fresh=np.arange(b0 + m) >= b0,
-        span_cust=np.arange(b0 + m, dtype=np.int64),
         dep_time=ev_time[is_dep], dep_age=ev_age[is_dep],
     )
 

@@ -318,6 +318,23 @@ def verify_moments(config=None):
     return reports
 
 
+def _halving_reports(name, means, cfg, replicates):
+    """One report per pair of adjacent cfg["dt_levels"]: the ratio of their
+    mean defects, which passes inside cfg["ratio_band"] (first-order decay
+    halves the defect with dt)."""
+    lo, hi = cfg["ratio_band"]
+    levels = cfg["dt_levels"]
+    reports = []
+    for i in range(len(means) - 1):
+        ratio = means[i + 1] / means[i]
+        reports.append(TestReport(
+            statistic=f"{name}-L{i}", value=ratio, threshold=hi,
+            passed=lo <= ratio <= hi, replicates=replicates,
+            detail=f"dt {levels[i]} -> {levels[i + 1]}, "
+                   f"defects {means[i]:.5g} -> {means[i + 1]:.5g}"))
+    return reports
+
+
 def verify_sae(config=None):
     """First-order decay of the age-balance defect, plus the noise-off
     exact zero, on the critical exponential manifold."""
@@ -333,7 +350,6 @@ def verify_sae(config=None):
                 lambda x: np.zeros_like(np.asarray(x, dtype=float))),
     }
     tests = sae_test_functions(dist, funcs)
-    lo, hi = cfg["ratio_band"]
     means = {fname: [] for fname in funcs}
     for dtv in cfg["dt_levels"]:
         grid = LimitGrid(T=cfg["T"], dt=dtv, dx=cfg["dx"])
@@ -350,14 +366,7 @@ def verify_sae(config=None):
             means[fname].append(float(np.mean(vals[fname])))
     reports = []
     for fname, m in means.items():
-        for i in range(len(m) - 1):
-            ratio = m[i + 1] / m[i]
-            reports.append(TestReport(
-                statistic=f"sae-halving-{fname}-L{i}", value=ratio,
-                threshold=hi, passed=lo <= ratio <= hi,
-                replicates=cfg["seeds"],
-                detail=f"dt {cfg['dt_levels'][i]} -> {cfg['dt_levels'][i + 1]}, "
-                       f"defects {m[i]:.5g} -> {m[i + 1]:.5g}"))
+        reports += _halving_reports(f"sae-halving-{fname}", m, cfg, cfg["seeds"])
     # noise-off with zero data: every term must vanish identically
     grid = LimitGrid(T=cfg["T"], dt=cfg["dt_levels"][-1], dx=cfg["dx"])
     run = run_limit(LimitPlan.for_spec(LimitSpec(
@@ -384,7 +393,6 @@ def verify_representation(config=None):
     paths = [simulate(SimConfig(N=N, arrival=arr, service=dist, T=cfg["T"],
                                 initial=init, seed=cfg["seed"], replicate=r))
              for r in range(cfg["reps"])]
-    lo, hi = cfg["ratio_band"]
     reports = []
     for label, res_fn in (
             ("readout", lambda p, d: shift_consistency_check(
@@ -393,12 +401,6 @@ def verify_representation(config=None):
                 p, dist, f, cfg["shift"], cfg["T"] - cfg["shift"], d))):
         means = [float(np.mean([abs(res_fn(p, dtv)) for p in paths]))
                  for dtv in cfg["dt_levels"]]
-        for i in range(len(means) - 1):
-            ratio = means[i + 1] / means[i]
-            reports.append(TestReport(
-                statistic=f"representation-{label}-L{i}", value=ratio,
-                threshold=hi, passed=lo <= ratio <= hi,
-                replicates=cfg["reps"],
-                detail=f"dt {cfg['dt_levels'][i]} -> {cfg['dt_levels'][i + 1]}, "
-                       f"defects {means[i]:.5g} -> {means[i + 1]:.5g}"))
+        reports += _halving_reports(f"representation-{label}", means, cfg,
+                                    cfg["reps"])
     return reports

@@ -121,6 +121,32 @@ class TestConfigValidation:
         with pytest.raises(SchemaError, match="kind"):
             validate_config(data)
 
+    @pytest.mark.parametrize("faults, field", [
+        ({"schema_version": 2, "model.N": -3}, "schema_version"),
+        ({"kind": "banana", "run.seeds": 0}, "kind"),
+        ({"model.N": -3, "numerics.T": -1.0}, "model.N"),
+        ({"model.bogus": 1, "run.seeds": 0}, "model.bogus"),
+        ({"numerics.T": -1.0, "run.bogus": 1}, "numerics.T"),
+    ], ids=["header-model", "header-run", "model-numerics", "model-run",
+            "numerics-run"])
+    def test_first_faulty_block_named(self, faults, field):
+        # the header is checked first, then one pass over the kind's schema
+        # names the first error in path order: model, numerics, run
+        data = sim_cfg()
+        for where, value in faults.items():
+            *parents, key = where.split(".")
+            block = data
+            for name in parents:
+                block = block[name]
+            block[key] = value
+        with pytest.raises(SchemaError) as err:
+            validate_config(data)
+        assert str(err.value).startswith(f"{field}: "), str(err.value)
+
+    def test_schemas_are_the_commands_kinds(self):
+        # each command group runs the config kind of its name
+        assert sorted(cli.SCHEMAS) == sorted(main.commands)
+
 
 class TestSimRun:
     def test_outputs_and_parity_with_library(self, tmp_path):
@@ -577,12 +603,17 @@ class TestExitCodes:
         ("limit", "model.fluid.nu0", {"invariant": 0.5}, "model.fluid.nu0"),
         # Z(0), the nu0hat mass (0 here), must be the critical clamp of x0hat
         ("limit", "model.x0hat", -0.3, "model.x0hat"),
+        # a step longer than the horizon; dists falls back to T = 4
+        ("limit", "numerics.T", 0.008, "numerics.T"),
+        ("fluid", "numerics", {"T": 0.01, "dt": 0.1}, "numerics.dt"),
+        ("dists", "numerics", {"dt": 5.0}, "numerics.dt"),
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
             "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
             "x-max-negative", "x-max-zero", "x-max-below-dx", "no-time-step",
             "nu0-invariant-mass", "nu0-grid-mass", "limit-nu0-mass",
-            "x0hat-clamp"])
+            "x0hat-clamp", "limit-dt-over-T", "fluid-dt-over-T",
+            "dists-dt-over-default-T"])
     def test_bad_shape_exit_two(self, tmp_path, kind, where, value, field):
         # every config shape the builders take, and every agreement between
         # initial data the run needs, is checked before anything runs;
@@ -590,14 +621,16 @@ class TestExitCodes:
         data = {"sim": sim_cfg(), "limit": limit_cfg(),
                 "fluid": {"schema_version": 1, "kind": "fluid",
                           "model": {"service": "exponential"},
-                          "numerics": {"T": 1.0, "dt": 0.01}}}[kind]
+                          "numerics": {"T": 1.0, "dt": 0.01}},
+                "dists": {"schema_version": 1, "kind": "dists",
+                          "model": {"service": "exponential"}}}[kind]
         *parents, key = where.split(".")
         block = data
         for name in parents:
             block = block[name]
         block[key] = value
         argv = {"sim": ["sim", "run"], "limit": ["limit", "run"],
-                "fluid": ["fluid", "solve"]}[kind]
+                "fluid": ["fluid", "solve"], "dists": ["dists", "check"]}[kind]
         out = tmp_path / "x"
         res = CliRunner().invoke(main, argv + ["--config", write_cfg(tmp_path, data),
                                                "--out", str(out)])

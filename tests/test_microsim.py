@@ -249,6 +249,8 @@ def simulate_by_events(config):
                 record(t, ARRIVAL, cid, np.nan)
             next_arr = next(feed, None)
 
+    # FCFS starts spans in customer order, so simulate indexes spans by id
+    assert span_cust == list(range(len(span_cust))), "spans out of customer order"
     return PathRecord(
         N=N, T=T, x0=x0, seed=config.seed, replicate=config.replicate,
         initial_ages=ages0,
@@ -259,7 +261,6 @@ def simulate_by_events(config):
         B=np.asarray(cB, dtype=np.int64),
         span_theta=np.asarray(span_theta), span_begin=np.asarray(span_begin),
         span_end=np.asarray(span_end), span_fresh=np.asarray(span_fresh, dtype=bool),
-        span_cust=np.asarray(span_cust, dtype=np.int64),
         dep_time=np.asarray(dep_time), dep_age=np.asarray(dep_age),
     )
 
@@ -467,7 +468,7 @@ class TestPoliciesAndInitialState:
         path = simulate(quick_config(N=1, T=4.0, beta=-2.0, seed=7))
         fresh = path.span_fresh
         order = np.argsort(path.span_begin[fresh], kind="stable")
-        cust = path.span_cust[fresh][order]
+        cust = np.flatnonzero(fresh)[order]  # a span's index is its customer id
         assert np.all(np.diff(cust) > 0), "FCFS violated"
 
     def test_initial_overload_queues_surplus(self):
