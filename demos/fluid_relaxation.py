@@ -4,7 +4,7 @@ Solves the deterministic scaled dynamics for under-, exactly-, and
 over-loaded arrival rates from an empty start, then shows that the
 critical fixed point (unit mass with the stationary age profile) really
 is stationary and that a perturbed start relaxes back toward it.
-Writes plot-ready CSV columns to stdout-adjacent files in demos_out/.
+Writes plot-ready CSV columns to demos_out/ under the working directory.
 
     python3 demos/fluid_relaxation.py
 """
@@ -15,7 +15,7 @@ import numpy as np
 from queuelab.dists import make_service_dist
 from queuelab.fluid import FluidInit, solve_fluid
 
-OUT = Path(__file__).resolve().parent / "demos_out"
+OUT = Path("demos_out")
 
 
 def main():

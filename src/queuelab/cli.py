@@ -39,7 +39,7 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from .dists import (ArrivalSpec, ServiceSpecError, as_rate, holder_check,
                     make_service_dist, renewal_function)
-from .fluid import FluidInit, InitialDataError, solve_fluid
+from .fluid import FluidInit, InitialDataError, solve_fluid, whole_steps
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
                        run_limit, smg_bookkeeping_residual)
 from .microsim import (KIND_NAMES, InitialCondition, SimConfig,
@@ -272,10 +272,13 @@ def _build_fluid_init(block, x0):
 
 def _time_step(numerics, T=None, dt=None):
     """(T, dt) of a numerics block, else the defaults; a step longer than
-    the horizon is a config error."""
+    the horizon, or a horizon that is not a whole number of steps, is a
+    config error."""
     T, dt = float(numerics.get("T", T)), float(numerics.get("dt", dt))
     if dt > T:
         raise SchemaError(f"numerics.dt: {dt} is longer than T = {T}")
+    if not whole_steps(T, dt):
+        raise SchemaError(f"numerics.T: {T} is not a whole number of steps dt = {dt}")
     return T, dt
 
 
@@ -368,11 +371,14 @@ def _run_sim(cfg, out):
     t0 = time.time()
     n_rep = int(cfg.run.get("seeds", 1))
     seed = int(cfg.run.get("seed", 0))
+    initial = cfg.model.get("initial", {})
+    if "x0" in initial:  # the schema's integer admits 3.0
+        initial = {**initial, "x0": int(initial["x0"])}
     sim = SimConfig(N=int(cfg.model["N"]),
                     arrival=ArrivalSpec(**cfg.model["arrival"]),
                     service=_build_service(cfg.model["service"]),
                     T=float(cfg.numerics["T"]),
-                    initial=InitialCondition(**cfg.model.get("initial", {})),
+                    initial=InitialCondition(**initial),
                     seed=seed)
     results = _replicates(_sim_one, sim, n_rep, int(cfg.run.get("jobs", 1)))
     files = {f"sim_r{r:04d}.csv": text for r, (text, _) in enumerate(results)}

@@ -16,12 +16,15 @@ age read-out uses.  Each step closes the loop
     Kbar = <1, nu> - <1, nu_0> + int <h, nu_s> ds
     1 - <1, nu_t> = (1 - Xbar_t)^+
 
-with a scalar Picard iteration on the newest kappa cell (tolerance
-1e-10; a step still off it after 50 sweeps raises ArithmeticError).
-Everything is first-order in dt; the cell-midpoint kernel keeps the
-stationary profile stationary to O(dt^2) per step, which the 10*dt
-invariance test relies on.  A density unbounded at 0 enters its first
-cell with that cell's mass G(dt)/dt, since g(dt/2) understates it.
+in closed form.  With the history fixed, the newest kappa cell enters the
+step's departures with weight a = dt g(dt/2) / 2, and the closure is
+piecewise linear in it with slope at most a < 1, so exactly one of its
+three pieces (headcount above capacity, empty, in between) holds a fixed
+point.  A step with a >= 1 is refused.  Everything is first-order in dt;
+the cell-midpoint kernel keeps the stationary profile stationary to
+O(dt^2) per step, which the 10*dt invariance test relies on.  A density
+unbounded at 0 enters its first cell with that cell's mass G(dt)/dt,
+since g(dt/2) understates it.
 
 The transported-initial term int w(x+t) q0(x) dx, q0 = nu0/(1-G), has one
 helper.  A density start is laid on a dt-spaced age grid.  The invariant
@@ -48,10 +51,9 @@ __all__ = [
     "solve_fluid",
     "classify_regime",
     "fftconvolve",
+    "whole_steps",
 ]
 
-PICARD_MAX = 50
-PICARD_TOL = 1e-10
 MASS_TOL = 1e-3
 
 
@@ -117,6 +119,11 @@ def _check_nu0_mass(init, dist):
     if abs(mass - target) > MASS_TOL:
         raise InitialDataError(
             "nu0", f"mass {mass:.6f} must equal min(x0, 1) = {target:.6f}")
+
+
+def whole_steps(T, dt):
+    """Whether the horizon T is a whole number of steps dt, to rounding."""
+    return abs(round(T / dt) * dt - T) <= 1e-9 * T
 
 
 def _cumulative_arrivals(Ebar, grid):
@@ -198,18 +205,39 @@ class FluidPath:
             out += float(np.asarray(f(lags), dtype=float) @ (self.sf_half[i - 1::-1] * self.kappa[:i]))
         return out
 
+    def age_density_weight(self, x, s):
+        """Entry-rate or transported-initial weight so that the fluid age
+        density at (x, s) is weight * (1 - G(x))."""
+        x, s = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(s, dtype=float))
+        dt = self.dt
+        out = np.empty(x.shape)
+        init_branch = x >= s
+        # initial customers had age x - s at time 0; a constant q0 is one node
+        q0 = np.atleast_1d(self.q0)
+        nodes = np.arange(q0.size) * dt
+        xi = np.clip(x[init_branch] - s[init_branch], 0.0, nodes[-1])
+        out[init_branch] = np.interp(xi, nodes, q0, left=0.0, right=0.0)
+        # entered at time s - x inside cell floor((s-x)/dt): rate kappa/dt
+        born = s[~init_branch] - x[~init_branch]
+        c = np.clip(np.floor(born / dt).astype(np.int64), 0, self.kappa.size - 1)
+        out[~init_branch] = self.kappa[c] / dt
+        return out
+
 
 def solve_fluid(dist, init, T, dt):
     """March the fluid equations on {0, dt, ..., T}.
 
-    Per step: evaluate mass and hazard load from the transport kernels,
-    advance the entry flow so the non-idling closure holds, iterating the
-    newest entry cell to a 1e-10 fixed point.  Raises InitialDataError if
-    the initial density states a mass other than min(x0, 1), ValueError if
-    B(0), its mass as the solver sees it, misses that by more than
-    MASS_TOL (a density start the dt grid under-resolves), and
-    ArithmeticError, naming the step and its last residual, if a step does
-    not reach the fixed point in PICARD_MAX sweeps.
+    Per step: evaluate mass and hazard load from the transport kernels and
+    solve the non-idling closure for the newest entry cell exactly, trying
+    its above-capacity, empty and in-between pieces in that order (the
+    order stays right for an infinite headcount).  Raises InitialDataError
+    if the initial density states a mass other than min(x0, 1),
+    ValueError if B(0), its mass as the solver sees it, misses that by
+    more than MASS_TOL (a density start the dt grid under-resolves) or if
+    dt g(dt/2) / 2 >= 1 (dt too large for the density at 0), and
+    ArithmeticError naming the first step whose headcount, entries, mass
+    or hazard load is not finite.
     """
     if dt <= 0 or T <= 0 or dt > T:
         raise ValueError("need 0 < dt <= T")
@@ -230,6 +258,9 @@ def solve_fluid(dist, init, T, dt):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if not np.isfinite(dist.density(np.zeros(1))[0]):
             g_half[0] = dist.cdf(np.array([dt]))[0] / dt  # the first cell's mass
+    a = dt * g_half[0] / 2.0  # the newest cell's share of the step's departures
+    if a >= 1.0:
+        raise ValueError("dt too large for this service density at 0")
 
     # transported-initial terms for all t at once: mass and hazard load
     I1 = _transported(sf_comb, q0, dt, dist.mean)
@@ -238,7 +269,8 @@ def solve_fluid(dist, init, T, dt):
     if abs(I1[0] - target0) > MASS_TOL:
         raise ValueError(f"nu0 mass {I1[0]:.6f} must equal min(x0, 1) = {target0:.6f}")
 
-    Ebar = _cumulative_arrivals(init.Ebar, grid)
+    with np.errstate(over="ignore"):  # an overflow ends in a non-finite step
+        Ebar = _cumulative_arrivals(init.Ebar, grid)
     B = np.empty(n + 1)
     H = np.empty(n + 1)
     X = np.empty(n + 1)
@@ -252,28 +284,28 @@ def solve_fluid(dist, init, T, dt):
     for i in range(1, n + 1):
         base_B = I1[i] + (float(sf_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
         base_H = I2[i] + (float(g_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
-        kap = kappa[i - 2] if i > 1 else max(Ebar[1], 0.0)
-        for _ in range(PICARD_MAX):
-            H_i = base_H + g_half[0] * kap
-            D_i = Dc[i - 1] + dt * (H[i - 1] + H_i) / 2.0
-            X_i = init.x0 + Ebar[i] - D_i
-            B_target = min(max(X_i, 0.0), 1.0)
-            kap_new = max(B_target - B[0] + D_i - K[i - 1], 0.0)
-            residual = abs(kap_new - kap)
-            kap = kap_new
-            if residual < PICARD_TOL:
-                break
-        else:
-            raise ArithmeticError(
-                f"fluid Picard iteration did not converge at step {i} "
-                f"(t={grid[i]:g}): residual {residual:.3e} after "
-                f"{PICARD_MAX} sweeps")
+        # the step is kap = max(clip(Y - a kap, 0, 1) + c + a kap, 0): one
+        # piece per zone of the headcount Y - a kap, which is > 1 in the
+        # first, < 0 in the second and in [0, 1] in the third
+        D0 = Dc[i - 1] + dt * (H[i - 1] + base_H) / 2.0
+        c = D0 - B[0] - K[i - 1]
+        Y = init.x0 + Ebar[i] - D0
+        kap = max((1.0 + c) / (1.0 - a), 0.0)
+        if not Y - a * kap > 1.0:
+            kap = max(c / (1.0 - a), 0.0)
+            if not Y - a * kap < 0.0:
+                kap = max(Y + c, 0.0)
         kappa[i - 1] = kap
         H[i] = base_H + g_half[0] * kap
         B[i] = base_B + sf_half[0] * kap
         Dc[i] = Dc[i - 1] + dt * (H[i - 1] + H[i]) / 2.0
         X[i] = init.x0 + Ebar[i] - Dc[i]
         K[i] = K[i - 1] + kap
+
+    finite = np.isfinite(X) & np.isfinite(K) & np.isfinite(B) & np.isfinite(H)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ArithmeticError(f"fluid step {i} (t={grid[i]:g}) is not finite")
 
     path = FluidPath(grid=grid, Xbar=X, Kbar=K, Bbar=B, Hbar=H, Dbar=Dc,
                      kappa=kappa, regime="", dist=dist, q0=q0,

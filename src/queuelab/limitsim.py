@@ -49,7 +49,8 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .dists import ServiceDistribution, dead_mass_ratio
-from .fluid import FluidInit, InitialDataError, fftconvolve, solve_fluid
+from .fluid import (FluidInit, InitialDataError, fftconvolve, solve_fluid,
+                    whole_steps)
 
 __all__ = [
     "LimitGrid",
@@ -99,6 +100,8 @@ class LimitGrid:
             raise ValueError("T, dt, dx must be positive")
         if self.dt > self.T:
             raise ValueError(f"T: {self.T} is shorter than the step dt = {self.dt}")
+        if not whole_steps(self.T, self.dt):
+            raise ValueError(f"T: {self.T} is not a whole number of steps dt = {self.dt}")
         if self.x_max is not None and self.x_max < self.dx:
             raise ValueError(f"x_max: {self.x_max} is below dx = {self.dx}, "
                              "so the field has no age cell")
@@ -127,27 +130,6 @@ class MartingaleField:
         return np.concatenate([[0.0], np.cumsum(self.W.sum(axis=1))])
 
 
-def fluid_age_density_weight(fpath, x, s):
-    """Entry-rate or transported-initial weight so that the fluid age
-    density at (x, s) is weight * (1 - G(x))."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    x, s = np.broadcast_arrays(x, s)
-    dt = fpath.dt
-    out = np.empty(x.shape)
-    init_branch = x >= s
-    # initial customers had age x - s at time 0; a constant q0 is one node
-    q0 = np.atleast_1d(fpath.q0)
-    nodes = np.arange(q0.size) * dt
-    xi = np.clip(x[init_branch] - s[init_branch], 0.0, nodes[-1])
-    out[init_branch] = np.interp(xi, nodes, q0, left=0.0, right=0.0)
-    # entered at time s - x inside cell floor((s-x)/dt): rate kappa/dt
-    born = s[~init_branch] - x[~init_branch]
-    c = np.clip(np.floor(born / dt).astype(np.int64), 0, fpath.kappa.size - 1)
-    out[~init_branch] = fpath.kappa[c] / dt
-    return out
-
-
 def fluid_cell_intensity(fpath, grid):
     """(nt, nx) table of cell variances from the fluid departure flow.
 
@@ -166,7 +148,7 @@ def fluid_cell_intensity(fpath, grid):
     xm = (x_edges[:-1] + x_edges[1:]) / 2.0
     # g depends on the age only: one evaluation per column, broadcast in time
     g = dist.grid_density(xm, grid.dx)
-    weight = fluid_age_density_weight(fpath, xm[None, :], tm[:, None])  # (nt, nx)
+    weight = fpath.age_density_weight(xm[None, :], tm[:, None])  # (nt, nx)
     intensity = g * weight * grid.dx * grid.dt
     return t_edges, x_edges, np.maximum(intensity, 0.0)
 
@@ -244,6 +226,14 @@ _CLAMP = {"subcritical": lambda x: x,
           "supercritical": lambda x: 0.0}
 
 
+def _clamp(regime):
+    """The regime's clamp; mixed or unknown regimes are refused."""
+    if regime not in _CLAMP:
+        raise ValueError(f"regime {regime!r}: mixed or unknown regimes are "
+                         "outside this solver")
+    return _CLAMP[regime]
+
+
 def _trapezoid_conv(K, w, dt):
     """int_0^t K_u w(t-u) du on every grid edge: trapezoid in u, one FFT."""
     conv = fftconvolve(K, w)[:K.size]
@@ -267,10 +257,7 @@ def solve_cmse(t_grid, g, Ehat, x0hat, Z, regime):
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size - 1
     dt = float(t_grid[1] - t_grid[0])
-    if regime not in _CLAMP:
-        raise ValueError(f"regime {regime!r}: mixed or unknown regimes are "
-                         "outside this solver")
-    v0 = _CLAMP[regime](x0hat)
+    v0 = _clamp(regime)(x0hat)
     if abs(float(Z[0]) - v0) > 1e-9:
         raise ValueError(f"Z(0)={float(Z[0])} inconsistent with regime value {v0}")
     a = 1.0 - dt * g[0] / 2.0
@@ -404,9 +391,10 @@ class LimitPlan:
     """One limit run: its spec and the path-independent half of the
     sampler, built once.
 
-    for_spec solves the fluid path and keeps what every path of the run
-    applies: the regime, the cell intensities and their square roots, the
-    live columns (1-G(x) > 0, so the kernels divide by no zero, and some
+    for_spec solves the fluid path, refuses a mixed regime before it
+    builds anything else, and keeps what every path of the run applies:
+    the regime, the cell intensities and their square roots, the live
+    columns (1-G(x) > 0, so the kernels divide by no zero, and some
     intensity above 0, so a noise-off field gives exact zeros), the FFT
     length of a full causal convolution along time, the kernel of each
     test function plus the f = 1 kernel of Z, the service density g on the
@@ -442,15 +430,15 @@ class LimitPlan:
         """The plan for every path of spec's run."""
         dist, grid = spec.dist, spec.grid
         fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
+        clamp = _clamp(fpath.regime)  # before any table or kernel is built
         t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid)
         # Z(0) = S_0(1), so solve_cmse's check on it is decided here
         S_one = s_op(spec.nu0hat, dist, _one, t_edges)
-        if fpath.regime in _CLAMP:
-            v0 = _CLAMP[fpath.regime](spec.x0hat)
-            if abs(float(S_one[0]) - v0) > 1e-9:
-                raise InitialDataError(
-                    "x0hat", f"{spec.x0hat} clamps to {v0} in the {fpath.regime} "
-                    f"regime, but the nu0hat mass is {float(S_one[0])}")
+        v0 = clamp(spec.x0hat)
+        if abs(float(S_one[0]) - v0) > 1e-9:
+            raise InitialDataError(
+                "x0hat", f"{spec.x0hat} clamps to {v0} in the {fpath.regime} "
+                f"regime, but the nu0hat mass is {float(S_one[0])}")
         nt = t_edges.size - 1
         dt = float(t_edges[1] - t_edges[0])
         xm = (x_edges[:-1] + x_edges[1:]) / 2.0

@@ -198,6 +198,20 @@ class TestSimRun:
                 f"{name} differs between serial and --jobs 2 runs; data "
                 f"outputs must be byte-for-byte reproducible")
 
+    def test_whole_float_x0_reads_as_integer(self, tmp_path):
+        # the schema's integer admits 3.0; it must run as x0 = 3
+        r = CliRunner()
+        for name, x0 in (("int", 3), ("float", 3.0)):
+            data = sim_cfg(N=5)
+            data["model"]["initial"] = {"x0": x0, "ages": "invariant"}
+            res = r.invoke(main, ["sim", "run", "--config",
+                                  write_cfg(tmp_path, data, f"{name}.json"),
+                                  "--out", str(tmp_path / name)])
+            assert res.exit_code == 0, res.output
+        for name in ["sim_r0000.csv", "sim_r0001.csv"]:
+            assert (tmp_path / "int" / name).read_bytes() \
+                == (tmp_path / "float" / name).read_bytes()
+
     def test_seeds_flag_overrides_count(self, tmp_path):
         cfgp = write_cfg(tmp_path, sim_cfg(seeds=1))
         out = tmp_path / "o"
@@ -456,18 +470,22 @@ class TestExitCodes:
         assert "numerical error" in res.output
         assert "nu0 mass" in res.output
 
-    def test_picard_exhaustion_exit_three(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("queuelab.fluid.PICARD_MAX", 1)
-        cfgp = write_cfg(tmp_path, {
-            "schema_version": 1, "kind": "fluid",
-            "model": {"service": {"family": "lognormal", "sigma": 0.5},
-                      "x0": 1.0, "nu0": {"invariant": 1.0}},
-            "numerics": {"T": 1.0, "dt": 0.01}})
+    @pytest.mark.parametrize("model, numerics, message", [
+        # lognormal(0.01) has g(dt/2) dt / 2 >= 1 at dt 2
+        ({"service": {"family": "lognormal", "sigma": 0.01}},
+         {"T": 4.0, "dt": 2.0}, "dt too large for this service density at 0"),
+        # the cumulative arrivals overflow in the first step
+        ({"service": "exponential", "Ebar": {"const": 1e308}},
+         {"T": 1.0, "dt": 0.01}, "fluid step 1 (t=0.01) is not finite"),
+    ], ids=["step-too-large", "non-finite-step"])
+    def test_fluid_step_error_exit_three(self, tmp_path, model, numerics, message):
+        cfgp = write_cfg(tmp_path, {"schema_version": 1, "kind": "fluid",
+                                    "model": model, "numerics": numerics})
         out = tmp_path / "x"
         res = CliRunner().invoke(main, ["fluid", "solve", "--config", cfgp,
                                         "--out", str(out)])
         assert res.exit_code == 3, res.output
-        assert "numerical error: fluid Picard iteration did not converge" in res.output
+        assert f"numerical error: {message}" in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize("service", [
@@ -607,13 +625,18 @@ class TestExitCodes:
         ("limit", "numerics.T", 0.008, "numerics.T"),
         ("fluid", "numerics", {"T": 0.01, "dt": 0.1}, "numerics.dt"),
         ("dists", "numerics", {"dt": 5.0}, "numerics.dt"),
+        # a horizon that is not a whole number of steps
+        ("fluid", "numerics", {"T": 1.0, "dt": 0.3}, "numerics.T"),
+        ("dists", "numerics", {"T": 1.0, "dt": 0.3}, "numerics.T"),
+        ("limit", "numerics.T", 0.505, "numerics.T"),
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
             "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
             "x-max-negative", "x-max-zero", "x-max-below-dx", "no-time-step",
             "nu0-invariant-mass", "nu0-grid-mass", "limit-nu0-mass",
             "x0hat-clamp", "limit-dt-over-T", "fluid-dt-over-T",
-            "dists-dt-over-default-T"])
+            "dists-dt-over-default-T", "fluid-T-not-whole-steps",
+            "dists-T-not-whole-steps", "limit-T-not-whole-steps"])
     def test_bad_shape_exit_two(self, tmp_path, kind, where, value, field):
         # every config shape the builders take, and every agreement between
         # initial data the run needs, is checked before anything runs;

@@ -8,15 +8,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_limit_identities_demo_runs(tmp_path):
-    # about 2 s; the demo asserts its own noise-off zero and writes nothing
+def run_demo(name, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    res = subprocess.run([sys.executable, str(ROOT / "demos" / "limit_identities.py")],
-                         cwd=tmp_path, env=env, capture_output=True, text=True,
+    res = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                         cwd=cwd, env=env, capture_output=True, text=True,
                          timeout=300)
     assert res.returncode == 0, res.stderr
-    assert "exactly zero" in res.stdout
+    return res.stdout
+
+
+def test_limit_identities_demo_runs(tmp_path):
+    # about 2 s; the demo asserts its own noise-off zero and writes nothing
+    assert "exactly zero" in run_demo("limit_identities.py", tmp_path)
     assert not any(tmp_path.iterdir()), "the demo wrote into its working directory"
+
+
+def test_fluid_relaxation_demo_runs(tmp_path):
+    # about 1 s; solve_fluid in three regimes, one CSV under the working
+    # directory and nothing else
+    assert "relaxation" in run_demo("fluid_relaxation.py", tmp_path)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) \
+        == ["demos_out", "demos_out/fluid_regimes.csv"]
+    rows = (tmp_path / "demos_out" / "fluid_regimes.csv").read_text().splitlines()
+    assert rows[0] == "t,X_rate0.6,X_rate1.0,X_rate1.4" and len(rows) == 8002

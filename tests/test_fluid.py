@@ -122,6 +122,25 @@ class TestClosureInvariants:
         resid = np.max(np.abs(path.Xbar - (1.0 + 1.4 * path.grid - path.Dbar)))
         assert resid < 1e-12
 
+    @pytest.mark.parametrize("dt", [0.01, 0.05])
+    @pytest.mark.parametrize("dist, init", [
+        (make_service_dist("weibull", shape=0.5),
+         FluidInit(Ebar=0.7, x0=1.5, nu0_density={"invariant": 1.0})),
+        (EXP, FluidInit(Ebar=1.5, x0=0.0)),
+        (EXP, FluidInit(Ebar=1.5, x0=1.0, nu0_density={"invariant": 1.0})),
+        (LOGN, FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})),
+        (GAMMA2, FluidInit(Ebar=0.6, x0=0.0)),
+        (GAMMA05, FluidInit(Ebar=0.5, x0=1.5, nu0_density={"invariant": 1.0})),
+    ], ids=["weibull05-draining", "exp-overload-empty", "exp-overload-full",
+            "logn-critical", "gamma2-underload", "gamma05-draining"])
+    def test_every_step_is_its_own_fixed_point(self, dist, init, dt):
+        # each kappa cell solves its step's closure to rounding:
+        # kappa_i = F(kappa_i) = max(clip(X_i, 0, 1) - B_0 + D_i - K_{i-1}, 0)
+        path = solve_fluid(dist, init, T=4.0, dt=dt)
+        F = np.maximum(np.clip(path.Xbar[1:], 0.0, 1.0) - path.Bbar[0]
+                       + path.Dbar[1:] - path.Kbar[:-1], 0.0)
+        assert np.max(np.abs(F - path.kappa)) <= 1e-14
+
     def test_kappa_nonnegative_and_K_monotone(self):
         for lam in (0.5, 1.0, 1.8):
             path = solve_fluid(EXP, FluidInit(Ebar=lam, x0=0.2, nu0_density={"invariant": 0.2}),
@@ -219,12 +238,12 @@ class TestValidation:
                            T=1.0, dt=1e-2)
         assert abs(path.Bbar[0] - 0.5) < 1e-3
 
-    def test_picard_exhaustion_raises(self, monkeypatch):
-        # one sweep cannot confirm the fixed point of a critical step
-        monkeypatch.setattr(fluid, "PICARD_MAX", 1)
-        with pytest.raises(ArithmeticError, match=r"at step \d+ \(t=\S+\): residual \d"):
-            solve_fluid(LOGN, FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),
-                        T=1.0, dt=1e-2)
+    def test_step_too_large_for_density_at_zero(self):
+        # lognormal(0.01) packs its mass near 1, so g(dt/2) dt / 2 >= 1
+        # at dt 2: the newest cell would outweigh its own step
+        with pytest.raises(ValueError, match="dt too large for this service density at 0"):
+            solve_fluid(make_service_dist("lognormal", sigma=0.01),
+                        FluidInit(Ebar=1.0, x0=0.0), T=4.0, dt=2.0)
 
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):

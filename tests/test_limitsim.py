@@ -324,7 +324,7 @@ class TestConvHBatched:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = np.asarray(dist.density(Xm), dtype=float)
         g = np.where(np.isfinite(g), g, 0.0)
-        want = np.maximum(g * L.fluid_age_density_weight(fl, Xm, Sm)
+        want = np.maximum(g * fl.age_density_weight(Xm, Sm)
                           * grid.dx * grid.dt, 0.0)
         assert np.array_equal(plan.intensity, want)
 
@@ -612,16 +612,21 @@ class TestRunInvariants:
         run = critical_run(seed=36)
         assert float(np.max(np.abs(run.nuhat["one"] - run.vhat))) < EXACT_TOL
 
-    def test_mixed_fluid_regime_rejected(self):
-        # overload that drains through the boundary: mixed, not solvable
+    def test_mixed_fluid_regime_rejected(self, monkeypatch):
+        # overload that drains through the boundary: mixed, not solvable,
+        # so the plan refuses it before it builds any table or kernel
         grid = L.LimitGrid(T=4.0, dt=0.01, dx=0.1)
         init = FluidInit(Ebar=0.7, x0=1.5, nu0_density={"invariant": 1.0})
         fl = solve_fluid(EXP, init, grid.T, grid.dt)
         assert fl.regime == "mixed"
+
+        def no_tables(*args):
+            raise AssertionError("the plan built its cell intensities")
+        monkeypatch.setattr(L, "fluid_cell_intensity", no_tables)
         with pytest.raises(ValueError, match="mixed"):
-            L.run_limit(L.LimitPlan.for_spec(L.LimitSpec(
+            L.LimitPlan.for_spec(L.LimitSpec(
                 dist=EXP, arrival=poisson_arr(0.7), fluid_init=init, grid=grid,
-                seed=38)))
+                seed=38))
 
 
 class TestHalfinWhitt:
