@@ -1,9 +1,12 @@
 """Fluid dynamics in three regimes, plus relaxation to the fixed point.
 
-Solves the deterministic scaled dynamics for under-, exactly-, and
-over-loaded arrival rates from an empty start, then shows that the
-critical fixed point (unit mass with the stationary age profile) really
-is stationary and that a perturbed start relaxes back toward it.
+Solves the deterministic scaled dynamics for arrival rates 0.6, 1.0 and
+1.4 from an empty start, printed as subcritical, critical and mixed: the
+over-loaded path climbs from empty through the capacity band, so it
+passes below, at and above capacity, which fluid.classify_regime labels
+mixed.  Then shows that the critical fixed point (unit mass with the
+stationary age profile) really is stationary and that a perturbed start
+relaxes back toward it.
 Writes plot-ready CSV columns to demos_out/ under the working directory.
 
     python3 demos/fluid_relaxation.py

@@ -13,13 +13,14 @@ right-continuous steps and the fluid reference interpolated linearly.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dists import ArrivalSpec, make_service_dist, renewal_function
-from .fluid import FluidInit, solve_fluid
+from .fluid import FluidInit, solve_fluid, whole_steps
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, run_limit, sae_residual,
                        sae_test_functions, simulate_hw)
 from .microsim import (InitialCondition, SimConfig, compensator,
@@ -159,16 +160,28 @@ def moment_bound_check(samples, k, bound, name=None):
 
 
 class OverrideError(ValueError):
-    """A battery override names a key the battery does not take."""
+    """A battery override names a key the battery does not take, or gives
+    a value that leaves the battery nothing to check or compares mismatched
+    quantities; the message names the key."""
+
+
+def _at_least(cfg, key, n):
+    if len(cfg[key]) < n:
+        raise OverrideError(f"{key}: needs at least {n} entries, got {cfg[key]!r}")
 
 
 def _cfg(defaults, config):
+    """The defaults updated by the overrides; an unknown key, or an empty
+    list where the default is a list, raises OverrideError."""
     out = dict(defaults)
     if config:
         unknown = set(config) - set(defaults)
         if unknown:
             raise OverrideError(f"unknown config keys: {sorted(unknown)}")
         out.update(config)
+    for key, value in defaults.items():
+        if isinstance(value, list):
+            _at_least(out, key, 1)
     return out
 
 
@@ -186,6 +199,7 @@ def verify_flln(config=None):
                 "lambda_bar": 1.0, "Ns": [25, 100, 400], "seeds": 200,
                 "T": 2.0, "grid_dt": 0.05, "fluid_dt": 1e-3,
                 "slope_band": [-0.7, -0.3], "seed": 101}, config)
+    _at_least(cfg, "Ns", 2)  # a slope needs two points
     dist = make_service_dist(cfg["service"])
     lam = float(cfg["lambda_bar"])
     fluid = solve_fluid(dist, FluidInit(Ebar=lam, x0=0.0), cfg["T"], cfg["fluid_dt"])
@@ -212,23 +226,50 @@ def verify_flln(config=None):
 
 def verify_fclt(config=None):
     """Diffusion-limit recovery: markovian many-server dynamics against
-    the one-dimensional reflection-drift diffusion, via KS at fixed times."""
+    the one-dimensional reflection-drift diffusion, via KS at fixed times.
+
+    The Euler reference (`simulate_hw`) runs in one worker process while
+    this process simulates the event paths; its generator travels with its
+    state, so every value equals that of running the two halves in turn.
+    The worker starts by the platform's default method: under fork it
+    shares this process's imports, under spawn or forkserver it pays a
+    fresh import.
+
+    Each time must lie in (0, T], and T and each time must be whole
+    numbers of Euler steps, so both samples are read at the same instant;
+    the overrides are checked before the worker starts.
+    """
     cfg = _cfg({"N": 400, "beta": 1.0, "T": 5.0, "times": [1.0, 5.0],
                 "des_reps": 2000, "euler_paths": 200_000, "euler_dt": 2.5e-3,
                 "ks_threshold": 0.06, "seed": 202}, config)
+    T, dt = cfg["T"], cfg["euler_dt"]
+    times = list(cfg["times"])
+    for t in times:
+        if not 0 < t <= T:
+            raise OverrideError(f"times: {t} lies outside (0, T] with T {T}")
+    if not dt > 0:
+        raise OverrideError(f"euler_dt: must be positive, got {dt}")
+    for key, t in [("T", T)] + [("times", t) for t in times]:
+        if not whole_steps(t, dt):
+            raise OverrideError(f"{key}: {t} is not a whole number of "
+                                f"euler_dt steps {dt}")
+    for key in ("des_reps", "euler_paths"):
+        if cfg[key] < 1:
+            raise OverrideError(f"{key}: must be at least 1, got {cfg[key]}")
     N = int(cfg["N"])
     dist = make_service_dist("exponential")
     arr = ArrivalSpec("renewal", 1.0, beta=cfg["beta"], sigma2=1.0)
     init = InitialCondition(x0=N, ages="invariant")
-    times = list(cfg["times"])
+    rng = np.random.default_rng(cfg["seed"] + 1)
     des = np.empty((cfg["des_reps"], len(times)))
-    for r in range(cfg["des_reps"]):
-        path = simulate(SimConfig(N=N, arrival=arr, service=dist, T=cfg["T"],
-                                  initial=init, seed=cfg["seed"], replicate=r))
-        des[r] = diffusion_scale(path, 1.0, N, times)
-    marg = simulate_hw(cfg["T"], cfg["euler_dt"], cfg["beta"], 1.0, 0.0,
-                       cfg["euler_paths"], np.random.default_rng(cfg["seed"] + 1),
-                       record_times=times)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        euler = pool.submit(simulate_hw, T, dt, cfg["beta"], 1.0, 0.0,
+                            cfg["euler_paths"], rng, record_times=times)
+        for r in range(cfg["des_reps"]):
+            path = simulate(SimConfig(N=N, arrival=arr, service=dist, T=T,
+                                      initial=init, seed=cfg["seed"], replicate=r))
+            des[r] = diffusion_scale(path, 1.0, N, times)
+        marg = euler.result()
     reports = []
     for j, t in enumerate(times):
         ref = marg[min(marg, key=lambda u: abs(u - t))]
@@ -252,6 +293,7 @@ def verify_insensitivity(config=None):
                 "reps": 20, "services": ["exponential",
                                          {"family": "lognormal", "sigma": 0.5}],
                 "rel_threshold": 0.10, "seed": 303}, config)
+    _at_least(cfg, "services", 2)  # the ratio compares the first two
     N = int(cfg["N"])
     lam = float(cfg["lambda_bar"])
     arr = _poisson(lam)
@@ -340,6 +382,7 @@ def verify_sae(config=None):
     exact zero, on the critical exponential manifold."""
     cfg = _cfg({"dt_levels": [0.04, 0.02, 0.01], "seeds": 64, "T": 1.0,
                 "dx": 0.1, "ratio_band": [0.3, 0.7], "seed": 505}, config)
+    _at_least(cfg, "dt_levels", 2)  # a halving ratio needs two levels
     dist = make_service_dist("exponential")
     arr = _poisson()
     init = FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})
@@ -385,6 +428,7 @@ def verify_representation(config=None):
                 "dt_levels": [8e-3, 4e-3, 2e-3, 1e-3], "reps": 30,
                 "service": "exponential", "lambda_bar": 1.0,
                 "ratio_band": [0.3, 0.7], "seed": 606}, config)
+    _at_least(cfg, "dt_levels", 2)
     dist = make_service_dist(cfg["service"])
     arr = _poisson(cfg["lambda_bar"])
     N = int(cfg["N"])

@@ -434,6 +434,21 @@ class TestVerifyCommand:
         assert "config error: model.overrides" in res.output
         assert not out.exists(), "a rejected config must write no file"
 
+    @pytest.mark.parametrize("battery, overrides, key", [
+        ("fclt", {"times": [7.0]}, "times"),
+        ("moments", {"T_values": []}, "T_values"),
+        ("flln", {"Ns": [100]}, "Ns"),
+    ], ids=["fclt-time-past-T", "moments-no-T", "flln-one-N"])
+    def test_nothing_to_check_exit_two(self, tmp_path, battery, overrides, key):
+        cfgp = write_cfg(tmp_path, {**self.QUICK,
+                                    "model": {"overrides": overrides}})
+        out = tmp_path / "v"
+        res = CliRunner().invoke(main, ["verify", battery, "--config", cfgp,
+                                        "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: model.overrides: {key}: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfgp = write_cfg(tmp_path, sim_cfg())
         res = CliRunner().invoke(main, ["verify", "representation",

@@ -29,7 +29,12 @@ def test_limit_identities_demo_runs(tmp_path):
 def test_fluid_relaxation_demo_runs(tmp_path):
     # about 1 s; solve_fluid in three regimes, one CSV under the working
     # directory and nothing else
-    assert "relaxation" in run_demo("fluid_relaxation.py", tmp_path)
+    out = run_demo("fluid_relaxation.py", tmp_path)
+    assert "relaxation" in out
+    # the rate-1.4 path starts empty and crosses the capacity band: mixed
+    regimes = {row.split()[0]: row.split()[1] for row in out.splitlines()
+               if row.split()[:1] in (["0.6"], ["1.0"], ["1.4"])}
+    assert regimes == {"0.6": "subcritical", "1.0": "critical", "1.4": "mixed"}
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) \
         == ["demos_out", "demos_out/fluid_regimes.csv"]
     rows = (tmp_path / "demos_out" / "fluid_regimes.csv").read_text().splitlines()

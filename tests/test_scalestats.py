@@ -4,6 +4,8 @@ The KS statistic is compared against scipy's implementation as an
 oracle; batteries run here in scaled-down form only (the full-strength
 defaults belong to the acceptance suite).
 """
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from scipy.stats import ks_2samp
 
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit, solve_fluid
+from queuelab.limitsim import simulate_hw
 from queuelab.microsim import InitialCondition, SimConfig, simulate
 from queuelab import scalestats as S
 
@@ -181,6 +184,74 @@ class TestBatteries:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
             S.verify_flln({"bogus": 1})
+
+    @pytest.mark.parametrize("battery, overrides, key", [
+        (S.verify_moments, {"ks": []}, "ks"),
+        (S.verify_moments, {"services": []}, "services"),
+        (S.verify_moments, {"T_values": []}, "T_values"),
+        (S.verify_flln, {"Ns": []}, "Ns"),
+        (S.verify_flln, {"Ns": [100]}, "Ns"),
+        (S.verify_insensitivity, {"services": ["exponential"]}, "services"),
+        (S.verify_sae, {"dt_levels": [0.01]}, "dt_levels"),
+        (S.verify_representation, {"dt_levels": [1e-3]}, "dt_levels"),
+    ], ids=["moments-ks-empty", "moments-services-empty",
+            "moments-T-empty", "flln-Ns-empty", "flln-one-N",
+            "insensitivity-one-service", "sae-one-level",
+            "representation-one-level"])
+    def test_override_leaving_nothing_to_check_rejected(self, battery,
+                                                        overrides, key):
+        with pytest.raises(S.OverrideError, match=f"^{key}: "):
+            battery(overrides)
+
+
+class TestFcltWorker:
+    SMALL = {"des_reps": 40, "euler_paths": 2000}
+
+    def test_equals_serial_composition(self):
+        # the battery's defaults, composed in turn from the public layers
+        N, T, seed, times = 400, 5.0, 202, [1.0, 5.0]
+        arr = ArrivalSpec("renewal", 1.0, beta=1.0, sigma2=1.0)
+        init = InitialCondition(x0=N, ages="invariant")
+        des = np.array([S.diffusion_scale(simulate(SimConfig(
+            N=N, arrival=arr, service=EXP, T=T, initial=init, seed=seed,
+            replicate=r)), 1.0, N, times) for r in range(40)])
+        marg = simulate_hw(T, 2.5e-3, 1.0, 1.0, 0.0, 2000,
+                           np.random.default_rng(seed + 1), record_times=times)
+        expected = [S.ks_distance(des[:, j], marg[t]) for j, t in enumerate(times)]
+        assert [r.value for r in S.verify_fclt(self.SMALL)] == expected
+
+    def test_no_worker_left_after_return_or_raise(self, monkeypatch):
+        S.verify_fclt(self.SMALL)
+        assert multiprocessing.active_children() == []
+
+        def broken(cfg):
+            raise RuntimeError("event path failed")
+
+        monkeypatch.setattr(S, "simulate", broken)
+        with pytest.raises(RuntimeError, match="event path failed"):
+            S.verify_fclt(self.SMALL)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"times": [7.0]}, "times"),        # past T: the event path stops at 5
+        ({"times": [0.0]}, "times"),
+        ({"times": [1.3], "euler_dt": 0.5}, "times"),  # Euler read at 1.5
+        ({"euler_dt": 0.3}, "T"),           # Euler would run to 5.1
+        ({"euler_dt": 0.0}, "euler_dt"),
+        ({"times": []}, "times"),
+        ({"des_reps": 0}, "des_reps"),
+        ({"euler_paths": 0}, "euler_paths"),
+    ], ids=["time-past-T", "time-zero", "time-between-steps",
+            "T-between-steps", "dt-zero", "times-empty", "no-des-reps",
+            "no-euler-paths"])
+    def test_mismatched_override_rejected_before_worker(self, monkeypatch,
+                                                        overrides, key):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker started")
+
+        monkeypatch.setattr(S, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(S.OverrideError, match=f"^{key}: "):
+            S.verify_fclt({**self.SMALL, **overrides})
 
     def test_all_passed_helper(self):
         good = S.TestReport("a", 0.0, 1.0, True)

@@ -95,6 +95,23 @@ def test_public_names_have_callers():
     assert not unused, f"public names no library, demo or bench code uses: {unused}"
 
 
+def test_process_pools_are_with_statements():
+    # a pool opened as a `with` context is shut down, its workers joined,
+    # however the block ends, so no library call leaves a process running
+    found, loose = 0, []
+    for path in (ROOT / "src").rglob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))  # keeps ids unique
+        scoped = {id(n.context_expr) for n in nodes if isinstance(n, ast.withitem)}
+        for n in nodes:
+            if isinstance(n, ast.Call) and "ProcessPoolExecutor" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+                found += 1
+                if id(n) not in scoped:
+                    loose.append(f"{path.relative_to(ROOT)}:{n.lineno}")
+    assert found >= 2, "expected the pools of cli._replicates and verify_fclt"
+    assert not loose, f"ProcessPoolExecutor(...) outside a with statement: {loose}"
+
+
 def test_tracer_counts_a_limit_run(tracer, tmp_path):
     # the tracer reads conv_H's field and simulate_field's result; a
     # signature change that breaks a traced bench run fails here, and so
