@@ -203,6 +203,11 @@ class TestBatteries:
         with pytest.raises(S.OverrideError, match=f"^{key}: "):
             battery(overrides)
 
+    def test_all_passed_helper(self):
+        good = S.TestReport("a", 0.0, 1.0, True)
+        bad = S.TestReport("b", 2.0, 1.0, False)
+        assert S.all_passed([good]) and not S.all_passed([good, bad])
+
 
 class TestFcltWorker:
     SMALL = {"des_reps": 40, "euler_paths": 2000}
@@ -252,8 +257,3 @@ class TestFcltWorker:
         monkeypatch.setattr(S, "ProcessPoolExecutor", no_pool)
         with pytest.raises(S.OverrideError, match=f"^{key}: "):
             S.verify_fclt({**self.SMALL, **overrides})
-
-    def test_all_passed_helper(self):
-        good = S.TestReport("a", 0.0, 1.0, True)
-        bad = S.TestReport("b", 2.0, 1.0, False)
-        assert S.all_passed([good]) and not S.all_passed([good, bad])
