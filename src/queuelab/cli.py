@@ -7,12 +7,12 @@ config of its own kind only.  Every run reads one JSON config.  Its header
 against the kind's closed schema in SCHEMAS, which takes only the model,
 numerics and run keys that kind reads.  Flags (--seed, --seeds, --paths,
 --jobs, --noise-off) are run-block overrides and pass the same schema.
-Service specs, verify overrides, a step longer than T and inconsistent
-initial data are refused as the run builds them, before anything is
-written.  A config error exits 2 naming the offending field path, a
-numerical failure exits 3, and `verify` exits 1 when a battery reports a
-failing statistic.  A run writes data files plus a manifest.json recording
-the config hash, seeds, tool version and wall time.
+Service specs, verify overrides, grids that dists.uniform_grid refuses
+and inconsistent initial data are refused as the run builds them, before
+anything is written.  A config error exits 2 naming the offending field
+path, a numerical failure exits 3, and `verify` exits 1 when a battery
+reports a failing statistic.  A run writes data files plus a manifest.json
+recording the config hash, seeds, tool version and wall time.
 
 Data outputs are byte-for-byte reproducible for a given config: floats
 are written with repr (shortest round-trip form) and replicate order is
@@ -38,8 +38,8 @@ from jsonschema import Draft202012Validator
 
 from . import __version__
 from .dists import (ArrivalSpec, ServiceSpecError, as_rate, holder_check,
-                    make_service_dist, renewal_function)
-from .fluid import FluidInit, InitialDataError, solve_fluid, whole_steps
+                    make_service_dist, renewal_function, uniform_grid)
+from .fluid import FluidInit, InitialDataError, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
                        run_limit, smg_bookkeeping_residual)
 from .microsim import (KIND_NAMES, InitialCondition, SimConfig,
@@ -186,6 +186,15 @@ class SchemaError(ValueError):
     pass
 
 
+def _refused(field, errors, build, *args, **kwargs):
+    """build(*args, **kwargs), an `errors` exception from it a config error
+    at `field`; the library's message starts with the input's own name."""
+    try:
+        return build(*args, **kwargs)
+    except errors as e:
+        raise SchemaError(f"{field}{e}") from None
+
+
 def _first_error(schema, doc):
     """The message of the error first in field-path order, or None."""
     errs = sorted(Draft202012Validator(schema).iter_errors(doc),
@@ -216,10 +225,7 @@ def validate_config(data):
         for key in where.split("."):
             spec = spec.get(key, {})
         if isinstance(spec, dict) and "pwlin" in spec:
-            try:
-                as_rate(spec)
-            except ValueError as e:
-                raise SchemaError(f"model.{where}.pwlin: {e}") from None
+            _refused(f"model.{where}.pwlin: ", ValueError, as_rate, spec)
     return ExperimentConfig(
         schema_version=data["schema_version"], kind=data["kind"],
         model=data.get("model", {}), numerics=data.get("numerics", {}),
@@ -249,10 +255,7 @@ def load_config(path, kind=None, **flags):
 
 
 def _build_service(spec):
-    try:
-        return make_service_dist(spec)
-    except ServiceSpecError as e:
-        raise SchemaError(f"model.service: {e}") from None
+    return _refused("model.service: ", ServiceSpecError, make_service_dist, spec)
 
 
 def _arrays(block, *keys):
@@ -268,18 +271,6 @@ def _build_fluid_init(block, x0):
         nu0 = _arrays(nu0["grid"], "x", "p")
     return FluidInit(Ebar=block.get("Ebar", 1.0), x0=float(block.get("x0", x0)),
                      nu0_density=nu0)
-
-
-def _time_step(numerics, T=None, dt=None):
-    """(T, dt) of a numerics block, else the defaults; a step longer than
-    the horizon, or a horizon that is not a whole number of steps, is a
-    config error."""
-    T, dt = float(numerics.get("T", T)), float(numerics.get("dt", dt))
-    if dt > T:
-        raise SchemaError(f"numerics.dt: {dt} is longer than T = {T}")
-    if not whole_steps(T, dt):
-        raise SchemaError(f"numerics.T: {T} is not a whole number of steps dt = {dt}")
-    return T, dt
 
 
 def _csv(header, columns):
@@ -331,7 +322,8 @@ def _replicates(one, ctx, n, jobs):
 def _run_dists(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
-    T, dt = _time_step(cfg.numerics, 4.0, 1e-3)
+    T, dt = float(cfg.numerics.get("T", 4.0)), float(cfg.numerics.get("dt", 1e-3))
+    _refused("numerics.", ValueError, uniform_grid, T, dt)
     probe = np.linspace(0.0, min(dist.support_end, 8.0), 257)[:-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hz = np.asarray(dist.hazard(probe), dtype=float)
@@ -396,11 +388,10 @@ def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
     init = _build_fluid_init(cfg.model, 0.0)
-    T, dt = _time_step(cfg.numerics)
-    try:
-        path = solve_fluid(dist, init, T, dt)
-    except InitialDataError as e:  # raised before the solver steps
-        raise SchemaError(f"model.{e}") from None
+    T, dt = float(cfg.numerics["T"]), float(cfg.numerics["dt"])
+    _refused("numerics.", ValueError, uniform_grid, T, dt)
+    path = _refused("model.", InitialDataError,  # raised before it steps
+                    solve_fluid, dist, init, T, dt)
     summary = {"regime": path.regime,
                "final": {"Xbar": float(path.Xbar[-1]),
                          "Kbar": float(path.Kbar[-1]),
@@ -420,10 +411,9 @@ def _limit_spec(cfg):
     nu0hat = cfg.model.get("nu0hat")
     if nu0hat is not None and "density" in nu0hat:
         nu0hat = {"density": _arrays(nu0hat["density"], "x", "v")}
-    try:  # the schema admits LimitGrid's fields only
-        grid = LimitGrid(**{k: float(v) for k, v in cfg.numerics.items()})
-    except ValueError as e:  # its message starts with the field's name
-        raise SchemaError(f"numerics.{e}") from None
+    # the schema admits LimitGrid's fields only
+    grid = _refused("numerics.", ValueError, LimitGrid,
+                    **{k: float(v) for k, v in cfg.numerics.items()})
     return LimitSpec(dist=_build_service(cfg.model["service"]),
                      arrival=ArrivalSpec(**cfg.model["arrival"]),
                      fluid_init=init, grid=grid,
@@ -482,10 +472,8 @@ def _run_verify(battery, cfg, out):
     if cfg is None and out is not None:
         raise SchemaError("run.out: --out writes a report only with --config")
     overrides = cfg.model.get("overrides", {}) if cfg else {}
-    try:
-        reports = _BATTERIES[battery](overrides)
-    except (ServiceSpecError, scalestats.OverrideError) as e:
-        raise SchemaError(f"model.overrides: {e}") from None
+    reports = _refused("model.overrides: ", (ServiceSpecError, scalestats.OverrideError),
+                       _BATTERIES[battery], overrides)
     for r in reports:
         click.echo(r.line())
     if cfg is not None:

@@ -18,6 +18,8 @@ route for every generator, and piecewise a table.  Importing scipy.stats
 This module is the one kernel layer for service laws.  Each decision the
 other layers need about a law is made here and nowhere else:
 
+    uniform_grid(T, dt)    every time and age grid {0, dt, ..., T}: 0 < dt
+                           <= T, T a whole number of steps to GRID_RTOL
     tail_point(eps)        first power of 2 with survival <= eps (at most
                            2^20, and at most L): where an age grid may stop
     age_table              the stationary age law's cdf on 4097 nodes,
@@ -56,6 +58,7 @@ __all__ = [
     "HolderReport",
     "make_service_dist",
     "renewal_function",
+    "uniform_grid",
     "holder_check",
     "phi_op",
     "psi_op",
@@ -64,6 +67,21 @@ __all__ = [
 ]
 
 _MEAN_TOL = 1e-6
+GRID_RTOL = 1e-9  # how far T may sit from a whole number of steps, relative
+
+
+def uniform_grid(T, dt, T_name="T", dt_name="dt"):
+    """np.arange(n + 1) * dt with n dt = T, else a ValueError whose message
+    starts with the name of the input at fault (T_name or dt_name)."""
+    if not dt > 0:
+        raise ValueError(f"{dt_name}: must be positive, got {dt}")
+    if not dt <= T:
+        raise ValueError(f"{dt_name}: {dt} is longer than {T_name} = {T}")
+    n = int(round(T / dt))
+    if abs(n * dt - T) > GRID_RTOL * T:
+        raise ValueError(f"{T_name}: {T} is not a whole number of steps "
+                         f"{dt_name} = {dt}")
+    return np.arange(n + 1) * dt
 
 
 def dead_mass_ratio(num, den):
@@ -660,22 +678,19 @@ def make_service_dist(spec=None, /, normalize=True, **params):
 
 
 def renewal_function(dist, T, dt):
-    """Renewal function U on the grid {0, dt, ..., ~T}.
+    """Renewal function U on uniform_grid(T, dt).
 
     Solves U(t) = 1 + int_0^t g(t-s) U(s) ds by trapezoidal Volterra
     stepping; U(0) = 1 and U is nondecreasing.  First-order accurate
     (the density may be nonsmooth at 0).  The density comes from
     grid_density, so a shape<1 law stays finite at 0.
     """
-    if dt <= 0 or dt > T:
-        raise ValueError("need 0 < dt <= T")
-    n = int(round(T / dt))
-    g = dist.grid_density(np.arange(n + 1) * dt, dt)
-    U = np.ones(n + 1)
+    g = dist.grid_density(uniform_grid(T, dt), dt)
+    U = np.ones(g.size)
     denom = 1.0 - dt * g[0] / 2.0
     if denom <= 0:
         raise ValueError("dt too large for this density at 0")
-    for k in range(1, n + 1):
+    for k in range(1, g.size):
         acc = 0.5 * g[k] * U[0] + float(g[k - 1:0:-1] @ U[1:k])
         U[k] = (1.0 + dt * acc) / denom
     return np.maximum.accumulate(U)

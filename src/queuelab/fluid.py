@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .dists import ServiceDistribution, as_rate, dead_mass_ratio
+from .dists import ServiceDistribution, as_rate, dead_mass_ratio, uniform_grid
 
 __all__ = [
     "InitialDataError",
@@ -51,7 +51,6 @@ __all__ = [
     "solve_fluid",
     "classify_regime",
     "fftconvolve",
-    "whole_steps",
 ]
 
 MASS_TOL = 1e-3
@@ -121,11 +120,6 @@ def _check_nu0_mass(init, dist):
             "nu0", f"mass {mass:.6f} must equal min(x0, 1) = {target:.6f}")
 
 
-def whole_steps(T, dt):
-    """Whether the horizon T is a whole number of steps dt, to rounding."""
-    return abs(round(T / dt) * dt - T) <= 1e-9 * T
-
-
 def _cumulative_arrivals(Ebar, grid):
     if isinstance(Ebar, (int, float)):
         return float(Ebar) * grid
@@ -183,15 +177,11 @@ class FluidPath:
     def dt(self):
         return float(self.grid[1] - self.grid[0])
 
-    def _index(self, t):
-        i = int(round(t / self.dt))
-        if not 0 <= i < self.grid.size or abs(self.grid[i] - t) > 1e-9:
-            raise ValueError(f"t={t} is not on the solver grid")
-        return i
-
     def age_eval(self, f, t):
         """<f, nu_t> through the same kernels the solver stepped with."""
-        i = self._index(t)
+        i = uniform_grid(t, self.dt, "t").size - 1 if t else 0
+        if i >= self.grid.size:
+            raise ValueError(f"t: {t} is past the solver grid's end {self.grid[-1]}")
         nw = i + np.size(self.q0)
         w = np.asarray(f(np.arange(nw) * self.dt), dtype=float) * self.sf_comb[:nw]
         W = None
@@ -226,24 +216,22 @@ class FluidPath:
 
 
 def solve_fluid(dist, init, T, dt):
-    """March the fluid equations on {0, dt, ..., T}.
+    """March the fluid equations on uniform_grid(T, dt).
 
     Per step: evaluate mass and hazard load from the transport kernels and
     solve the non-idling closure for the newest entry cell exactly, trying
     its above-capacity, empty and in-between pieces in that order (the
-    order stays right for an infinite headcount).  Raises InitialDataError
-    if the initial density states a mass other than min(x0, 1),
-    ValueError if B(0), its mass as the solver sees it, misses that by
-    more than MASS_TOL (a density start the dt grid under-resolves) or if
-    dt g(dt/2) / 2 >= 1 (dt too large for the density at 0), and
-    ArithmeticError naming the first step whose headcount, entries, mass
-    or hazard load is not finite.
+    order stays right for an infinite headcount).  Raises ValueError for a
+    grid uniform_grid refuses, InitialDataError if the initial density
+    states a mass other than min(x0, 1), ValueError if B(0), its mass as
+    the solver sees it, misses that by more than MASS_TOL (a density start
+    the dt grid under-resolves) or if dt g(dt/2) / 2 >= 1 (dt too large
+    for the density at 0), and ArithmeticError naming the first step
+    whose headcount, entries, mass or hazard load is not finite.
     """
-    if dt <= 0 or T <= 0 or dt > T:
-        raise ValueError("need 0 < dt <= T")
+    grid = uniform_grid(T, dt)
+    n = grid.size - 1
     _check_nu0_mass(init, dist)
-    n = int(round(T / dt))
-    grid = np.arange(n + 1) * dt
     spec = init.nu0_density
     if isinstance(spec, tuple):
         q0 = _density_on_grid(*spec, dist, dt)

@@ -48,9 +48,8 @@ from typing import Optional
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .dists import ServiceDistribution, dead_mass_ratio
-from .fluid import (FluidInit, InitialDataError, fftconvolve, solve_fluid,
-                    whole_steps)
+from .dists import ServiceDistribution, dead_mass_ratio, uniform_grid
+from .fluid import FluidInit, InitialDataError, fftconvolve, solve_fluid
 
 __all__ = [
     "LimitGrid",
@@ -87,7 +86,8 @@ class LimitGrid:
     x_max = None resolves against the service law: the smallest age with
     survival below TAIL_BUDGET, so the truncated field mass is negligible.
     An x_max below dx would leave no age cell, so no departure noise; it
-    is refused.  Each error message starts with the field it names.
+    is refused, and so is a T or x_max that uniform_grid refuses.  Each
+    error message starts with the field it names.
     """
 
     T: float
@@ -96,18 +96,15 @@ class LimitGrid:
     x_max: Optional[float] = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0 or self.dx <= 0:
-            raise ValueError("T, dt, dx must be positive")
-        if self.dt > self.T:
-            raise ValueError(f"T: {self.T} is shorter than the step dt = {self.dt}")
-        if not whole_steps(self.T, self.dt):
-            raise ValueError(f"T: {self.T} is not a whole number of steps dt = {self.dt}")
-        if self.x_max is not None and self.x_max < self.dx:
+        uniform_grid(self.T, self.dt)
+        if self.x_max is not None and not self.x_max >= self.dx:
             raise ValueError(f"x_max: {self.x_max} is below dx = {self.dx}, "
                              "so the field has no age cell")
+        uniform_grid(self.dx if self.x_max is None else self.x_max, self.dx,
+                     "x_max", "dx")  # with no x_max, dx alone
 
     def t_grid(self):
-        return np.arange(int(round(self.T / self.dt)) + 1) * self.dt
+        return uniform_grid(self.T, self.dt)
 
 
 def resolve_x_max(grid, dist):
@@ -142,8 +139,7 @@ def fluid_cell_intensity(fpath, grid):
     dist = fpath.dist
     x_max = resolve_x_max(grid, dist)
     t_edges = grid.t_grid()
-    nx = int(round(x_max / grid.dx))
-    x_edges = np.arange(nx + 1) * grid.dx
+    x_edges = uniform_grid(x_max, grid.dx, "x_max", "dx")
     tm = (t_edges[:-1] + t_edges[1:]) / 2.0
     xm = (x_edges[:-1] + x_edges[1:]) / 2.0
     # g depends on the age only: one evaluation per column, broadcast in time
@@ -327,25 +323,23 @@ def simulate_hw(T, dt, beta, sigma2, x0, n_paths, rng, record_times=(),
                 noise_off=False):
     """Euler scheme for dX = -beta dt - min(X, 0) dt + sqrt(1+sigma2) dW.
 
-    Streams in time, keeping only the requested marginals; returns
-    {t: samples} including t = T.
+    Streams in time on uniform_grid(T, dt), keeping only the marginals at
+    record_times (whole numbers of steps); returns {t: samples} with T.
     """
-    n = int(round(T / dt))
-    rec = {int(round(t / dt)) for t in record_times}
-    rec.add(n)
+    n = uniform_grid(T, dt).size - 1
+    rec = {uniform_grid(t, dt, "record_times").size - 1: t for t in record_times}
+    rec.setdefault(n, T)
     beta_fn = beta if callable(beta) else (lambda s, b=float(beta): b)
     vol = math.sqrt(1.0 + float(sigma2)) * math.sqrt(dt)
     X = np.full(int(n_paths), float(x0))
     out = {}
-    if 0 in rec:
-        out[0.0] = X.copy()
     for k in range(n):
         s_mid = (k + 0.5) * dt
         X = X - float(beta_fn(s_mid)) * dt - np.minimum(X, 0.0) * dt
         if not noise_off:
             X = X + vol * rng.standard_normal(X.size)
         if (k + 1) in rec:
-            out[round((k + 1) * dt, 12)] = X.copy()
+            out[rec[k + 1]] = X.copy()
     return out
 
 

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dists import ArrivalSpec, ServiceDistribution, phi_op, psi_op
+from .dists import (GRID_RTOL, ArrivalSpec, ServiceDistribution, phi_op,
+                    psi_op, uniform_grid)
 
 __all__ = [
     "ARRIVAL",
@@ -372,7 +373,8 @@ def _live_pairs(path, nodes):
 
 def compensator(path, dist, times):
     """The departure compensator A(t) = int_0^t <h, nu_s> ds, exactly, at
-    each of the nondecreasing times in [0, T] (past T the path is unknown).
+    each of the nondecreasing times in [0, T]: past T the path is unknown,
+    so a later time raises, unless within a grid's rounding (GRID_RTOL).
 
     A span's age grows at unit rate, so it adds Lambda(a1) - Lambda(a0),
     Lambda = -log(1-G), from its age a0 at begin to a1 at min(t, end); a
@@ -380,8 +382,9 @@ def compensator(path, dist, times):
     a1 <= a0 or 1-G(a0) = 0 adds exactly 0, the dead-mass convention.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("compensator times must be nondecreasing")
+    if np.any(np.diff(times) < 0) or times.size and not (
+            0 <= times[0] and times[-1] <= path.T * (1 + GRID_RTOL)):
+        raise ValueError(f"compensator times must be nondecreasing in [0, T = {path.T}]")
     theta, end = path.span_theta, path.span_end
     done = np.flatnonzero(np.isfinite(end))
     done = done[np.argsort(end[done], kind="stable")]
@@ -406,9 +409,7 @@ def shift_consistency_check(path, dist, f, s, t, dt):
     of fresh entries in (s, s+t], subtracts the centered departure term of
     that window (compensator by left-rule quadrature on [s, s+t]).  O(dt).
     """
-    n = int(round(t / dt))
-    if n <= 0 or abs(s + n * dt - (s + t)) > 1e-9 * max(1.0, abs(s + t)):
-        raise ValueError("quadrature window must be a whole number of steps")
+    nodes = s + uniform_grid(t, dt, "t")[:-1]
     lhs = eval_age_functional(path, f, s + t)
     S = float(np.sum(phi_op(dist, f, t)(path.ages_at(s))))
     fresh = path.span_fresh & (path.span_begin > s) & (path.span_begin <= s + t)
@@ -417,7 +418,6 @@ def shift_consistency_check(path, dist, f, s, t, dt):
     psi_tf = psi_op(dist, f, s + t)  # takes absolute time r, lag s + t - r
     take = (path.dep_time > s) & (path.dep_time <= s + t)
     Qpsi = float(np.sum(psi_tf(path.dep_age[take], path.dep_time[take])))
-    nodes = s + np.arange(n) * dt
     k, span = _live_pairs(path, nodes)
     ages = nodes[k] - path.span_theta[span]
     with np.errstate(over="ignore"):

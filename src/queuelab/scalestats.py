@@ -7,8 +7,8 @@ default configurations are the full-strength parameter sets; unit tests
 pass scaled-down overrides.
 
 Scaling conventions: the fluid scale divides counters by N, the
-diffusion scale is sqrt(N) (X/N - fluid), with raw paths evaluated as
-right-continuous steps and the fluid reference interpolated linearly.
+diffusion scale is sqrt(N) (X/N - xbar) for a constant fluid level xbar,
+with raw paths evaluated as right-continuous steps.
 """
 from __future__ import annotations
 
@@ -19,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dists import ArrivalSpec, make_service_dist, renewal_function
-from .fluid import FluidInit, solve_fluid, whole_steps
+from .dists import (ArrivalSpec, make_service_dist, renewal_function,
+                    uniform_grid)
+from .fluid import FluidInit, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, run_limit, sae_residual,
                        sae_test_functions, simulate_hw)
 from .microsim import (InitialCondition, SimConfig, compensator,
@@ -90,18 +91,10 @@ def counter_profile(path, grid):
     return out
 
 
-def _fluid_at(fluid, t):
-    t = np.asarray(t, dtype=float)
-    if isinstance(fluid, (int, float)):
-        return np.full_like(t, float(fluid))
-    return np.interp(t, fluid.grid, fluid.Xbar)
-
-
-def diffusion_scale(path, fluid, N, times):
-    """sqrt(N) (X(t)/N - Xbar(t)) with step evaluation of the raw path."""
-    times = np.asarray(times, dtype=float)
+def diffusion_scale(path, xbar, N, times):
+    """sqrt(N) (X(t)/N - xbar): X a right-continuous step, xbar a number."""
     X = counter_profile(path, times)["X"]
-    return math.sqrt(N) * (X / N - _fluid_at(fluid, times))
+    return math.sqrt(N) * (X / N - float(xbar))
 
 
 def ks_distance(a, b):
@@ -160,9 +153,9 @@ def moment_bound_check(samples, k, bound, name=None):
 
 
 class OverrideError(ValueError):
-    """A battery override names a key the battery does not take, or gives
-    a value that leaves the battery nothing to check or compares mismatched
-    quantities; the message names the key."""
+    """A battery override names a key the battery does not take, or gives a
+    value of another type than its default, that leaves the battery nothing
+    to check or that is off its grid; the message names the key."""
 
 
 def _at_least(cfg, key, n):
@@ -171,18 +164,35 @@ def _at_least(cfg, key, n):
 
 
 def _cfg(defaults, config):
-    """The defaults updated by the overrides; an unknown key, or an empty
-    list where the default is a list, raises OverrideError."""
+    """The defaults updated by the overrides; OverrideError for an unknown
+    key or a value of another type than its default: a nonempty list for a
+    list, an integral number (read as an int) for an int, a number for a
+    float."""
+    config = config or {}
+    unknown = set(config) - set(defaults)
+    if unknown:
+        raise OverrideError(f"unknown config keys: {sorted(unknown)}")
     out = dict(defaults)
-    if config:
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise OverrideError(f"unknown config keys: {sorted(unknown)}")
-        out.update(config)
-    for key, value in defaults.items():
-        if isinstance(value, list):
+    for key, value in config.items():
+        kind = type(defaults[key])
+        if kind is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        want = {list: list, int: int, float: (int, float)}.get(kind, object)
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise OverrideError(f"{key}: expected {kind.__name__} like the "
+                                f"default {defaults[key]!r}, got {value!r}")
+        out[key] = value
+        if kind is list:
             _at_least(out, key, 1)
     return out
+
+
+def _grid(T, dt, T_key, dt_key):
+    """uniform_grid(T, dt), its refusal an OverrideError naming the keys."""
+    try:
+        return uniform_grid(T, dt, T_key, dt_key)
+    except ValueError as e:
+        raise OverrideError(str(e)) from None
 
 
 def _poisson(lam=1.0):
@@ -200,10 +210,11 @@ def verify_flln(config=None):
                 "T": 2.0, "grid_dt": 0.05, "fluid_dt": 1e-3,
                 "slope_band": [-0.7, -0.3], "seed": 101}, config)
     _at_least(cfg, "Ns", 2)  # a slope needs two points
+    grid = _grid(cfg["T"], cfg["grid_dt"], "T", "grid_dt")
+    _grid(cfg["T"], cfg["fluid_dt"], "T", "fluid_dt")
     dist = make_service_dist(cfg["service"])
     lam = float(cfg["lambda_bar"])
     fluid = solve_fluid(dist, FluidInit(Ebar=lam, x0=0.0), cfg["T"], cfg["fluid_dt"])
-    grid = np.arange(int(round(cfg["T"] / cfg["grid_dt"])) + 1) * cfg["grid_dt"]
     xbar = np.interp(grid, fluid.grid, fluid.Xbar)
     arr = _poisson(lam)
     errs = []
@@ -242,17 +253,12 @@ def verify_fclt(config=None):
     cfg = _cfg({"N": 400, "beta": 1.0, "T": 5.0, "times": [1.0, 5.0],
                 "des_reps": 2000, "euler_paths": 200_000, "euler_dt": 2.5e-3,
                 "ks_threshold": 0.06, "seed": 202}, config)
-    T, dt = cfg["T"], cfg["euler_dt"]
-    times = list(cfg["times"])
+    T, dt, times = cfg["T"], cfg["euler_dt"], cfg["times"]
+    _grid(T, dt, "T", "euler_dt")
     for t in times:
         if not 0 < t <= T:
             raise OverrideError(f"times: {t} lies outside (0, T] with T {T}")
-    if not dt > 0:
-        raise OverrideError(f"euler_dt: must be positive, got {dt}")
-    for key, t in [("T", T)] + [("times", t) for t in times]:
-        if not whole_steps(t, dt):
-            raise OverrideError(f"{key}: {t} is not a whole number of "
-                                f"euler_dt steps {dt}")
+        _grid(t, dt, "times", "euler_dt")
     for key in ("des_reps", "euler_paths"):
         if cfg[key] < 1:
             raise OverrideError(f"{key}: must be at least 1, got {cfg[key]}")
@@ -272,8 +278,7 @@ def verify_fclt(config=None):
         marg = euler.result()
     reports = []
     for j, t in enumerate(times):
-        ref = marg[min(marg, key=lambda u: abs(u - t))]
-        d = ks_distance(des[:, j], ref)
+        d = ks_distance(des[:, j], marg[t])
         reports.append(TestReport(
             statistic=f"fclt-ks-t{t:g}", value=d, threshold=cfg["ks_threshold"],
             passed=d <= cfg["ks_threshold"], replicates=cfg["des_reps"],
@@ -298,7 +303,7 @@ def verify_insensitivity(config=None):
     lam = float(cfg["lambda_bar"])
     arr = _poisson(lam)
     lam_N = lam * N  # beta = 0
-    grid = np.arange(int(round(cfg["T"] / cfg["dt"])) + 1) * cfg["dt"]
+    grid = _grid(cfg["T"], cfg["dt"], "T", "dt")
     # at unit manifold load both event streams run at rate ~1 per server,
     # so the scaled realized QV approaches (1 + sigma2) T
     target = (1.0 + arr.sigma2) * cfg["T"]
@@ -338,6 +343,8 @@ def verify_moments(config=None):
                 "reps": 1200, "services": ["exponential",
                                            {"family": "gamma", "shape": 2.0}],
                 "lambda_bar": 1.0, "seed": 404}, config)
+    for T in cfg["T_values"]:  # U(T) is solved in renewal steps of 1e-3
+        _grid(T, 1e-3, "T_values", "renewal step")
     N = int(cfg["N"])
     arr = _poisson(cfg["lambda_bar"])
     times = np.sort(np.asarray(cfg["T_values"], dtype=float))
@@ -383,6 +390,8 @@ def verify_sae(config=None):
     cfg = _cfg({"dt_levels": [0.04, 0.02, 0.01], "seeds": 64, "T": 1.0,
                 "dx": 0.1, "ratio_band": [0.3, 0.7], "seed": 505}, config)
     _at_least(cfg, "dt_levels", 2)  # a halving ratio needs two levels
+    for dtv in cfg["dt_levels"]:
+        _grid(cfg["T"], dtv, "T", "dt_levels")
     dist = make_service_dist("exponential")
     arr = _poisson()
     init = FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})
@@ -423,12 +432,17 @@ def verify_sae(config=None):
 
 def verify_representation(config=None):
     """First-order decay of the age read-out and restart defects in dt."""
-    # T and shift must both be whole multiples of every dt level
     cfg = _cfg({"N": 20, "T": 1.6, "shift": 0.6,
                 "dt_levels": [8e-3, 4e-3, 2e-3, 1e-3], "reps": 30,
                 "service": "exponential", "lambda_bar": 1.0,
                 "ratio_band": [0.3, 0.7], "seed": 606}, config)
     _at_least(cfg, "dt_levels", 2)
+    if not 0 <= cfg["shift"] < cfg["T"]:
+        raise OverrideError(f"shift: {cfg['shift']} lies outside [0, T) with T {cfg['T']}")
+    for dtv in cfg["dt_levels"]:  # the read-out and restart windows' steps
+        _grid(cfg["T"], dtv, "T", "dt_levels")
+        if cfg["shift"]:
+            _grid(cfg["shift"], dtv, "shift", "dt_levels")
     dist = make_service_dist(cfg["service"])
     arr = _poisson(cfg["lambda_bar"])
     N = int(cfg["N"])

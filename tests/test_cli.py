@@ -449,6 +449,44 @@ class TestVerifyCommand:
         assert f"config error: model.overrides: {key}: " in res.output
         assert not out.exists(), "a rejected config must write no file"
 
+    @pytest.mark.parametrize("battery, overrides, message", [
+        ("flln", {"grid_dt": 0.3},
+         "T: 2.0 is not a whole number of steps grid_dt = 0.3"),
+        ("flln", {"fluid_dt": 0.3},
+         "T: 2.0 is not a whole number of steps fluid_dt = 0.3"),
+        ("insensitivity", {"N": 20, "T": 1.0, "dt": 0.35, "reps": 3},
+         "T: 1.0 is not a whole number of steps dt = 0.35"),
+        ("moments", {"T_values": [1.0, 1.0005]},
+         "T_values: 1.0005 is not a whole number of steps renewal step = 0.001"),
+        ("sae", {"dt_levels": [0.04, 0.03]},
+         "T: 1.0 is not a whole number of steps dt_levels = 0.03"),
+        ("representation", {**QUICK["model"]["overrides"], "T": 0.805},
+         "T: 0.805 is not a whole number of steps dt_levels = 0.01"),
+        ("representation", {**QUICK["model"]["overrides"], "shift": 0.405},
+         "shift: 0.405 is not a whole number of steps dt_levels = 0.01"),
+        ("representation", {**QUICK["model"]["overrides"], "shift": 0.8},
+         "shift: 0.8 lies outside [0, T) with T 0.8"),
+        ("flln", {"Ns": 100},
+         "Ns: expected list like the default [25, 100, 400], got 100"),
+        ("insensitivity", {"reps": 2.5},
+         "reps: expected int like the default 20, got 2.5"),
+        ("fclt", {"T": "5"}, "T: expected float like the default 5.0, got '5'"),
+    ], ids=["flln-grid-dt", "flln-fluid-dt", "insensitivity-dt",
+            "moments-T-value", "sae-dt-level", "representation-T",
+            "representation-shift", "representation-shift-at-T",
+            "flln-scalar-Ns", "insensitivity-fractional-reps", "fclt-string-T"])
+    def test_grid_or_type_override_exit_two(self, tmp_path, battery, overrides,
+                                            message):
+        # refused before any path runs, naming the override key
+        cfgp = write_cfg(tmp_path, {**self.QUICK,
+                                    "model": {"overrides": overrides}})
+        out = tmp_path / "v"
+        res = CliRunner().invoke(main, ["verify", battery, "--config", cfgp,
+                                        "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: model.overrides: {message}\n" in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfgp = write_cfg(tmp_path, sim_cfg())
         res = CliRunner().invoke(main, ["verify", "representation",
@@ -627,7 +665,9 @@ class TestExitCodes:
         ("limit", "numerics.x_max", -1, "numerics.x_max"),
         ("limit", "numerics.x_max", 0, "numerics.x_max"),
         ("limit", "numerics.x_max", 0.04, "numerics.x_max"),
-        ("limit", "numerics.T", 0.004, "numerics.T"),
+        # an explicit x_max between cell edges is not rounded to one
+        ("limit", "numerics.x_max", 6.03, "numerics.x_max"),
+        ("limit", "numerics.T", 0.004, "numerics.dt"),
         # the stated nu0 mass must be min(x0, 1): x0 is 0 in the fluid
         # config and 1 in the limit one
         ("fluid", "model.nu0", {"invariant": 0.4}, "model.nu0"),
@@ -636,8 +676,9 @@ class TestExitCodes:
         ("limit", "model.fluid.nu0", {"invariant": 0.5}, "model.fluid.nu0"),
         # Z(0), the nu0hat mass (0 here), must be the critical clamp of x0hat
         ("limit", "model.x0hat", -0.3, "model.x0hat"),
-        # a step longer than the horizon; dists falls back to T = 4
-        ("limit", "numerics.T", 0.008, "numerics.T"),
+        # a step longer than the horizon, named as the step in every
+        # kind; dists falls back to T = 4
+        ("limit", "numerics.T", 0.008, "numerics.dt"),
         ("fluid", "numerics", {"T": 0.01, "dt": 0.1}, "numerics.dt"),
         ("dists", "numerics", {"dt": 5.0}, "numerics.dt"),
         # a horizon that is not a whole number of steps
@@ -647,7 +688,8 @@ class TestExitCodes:
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
             "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
-            "x-max-negative", "x-max-zero", "x-max-below-dx", "no-time-step",
+            "x-max-negative", "x-max-zero", "x-max-below-dx",
+            "x-max-not-whole-cells", "no-time-step",
             "nu0-invariant-mass", "nu0-grid-mass", "limit-nu0-mass",
             "x0hat-clamp", "limit-dt-over-T", "fluid-dt-over-T",
             "dists-dt-over-default-T", "fluid-T-not-whole-steps",

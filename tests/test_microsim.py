@@ -695,6 +695,15 @@ class TestReadouts:
         with pytest.raises(ValueError, match="nondecreasing"):
             compensator(path, EXP, [2.0, 1.0])
 
+    @pytest.mark.parametrize("times", [[-0.1, 1.0], [1.0, 3.0]],
+                             ids=["below-0", "past-T"])
+    def test_compensator_refuses_times_off_the_path(self, times):
+        # past T the path is unknown; a grid ending at T by rounding passes
+        path = simulate(quick_config(N=3, x0=3, seed=1))
+        with pytest.raises(ValueError, match=r"nondecreasing in \[0, T = "):
+            compensator(path, EXP, times)
+        assert np.isfinite(compensator(path, EXP, [path.T * (1 + 1e-12)])).all()
+
     @pytest.mark.parametrize("dist_key", ["exp", "logn"])
     def test_representation_residual_first_order(self, dist_key):
         dist = DISTS[dist_key]

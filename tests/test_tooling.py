@@ -112,6 +112,24 @@ def test_process_pools_are_with_statements():
     assert not loose, f"ProcessPoolExecutor(...) outside a with statement: {loose}"
 
 
+def test_only_dists_rounds_a_quotient():
+    # whether a horizon is a whole number of steps is decided once, in
+    # dists.uniform_grid; a layer that rounds T / dt itself can silently
+    # move the horizon it was given
+    sites = {}
+    for path in (ROOT / "src").rglob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call) and "round" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None)) \
+                    and n.args and isinstance(n.args[0], ast.BinOp) \
+                    and isinstance(n.args[0].op, (ast.Div, ast.FloorDiv)):
+                sites.setdefault(path.stem, []).append(
+                    f"{path.relative_to(ROOT)}:{n.lineno}")
+    assert "dists" in sites, "expected uniform_grid's round(T / dt) in dists"
+    loose = [s for stem, found in sites.items() if stem != "dists" for s in found]
+    assert not loose, f"round() of a quotient outside dists: {loose}"
+
+
 def test_tracer_counts_a_limit_run(tracer, tmp_path):
     # the tracer reads conv_H's field and simulate_field's result; a
     # signature change that breaks a traced bench run fails here, and so
