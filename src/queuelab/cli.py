@@ -37,8 +37,9 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .dists import (ArrivalSpec, ServiceSpecError, as_rate, holder_check,
-                    make_service_dist, renewal_function, uniform_grid)
+from .dists import (ArrivalSpec, ServiceSpecError, as_rate, check_finite,
+                    holder_check, make_service_dist, renewal_function,
+                    uniform_grid)
 from .fluid import FluidInit, InitialDataError, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
                        run_limit, smg_bookkeeping_residual)
@@ -220,6 +221,7 @@ def validate_config(data):
     msg = _first_error(_HEADER, data) or _first_error(SCHEMAS[data["kind"]], data)
     if msg is not None:
         raise SchemaError(msg)
+    _refused("", ValueError, check_finite, data, "")
     for where in _RATE_FIELDS.get(data["kind"], ()):
         spec = data["model"]
         for key in where.split("."):

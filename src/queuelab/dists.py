@@ -14,10 +14,14 @@ four weibull shapes, noted above the family builders); phase-type is
 alpha e^{Sx} by binary powers of e^{Sh} and one Taylor step, the same
 route for every generator, and piecewise a table.  Importing scipy.stats
 (about a second per process) or scipy.linalg would buy nothing here.
+scipy.special is imported by the family builders that call it (lognormal,
+weibull, gamma, pareto, logistic), and by the exponential law only for
+its cdf, so importing this module loads no scipy at all.
 
 This module is the one kernel layer for service laws.  Each decision the
 other layers need about a law is made here and nowhere else:
 
+    check_finite(v, name)  every number a caller gives must be finite
     uniform_grid(T, dt)    every time and age grid {0, dt, ..., T}: 0 < dt
                            <= T, T a whole number of steps to GRID_RTOL
     tail_point(eps)        first power of 2 with survival <= eps (at most
@@ -49,7 +53,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ServiceDistribution",
@@ -59,6 +62,7 @@ __all__ = [
     "make_service_dist",
     "renewal_function",
     "uniform_grid",
+    "check_finite",
     "holder_check",
     "phi_op",
     "psi_op",
@@ -70,9 +74,27 @@ _MEAN_TOL = 1e-6
 GRID_RTOL = 1e-9  # how far T may sit from a whole number of steps, relative
 
 
+def check_finite(value, name):
+    """A ValueError naming the first non-finite float in value, a number
+    or nested dicts and lists of them: name, then each key or index on the
+    way to it, joined by dots."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name}: must be a finite number, got {value}")
+        return
+    for key, item in items:
+        check_finite(item, f"{name}.{key}" if name else str(key))
+
+
 def uniform_grid(T, dt, T_name="T", dt_name="dt"):
     """np.arange(n + 1) * dt with n dt = T, else a ValueError whose message
     starts with the name of the input at fault (T_name or dt_name)."""
+    check_finite(T, T_name)
+    check_finite(dt, dt_name)
     if not dt > 0:
         raise ValueError(f"{dt_name}: must be positive, got {dt}")
     if not dt <= T:
@@ -279,6 +301,10 @@ def _split_logsf(median, sf, cdf):
 # weibull with shape 0.5 or 2 (every kernel and conditional) or 1.5 or 3
 # (density) can differ from scipy by an ulp of the power: at most 1.1e-13
 # relative, in the deep tail.
+#
+# scipy.special is imported where it is called (module docstring); numpy's
+# expm1 and log1p are no substitute, as they miss its last bit on some
+# points.
 
 def _make_exponential(params, normalize):
     rate = _scale_param(params, "rate", 1.0, normalize)
@@ -286,15 +312,22 @@ def _make_exponential(params, normalize):
         raise ServiceSpecError("exponential rate must be positive")
     if normalize:
         rate = 1.0
+
+    def cdf(z):
+        from scipy import special
+        return -special.expm1(-z)
+
     k = SimpleNamespace(
         pdf=lambda z: np.exp(-z), logpdf=lambda z: -z,
-        cdf=lambda z: -special.expm1(-z), sf=lambda z: np.exp(-z),
+        cdf=cdf, sf=lambda z: np.exp(-z),
         logsf=lambda z: -z, isf=lambda q: -np.log(q),
         draw=lambda rng, size: rng.standard_exponential(size))
     return _scaled_law(f"exponential(rate={rate:g})", 1.0 / rate, 1.0 / rate, k)
 
 
 def _make_lognormal(params, normalize):
+    from scipy import special
+
     sigma = float(params.pop("sigma", 0.5))
     if sigma <= 0:
         raise ServiceSpecError("lognormal sigma must be positive")
@@ -321,6 +354,8 @@ def _make_lognormal(params, normalize):
 
 
 def _make_weibull(params, normalize):
+    from scipy import special
+
     shape = float(params.pop("shape", 1.5))
     if shape <= 0:
         raise ServiceSpecError("weibull shape must be positive")
@@ -343,6 +378,8 @@ def _make_weibull(params, normalize):
 
 
 def _make_gamma(params, normalize):
+    from scipy import special
+
     shape = float(params.pop("shape", 2.0))
     if shape <= 0:
         raise ServiceSpecError("gamma shape must be positive")
@@ -371,6 +408,8 @@ def _make_gamma(params, normalize):
 
 def _make_pareto(params, normalize):
     # Lomax / Pareto-II so that the support starts at 0 with G(0) = 0
+    from scipy import special
+
     a = float(params.pop("a", 1.5))
     if a <= 1.0:
         raise ServiceSpecError("pareto exponent must exceed 1 for a finite mean")
@@ -393,6 +432,8 @@ def _make_pareto(params, normalize):
 
 def _make_logistic(params, normalize):
     # half-logistic: the positive-support form of the logistic law
+    from scipy import special
+
     scale = _scale_param(params, "scale", 1.0, normalize)
     if scale <= 0:
         raise ServiceSpecError("logistic scale must be positive")

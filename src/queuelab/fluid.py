@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .dists import ServiceDistribution, as_rate, dead_mass_ratio, uniform_grid
 
@@ -134,6 +133,7 @@ def fftconvolve(a, b):
     has length 1: scipy.signal.fftconvolve's full mode, bit for bit."""
     if a.size == 1 or b.size == 1:
         return a * b
+    from scipy.fft import irfft, next_fast_len, rfft
     n = a.size + b.size - 1
     m = next_fast_len(n, real=True)
     return irfft(rfft(a, m) * rfft(b, m), m)[:n]

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .dists import ServiceDistribution, dead_mass_ratio, uniform_grid
 from .fluid import FluidInit, InitialDataError, fftconvolve, solve_fluid
@@ -183,6 +182,8 @@ def conv_H(field, kernel):
     inverse rFFT gives the sum; it differs from adding per-column inverses
     by FFT rounding only (about 1e-15 relative).
     """
+    from scipy.fft import irfft
+
     nt = field.W.shape[0]
     H = np.zeros(nt + 1)
     # added onto +0.0, so a zero field gives zeros without a -0.0
@@ -324,10 +325,14 @@ def simulate_hw(T, dt, beta, sigma2, x0, n_paths, rng, record_times=(),
     """Euler scheme for dX = -beta dt - min(X, 0) dt + sqrt(1+sigma2) dW.
 
     Streams in time on uniform_grid(T, dt), keeping only the marginals at
-    record_times (whole numbers of steps); returns {t: samples} with T.
+    record_times (whole numbers of steps in (0, T]); returns {t: samples}
+    with T.
     """
     n = uniform_grid(T, dt).size - 1
     rec = {uniform_grid(t, dt, "record_times").size - 1: t for t in record_times}
+    if rec and max(rec) > n:
+        raise ValueError(f"record_times: {rec[max(rec)]} lies outside (0, T] "
+                         f"with T {T}")
     rec.setdefault(n, T)
     beta_fn = beta if callable(beta) else (lambda s, b=float(beta): b)
     vol = math.sqrt(1.0 + float(sigma2)) * math.sqrt(dt)
@@ -422,6 +427,8 @@ class LimitPlan:
     @classmethod
     def for_spec(cls, spec):
         """The plan for every path of spec's run."""
+        from scipy.fft import next_fast_len
+
         dist, grid = spec.dist, spec.grid
         fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
         clamp = _clamp(fpath.regime)  # before any table or kernel is built
@@ -463,6 +470,8 @@ class LimitPlan:
 
     def kernel(self, f):
         """rFFT along time of u_x(l) / (1-G(x)) on the live columns."""
+        from scipy.fft import rfft
+
         U = (np.asarray(f(self.ages), dtype=float) * self.sf_ages).reshape(
             self.t_edges.size - 1, self.cols.size)
         return rfft(U / self.sf_cols, n=self.nfft, axis=0)
@@ -482,6 +491,8 @@ class LimitPlan:
 
     def field(self, W):
         """W on the plan's cells, with the rFFT of its live columns."""
+        from scipy.fft import rfft
+
         return MartingaleField(
             W=W, W_hat=rfft(W[:, self.cols], n=self.nfft, axis=0), nfft=self.nfft)
 

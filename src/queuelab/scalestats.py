@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dists import (ArrivalSpec, make_service_dist, renewal_function,
-                    uniform_grid)
+from .dists import (ArrivalSpec, check_finite, make_service_dist,
+                    renewal_function, uniform_grid)
 from .fluid import FluidInit, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, run_limit, sae_residual,
                        sae_test_functions, simulate_hw)
@@ -163,26 +163,39 @@ def _at_least(cfg, key, n):
         raise OverrideError(f"{key}: needs at least {n} entries, got {cfg[key]!r}")
 
 
+def _like(key, value, default):
+    """value read as default's type, else an OverrideError: a list for a
+    list, an integral number (read as an int) for an int, a number for a
+    float, never a boolean; a list's entries each by the same rule when
+    the default's entries share one type."""
+    kind = type(default)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    want = {list: list, int: int, float: (int, float)}.get(kind, object)
+    if not isinstance(value, want) or isinstance(value, bool):
+        raise OverrideError(f"{key}: expected {kind.__name__} like the "
+                            f"default {default!r}, got {value!r}")
+    if kind is list and len({type(d) for d in default}) == 1:
+        value = [_like(f"{key}.{i}", v, default[0]) for i, v in enumerate(value)]
+    return value
+
+
 def _cfg(defaults, config):
     """The defaults updated by the overrides; OverrideError for an unknown
-    key or a value of another type than its default: a nonempty list for a
-    list, an integral number (read as an int) for an int, a number for a
-    float."""
+    key, a non-finite number anywhere in a value, a value of another type
+    than its default (_like) or an empty list."""
     config = config or {}
     unknown = set(config) - set(defaults)
     if unknown:
         raise OverrideError(f"unknown config keys: {sorted(unknown)}")
     out = dict(defaults)
     for key, value in config.items():
-        kind = type(defaults[key])
-        if kind is int and isinstance(value, float) and value.is_integer():
-            value = int(value)
-        want = {list: list, int: int, float: (int, float)}.get(kind, object)
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise OverrideError(f"{key}: expected {kind.__name__} like the "
-                                f"default {defaults[key]!r}, got {value!r}")
-        out[key] = value
-        if kind is list:
+        try:
+            check_finite(value, key)
+        except ValueError as e:
+            raise OverrideError(str(e)) from None
+        out[key] = _like(key, value, defaults[key])
+        if type(defaults[key]) is list:
             _at_least(out, key, 1)
     return out
 
@@ -244,7 +257,8 @@ def verify_fclt(config=None):
     state, so every value equals that of running the two halves in turn.
     The worker starts by the platform's default method: under fork it
     shares this process's imports, under spawn or forkserver it pays a
-    fresh import.
+    fresh import of numpy and the package; the exponential law and the
+    Euler scheme call no scipy, so that worker imports none.
 
     Each time must lie in (0, T], and T and each time must be whole
     numbers of Euler steps, so both samples are read at the same instant;

@@ -471,10 +471,16 @@ class TestVerifyCommand:
         ("insensitivity", {"reps": 2.5},
          "reps: expected int like the default 20, got 2.5"),
         ("fclt", {"T": "5"}, "T: expected float like the default 5.0, got '5'"),
+        # a list's entries by the rule for its default's entries
+        ("fclt", {"times": ["1.0"]},
+         "times.0: expected float like the default 1.0, got '1.0'"),
+        ("flln", {"Ns": [25, 100.5]},
+         "Ns.1: expected int like the default 25, got 100.5"),
     ], ids=["flln-grid-dt", "flln-fluid-dt", "insensitivity-dt",
             "moments-T-value", "sae-dt-level", "representation-T",
             "representation-shift", "representation-shift-at-T",
-            "flln-scalar-Ns", "insensitivity-fractional-reps", "fclt-string-T"])
+            "flln-scalar-Ns", "insensitivity-fractional-reps", "fclt-string-T",
+            "fclt-string-time", "flln-fractional-N"])
     def test_grid_or_type_override_exit_two(self, tmp_path, battery, overrides,
                                             message):
         # refused before any path runs, naming the override key
@@ -685,6 +691,19 @@ class TestExitCodes:
         ("fluid", "numerics", {"T": 1.0, "dt": 0.3}, "numerics.T"),
         ("dists", "numerics", {"T": 1.0, "dt": 0.3}, "numerics.T"),
         ("limit", "numerics.T", 0.505, "numerics.T"),
+        # json reads Infinity and NaN, and the schema's number admits them
+        ("fluid", "numerics.T", float("inf"), "numerics.T"),
+        ("fluid", "numerics.dt", float("nan"), "numerics.dt"),
+        ("fluid", "model.x0", float("inf"), "model.x0"),
+        ("limit", "model.x0hat", float("nan"), "model.x0hat"),
+        ("limit", "numerics.x_max", float("inf"), "numerics.x_max"),
+        ("sim", "model.arrival.lambda_bar", float("inf"),
+         "model.arrival.lambda_bar"),
+        ("sim", "model.arrival", {"kind": "inhom_poisson", "lambda_bar": {
+            "pwlin": {"t": [0.0, 1.0], "v": [1.0, float("inf")]}}},
+         "model.arrival.lambda_bar.pwlin.v.1"),
+        ("verify", "model.overrides", {"T": float("-inf")},
+         "model.overrides.T"),
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
             "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
@@ -693,7 +712,10 @@ class TestExitCodes:
             "nu0-invariant-mass", "nu0-grid-mass", "limit-nu0-mass",
             "x0hat-clamp", "limit-dt-over-T", "fluid-dt-over-T",
             "dists-dt-over-default-T", "fluid-T-not-whole-steps",
-            "dists-T-not-whole-steps", "limit-T-not-whole-steps"])
+            "dists-T-not-whole-steps", "limit-T-not-whole-steps",
+            "inf-fluid-T", "nan-fluid-dt", "inf-fluid-x0", "nan-limit-x0hat",
+            "inf-limit-x-max", "inf-renewal-rate", "inf-pwlin-value",
+            "inf-verify-override"])
     def test_bad_shape_exit_two(self, tmp_path, kind, where, value, field):
         # every config shape the builders take, and every agreement between
         # initial data the run needs, is checked before anything runs;
@@ -703,14 +725,17 @@ class TestExitCodes:
                           "model": {"service": "exponential"},
                           "numerics": {"T": 1.0, "dt": 0.01}},
                 "dists": {"schema_version": 1, "kind": "dists",
-                          "model": {"service": "exponential"}}}[kind]
+                          "model": {"service": "exponential"}},
+                "verify": {"schema_version": 1, "kind": "verify",
+                           "model": {}}}[kind]
         *parents, key = where.split(".")
         block = data
         for name in parents:
             block = block[name]
         block[key] = value
         argv = {"sim": ["sim", "run"], "limit": ["limit", "run"],
-                "fluid": ["fluid", "solve"], "dists": ["dists", "check"]}[kind]
+                "fluid": ["fluid", "solve"], "dists": ["dists", "check"],
+                "verify": ["verify", "fclt"]}[kind]
         out = tmp_path / "x"
         res = CliRunner().invoke(main, argv + ["--config", write_cfg(tmp_path, data),
                                                "--out", str(out)])

@@ -414,6 +414,15 @@ class TestRenewalFunction:
         with pytest.raises(ValueError):
             renewal_function(make_service_dist("exponential"), T=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("T, dt, name", [
+        (math.inf, 0.1, "T"), (math.nan, 0.1, "T"),
+        (1.0, math.inf, "dt"), (1.0, math.nan, "dt"),
+    ], ids=["T-inf", "T-nan", "dt-inf", "dt-nan"])
+    def test_non_finite_grid_rejected(self, T, dt, name):
+        # refused by the grid rule, not left to round(T / dt)
+        with pytest.raises(ValueError, match=f"^{name}: must be a finite number"):
+            renewal_function(make_service_dist("exponential"), T=T, dt=dt)
+
 
 class TestHolder:
     def test_exponential_gamma_one(self):

@@ -659,6 +659,15 @@ class TestHalfinWhitt:
         assert set(out) == {0.25, 0.5, 1.0}
         assert all(v.shape == (3,) for v in out.values())
 
+    def test_record_time_past_T_rejected(self):
+        # refused before the first step, so the generator is left untouched
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^record_times: 2\.0 lies outside "
+                                             r"\(0, T\] with T 1\.0$"):
+            L.simulate_hw(1.0, 0.1, 0.0, 1.0, 0.0, 2, rng, record_times=[2.0])
+        assert rng.bit_generator.state == state
+
 
 class TestAgeBalance:
     def test_noise_off_zero_inputs_exactly_zero(self):

@@ -241,9 +241,12 @@ class TestFcltWorker:
         ({"times": []}, "times"),
         ({"des_reps": 0}, "des_reps"),
         ({"euler_paths": 0}, "euler_paths"),
+        ({"T": float("inf")}, "T"),
+        ({"times": [1.0, float("nan")]}, "times.1"),
+        ({"times": ["1.0"]}, "times.0"),
     ], ids=["time-past-T", "time-zero", "time-between-steps",
             "T-between-steps", "dt-zero", "times-empty", "no-des-reps",
-            "no-euler-paths"])
+            "no-euler-paths", "T-infinite", "time-nan", "time-string"])
     def test_mismatched_override_rejected_before_worker(self, monkeypatch,
                                                         overrides, key):
         def no_pool(*args, **kwargs):

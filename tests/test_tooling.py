@@ -49,19 +49,51 @@ def test_traced_law_kernels_exist(tracer):
     assert all(callable(getattr(law, k, None)) for k in tracer.LAW_KERNELS)
 
 
-def test_cli_import_loads_no_scipy_stats_signal_or_linalg():
-    # queuelab.cli imports every layer; the service laws are closed forms
-    # on numpy and scipy.special and the convolutions use scipy.fft, so
-    # none of these heavier packages may load
-    code = ("import sys, queuelab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'], "
-            "['scipy', 'linalg'])))")
+def _scipy_after(code):
+    """The scipy modules loaded after running code in a fresh interpreter."""
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]", f"import queuelab.cli loaded {res.stdout}"
+    return res.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    # queuelab.cli imports every layer; scipy.special and scipy.fft are
+    # imported where a law or a transform calls them, so none loads here
+    loaded = _scipy_after("import queuelab.cli")
+    assert loaded == "[]", f"import queuelab.cli loaded {loaded}"
+
+
+def test_exponential_fclt_round_loads_no_scipy():
+    # the exponential law and the fclt battery call no special function
+    # and no FFT, so building the law and running a whole round import no
+    # scipy
+    loaded = _scipy_after(
+        "from queuelab.dists import make_service_dist\n"
+        "from queuelab.scalestats import verify_fclt\n"
+        "law = make_service_dist('exponential')\n"
+        "law.sf(1.0), law.hazard(1.0), law.density(1.0)\n"
+        "verify_fclt({'N': 50, 'T': 1.0, 'times': [0.5, 1.0],"
+        " 'des_reps': 4, 'euler_paths': 200, 'euler_dt': 0.01})")
+    assert loaded == "[]", f"an exponential fclt round loaded {loaded}"
+
+
+def test_no_top_level_scipy_import():
+    # a module-level scipy import would load it in every process; each
+    # law or transform that calls scipy imports it where it is called
+    loose = []
+    for path in (ROOT / "src" / "queuelab").rglob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            names = ([a.name for a in stmt.names] if isinstance(stmt, ast.Import)
+                     else [stmt.module or ""] if isinstance(stmt, ast.ImportFrom)
+                     else [])
+            if any(n.split(".")[0] == "scipy" for n in names):
+                loose.append(f"{path.relative_to(ROOT)}:{stmt.lineno}")
+    assert not loose, f"module-level scipy imports: {loose}"
 
 
 def _uses(path):
