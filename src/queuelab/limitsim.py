@@ -320,8 +320,7 @@ def hat_nu_stieltjes(S_f, Khat, H_f, u):
     return np.asarray(S_f, dtype=float) + out - np.asarray(H_f, dtype=float)
 
 
-def simulate_hw(T, dt, beta, sigma2, x0, n_paths, rng, record_times=(),
-                noise_off=False):
+def simulate_hw(T, dt, beta, sigma2, x0, n_paths, rng, record_times=()):
     """Euler scheme for dX = -beta dt - min(X, 0) dt + sqrt(1+sigma2) dW.
 
     Streams in time on uniform_grid(T, dt), keeping only the marginals at
@@ -334,15 +333,12 @@ def simulate_hw(T, dt, beta, sigma2, x0, n_paths, rng, record_times=(),
         raise ValueError(f"record_times: {rec[max(rec)]} lies outside (0, T] "
                          f"with T {T}")
     rec.setdefault(n, T)
-    beta_fn = beta if callable(beta) else (lambda s, b=float(beta): b)
     vol = math.sqrt(1.0 + float(sigma2)) * math.sqrt(dt)
     X = np.full(int(n_paths), float(x0))
     out = {}
     for k in range(n):
-        s_mid = (k + 0.5) * dt
-        X = X - float(beta_fn(s_mid)) * dt - np.minimum(X, 0.0) * dt
-        if not noise_off:
-            X = X + vol * rng.standard_normal(X.size)
+        X = (X - float(beta) * dt - np.minimum(X, 0.0) * dt
+             + vol * rng.standard_normal(X.size))
         if (k + 1) in rec:
             out[rec[k + 1]] = X.copy()
     return out

@@ -6,13 +6,13 @@ customers (Kiefer & Wolfowitz 1955): customer k starts at
 s_k = max(a_k, earliest time a server frees) and leaves S_k later, one
 replacement per customer on a heap of the servers' free times, held as
 plain floats.  The loop records only s_k; the end times s_k + S_k are the
-same sums taken again as one array.  Which customer freed each start's
-server comes from one sort of the (free time, customer) pairs, idle
-servers as customer -1: the heap pops them in sorted order, because the
-pair (s_k + S_k, k) it pushes is larger than the pair it popped for k.
-The event log, counters, spans and departures are then built from the
-start and end times by one more sort and cumulative sums.  Three tie rules
-fix the log's row order:
+same sums taken again as one array.  A path keeps the arrival times, the
+spans and the departure order (a stable sort of the end times by T).
+E(t), D(t) and K(t) are searchsorted counts of arrivals, departures and
+starts at or before t, X = x0 + E - D and B = b0 + K - D.  The row-ordered
+event log is built from these by one more sort and cumulative sums, once,
+for its readers (sim run's CSV, conservation_check).  Three tie rules fix
+its row order:
 
     at equal times, departures come before arrivals
     equal-time departures come in customer-id order
@@ -68,6 +68,7 @@ __all__ = [
 
 ARRIVAL, DEPARTURE, SERVICE_START = 0, 1, 2
 KIND_NAMES = {ARRIVAL: "arrival", DEPARTURE: "departure", SERVICE_START: "service_start"}
+_LOG_COLUMNS = ("ev_time", "ev_kind", "ev_id", "ev_age", "E", "D", "K", "X", "B")
 
 
 @dataclass(frozen=True)
@@ -124,13 +125,12 @@ class SimConfig:
 
 @dataclass
 class PathRecord:
-    """One simulated path: event log, counters, spans, departures.
-
-    Counter arrays hold post-event values; index -1 of counters_at covers
-    t before the first event.  Spans carry theta (effective service start,
-    negative for an initial age), begin = max(theta, 0), end (departure
-    time, +inf if still in service at T) and whether the span is a fresh
-    start (those are the ones K counts).
+    """One simulated path: arrival times in (0, T], spans by customer id
+    (the b0 = min(x0, N) in service at 0 first) and the departure order
+    (who leaves by T, by time, then id).  A span has theta (effective
+    start, negative for an initial age), begin = max(theta, 0), end (+inf
+    if in service at T) and fresh (a start, which K counts).  counts() reads
+    the counters; the event log's columns (_LOG_COLUMNS) build on first read.
     """
 
     N: int
@@ -139,38 +139,59 @@ class PathRecord:
     seed: int
     replicate: int
     initial_ages: np.ndarray
-    ev_time: np.ndarray
-    ev_kind: np.ndarray
-    ev_id: np.ndarray
-    ev_age: np.ndarray
-    E: np.ndarray
-    D: np.ndarray
-    K: np.ndarray
-    X: np.ndarray
-    B: np.ndarray
+    arrivals: np.ndarray
     span_theta: np.ndarray
     span_begin: np.ndarray
     span_end: np.ndarray
     span_fresh: np.ndarray
-    dep_time: np.ndarray
-    dep_age: np.ndarray
+    dep_order: np.ndarray
+
+    def __getattr__(self, name):
+        if name not in _LOG_COLUMNS:
+            raise AttributeError(f"'PathRecord' object has no attribute {name!r}")
+        self.__dict__.update(_event_log(self))
+        return self.__dict__[name]
 
     @property
     def b0(self):
         return min(self.x0, self.N)
 
+    @property
+    def dep_time(self):  # dep_time and dep_age in departure order
+        return self.span_end[self.dep_order]
+
+    @property
+    def dep_age(self):
+        return self.dep_time - self.span_theta[self.dep_order]
+
+    def counts(self, times):
+        """(E, D, K, X, B) integer arrays at the times, right-continuous."""
+        times = _on_path(self, times)
+        E = np.searchsorted(self.arrivals, times, side="right")
+        D = np.searchsorted(self.dep_time, times, side="right")
+        K = np.searchsorted(self.span_begin[self.b0:], times, side="right")
+        return E, D, K, self.x0 + E - D, self.b0 + K - D
+
     def counters_at(self, t):
-        """(E, D, K, X, B) at time t (right-continuous step evaluation)."""
-        i = int(np.searchsorted(self.ev_time, t, side="right")) - 1
-        if i < 0:
-            return 0, 0, 0, self.x0, self.b0
-        return (int(self.E[i]), int(self.D[i]), int(self.K[i]),
-                int(self.X[i]), int(self.B[i]))
+        """(E, D, K, X, B) at time t, as ints."""
+        return tuple(int(c) for c in self.counts(t))
 
     def ages_at(self, t):
         """Ages of everyone in service at time t (unordered)."""
+        t = _on_path(self, t)
         alive = (self.span_begin <= t) & (t < self.span_end)
         return t - self.span_theta[alive]
+
+
+def _on_path(path, times, nondecreasing=False):
+    """times as floats; a ValueError unless all lie in [0, T] up to a
+    grid's rounding (GRID_RTOL), since past T the path is unknown."""
+    times = np.asarray(times, dtype=float)
+    if not np.all((0 <= times) & (times <= path.T * (1 + GRID_RTOL))) or (
+            nondecreasing and np.any(np.diff(times) < 0)):
+        order = " nondecreasing" if nondecreasing else ""
+        raise ValueError(f"times must be{order} in [0, T = {path.T}]")
+    return times
 
 
 def invariant_ages(dist, n, rng):
@@ -276,62 +297,63 @@ def simulate(config):
     start, blocks = _start_times(
         ready, remaining0.tolist() + [0.0] * (N - b0), T,
         lambda: np.asarray(dist.sampler(rng_svc, size=256), dtype=float))
-    m, n_arr = len(start), arrivals.size
+    m = len(start)
     st_t = np.asarray(start, dtype=float)
     st_end = st_t + np.concatenate([np.zeros(0), *blocks])[:m]  # the loop's sums
 
-    # spans are indexed by customer id: the b0 initial ones, then FCFS starts
     end = np.concatenate([remaining0, st_end])  # departure time of customer k
+    done = end <= T
+    dep = np.flatnonzero(done)
+    return PathRecord(
+        N=N, T=T, x0=x0, seed=config.seed, replicate=config.replicate,
+        initial_ages=ages0, arrivals=arrivals,
+        span_theta=np.concatenate([-ages0, st_t]),
+        span_begin=np.concatenate([np.zeros(b0), st_t]),
+        span_end=np.where(done, end, np.inf),
+        span_fresh=np.arange(b0 + m) >= b0,
+        dep_order=dep[np.argsort(end[dep], kind="stable")],
+    )
+
+
+def _event_log(path):
+    """The event log's columns, rows in time order by the three tie rules."""
+    x0, b0 = path.x0, path.b0
+    arrivals, st_t = path.arrivals, path.span_begin[b0:]
+    dep_id, dep_t = path.dep_order, path.dep_time
+    n_arr, m = arrivals.size, st_t.size
+    arr_id, st_id = np.arange(x0, x0 + n_arr), np.arange(b0, b0 + m)
     # who freed each start's server: the heap popped its (free time,
     # customer) pairs in sorted order, since each pushed (end_k, k) exceeds
     # the pair popped for k (end_k >= s_k >= that free time, and k beats
     # the popped customer on a tie).  So the idle servers, (0.0, -1), pop
-    # first, then the customers by (end, id): a stable sort of end
-    freed_by = np.concatenate([np.full(N - b0, -1),
-                               np.argsort(end, kind="stable")])[:m]
-    theta = np.concatenate([-ages0, st_t])
-    done = end <= T
-    dep_id = np.nonzero(done)[0]
-    dep_t = end[done]
-    arr_id = np.arange(x0, x0 + n_arr)
-    st_id = np.arange(b0, b0 + m)
+    # first, then the customers in departure order (a popped customer
+    # freed a start s_k <= T, so it left by T)
+    freed_by = np.concatenate([np.full(path.N - b0, -1), dep_id])[:m]
     # a start that waited follows the departure that freed its server,
     # otherwise its own arrival; departures precede arrivals at equal times.
     # Rows sort by time, then by one integer packing (rank, customer, start
     # row last): departures and waited starts have rank 0, arrivals and
     # the starts they trigger rank 1
-    waited = st_t > ready[:m]
+    waited = st_t > np.concatenate([np.full(x0 - b0, -np.inf), arrivals])[:m]
     t = np.concatenate([dep_t, arrivals, st_t])
     n_ids = x0 + n_arr + 1  # customer id + 1 lies in [0, n_ids)
     tie = 2 * np.concatenate([dep_id + 1, n_ids + arr_id + 1,
                               np.where(waited, freed_by + 1, n_ids + st_id + 1)])
     tie[dep_id.size + n_arr:] += 1
     order = np.lexsort((tie, t))
-    ev_time = t[order]
     ev_kind = np.repeat(np.array([DEPARTURE, ARRIVAL, SERVICE_START], dtype=np.int8),
                         [dep_id.size, n_arr, m])[order]
-    ev_id = np.concatenate([dep_id, arr_id, st_id]).astype(np.int64)[order]
-    ev_age = np.concatenate([dep_t - theta[done], np.full(n_arr, np.nan),
-                             np.zeros(m)])[order]
-
     # every row carries post-transition counters; K moves on the row that
     # triggers a start, so a start row repeats its trigger row's counters
-    is_dep = ev_kind == DEPARTURE
     entry = np.zeros(ev_kind.size, dtype=np.int64)
     entry[:-1] = ev_kind[1:] == SERVICE_START
     E = np.cumsum(ev_kind == ARRIVAL, dtype=np.int64)
-    D = np.cumsum(is_dep, dtype=np.int64)
+    D = np.cumsum(ev_kind == DEPARTURE, dtype=np.int64)
     K = np.cumsum(entry)
-    return PathRecord(
-        N=N, T=T, x0=x0, seed=config.seed, replicate=config.replicate,
-        initial_ages=ages0,
-        ev_time=ev_time, ev_kind=ev_kind, ev_id=ev_id, ev_age=ev_age,
-        E=E, D=D, K=K, X=x0 + E - D, B=b0 + K - D,
-        span_theta=theta, span_begin=np.concatenate([np.zeros(b0), st_t]),
-        span_end=np.where(done, end, np.inf),
-        span_fresh=np.arange(b0 + m) >= b0,
-        dep_time=ev_time[is_dep], dep_age=ev_age[is_dep],
-    )
+    ev_id = np.concatenate([dep_id, arr_id, st_id]).astype(np.int64)[order]
+    ev_age = np.concatenate([path.dep_age, np.full(n_arr, np.nan), np.zeros(m)])[order]
+    return dict(ev_time=t[order], ev_kind=ev_kind, ev_id=ev_id, ev_age=ev_age,
+                E=E, D=D, K=K, X=x0 + E - D, B=b0 + K - D)
 
 
 def conservation_check(path):
@@ -356,9 +378,7 @@ def conservation_check(path):
 def eval_age_functional(path, f, t):
     """<f, nu_t>: sum of f over the ages in service at time t (exact)."""
     ages = path.ages_at(t)
-    if ages.size == 0:
-        return 0.0
-    return float(np.sum(f(ages)))
+    return float(np.sum(f(ages))) if ages.size else 0.0
 
 
 def _live_pairs(path, nodes):
@@ -373,31 +393,25 @@ def _live_pairs(path, nodes):
 
 def compensator(path, dist, times):
     """The departure compensator A(t) = int_0^t <h, nu_s> ds, exactly, at
-    each of the nondecreasing times in [0, T]: past T the path is unknown,
-    so a later time raises, unless within a grid's rounding (GRID_RTOL).
+    each of the nondecreasing times in [0, T], up to a grid's rounding.
 
     A span's age grows at unit rate, so it adds Lambda(a1) - Lambda(a0),
     Lambda = -log(1-G), from its age a0 at begin to a1 at min(t, end); a
     finished span adds all of it at its departure time.  A span with
     a1 <= a0 or 1-G(a0) = 0 adds exactly 0, the dead-mass convention.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0) or times.size and not (
-            0 <= times[0] and times[-1] <= path.T * (1 + GRID_RTOL)):
-        raise ValueError(f"compensator times must be nondecreasing in [0, T = {path.T}]")
-    theta, end = path.span_theta, path.span_end
-    done = np.flatnonzero(np.isfinite(end))
-    done = done[np.argsort(end[done], kind="stable")]
+    times = _on_path(path, times, nondecreasing=True)
+    theta, done, dep_t = path.span_theta, path.dep_order, path.dep_time
     k, live = _live_pairs(path, times)
     span = np.concatenate([done, live])
     a0 = path.span_begin - theta
-    a1 = np.concatenate([end[done], times[k]]) - theta[span]
+    a1 = np.concatenate([dep_t, times[k]]) - theta[span]
     with np.errstate(divide="ignore", invalid="ignore"):
         lam0 = -np.log(dist.sf(a0))[span]
         step = -np.log(dist.sf(a1)) - lam0
     step = np.where((a1 > a0[span]) & np.isfinite(lam0), step, 0.0)
     A = np.cumsum(np.concatenate([[0.0], step[:done.size]]))
-    return (A[np.searchsorted(end[done], times, side="right")]
+    return (A[np.searchsorted(dep_t, times, side="right")]
             + np.bincount(k, weights=step[done.size:], minlength=times.size))
 
 

@@ -78,23 +78,13 @@ def all_passed(reports):
 
 
 def counter_profile(path, grid):
-    """Right-continuous (E, D, K, X, B) arrays on a time grid."""
-    grid = np.asarray(grid, dtype=float)
-    idx = np.searchsorted(path.ev_time, grid, side="right") - 1
-    pre = idx < 0
-    idx = np.maximum(idx, 0)
-    out = {}
-    for name, init in (("E", 0), ("D", 0), ("K", 0), ("X", path.x0), ("B", path.b0)):
-        col = getattr(path, name)[idx].astype(float)
-        col[pre] = init
-        out[name] = col
-    return out
+    """Right-continuous (E, D, K, X, B) float arrays on a time grid."""
+    return {name: c.astype(float) for name, c in zip("EDKXB", path.counts(grid))}
 
 
 def diffusion_scale(path, xbar, N, times):
     """sqrt(N) (X(t)/N - xbar): X a right-continuous step, xbar a number."""
-    X = counter_profile(path, times)["X"]
-    return math.sqrt(N) * (X / N - float(xbar))
+    return math.sqrt(N) * (counter_profile(path, times)["X"] / N - float(xbar))
 
 
 def ks_distance(a, b):

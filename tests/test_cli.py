@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from queuelab import cli
+from queuelab import cli, microsim
 from queuelab.cli import SchemaError, load_config, main, validate_config
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.fluid import FluidInit, solve_fluid
@@ -171,6 +171,16 @@ class TestSimRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["identities_clean"] is True
         assert summary["replicates"] == 2
+
+    def test_each_replicate_builds_its_event_log_once(self, monkeypatch):
+        built, build = [], microsim._event_log
+        monkeypatch.setattr(microsim, "_event_log",
+                            lambda path: built.append(path.replicate) or build(path))
+        sim = SimConfig(N=10, arrival=ArrivalSpec("renewal", 1.0),
+                        service=make_service_dist("exponential"), T=1.0, seed=7)
+        for r in range(3):
+            cli._sim_one(sim, r)
+        assert built == [0, 1, 2]
 
     def test_seed_flag_changes_data(self, tmp_path):
         cfgp = write_cfg(tmp_path, sim_cfg(seeds=1))

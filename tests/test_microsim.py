@@ -251,28 +251,41 @@ def simulate_by_events(config):
 
     # FCFS starts spans in customer order, so simulate indexes spans by id
     assert span_cust == list(range(len(span_cust))), "spans out of customer order"
-    return PathRecord(
+    ev_time, ev_kind = np.asarray(ev_time), np.asarray(ev_kind, dtype=np.int8)
+    ev_id = np.asarray(ev_id, dtype=np.int64)
+    return dict(
         N=N, T=T, x0=x0, seed=config.seed, replicate=config.replicate,
-        initial_ages=ages0,
-        ev_time=np.asarray(ev_time), ev_kind=np.asarray(ev_kind, dtype=np.int8),
-        ev_id=np.asarray(ev_id, dtype=np.int64), ev_age=np.asarray(ev_age),
+        initial_ages=ages0, arrivals=ev_time[ev_kind == ARRIVAL],
+        span_theta=np.asarray(span_theta), span_begin=np.asarray(span_begin),
+        span_end=np.asarray(span_end), span_fresh=np.asarray(span_fresh, dtype=bool),
+        dep_order=ev_id[ev_kind == DEPARTURE],
+        ev_time=ev_time, ev_kind=ev_kind, ev_id=ev_id, ev_age=np.asarray(ev_age),
         E=np.asarray(cE, dtype=np.int64), D=np.asarray(cD, dtype=np.int64),
         K=np.asarray(cK, dtype=np.int64), X=np.asarray(cX, dtype=np.int64),
         B=np.asarray(cB, dtype=np.int64),
-        span_theta=np.asarray(span_theta), span_begin=np.asarray(span_begin),
-        span_end=np.asarray(span_end), span_fresh=np.asarray(span_fresh, dtype=bool),
         dep_time=np.asarray(dep_time), dep_age=np.asarray(dep_age),
     )
 
 
+# what a path holds, then what is read off it: the event log's columns,
+# built on first read, and the departures
+PATH_FIELDS = ("N", "T", "x0", "seed", "replicate", "initial_ages", "arrivals",
+               "span_theta", "span_begin", "span_end", "span_fresh", "dep_order")
+READ_OFF = ("ev_time", "ev_kind", "ev_id", "ev_age", "E", "D", "K", "X", "B",
+            "dep_time", "dep_age")
+
+
 def assert_same_path(got, want):
-    for f in dataclasses.fields(PathRecord):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+    """got, a PathRecord, against want, the event loop's dict: every field,
+    every log column and the departures, each with its dtype and shape."""
+    assert tuple(f.name for f in dataclasses.fields(PathRecord)) == PATH_FIELDS
+    for name in PATH_FIELDS + READ_OFF:
+        a, b = getattr(got, name), want[name]
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, f.name
-            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), f.name
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -283,6 +296,14 @@ class LatticeArrivals(ArrivalSpec):
 
     def interarrival_sampler(self, N):
         return lambda rng, size=None: np.full(size, self.gap)
+
+
+def deterministic_law(service):
+    """Every service lasts `service`; a residual is what is left of it."""
+    return dataclasses.replace(
+        EXP, name=f"deterministic({service:g})",
+        sampler=lambda rng, size=None: np.full(size, service),
+        conditional=lambda rng, ages: np.maximum(np.asarray(ages), service))
 
 
 class TestEqualsEventLoop:
@@ -323,10 +344,7 @@ class TestEqualsEventLoop:
     @pytest.mark.parametrize("gap,service", [(0.25, 1.0), (0.5, 1.5), (0.25, 0.5)])
     def test_lattice_ties(self, N, gap, service):
         # times on a binary lattice: arrivals land exactly on departures
-        det = dataclasses.replace(
-            EXP, name=f"deterministic({service:g})",
-            sampler=lambda rng, size=None: np.full(size, service),
-            conditional=lambda rng, ages: np.maximum(np.asarray(ages), service))
+        det = deterministic_law(service)
         ties = 0
         for x0 in range(2 * N + 1):
             ages = [0.25 * (j % 4) for j in range(min(x0, N))]
@@ -695,8 +713,8 @@ class TestReadouts:
         with pytest.raises(ValueError, match="nondecreasing"):
             compensator(path, EXP, [2.0, 1.0])
 
-    @pytest.mark.parametrize("times", [[-0.1, 1.0], [1.0, 3.0]],
-                             ids=["below-0", "past-T"])
+    @pytest.mark.parametrize("times", [[-0.1, 1.0], [1.0, 3.0], [0.5, np.nan, 1.0]],
+                             ids=["below-0", "past-T", "nan-inside"])
     def test_compensator_refuses_times_off_the_path(self, times):
         # past T the path is unknown; a grid ending at T by rounding passes
         path = simulate(quick_config(N=3, x0=3, seed=1))

@@ -14,8 +14,12 @@ from scipy.stats import ks_2samp
 
 from queuelab.dists import ArrivalSpec, make_service_dist
 from queuelab.limitsim import simulate_hw
-from queuelab.microsim import InitialCondition, SimConfig, simulate
+from queuelab import microsim
+from queuelab.microsim import (ARRIVAL, DEPARTURE, InitialCondition, SimConfig,
+                               compensator, eval_age_functional,
+                               shift_consistency_check, simulate)
 from queuelab import scalestats as S
+from test_microsim import LatticeArrivals, deterministic_law
 
 EXP = make_service_dist("exponential")
 
@@ -66,17 +70,64 @@ class TestKsDistance:
         assert abs(S.ks_critical(100, 100) - want) < 1e-12
 
 
+def log_read(path, t):
+    """(E, D, K, X, B) on the event log's last row at or before t; the
+    initial counters before its first row."""
+    i = int(np.searchsorted(path.ev_time, t, side="right")) - 1
+    if i < 0:
+        return (0, 0, 0, path.x0, path.b0)
+    return tuple(int(getattr(path, c)[i]) for c in "EDKXB")
+
+
+def read_paths():
+    """Poisson paths (x0 below and above N), lattice paths whose arrivals
+    land on departures (x0 up to 2N), three of them with an empty log."""
+    yield small_path(seed=3)
+    yield small_path(seed=5, x0=9)
+    det = deterministic_law(1.0)
+    for N, gap, T in ((1, 0.25, 4.0), (2, 0.25, 4.0), (1, 0.5, 0.25)):
+        for x0 in range(2 * N + 1):
+            yield simulate(SimConfig(
+                N=N, arrival=LatticeArrivals(kind="renewal", gap=gap),
+                service=det, T=T, seed=1, initial=InitialCondition(
+                    x0=x0, ages=[0.25 * (j % 4) for j in range(min(x0, N))])))
+
+
 class TestScaledPath:
     def test_counter_profile_matches_pointwise(self):
-        path = small_path(seed=3)
-        grid = np.concatenate([[0.0], path.ev_time[:50] + 1e-9,
-                               np.linspace(0.0, 3.0, 7)])
-        prof = S.counter_profile(path, grid)
-        for j, t in enumerate(grid):
-            e, d, k, x, b = path.counters_at(t)
-            got = (prof["E"][j], prof["D"][j], prof["K"][j], prof["X"][j], prof["B"][j])
-            assert got == (e, d, k, x, b), (
-                f"profile at t={t} gave {got}, pointwise {(e, d, k, x, b)}")
+        ties = empty = 0
+        for path in read_paths():
+            ev = path.ev_time
+            arrived = ev[path.ev_kind == ARRIVAL]
+            ties += np.isin(ev[path.ev_kind == DEPARTURE], arrived).sum()
+            empty += ev.size == 0
+            # 0, every event time, between events, and T
+            grid = np.unique(np.concatenate([[0.0], ev, (ev[1:] + ev[:-1]) / 2,
+                                             [path.T]]))
+            prof = S.counter_profile(path, grid)
+            for j, t in enumerate(grid):
+                want = log_read(path, t)
+                got = tuple(prof[c][j] for c in "EDKXB")
+                assert got == want, f"profile at t={t} gave {got}, log {want}"
+                assert path.counters_at(t) == want
+        assert ties > 0 and empty == 3
+
+    READS = {
+        "counters_at": lambda p, t: p.counters_at(t),
+        "counter_profile": lambda p, t: S.counter_profile(p, [0.5, t]),
+        "diffusion_scale": lambda p, t: S.diffusion_scale(p, 1.0, 5, [t]),
+        "ages_at": lambda p, t: p.ages_at(t),
+        "eval_age_functional": lambda p, t: eval_age_functional(p, np.exp, t),
+    }
+
+    @pytest.mark.parametrize("t", [-0.1, 5.0, np.nan], ids=["below-0", "past-T", "nan"])
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_reads_refuse_times_off_the_path(self, read, t):
+        # past T the path is unknown; a time at T by a grid's rounding passes
+        path = small_path(seed=1, T=1.0)
+        with pytest.raises(ValueError, match=r"must be in \[0, T = 1.0\]"):
+            self.READS[read](path, t)
+        self.READS[read](path, path.T * (1 + 1e-12))
 
     def test_diffusion_scale_constant_reference(self):
         path = small_path(seed=4, N=10, x0=10)
@@ -255,3 +306,35 @@ class TestFcltWorker:
         monkeypatch.setattr(S, "ProcessPoolExecutor", no_pool)
         with pytest.raises(S.OverrideError, match=f"^{key}: "):
             S.verify_fclt({**self.SMALL, **overrides})
+
+
+class TestEventLogOnDemand:
+    """Count, age and compensator reads, and the batteries built on them,
+    never build the event log."""
+
+    def test_reads_and_batteries_run_without_the_log(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError("the event log was built")
+
+        monkeypatch.setattr(microsim, "_event_log", refuse)
+        path = small_path(seed=2, x0=7)
+        grid = np.linspace(0.0, path.T, 31)
+        assert S.counter_profile(path, grid)["X"][0] == 7
+        assert S.diffusion_scale(path, 1.0, 5, grid).size == grid.size
+        assert compensator(path, EXP, grid)[0] == 0.0
+        assert path.ages_at(1.5).size == path.counters_at(1.5)[4]
+        assert np.isfinite(shift_consistency_check(path, EXP, np.exp, 0.5, 2.5, 0.01))
+        small = {
+            S.verify_flln: {"Ns": [5, 10], "seeds": 2, "T": 0.5, "grid_dt": 0.05,
+                            "fluid_dt": 0.01},
+            S.verify_insensitivity: {"N": 10, "T": 0.5, "dt": 0.01, "reps": 2},
+            S.verify_moments: {"N": 10, "T_values": [0.5], "ks": [1], "reps": 3},
+            S.verify_representation: {"N": 5, "T": 0.4, "shift": 0.2,
+                                      "dt_levels": [0.02, 0.01], "reps": 2},
+            S.verify_fclt: {"N": 20, "T": 1.0, "times": [1.0], "des_reps": 3,
+                            "euler_paths": 10, "euler_dt": 0.01},
+        }
+        for battery, overrides in small.items():
+            assert battery(overrides), battery.__name__
+        with pytest.raises(AssertionError, match="event log was built"):
+            path.ev_time
