@@ -39,8 +39,10 @@ other layers need about a law is made here and nowhere else:
     (Phi_t f)(x)   = f(x+t) (1-G(x+t)) / (1-G(x))
     (Psi_t f)(x,s) = f(x + (t-s)^+) (1-G(x + (t-s)^+)) / (1-G(x))
 
+    ArrivalSpec.times      an arrival stream, its rate checked only there
+
 plus the renewal function U (Volterra solve) and the Holder-ratio fitter
-used as a regularity gate.  Ratios are evaluated through survival
+whose fit `dists check` reports.  Ratios are evaluated through survival
 functions directly (never 1 - cdf) so they stay meaningful far into the
 tail.
 """
@@ -854,14 +856,15 @@ def as_rate(spec):
 
 @dataclass(frozen=True)
 class ArrivalSpec:
-    """Arrival stream in the square-root staffing regime.
+    """Arrival stream E^N at rate lambda_bar(t) N - beta(t) sqrt(N) (the
+    square-root staffing regime), drawn by times(N, T, rng).
 
     kind "renewal": i.i.d. interarrivals with mean 1/rate_N and variance
     (sigma2/lambda_bar)/rate_N^2, realized as a gamma law (shape
-    lambda_bar/sigma2); sigma2 = lambda_bar recovers the Poisson stream.
-    kind "inhom_poisson": intensity lambda_bar(t) N - beta(t) sqrt(N),
-    sampled by thinning.  lambda_bar and beta may be numbers or rate specs
-    understood by as_rate.
+    lambda_bar/sigma2); sigma2 = lambda_bar recovers the Poisson stream;
+    lambda_bar, beta and sigma2 are numbers, kept as floats.  kind
+    "inhom_poisson": sampled by thinning; lambda_bar and beta may be
+    numbers or rate specs understood by as_rate.
     """
 
     kind: str
@@ -875,60 +878,78 @@ class ArrivalSpec:
         if self.kind == "renewal":
             lb = float(self.lambda_bar)
             s2 = lb if self.sigma2 is None else float(self.sigma2)
-            if lb <= 0 or s2 <= 0:
-                raise ValueError("renewal arrivals need lambda_bar > 0 and sigma2 > 0")
-            object.__setattr__(self, "sigma2", s2)
+            if not (0 < lb < math.inf and 0 < s2 < math.inf):
+                raise ValueError("renewal arrivals need finite lambda_bar, sigma2 > 0")
+            for name, value in (("lambda_bar", lb), ("beta", float(self.beta)),
+                                ("sigma2", s2)):
+                object.__setattr__(self, name, value)
 
     def rate_fn(self, N):
-        """t -> lambda^(N)(t); constant in t for the renewal kind."""
+        """t -> lambda^(N)(t)."""
         rootN = math.sqrt(N)
-        if self.kind == "renewal":
-            lam = float(self.lambda_bar) * N - float(self.beta) * rootN
-            return lambda t: np.full_like(np.asarray(t, dtype=float), lam, dtype=float)
         lb = as_rate(self.lambda_bar)
         bt = as_rate(self.beta)
         return lambda t: lb(t) * N - bt(t) * rootN
 
-    def probe_times(self, T, n):
-        """n even points on [0, T] plus every pwlin knot inside it, sorted.
-
-        The rate is linear between pwlin knots, so for const, affine and
-        pwlin specs its extremes over these points are its extremes on
-        [0, T]; a callable rate is only sampled.
-        """
-        knots = [np.asarray(spec["pwlin"]["t"], dtype=float)
-                 for spec in (self.lambda_bar, self.beta)
-                 if isinstance(spec, dict) and "pwlin" in spec]
-        t = np.concatenate([np.linspace(0.0, T, n), *knots])
-        return np.unique(t[(t >= 0.0) & (t <= T)])
-
-    def validate_for(self, N, T):
-        rate = self.rate_fn(N)
-        probe = self.probe_times(T, 513)
-        if np.any(np.asarray(rate(probe)) <= 0.0 if self.kind == "renewal"
-                  else np.asarray(rate(probe)) < 0.0):
-            raise ValueError(f"arrival rate not admissible for N={N} on [0,{T}]")
-
     def diffusion_coeffs(self):
         """(sigma(t), beta(t)) callables for the centered-arrival diffusion."""
-        if self.kind == "renewal":
-            s = math.sqrt(self.sigma2)
-            b = float(self.beta)
-            return (lambda t: np.full_like(np.asarray(t, dtype=float), s, dtype=float),
-                    lambda t: np.full_like(np.asarray(t, dtype=float), b, dtype=float))
-        lb = as_rate(self.lambda_bar)
         bt = as_rate(self.beta)
+        if self.kind == "renewal":
+            return as_rate(math.sqrt(self.sigma2)), bt
+        lb = as_rate(self.lambda_bar)
         return (lambda t: np.sqrt(np.maximum(lb(t), 0.0)), bt)
 
-    def interarrival_sampler(self, N):
-        """Sampler of i.i.d. interarrival times (renewal kind only)."""
-        if self.kind != "renewal":
-            raise ValueError("interarrivals are defined for the renewal kind")
-        lam = float(self.lambda_bar) * N - float(self.beta) * math.sqrt(N)
-        if lam <= 0:
-            raise ValueError(f"arrival rate {lam} not positive at N={N}")
-        shape = float(self.lambda_bar) / self.sigma2
-        scale = self.sigma2 / (float(self.lambda_bar) * lam)
-        if abs(shape - 1.0) < 1e-12:
-            return lambda rng, size=None: rng.exponential(scale, size=size)
-        return lambda rng, size=None: rng.gamma(shape, scale, size=size)
+    def times(self, N, T, rng):
+        """Arrival times in (0, T], in order, as an array.  ValueError
+        unless the rate is finite, and positive (renewal) or nonnegative
+        (inhom_poisson) at 2049 even points and every pwlin knot in
+        [0, T], whose maximum is the thinning bound: exact for config
+        rates, linear between knots; a callable is only sampled.
+        """
+        check_finite(T, "T")
+        rate = self.rate_fn(N)
+        if self.kind == "renewal":
+            lam = float(rate(0.0))
+            admissible = 0.0 < lam < math.inf
+        else:
+            knots = [spec["pwlin"]["t"] for spec in (self.lambda_bar, self.beta)
+                     if isinstance(spec, dict) and "pwlin" in spec]
+            probe = np.concatenate([np.linspace(0.0, T, 2049), *knots])
+            probe = np.asarray(rate(probe[(probe >= 0.0) & (probe <= T)]))
+            admissible = np.all((probe >= 0.0) & (probe < np.inf))
+        if not admissible:
+            raise ValueError(f"arrival rate not admissible for N={N} on [0,{T}]")
+        if self.kind == "renewal":
+            # a cumsum over [t, *gaps] adds the gaps one at a time, the same
+            # rounding as t += dt; the stream ends at the first time past T
+            shape = self.lambda_bar / self.sigma2
+            scale = self.sigma2 / (self.lambda_bar * lam)
+            if abs(shape - 1.0) < 1e-12:
+                draw = lambda: rng.exponential(scale, size=256)
+            else:
+                draw = lambda: rng.gamma(shape, scale, size=256)
+            t, blocks = 0.0, []
+            while True:
+                times = np.cumsum(np.concatenate([[t], draw()]))[1:]
+                cut = int(np.searchsorted(times, T, side="right"))
+                blocks.append(times[:cut])
+                if cut < times.size:
+                    return np.concatenate(blocks)
+                t = times[-1]
+        # a callable rate above the bound between probe points is refused,
+        # not under-sampled; exponential and uniform draws interleave on
+        # one stream, so candidates go one by one
+        M = float(np.max(probe)) * (1.0 + 1e-9)
+        if M <= 0:
+            return np.zeros(0)
+        times, t = [], 0.0
+        while True:
+            t += rng.exponential(1.0 / M)
+            if t > T:
+                return np.array(times, dtype=float)
+            lam = float(np.atleast_1d(rate(np.array([t])))[0])
+            if lam > M:
+                raise ValueError(f"arrival rate {lam} at t={t} exceeds the "
+                                 f"thinning bound {M} taken from 2049 probe points")
+            if rng.uniform() * M <= lam:
+                times.append(t)

@@ -35,10 +35,11 @@ representation), first-order in its dt.
 
 Randomness is split into independent child streams (arrivals, services,
 initial data) of SeedSequence(seed, spawn_key=(replicate,)), so a
-(seed, replicate) pair pins the whole path.  Service durations are drawn in
-blocks of 256 and used in start order, one sampler call per 256 starts.
-Renewal gaps are drawn in blocks of 256 as well and summed in order.
-Invariant initial ages invert a table the law builds once (age_table).
+(seed, replicate) pair pins the whole path.  The arrival stream is the
+spec's own (config.arrival.times(N, T, rng), which also checks its rate),
+drawn first.  Service durations are drawn in blocks of 256 and used in
+start order, one sampler call per 256 starts.  Invariant initial ages
+invert a table the law builds once (age_table).
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dists import (GRID_RTOL, ArrivalSpec, ServiceDistribution, phi_op,
-                    psi_op, uniform_grid)
+from .dists import (GRID_RTOL, ArrivalSpec, ServiceDistribution,
+                    check_finite, phi_op, psi_op, uniform_grid)
 
 __all__ = [
     "ARRIVAL",
@@ -119,6 +120,7 @@ class SimConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be at least 1")
+        check_finite(self.T, "T")
         if self.T <= 0:
             raise ValueError("T must be positive")
 
@@ -200,41 +202,6 @@ def invariant_ages(dist, n, rng):
     return np.interp(rng.uniform(size=n), cdf, x)
 
 
-def _arrival_times(arrival, N, T, rng):
-    """Arrival times in (0, T], in order, as an array."""
-    if arrival.kind == "renewal":
-        # a cumsum over [t, *gaps] adds the gaps one at a time, the same
-        # rounding as t += dt; the stream ends at the first time past T
-        sampler = arrival.interarrival_sampler(N)
-        t, blocks = 0.0, []
-        while True:
-            times = np.cumsum(np.concatenate([[t], sampler(rng, size=256)]))[1:]
-            cut = int(np.searchsorted(times, T, side="right"))
-            blocks.append(times[:cut])
-            if cut < times.size:
-                return np.concatenate(blocks)
-            t = times[-1]
-    # thinning against the rate's maximum over the probe points, which is
-    # exact for config rates; a callable whose rate exceeds it between
-    # probes is refused rather than under-sampled.  Exponential and
-    # uniform draws interleave on one stream, so candidates go one by one.
-    rate = arrival.rate_fn(N)
-    M = float(np.max(rate(arrival.probe_times(T, 2049)))) * (1.0 + 1e-9)
-    if M <= 0:
-        return np.zeros(0)
-    times, t = [], 0.0
-    while True:
-        t += rng.exponential(1.0 / M)
-        if t > T:
-            return np.array(times, dtype=float)
-        lam = float(np.atleast_1d(rate(np.array([t])))[0])
-        if lam > M:
-            raise ValueError(f"arrival rate {lam} at t={t} exceeds the "
-                             f"thinning bound {M} taken from 2049 probe points")
-        if rng.uniform() * M <= lam:
-            times.append(t)
-
-
 def _start_times(ready, free, T, draw):
     """FCFS start times up to T by the Kiefer-Wolfowitz recursion.
 
@@ -271,13 +238,14 @@ def _start_times(ready, free, T, draw):
 def simulate(config):
     """Run one path of the FCFS N-server queue by the start-time recursion."""
     N, T = config.N, float(config.T)
-    config.arrival.validate_for(N, T)
     dist = config.service
     ss = np.random.SeedSequence(config.seed, spawn_key=(config.replicate,))
     ss_arr, ss_svc, ss_init = ss.spawn(3)
     rng_arr = np.random.default_rng(ss_arr)
     rng_svc = np.random.default_rng(ss_svc)
     rng_init = np.random.default_rng(ss_init)
+    # first, so an inadmissible rate is refused before any other work
+    arrivals = config.arrival.times(N, T, rng_arr)
 
     x0 = config.initial.x0
     b0 = min(x0, N)
@@ -292,7 +260,6 @@ def simulate(config):
 
     # customer k: in service at 0 (k < b0), waiting at 0 (k < x0), or the
     # (k - x0)-th arrival; ready[k - b0] is when k could first start
-    arrivals = _arrival_times(config.arrival, N, T, rng_arr)
     ready = np.concatenate([np.full(x0 - b0, -np.inf), arrivals])
     start, blocks = _start_times(
         ready, remaining0.tolist() + [0.0] * (N - b0), T,

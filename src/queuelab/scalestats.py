@@ -198,10 +198,6 @@ def _grid(T, dt, T_key, dt_key):
         raise OverrideError(str(e)) from None
 
 
-def _poisson(lam=1.0):
-    return ArrivalSpec("renewal", lam, sigma2=lam)
-
-
 def verify_flln(config=None):
     """Fluid-limit convergence rate: sup-error vs N on a log-log slope.
 
@@ -219,7 +215,7 @@ def verify_flln(config=None):
     lam = float(cfg["lambda_bar"])
     fluid = solve_fluid(dist, FluidInit(Ebar=lam, x0=0.0), cfg["T"], cfg["fluid_dt"])
     xbar = np.interp(grid, fluid.grid, fluid.Xbar)
-    arr = _poisson(lam)
+    arr = ArrivalSpec("renewal", lam)
     errs = []
     for N in cfg["Ns"]:
         tot = 0.0
@@ -305,7 +301,7 @@ def verify_insensitivity(config=None):
     _at_least(cfg, "services", 2)  # the ratio compares the first two
     N = int(cfg["N"])
     lam = float(cfg["lambda_bar"])
-    arr = _poisson(lam)
+    arr = ArrivalSpec("renewal", lam)
     lam_N = lam * N  # beta = 0
     grid = _grid(cfg["T"], cfg["dt"], "T", "dt")
     # at unit manifold load both event streams run at rate ~1 per server,
@@ -347,10 +343,10 @@ def verify_moments(config=None):
                 "reps": 1200, "services": ["exponential",
                                            {"family": "gamma", "shape": 2.0}],
                 "lambda_bar": 1.0, "seed": 404}, config)
-    for T in cfg["T_values"]:  # U(T) is solved in renewal steps of 1e-3
-        _grid(T, 1e-3, "T_values", "renewal step")
+    steps = [_grid(T, 1e-3, "T_values", "renewal step").size - 1  # U(T) = U[step]
+             for T in cfg["T_values"]]
     N = int(cfg["N"])
-    arr = _poisson(cfg["lambda_bar"])
+    arr = ArrivalSpec("renewal", cfg["lambda_bar"])
     times = np.sort(np.asarray(cfg["T_values"], dtype=float))
     reports = []
     for svc in cfg["services"]:
@@ -361,8 +357,9 @@ def verify_moments(config=None):
             path = simulate(SimConfig(N=N, arrival=arr, service=dist, T=times[-1],
                                       initial=init, seed=cfg["seed"], replicate=r))
             A[:, r] = compensator(path, dist, times) / N
-        for T in cfg["T_values"]:
-            U_T = float(renewal_function(dist, T, 1e-3)[-1])
+        U = renewal_function(dist, times[-1], 1e-3)  # its prefix is U on [0, T]
+        for T, n in zip(cfg["T_values"], steps):
+            U_T = float(U[n])
             sample = A[int(np.searchsorted(times, T))]
             for k in cfg["ks"]:
                 reports.append(moment_bound_check(
@@ -397,7 +394,7 @@ def verify_sae(config=None):
     for dtv in cfg["dt_levels"]:
         _grid(cfg["T"], dtv, "T", "dt_levels")
     dist = make_service_dist("exponential")
-    arr = _poisson()
+    arr = ArrivalSpec("renewal", 1.0)
     init = FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})
     funcs = {
         "exp-decay": (lambda x: np.exp(-np.asarray(x, dtype=float)),
@@ -448,7 +445,7 @@ def verify_representation(config=None):
         if cfg["shift"]:
             _grid(cfg["shift"], dtv, "shift", "dt_levels")
     dist = make_service_dist(cfg["service"])
-    arr = _poisson(cfg["lambda_bar"])
+    arr = ArrivalSpec("renewal", cfg["lambda_bar"])
     N = int(cfg["N"])
     init = InitialCondition(x0=N, ages="invariant")
     f = lambda x: np.exp(-np.asarray(x, dtype=float))

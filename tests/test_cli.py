@@ -525,6 +525,20 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "numerics" in res.output
 
+    @pytest.mark.parametrize("arrival", [
+        {"kind": "renewal", "lambda_bar": 1.0, "beta": 2.0},
+        # the dip lies between the even probe points
+        {"kind": "inhom_poisson", "beta": 0.0, "lambda_bar": {"pwlin": {
+            "t": [0.0, 0.3, 0.3001, 0.3002, 1.0], "v": [1.0, 1.0, -1.0, 1.0, 1.0]}}},
+    ], ids=["renewal", "pwlin-dip"])
+    def test_inadmissible_arrival_rate_exit_three(self, tmp_path, arrival):
+        data = sim_cfg(N=1)
+        data["model"]["arrival"] = arrival
+        res = CliRunner().invoke(main, ["sim", "run", "--config", write_cfg(tmp_path, data),
+                                        "--out", str(tmp_path / "x")])
+        assert res.exit_code == 3, res.output
+        assert "arrival rate not admissible for N=1 on [0,1.0]" in res.output
+
     def test_numerical_error_exit_three(self, tmp_path):
         # the grid states mass 1, but its spike falls between the nodes of
         # the dt = 0.5 age grid, so the solver's B(0) misses the 1e-3 gate

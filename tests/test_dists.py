@@ -410,6 +410,15 @@ class TestRenewalFunction:
             assert U[0] == 1.0
             assert np.all(np.diff(U) >= 0.0)
 
+    @pytest.mark.parametrize("spec", ["exponential", {"family": "gamma", "shape": 2.0},
+                                      {"family": "gamma", "shape": 0.5},
+                                      {"family": "lognormal", "sigma": 0.5}])
+    def test_prefix_is_the_solve_on_a_shorter_horizon(self, spec):
+        # verify_moments solves once at its largest T and reads each T there
+        dist = make_service_dist(spec)
+        U1 = renewal_function(dist, T=1.0, dt=1e-3)
+        assert U1.tobytes() == renewal_function(dist, T=2.0, dt=1e-3)[:1001].tobytes()
+
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             renewal_function(make_service_dist("exponential"), T=1.0, dt=0.0)
@@ -551,7 +560,8 @@ class TestArrivals:
         N = 100
         lam = arr.rate_fn(N)(np.array([0.0]))[0]
         assert abs(lam - (1.0 * N - 1.0 * 10.0)) < 1e-12
-        draws = arr.interarrival_sampler(N)(np.random.default_rng(0), size=200000)
+        draws = np.diff(arr.times(N, 2250.0, np.random.default_rng(0)), prepend=0.0)
+        assert draws.size > 200000
         assert abs(draws.mean() - 1.0 / lam) < 6.0 * draws.std() / math.sqrt(draws.size)
         target_var = (0.64 / 1.0) / lam**2
         assert abs(draws.var() / target_var - 1.0) < 0.03
@@ -559,7 +569,8 @@ class TestArrivals:
     def test_poisson_special_case_is_exponential(self):
         arr = ArrivalSpec(kind="renewal", lambda_bar=2.0, beta=0.0)
         assert arr.sigma2 == 2.0
-        draws = arr.interarrival_sampler(50)(np.random.default_rng(1), size=100000)
+        draws = np.diff(arr.times(50, 1010.0, np.random.default_rng(1)), prepend=0.0)
+        assert draws.size > 99000
         lam = 100.0
         # exponential: P(X > x) = exp(-lam x)
         assert abs(np.mean(draws > 1.0 / lam) - math.exp(-1.0)) < 0.01
@@ -571,19 +582,51 @@ class TestArrivals:
         assert abs(r[1] - (2.0 * 400 - 2.0 * 20.0)) < 1e-9
 
     def test_admissibility_guard(self):
-        arr = ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            arr.validate_for(N=1, T=1.0)  # rate 1*1 - 1*1 = 0
-        arr.validate_for(N=4, T=1.0)
+        for beta in (1.0, 1.5):  # renewal rate 1*1 - beta*1 <= 0 at N = 1
+            arr = ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=beta)
+            with pytest.raises(ValueError, match="not admissible for N=1"):
+                arr.times(1, 1.0, np.random.default_rng(0))
+            assert arr.times(4, 1.0, np.random.default_rng(0)).size > 0
 
     def test_admissibility_sees_pwlin_dip_between_probe_points(self):
         # the dip to -1 at t = 0.3001 falls between the 513 even probe points
+        # an earlier check used, and between the 2049 that set the bound
         dip = {"pwlin": {"t": [0.0, 0.3, 0.3001, 0.3002, 1.0],
                          "v": [1.0, 1.0, -1.0, 1.0, 1.0]}}
         arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=dip, beta=0.0)
-        assert np.all(arr.rate_fn(4)(np.linspace(0.0, 1.0, 513)) >= 0.0)
+        assert np.all(arr.rate_fn(4)(np.linspace(0.0, 1.0, 2049)) >= 0.0)
         with pytest.raises(ValueError, match="not admissible"):
-            arr.validate_for(N=4, T=1.0)
+            arr.times(4, 1.0, np.random.default_rng(0))
+
+    def test_admissibility_reads_every_thinning_probe_point(self):
+        # a callable rate is only sampled: one negative at t = 1/2048, a
+        # probe point that sets the thinning bound, is refused
+        dip = lambda t: np.where(np.asarray(t) == 1.0 / 2048, -1.0, 1.0)
+        arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=dip, beta=0.0)
+        with pytest.raises(ValueError, match="not admissible for N=4 on"):
+            arr.times(4, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kw", [
+        dict(kind="renewal", beta=-math.inf), dict(kind="renewal", beta=math.nan),
+        dict(kind="inhom_poisson", lambda_bar=math.inf),
+        dict(kind="inhom_poisson",
+             lambda_bar=lambda t: np.where(np.asarray(t) == 0.5, np.nan, 1.0)),
+    ], ids=["renewal-inf", "renewal-nan", "inhom-inf", "inhom-nan-at-a-probe"])
+    def test_non_finite_rate_refused(self, kw):
+        # each would draw forever: zero gaps, or a NaN thinning bound
+        with pytest.raises(ValueError, match="not admissible"):
+            ArrivalSpec(**kw).times(4, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("key", ["lambda_bar", "sigma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_renewal_refuses_non_finite_numbers(self, key, value):
+        with pytest.raises(ValueError, match="need finite"):
+            ArrivalSpec(kind="renewal", **{key: value})
+
+    def test_renewal_numbers_kept_as_floats(self):
+        arr = ArrivalSpec(kind="renewal", lambda_bar=np.int64(2), beta=1, sigma2=np.float32(0.5))
+        assert [type(v) for v in (arr.lambda_bar, arr.beta, arr.sigma2)] == [float] * 3
+        assert arr.rate_fn(4)(0.0) == 2.0 * 4 - 1.0 * 2.0
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuelab.dists import ArrivalSpec, make_service_dist
+from queuelab.dists import ArrivalSpec, as_rate, make_service_dist
 from queuelab.microsim import (
     ARRIVAL,
     DEPARTURE,
@@ -20,7 +20,6 @@ from queuelab.microsim import (
     InitialCondition,
     PathRecord,
     SimConfig,
-    _arrival_times,
     compensator,
     conservation_check,
     eval_age_functional,
@@ -90,34 +89,44 @@ class TestExactIdentities:
 
 
 def arrival_feed(arrival, N, T, rng):
-    """Reference arrival stream: yield times in (0, T] one at a time, adding
-    the renewal gaps to a running time one by one."""
+    """Reference arrival stream from the spec's own fields: yield times in
+    (0, T] one at a time.  Renewal gaps (exponential when lambda_bar =
+    sigma2, else gamma) come 256 to a draw and are added to a running time
+    one by one; inhom_poisson candidates are thinned against the rate's
+    maximum at 2049 even points and every pwlin knot."""
+    rootN = math.sqrt(N)
     if arrival.kind == "renewal":
-        sampler = arrival.interarrival_sampler(N)
+        lb, s2 = arrival.lambda_bar, arrival.sigma2
+        scale = s2 / (lb * (lb * N - arrival.beta * rootN))
+        if isinstance(arrival, LatticeArrivals):
+            rng = _Lattice(arrival.gap)
         t = 0.0
         while True:
-            block = sampler(rng, size=256)
+            block = (rng.exponential(scale, size=256) if lb == s2
+                     else rng.gamma(lb / s2, scale, size=256))
             for dt in block:
                 t += dt
                 if t > T:
                     return
                 yield t
-    else:
-        rate = arrival.rate_fn(N)
-        M = float(np.max(rate(arrival.probe_times(T, 2049)))) * (1.0 + 1e-9)
-        if M <= 0:
+    lam, beta = as_rate(arrival.lambda_bar), as_rate(arrival.beta)
+
+    def rate(t):
+        return lam(t) * N - beta(t) * rootN
+
+    knots = [spec["pwlin"]["t"] for spec in (arrival.lambda_bar, arrival.beta)
+             if isinstance(spec, dict) and "pwlin" in spec]
+    probe = np.concatenate([np.linspace(0.0, T, 2049), *knots])
+    M = float(np.max(rate(probe[(probe >= 0.0) & (probe <= T)]))) * (1.0 + 1e-9)
+    if M <= 0:
+        return
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / M)
+        if t > T:
             return
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / M)
-            if t > T:
-                return
-            lam = float(np.atleast_1d(rate(np.array([t])))[0])
-            if lam > M:
-                raise ValueError(f"arrival rate {lam} at t={t} exceeds the "
-                                 f"thinning bound {M} taken from 2049 probe points")
-            if rng.uniform() * M <= lam:
-                yield t
+        if rng.uniform() * M <= rate(np.array([t]))[0]:
+            yield t
 
 
 def simulate_by_events(config):
@@ -128,7 +137,6 @@ def simulate_by_events(config):
     departure heap pops equal times in start order.
     """
     N, T = config.N, float(config.T)
-    config.arrival.validate_for(N, T)
     dist = config.service
     ss = np.random.SeedSequence(config.seed, spawn_key=(config.replicate,))
     ss_arr, ss_svc, ss_init = ss.spawn(3)
@@ -288,14 +296,25 @@ def assert_same_path(got, want):
             assert a == b, name
 
 
+class _Lattice:
+    """rng stand-in whose exponential draws all equal gap."""
+
+    def __init__(self, gap):
+        self.gap = gap
+
+    def exponential(self, scale, size):
+        return np.full(size, self.gap)
+
+
 @dataclasses.dataclass(frozen=True)
 class LatticeArrivals(ArrivalSpec):
-    """Renewal arrivals with a fixed gap between them."""
+    """Poisson-kind renewal arrivals with a fixed gap between them: the
+    spec's own stream fed by gaps that are all `gap`."""
 
     gap: float = 0.25
 
-    def interarrival_sampler(self, N):
-        return lambda rng, size=None: np.full(size, self.gap)
+    def times(self, N, T, rng):
+        return super().times(N, T, _Lattice(self.gap))
 
 
 def deterministic_law(service):
@@ -406,13 +425,40 @@ class TestArrivalTimes:
     @pytest.mark.parametrize("name", sorted(ARRIVALS))
     def test_bitwise_equal_to_scalar_feed(self, name, seed):
         arrival, N, T = self.ARRIVALS[name]
-        got = _arrival_times(arrival, N, T, np.random.default_rng(seed))
+        got = arrival.times(N, T, np.random.default_rng(seed))
         want = np.array(list(arrival_feed(arrival, N, T, np.random.default_rng(seed))),
                         dtype=float)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         if name.endswith("on-T"):
             assert got[-1] == T and got.size in (16, 256)
+
+    def test_simulate_asks_the_arrival_only_for_times(self):
+        asked = []
+
+        class Fixed:
+            """An arrival stand-in with nothing but times."""
+
+            def times(self, N, T, rng):
+                asked.append((N, T, type(rng)))
+                return np.array([0.5, 1.0, 2.5])
+
+        path = simulate(SimConfig(N=1, arrival=Fixed(), service=deterministic_law(1.0),
+                                  T=3.0))
+        assert asked == [(1, 3.0, np.random.Generator)]
+        assert path.arrivals.tolist() == [0.5, 1.0, 2.5]
+        assert path.span_begin.tolist() == [0.5, 1.5, 2.5]
+        assert path.dep_order.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("kind", sorted(TestEqualsEventLoop.ARRIVALS))
+    def test_non_finite_horizon_refused(self, kind, T):
+        # a renewal stream past a non-finite T never ends
+        arrival = TestEqualsEventLoop.ARRIVALS[kind]
+        with pytest.raises(ValueError, match="^T: must be a finite number"):
+            SimConfig(N=5, arrival=arrival, service=EXP, T=T)
+        with pytest.raises(ValueError, match="^T: must be a finite number"):
+            arrival.times(5, T, np.random.default_rng(0))
 
 
 def counting_law(law):
@@ -599,7 +645,7 @@ class TestThinningBound:
     @staticmethod
     def bound(arrival, N, T):
         rng = _BoundProbe()
-        assert _arrival_times(arrival, N, T, rng).size == 0
+        assert arrival.times(N, T, rng).size == 0
         return 1.0 / rng.scales[0]
 
     def test_pwlin_peak_between_probe_points(self):
@@ -616,7 +662,7 @@ class TestThinningBound:
         arr = ArrivalSpec(kind="inhom_poisson", lambda_bar=spike, beta=0.0)
         rng = _CandidateAt(0.5 * (lo + hi))
         with pytest.raises(ValueError, match="thinning bound"):
-            _arrival_times(arr, 100, 1.0, rng)
+            arr.times(100, 1.0, rng)
 
     def test_bound_unchanged_where_even_probe_finds_max(self):
         arr = ArrivalSpec(kind="inhom_poisson", lambda_bar={"affine": [1.0, 0.5]},
