@@ -11,19 +11,18 @@ exactly zero with the noise switched off).
 import numpy as np
 
 from queuelab.dists import ArrivalSpec, make_service_dist
-from queuelab.fluid import FluidInit
 from queuelab.limitsim import (LimitGrid, LimitPlan, LimitSpec,
                                rep_hatx_residual, run_limit, sae_residual,
                                sae_test_functions, smg_bookkeeping_residual)
 
 
-def one_regime(label, Ebar, x0, mass, dt):
+def one_regime(label, lambda_bar, x0, mass, dt):
+    # lambda_bar is the arrival rate and the fluid path's input in one
     spec = LimitSpec(
         dist=make_service_dist("exponential"),
-        arrival=ArrivalSpec("renewal", lambda_bar=1.0, beta=0.5, sigma2=1.0),
-        fluid_init=FluidInit(Ebar=Ebar, x0=x0,
-                             nu0_density={"invariant": mass} if mass else None),
+        arrival=ArrivalSpec("renewal", lambda_bar=lambda_bar, beta=0.5, sigma2=1.0),
         grid=LimitGrid(T=1.0, dt=dt, dx=0.05),
+        x0=x0, nu0={"invariant": mass} if mass else None,
         seed=3)
     run = run_limit(LimitPlan.for_spec(spec))
     rep = rep_hatx_residual(run)
@@ -48,9 +47,7 @@ def main():
         plan = LimitPlan.for_spec(LimitSpec(
             dist=make_service_dist("exponential"),
             arrival=ArrivalSpec("renewal", 1.0, beta=0.5, sigma2=1.0),
-            fluid_init=FluidInit(Ebar=1.0, x0=1.0,
-                                 nu0_density={"invariant": 1.0}),
-            grid=LimitGrid(T=1.0, dt=dt, dx=0.1),
+            grid=LimitGrid(T=1.0, dt=dt, dx=0.1), nu0={"invariant": 1.0},
             seed=5, test_functions=exp_decay))
         runs = [abs(sae_residual(run_limit(plan, r), "exp_decay"))
                 for r in range(16)]
@@ -60,9 +57,7 @@ def main():
     off = run_limit(LimitPlan.for_spec(LimitSpec(
         dist=make_service_dist("exponential"),
         arrival=ArrivalSpec("renewal", 1.0, beta=0.0, sigma2=1.0),
-        fluid_init=FluidInit(Ebar=1.0, x0=1.0,
-                             nu0_density={"invariant": 1.0}),
-        grid=LimitGrid(T=1.0, dt=0.01, dx=0.1),
+        grid=LimitGrid(T=1.0, dt=0.01, dx=0.1), nu0={"invariant": 1.0},
         noise_off=True, test_functions=exp_decay)))
     res = sae_residual(off, "exp_decay")
     print(f"\nnoise off, zero inputs: residual = {res} (exactly zero; the "

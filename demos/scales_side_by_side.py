@@ -11,7 +11,6 @@ service.  Prints a quantile table instead of drawing plots.
 import numpy as np
 
 from queuelab.dists import ArrivalSpec, make_service_dist
-from queuelab.fluid import FluidInit
 from queuelab.limitsim import LimitGrid, LimitPlan, LimitSpec, run_limit, simulate_hw
 from queuelab.microsim import InitialCondition, SimConfig, simulate
 from queuelab.scalestats import counter_profile, diffusion_scale, ks_distance
@@ -56,8 +55,8 @@ def main():
     plan = LimitPlan.for_spec(LimitSpec(
         dist=make_service_dist("exponential"),
         arrival=ArrivalSpec("renewal", 1.0, beta=BETA, sigma2=1.0),
-        fluid_init=FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0}),
-        grid=LimitGrid(T=T, dt=0.01, dx=0.05), seed=13))
+        grid=LimitGrid(T=T, dt=0.01, dx=0.05), x0=1.0, nu0={"invariant": 1.0},
+        seed=13))
     spec_rng = np.array([run_limit(plan, r).Xhat[-1] for r in range(REPS)])
 
     print(f"\ndiffusion scale at t={T}: quantiles of sqrt(N)(X/N - 1)")

@@ -73,7 +73,7 @@ _RATE_SPEC = _forms({"type": "number"}, const={"type": "number"},
 # where each kind's model holds rate specs; a pwlin one must also have
 # strictly increasing t and one v per t, which the schema cannot say
 _RATE_FIELDS = {"sim": ("arrival.lambda_bar", "arrival.beta"),
-                "limit": ("arrival.lambda_bar", "arrival.beta", "fluid.Ebar"),
+                "limit": ("arrival.lambda_bar", "arrival.beta"),
                 "fluid": ("Ebar",)}
 
 # renewal arrivals take constant rates and sigma2; inhom_poisson takes
@@ -134,8 +134,7 @@ SCHEMAS = {
                           x0={"type": "integer", "minimum": 0},
                           ages=_forms(_NULL, {"const": "invariant"}, {
                               "type": "array",
-                              "items": {"type": "number", "minimum": 0}}),
-                          residual_sampling={"enum": ["conditional", "fresh"]})),
+                              "items": {"type": "number", "minimum": 0}}))),
         numerics=_object("T", T=_POSITIVE)),
     "fluid": _config(
         "fluid", "model", "numerics", run=("out",),
@@ -265,14 +264,12 @@ def _arrays(block, *keys):
     return tuple(np.asarray(block[k], dtype=float) for k in keys)
 
 
-def _build_fluid_init(block, x0):
-    """FluidInit from the fluid keys of a config block; x0 is the block's
-    default initial headcount."""
+def _nu0(block):
+    """A config block's nu0 in the form FluidInit.nu0_density takes."""
     nu0 = block.get("nu0")
     if nu0 is not None and "grid" in nu0:
         nu0 = _arrays(nu0["grid"], "x", "p")
-    return FluidInit(Ebar=block.get("Ebar", 1.0), x0=float(block.get("x0", x0)),
-                     nu0_density=nu0)
+    return nu0
 
 
 def _csv(header, columns):
@@ -389,7 +386,8 @@ def _run_sim(cfg, out):
 def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
-    init = _build_fluid_init(cfg.model, 0.0)
+    init = FluidInit(Ebar=cfg.model.get("Ebar", 1.0),
+                     x0=float(cfg.model.get("x0", 0.0)), nu0_density=_nu0(cfg.model))
     T, dt = float(cfg.numerics["T"]), float(cfg.numerics["dt"])
     _refused("numerics.", ValueError, uniform_grid, T, dt)
     path = _refused("model.", InitialDataError,  # raised before it steps
@@ -409,7 +407,11 @@ def _run_fluid(cfg, out):
 
 def _limit_spec(cfg):
     """The limit run's spec; its paths differ only in the replicate index."""
-    init = _build_fluid_init(cfg.model["fluid"], 1.0)
+    fluid = cfg.model["fluid"]
+    arrival = ArrivalSpec(**cfg.model["arrival"])
+    if "Ebar" in fluid and fluid["Ebar"] != arrival.lambda_bar:
+        raise SchemaError(f"model.fluid.Ebar: {fluid['Ebar']!r} differs from "
+                          f"model.arrival.lambda_bar {arrival.lambda_bar!r}")
     nu0hat = cfg.model.get("nu0hat")
     if nu0hat is not None and "density" in nu0hat:
         nu0hat = {"density": _arrays(nu0hat["density"], "x", "v")}
@@ -417,8 +419,8 @@ def _limit_spec(cfg):
     grid = _refused("numerics.", ValueError, LimitGrid,
                     **{k: float(v) for k, v in cfg.numerics.items()})
     return LimitSpec(dist=_build_service(cfg.model["service"]),
-                     arrival=ArrivalSpec(**cfg.model["arrival"]),
-                     fluid_init=init, grid=grid,
+                     arrival=arrival, grid=grid,
+                     x0=float(fluid.get("x0", 1.0)), nu0=_nu0(fluid),
                      x0hat=float(cfg.model.get("x0hat", 0.0)),
                      nu0hat=nu0hat,
                      seed=int(cfg.run.get("seed", 0)),

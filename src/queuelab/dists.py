@@ -897,33 +897,39 @@ class ArrivalSpec:
         if self.kind == "renewal":
             return as_rate(math.sqrt(self.sigma2)), bt
         lb = as_rate(self.lambda_bar)
-        return (lambda t: np.sqrt(np.maximum(lb(t), 0.0)), bt)
+        return (lambda t: np.sqrt(lb(t)), bt)
 
-    def times(self, N, T, rng):
-        """Arrival times in (0, T], in order, as an array.  ValueError
-        unless the rate is finite, and positive (renewal) or nonnegative
-        (inhom_poisson) at 2049 even points and every pwlin knot in
-        [0, T], whose maximum is the thinning bound: exact for config
-        rates, linear between knots; a callable is only sampled.
-        """
+    def checked_rate(self, T, N=None):
+        """(rate, bound): rate_fn(N), or lambda_bar alone for N None (the fluid
+        limit's rate), and its largest value on [0, T].  ValueError unless it
+        is finite, and positive (renewal) or nonnegative (inhom_poisson) at
+        2049 even points and every pwlin knot in [0, T]: exact for config
+        rates, linear between knots; a callable is only sampled."""
         check_finite(T, "T")
-        rate = self.rate_fn(N)
+        rate = as_rate(self.lambda_bar) if N is None else self.rate_fn(N)
         if self.kind == "renewal":
-            lam = float(rate(0.0))
-            admissible = 0.0 < lam < math.inf
+            bound = float(rate(0.0))
+            admissible = 0.0 < bound < math.inf
         else:
             knots = [spec["pwlin"]["t"] for spec in (self.lambda_bar, self.beta)
                      if isinstance(spec, dict) and "pwlin" in spec]
             probe = np.concatenate([np.linspace(0.0, T, 2049), *knots])
             probe = np.asarray(rate(probe[(probe >= 0.0) & (probe <= T)]))
             admissible = np.all((probe >= 0.0) & (probe < np.inf))
+            bound = float(np.max(probe))
         if not admissible:
-            raise ValueError(f"arrival rate not admissible for N={N} on [0,{T}]")
+            scale = "the fluid limit" if N is None else f"N={N}"
+            raise ValueError(f"arrival rate not admissible for {scale} on [0,{T}]")
+        return rate, bound
+
+    def times(self, N, T, rng):
+        """Arrival times in (0, T], in order, at the rate checked_rate(T, N)."""
+        rate, bound = self.checked_rate(T, N)
         if self.kind == "renewal":
             # a cumsum over [t, *gaps] adds the gaps one at a time, the same
             # rounding as t += dt; the stream ends at the first time past T
             shape = self.lambda_bar / self.sigma2
-            scale = self.sigma2 / (self.lambda_bar * lam)
+            scale = self.sigma2 / (self.lambda_bar * bound)
             if abs(shape - 1.0) < 1e-12:
                 draw = lambda: rng.exponential(scale, size=256)
             else:
@@ -939,7 +945,7 @@ class ArrivalSpec:
         # a callable rate above the bound between probe points is refused,
         # not under-sampled; exponential and uniform draws interleave on
         # one stream, so candidates go one by one
-        M = float(np.max(probe)) * (1.0 + 1e-9)
+        M = bound * (1.0 + 1e-9)
         if M <= 0:
             return np.zeros(0)
         times, t = [], 0.0

@@ -68,8 +68,9 @@ class InitialDataError(ValueError):
 class FluidInit:
     """Fluid initial data and arrival input.
 
-    Ebar: the arrival input; a number lam means Ebar(t) = lam t, any other
-    rate spec (see as_rate) is a rate, integrated on the solver grid.
+    Ebar: the arrival input (a limit run's is its arrival's lambda_bar); a
+    number lam means Ebar(t) = lam t, any other rate spec (see as_rate) is
+    a rate, integrated on the solver grid.
     x0: initial scaled headcount (nonnegative).
     nu0_density: initial age density; None (empty), {"invariant": mass}
     for mass * (1-G), or a pair (x_nodes, values) read by linear

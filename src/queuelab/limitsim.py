@@ -362,12 +362,15 @@ def default_test_functions(dist):
 
 @dataclass(frozen=True)
 class LimitSpec:
-    """One limit-sample experiment: model, grid, initial data, seed."""
+    """One limit-sample experiment: model, grid, initial data, seed.  The
+    arrival's lambda_bar drives the fluid path from x0 and nu0 (FluidInit's
+    x0 and nu0_density), its centred fluctuation the diffusion from x0hat."""
 
     dist: ServiceDistribution
     arrival: object
-    fluid_init: FluidInit
     grid: LimitGrid
+    x0: float = 1.0
+    nu0: object = None
     x0hat: float = 0.0
     nu0hat: object = None
     seed: int = 0
@@ -422,11 +425,14 @@ class LimitPlan:
 
     @classmethod
     def for_spec(cls, spec):
-        """The plan for every path of spec's run."""
+        """The plan for every path of spec's run; its arrival's lambda_bar,
+        which drives the fluid path, must pass ArrivalSpec.checked_rate."""
         from scipy.fft import next_fast_len
 
         dist, grid = spec.dist, spec.grid
-        fpath = solve_fluid(dist, spec.fluid_init, grid.T, grid.dt)
+        spec.arrival.checked_rate(grid.T)
+        init = FluidInit(Ebar=spec.arrival.lambda_bar, x0=spec.x0, nu0_density=spec.nu0)
+        fpath = solve_fluid(dist, init, grid.T, grid.dt)
         clamp = _clamp(fpath.regime)  # before any table or kernel is built
         t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid)
         # Z(0) = S_0(1), so solve_cmse's check on it is decided here

@@ -77,20 +77,16 @@ class InitialCondition:
     """Time-0 population: x0 customers, ages for the min(x0, N) in service.
 
     ages: explicit array, "invariant" (sampled from the stationary age
-    density 1-G), or None meaning all ages 0.  residual_sampling picks how
-    remaining work of the initially-in-service is drawn: "conditional"
-    (duration ~ G given it exceeds the age) or "fresh" (a full new draw).
+    density 1-G), or None meaning all ages 0.  Each of them is in service
+    for a duration ~ G given it exceeds its age.
     """
 
     x0: int = 0
     ages: object = None
-    residual_sampling: str = "conditional"
 
     def __post_init__(self):
         if self.x0 < 0:
             raise ValueError("x0 must be nonnegative")
-        if self.residual_sampling not in ("conditional", "fresh"):
-            raise ValueError("residual_sampling must be 'conditional' or 'fresh'")
 
     def draw_ages(self, n, dist, rng):
         if n == 0:
@@ -252,10 +248,7 @@ def simulate(config):
     ages0 = config.initial.draw_ages(b0, dist, rng_init)
     remaining0 = np.zeros(0)
     if b0 > 0:
-        if config.initial.residual_sampling == "conditional":
-            remaining0 = np.asarray(dist.conditional(rng_init, ages0)) - ages0
-        else:
-            remaining0 = np.asarray(dist.sampler(rng_init, size=b0), dtype=float)
+        remaining0 = np.asarray(dist.conditional(rng_init, ages0)) - ages0
         remaining0 = np.maximum(remaining0, 0.0)
 
     # customer k: in service at 0 (k < b0), waiting at 0 (k < x0), or the

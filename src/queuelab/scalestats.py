@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,8 @@ import numpy as np
 from .dists import (ArrivalSpec, check_finite, make_service_dist,
                     renewal_function, uniform_grid)
 from .fluid import FluidInit, solve_fluid
-from .limitsim import (LimitGrid, LimitPlan, LimitSpec, run_limit, sae_residual,
-                       sae_test_functions, simulate_hw)
+from .limitsim import (LimitGrid, LimitPlan, LimitSpec, default_test_functions,
+                       run_limit, sae_residual, sae_test_functions, simulate_hw)
 from .microsim import (InitialCondition, SimConfig, compensator,
                        shift_consistency_check, simulate)
 
@@ -269,7 +269,7 @@ def verify_fclt(config=None):
     rng = np.random.default_rng(cfg["seed"] + 1)
     des = np.empty((cfg["des_reps"], len(times)))
     with ProcessPoolExecutor(max_workers=1) as pool:
-        euler = pool.submit(simulate_hw, T, dt, cfg["beta"], 1.0, 0.0,
+        euler = pool.submit(simulate_hw, T, dt, arr.beta, arr.sigma2, 0.0,
                             cfg["euler_paths"], rng, record_times=times)
         for r in range(cfg["des_reps"]):
             path = simulate(SimConfig(N=N, arrival=arr, service=dist, T=T,
@@ -395,21 +395,15 @@ def verify_sae(config=None):
         _grid(cfg["T"], dtv, "T", "dt_levels")
     dist = make_service_dist("exponential")
     arr = ArrivalSpec("renewal", 1.0)
-    init = FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})
-    funcs = {
-        "exp-decay": (lambda x: np.exp(-np.asarray(x, dtype=float)),
-                      lambda x: -np.exp(-np.asarray(x, dtype=float))),
-        "one": (lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float))),
-    }
+    defaults = default_test_functions(dist)
+    funcs = {"exp-decay": defaults["exp_decay"], "one": defaults["one"]}
     tests = sae_test_functions(dist, funcs)
     means = {fname: [] for fname in funcs}
     for dtv in cfg["dt_levels"]:
         grid = LimitGrid(T=cfg["T"], dt=dtv, dx=cfg["dx"])
-        plan = LimitPlan.for_spec(LimitSpec(dist=dist, arrival=arr,
-                                            fluid_init=init, grid=grid,
-                                            seed=cfg["seed"],
-                                            test_functions=tests))
+        plan = LimitPlan.for_spec(LimitSpec(  # the stationary critical start
+            dist=dist, arrival=arr, grid=grid, x0=1.0, nu0={"invariant": 1.0},
+            seed=cfg["seed"], test_functions=tests))
         vals = {fname: [] for fname in funcs}
         for s in range(cfg["seeds"]):
             run = run_limit(plan, s)
@@ -420,11 +414,8 @@ def verify_sae(config=None):
     reports = []
     for fname, m in means.items():
         reports += _halving_reports(f"sae-halving-{fname}", m, cfg, cfg["seeds"])
-    # noise-off with zero data: every term must vanish identically
-    grid = LimitGrid(T=cfg["T"], dt=cfg["dt_levels"][-1], dx=cfg["dx"])
-    run = run_limit(LimitPlan.for_spec(LimitSpec(
-        dist=dist, arrival=arr, fluid_init=init, grid=grid, seed=0,
-        noise_off=True, test_functions=tests)))
+    # noise-off with zero data on the last level: every term must vanish exactly
+    run = run_limit(LimitPlan.for_spec(replace(plan.spec, seed=0, noise_off=True)))
     res = max(abs(sae_residual(run, fname)) for fname in funcs)
     reports.append(TestReport(statistic="sae-noise-off-zero", value=res,
                               threshold=0.0, passed=res == 0.0, replicates=1))

@@ -82,8 +82,7 @@ def test_criterion_01_counting_identities_hold_exactly():
         arr = _random_arrival(rng)
         x0 = int(rng.integers(0, 2 * N + 1))
         ages = "invariant" if (x0 > 0 and rng.random() < 0.5) else None
-        res = "fresh" if rng.random() < 0.3 else "conditional"
-        init = InitialCondition(x0=x0, ages=ages, residual_sampling=res)
+        init = InitialCondition(x0=x0, ages=ages)
         for s in range(10):
             path = simulate(SimConfig(N=N, arrival=arr, service=svc, T=T,
                                       initial=init, seed=c, replicate=s))

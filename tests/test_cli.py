@@ -38,23 +38,23 @@ def sim_cfg(seeds=2, seed=7, N=10, T=1.0):
             "run": {"seeds": seeds, "seed": seed}}
 
 
-def limit_cfg(paths=2, seed=3, fluid=None):
+def limit_cfg(paths=2, seed=3, lambda_bar=1.0, fluid=None):
     return {"schema_version": 1, "kind": "limit",
             "model": {"service": "exponential",
-                      "arrival": {"kind": "renewal", "lambda_bar": 1.0,
+                      "arrival": {"kind": "renewal", "lambda_bar": lambda_bar,
                                   "beta": 0.5},
-                      "fluid": fluid or {"Ebar": 1.0, "x0": 1.0,
-                                         "nu0": {"invariant": 1.0}}},
+                      "fluid": fluid or {"x0": 1.0, "nu0": {"invariant": 1.0}}},
             "numerics": {"T": 0.5, "dt": 0.01, "dx": 0.05},
             "run": {"paths": paths, "seed": seed}}
 
 
-# a fluid start in each regime the limit sampler solves
-REGIME_FLUIDS = pytest.mark.parametrize("regime, fluid", [
-    pytest.param(regime, fluid, id=regime) for regime, fluid in (
-        ("critical", {"Ebar": 1.0, "x0": 1.0, "nu0": {"invariant": 1.0}}),
-        ("subcritical", {"Ebar": 0.5, "x0": 0.5, "nu0": {"invariant": 0.5}}),
-        ("supercritical", {"Ebar": 1.5, "x0": 1.0, "nu0": {"invariant": 1.0}}))])
+# an arrival rate and a fluid start in each regime the limit sampler solves
+REGIME_LIMITS = pytest.mark.parametrize("regime, lambda_bar, fluid", [
+    pytest.param(regime, lambda_bar, fluid, id=regime)
+    for regime, lambda_bar, fluid in (
+        ("critical", 1.0, {"x0": 1.0, "nu0": {"invariant": 1.0}}),
+        ("subcritical", 0.5, {"x0": 0.5, "nu0": {"invariant": 0.5}}),
+        ("supercritical", 1.5, {"x0": 1.0, "nu0": {"invariant": 1.0}}))])
 
 
 def read_csv(path):
@@ -257,9 +257,9 @@ class TestFluidSolve:
 
 
 class TestLimitRun:
-    @REGIME_FLUIDS
-    def test_outputs_and_summary(self, tmp_path, regime, fluid):
-        cfgp = write_cfg(tmp_path, limit_cfg(fluid=fluid))
+    @REGIME_LIMITS
+    def test_outputs_and_summary(self, tmp_path, regime, lambda_bar, fluid):
+        cfgp = write_cfg(tmp_path, limit_cfg(lambda_bar=lambda_bar, fluid=fluid))
         out = tmp_path / "l"
         res = CliRunner().invoke(main, ["limit", "run", "--config", cfgp,
                                         "--out", str(out)])
@@ -282,11 +282,12 @@ class TestLimitRun:
         b = (out / "limit_p0001.csv").read_bytes()
         assert a == b, "with both noise sources off every path is the skeleton"
 
-    @REGIME_FLUIDS
-    def test_byte_determinism_and_jobs(self, tmp_path, regime, fluid):
+    @REGIME_LIMITS
+    def test_byte_determinism_and_jobs(self, tmp_path, regime, lambda_bar, fluid):
         # --jobs workers get the parent's spec and fluid path by pickle;
         # the law inside both crosses as its spec and is rebuilt there
-        cfgp = write_cfg(tmp_path, limit_cfg(paths=3, fluid=fluid))
+        cfgp = write_cfg(tmp_path, limit_cfg(paths=3, lambda_bar=lambda_bar,
+                                             fluid=fluid))
         r = CliRunner()
         for sub, extra in (("a", []), ("b", ["--jobs", "2"])):
             res = r.invoke(main, ["limit", "run", "--config", cfgp,
@@ -299,6 +300,37 @@ class TestLimitRun:
             assert a == b, (
                 f"{name} differs between serial and --jobs 2 runs; data "
                 f"outputs must be byte-for-byte reproducible")
+
+    @REGIME_LIMITS
+    def test_restated_ebar_changes_no_byte(self, tmp_path, regime, lambda_bar,
+                                           fluid):
+        # the fluid path is driven by the arrival's lambda_bar, which
+        # model.fluid.Ebar may restate; with no Ebar, lambda_bar 0.5 is
+        # subcritical, not a fluid input of 1
+        r = CliRunner()
+        for sub, block in (("plain", fluid), ("restated", {**fluid, "Ebar": lambda_bar})):
+            cfgp = write_cfg(tmp_path, limit_cfg(lambda_bar=lambda_bar, fluid=block),
+                             name=f"{sub}.json")
+            res = r.invoke(main, ["limit", "run", "--config", cfgp,
+                                  "--out", str(tmp_path / sub)])
+            assert res.exit_code == 0, res.output
+        for name in ["limit_p0000.csv", "limit_p0001.csv", "summary.json"]:
+            assert (tmp_path / "plain" / name).read_bytes() \
+                == (tmp_path / "restated" / name).read_bytes(), name
+        summary = json.loads((tmp_path / "plain" / "summary.json").read_text())
+        assert summary["regime"] == regime
+
+    @pytest.mark.parametrize("ebar", [0.5, 2, {"const": 1.0}],
+                             ids=["lower", "higher-int", "const-form"])
+    def test_ebar_other_than_lambda_bar_exit_two(self, tmp_path, ebar):
+        data = limit_cfg()
+        data["model"]["fluid"]["Ebar"] = ebar
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, ["limit", "run", "--config",
+                                        write_cfg(tmp_path, data), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "config error: model.fluid.Ebar: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
 
     def test_paths_flag(self, tmp_path):
         cfgp = write_cfg(tmp_path, limit_cfg(paths=1))
@@ -323,10 +355,11 @@ class TestReplicateContext:
     def test_limit_spec_and_fluid_path_round_trip(self):
         spec = LimitSpec(dist=make_service_dist("gamma", shape=2.0),
                          arrival=ArrivalSpec("renewal", 1.0, beta=0.5),
-                         fluid_init=FluidInit(Ebar=1.0, x0=1.0,
-                                              nu0_density={"invariant": 1.0}),
-                         grid=LimitGrid(T=0.3, dt=0.01, dx=0.1), seed=4)
-        fl = solve_fluid(spec.dist, spec.fluid_init, spec.grid.T, spec.grid.dt)
+                         grid=LimitGrid(T=0.3, dt=0.01, dx=0.1),
+                         nu0={"invariant": 1.0}, seed=4)
+        init = FluidInit(Ebar=spec.arrival.lambda_bar, x0=spec.x0,
+                         nu0_density=spec.nu0)  # the plan's fluid path
+        fl = solve_fluid(spec.dist, init, spec.grid.T, spec.grid.dt)
         plan = LimitPlan.for_spec(spec)  # carries the spec to the workers
         fl2, plan2 = pickle.loads(pickle.dumps((fl, plan)))
         for name in ("grid", "Xbar", "Kbar", "Bbar", "Hbar", "q0", "sf_comb"):
@@ -539,6 +572,22 @@ class TestExitCodes:
         assert res.exit_code == 3, res.output
         assert "arrival rate not admissible for N=1 on [0,1.0]" in res.output
 
+    @pytest.mark.parametrize("kind", ["sim", "limit"])
+    def test_negative_rate_exit_three_in_both_kinds(self, tmp_path, kind):
+        # one admissibility rule: sim run checks lambda_bar N - beta sqrt(N),
+        # limit run lambda_bar alone, the rate that drives its fluid path
+        data = sim_cfg(T=0.5) if kind == "sim" else limit_cfg()
+        data["model"]["arrival"] = {"kind": "inhom_poisson", "beta": 0.0, "lambda_bar": {
+            "pwlin": {"t": [0.0, 0.5], "v": [-1.0, -1.0]}}}
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, [kind, "run", "--config", write_cfg(tmp_path, data),
+                                        "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        scale = "N=10" if kind == "sim" else "the fluid limit"
+        assert (f"numerical error: arrival rate not admissible for {scale} on [0,0.5]"
+                in res.output)
+        assert not out.exists(), "a refused run must write no file"
+
     def test_numerical_error_exit_three(self, tmp_path):
         # the grid states mass 1, but its spike falls between the nodes of
         # the dt = 0.5 age grid, so the solver's B(0) misses the 1e-3 gate
@@ -688,6 +737,8 @@ class TestExitCodes:
                                   "sigma2": 1.0}, "model.arrival.sigma2"),
         ("sim", "model.initial", {"x0": 10, "ages": "foo"},
          "model.initial.ages"),
+        ("sim", "model.initial", {"x0": 10, "residual_sampling": "conditional"},
+         "model.initial.residual_sampling"),
         ("fluid", "model.nu0", {"invariant": "x"}, "model.nu0"),
         ("limit", "model.nu0hat", {"atoms": [[1.0]]}, "model.nu0hat"),
         ("limit", "model.nu0hat", {"density": {"x": [0.0, 1.0]}},
@@ -730,6 +781,7 @@ class TestExitCodes:
          "model.overrides.T"),
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
+            "initial-residual-sampling",
             "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
             "x-max-negative", "x-max-zero", "x-max-below-dx",
             "x-max-not-whole-cells", "no-time-step",
@@ -774,10 +826,10 @@ class TestExitCodes:
          "t must be strictly increasing"),
         ("fluid", "model.Ebar", {"t": [0.0, 1.0], "v": [1.0]},
          "t and v differ in length (2 and 1)"),
-        ("limit", "model.fluid.Ebar", {"t": [0.0, 0.0], "v": [1.0, 1.0]},
+        ("limit", "model.arrival.lambda_bar", {"t": [0.0, 0.0], "v": [1.0, 1.0]},
          "t must be strictly increasing"),
     ], ids=["sim-lengths", "sim-decreasing", "fluid-ebar-lengths",
-            "limit-ebar-repeated-knot"])
+            "limit-lambda-bar-repeated-knot"])
     def test_bad_pwlin_exit_two(self, tmp_path, kind, where, pwlin, message):
         # np.interp would fail on unequal lengths and silently misread a
         # t that does not increase
@@ -785,7 +837,7 @@ class TestExitCodes:
                 "fluid": {"schema_version": 1, "kind": "fluid",
                           "model": {"service": "exponential"},
                           "numerics": {"T": 1.0, "dt": 0.01}}}[kind]
-        if kind == "sim":
+        if kind != "fluid":
             data["model"]["arrival"] = {"kind": "inhom_poisson",
                                         "lambda_bar": 1.0, "beta": 0.0}
         *parents, key = where.split(".")

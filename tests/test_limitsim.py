@@ -35,8 +35,8 @@ EXPD = lambda x: np.exp(-np.asarray(x, dtype=float))
 NEXPD = lambda x: -np.exp(-np.asarray(x, dtype=float))
 
 
-def stationary_init(mass=1.0):
-    return FluidInit(Ebar=mass, x0=mass, nu0_density={"invariant": min(mass, 1.0)})
+def stationary_init():
+    return FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})
 
 
 def poisson_arr(lam=1.0, beta=0.0):
@@ -44,13 +44,11 @@ def poisson_arr(lam=1.0, beta=0.0):
 
 
 def critical_spec(seed=0, T=1.5, dt=0.01, dist=EXP, noise_off=False, x0hat=0.0,
-                  nu0hat=None, arrival=None, dx=0.1, test_functions=None,
-                  fluid_init=None):
+                  nu0hat=None, arrival=None, dx=0.1, test_functions=None):
     grid = L.LimitGrid(T=T, dt=dt, dx=dx)
-    return L.LimitSpec(dist=dist, arrival=arrival or poisson_arr(),
-                       fluid_init=fluid_init or stationary_init(), grid=grid,
-                       x0hat=x0hat, nu0hat=nu0hat, seed=seed, noise_off=noise_off,
-                       test_functions=test_functions)
+    return L.LimitSpec(dist=dist, arrival=arrival or poisson_arr(), grid=grid,
+                       nu0={"invariant": 1.0}, x0hat=x0hat, nu0hat=nu0hat,
+                       seed=seed, noise_off=noise_off, test_functions=test_functions)
 
 
 def critical_run(seed, **kw):
@@ -152,8 +150,8 @@ class TestFieldOracles:
         grid = L.LimitGrid(T=1.0, dt=0.025, dx=0.25)
         cls.grid = grid
         cls.plan = L.LimitPlan.for_spec(L.LimitSpec(
-            dist=EXP, arrival=poisson_arr(), fluid_init=stationary_init(),
-            grid=grid, test_functions={"one": (ONE, ZERO)}))
+            dist=EXP, arrival=poisson_arr(), grid=grid, nu0={"invariant": 1.0},
+            test_functions={"one": (ONE, ZERO)}))
         te, xe, inten = cls.plan.t_edges, cls.plan.x_edges, cls.plan.intensity
         cls.t_edges, cls.x_edges, cls.intensity = te, xe, inten
         rng = np.random.default_rng(20260822)
@@ -264,7 +262,7 @@ class TestConvHBatched:
         if law not in cls.PLANS:
             dist = cls.LAWS[law]
             cls.PLANS[law] = L.LimitPlan.for_spec(L.LimitSpec(
-                dist=dist, arrival=poisson_arr(), fluid_init=stationary_init(),
+                dist=dist, arrival=poisson_arr(), nu0={"invariant": 1.0},
                 grid=L.LimitGrid(T=1.0, dt=0.025, dx=0.1, x_max=6.0),
                 test_functions=cls.read_outs(dist)))
         return cls.PLANS[law]
@@ -577,18 +575,17 @@ class TestRunInvariants:
         assert L.smg_bookkeeping_residual(crit) < EXACT_TOL
 
         grid = L.LimitGrid(T=1.5, dt=0.01, dx=0.1)
-        init_sub = FluidInit(Ebar=0.5, x0=0.5, nu0_density={"invariant": 0.5})
         sub = L.run_limit(L.LimitPlan.for_spec(L.LimitSpec(
-            dist=EXP, arrival=poisson_arr(0.5), fluid_init=init_sub, grid=grid,
-            x0hat=0.2, nu0hat={"atoms": [(0.3, 0.2)]}, seed=33)))
+            dist=EXP, arrival=poisson_arr(0.5), grid=grid, x0=0.5,
+            nu0={"invariant": 0.5}, x0hat=0.2, nu0hat={"atoms": [(0.3, 0.2)]},
+            seed=33)))
         assert sub.regime == "subcritical"
         assert L.smg_bookkeeping_residual(sub) == 0.0, (
             "subcritical entry perturbation must be a bitwise arrival copy")
 
-        init_sup = FluidInit(Ebar=1.5, x0=1.0, nu0_density={"invariant": 1.0})
         sup = L.run_limit(L.LimitPlan.for_spec(L.LimitSpec(
-            dist=EXP, arrival=poisson_arr(1.5), fluid_init=init_sup, grid=grid,
-            x0hat=0.4, seed=34)))
+            dist=EXP, arrival=poisson_arr(1.5), grid=grid,
+            nu0={"invariant": 1.0}, x0hat=0.4, seed=34)))
         assert sup.regime == "supercritical"
         assert L.smg_bookkeeping_residual(sup) < EXACT_TOL
         assert np.all(sup.vhat == 0.0)
@@ -625,8 +622,21 @@ class TestRunInvariants:
         monkeypatch.setattr(L, "fluid_cell_intensity", no_tables)
         with pytest.raises(ValueError, match="mixed"):
             L.LimitPlan.for_spec(L.LimitSpec(
-                dist=EXP, arrival=poisson_arr(0.7), fluid_init=init, grid=grid,
-                seed=38))
+                dist=EXP, arrival=poisson_arr(0.7), grid=grid, x0=1.5,
+                nu0={"invariant": 1.0}, seed=38))
+
+    def test_negative_arrival_rate_refused_before_the_fluid_solve(self, monkeypatch):
+        # the rate sim run refuses: lambda_bar at -1 drives no fluid path
+        # and has no square root for the diffusion
+        arrival = ArrivalSpec("inhom_poisson", lambda_bar={
+            "pwlin": {"t": [0.0, 0.5], "v": [-1.0, -1.0]}})
+
+        def no_solve(*args):
+            raise AssertionError("the plan solved the fluid path")
+        monkeypatch.setattr(L, "solve_fluid", no_solve)
+        with pytest.raises(ValueError, match=r"arrival rate not admissible for "
+                                             r"the fluid limit on \[0,0\.5\]"):
+            L.LimitPlan.for_spec(critical_spec(T=0.5, arrival=arrival))
 
 
 class _NoNoise:

@@ -55,18 +55,17 @@ class TestExactIdentities:
         beta=st.floats(-1.0, 0.9),
         sigma2=st.floats(0.3, 2.0),
         T=st.floats(0.3, 2.0),
-        mode=st.sampled_from(["conditional", "fresh"]),
         ages=st.sampled_from([None, "invariant"]),
     )
     @settings(max_examples=30, deadline=None)
     def test_all_counting_identities_hold_exactly(self, N, x0, seed, dist_key,
-                                                  beta, sigma2, T, mode, ages):
+                                                  beta, sigma2, T, ages):
         beta = min(beta, 0.9 * math.sqrt(N))  # keep the arrival rate positive
         cfg = SimConfig(
             N=N,
             arrival=ArrivalSpec(kind="renewal", lambda_bar=1.0, beta=beta, sigma2=sigma2),
             service=DISTS[dist_key], T=T,
-            initial=InitialCondition(x0=x0, ages=ages, residual_sampling=mode),
+            initial=InitialCondition(x0=x0, ages=ages),
             seed=seed,
         )
         path = simulate(cfg)
@@ -158,10 +157,7 @@ def simulate_by_events(config):
     queue = deque(range(b0, x0))  # FIFO of initial waiters
 
     if b0 > 0:
-        if config.initial.residual_sampling == "conditional":
-            remaining0 = np.asarray(dist.conditional(rng_init, ages0)) - ages0
-        else:
-            remaining0 = np.asarray(dist.sampler(rng_init, size=b0), dtype=float)
+        remaining0 = np.asarray(dist.conditional(rng_init, ages0)) - ages0
         remaining0 = np.maximum(remaining0, 0.0)
         for j in range(b0):
             span_theta.append(-float(ages0[j]))
@@ -343,20 +339,17 @@ class TestEqualsEventLoop:
         law=st.sampled_from(sorted(LAWS)),
         arrival=st.sampled_from(sorted(ARRIVALS)),
         T=st.floats(0.3, 3.0),
-        mode=st.sampled_from(["conditional", "fresh"]),
         ages=st.sampled_from([None, "invariant", "explicit"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_every_array_equal(self, N, x0_frac, seed, law, arrival, T, mode, ages):
+    def test_every_array_equal(self, N, x0_frac, seed, law, arrival, T, ages):
         x0 = int(round(x0_frac * N))
         if ages == "explicit":
             # some ages lie past the piecewise support, so those customers
             # leave at time 0, all at once
             ages = np.random.default_rng(seed).exponential(2.0, size=min(x0, N))
         cfg = SimConfig(N=N, arrival=self.ARRIVALS[arrival], service=self.LAWS[law],
-                        T=T, initial=InitialCondition(x0=x0, ages=ages,
-                                                      residual_sampling=mode),
-                        seed=seed)
+                        T=T, initial=InitialCondition(x0=x0, ages=ages), seed=seed)
         assert_same_path(simulate(cfg), simulate_by_events(cfg))
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -367,14 +360,12 @@ class TestEqualsEventLoop:
         ties = 0
         for x0 in range(2 * N + 1):
             ages = [0.25 * (j % 4) for j in range(min(x0, N))]
-            for mode in ("conditional", "fresh"):
-                cfg = SimConfig(N=N, arrival=LatticeArrivals(kind="renewal", gap=gap),
-                                service=det, T=4.0, seed=1,
-                                initial=InitialCondition(x0=x0, ages=ages,
-                                                         residual_sampling=mode))
-                path = simulate(cfg)
-                ties += np.isin(path.dep_time, path.ev_time[path.ev_kind == ARRIVAL]).sum()
-                assert_same_path(path, simulate_by_events(cfg))
+            cfg = SimConfig(N=N, arrival=LatticeArrivals(kind="renewal", gap=gap),
+                            service=det, T=4.0, seed=1,
+                            initial=InitialCondition(x0=x0, ages=ages))
+            path = simulate(cfg)
+            ties += np.isin(path.dep_time, path.ev_time[path.ev_kind == ARRIVAL]).sum()
+            assert_same_path(path, simulate_by_events(cfg))
         assert ties > 0, "no departure met an arrival"
 
     def test_equal_time_departures_start_waiters_in_id_order(self):
@@ -553,8 +544,6 @@ class TestPoliciesAndInitialState:
     def test_bad_initial_spec_rejected(self):
         with pytest.raises(ValueError):
             InitialCondition(x0=-1)
-        with pytest.raises(ValueError):
-            InitialCondition(x0=1, residual_sampling="resample")
         with pytest.raises(ValueError):
             simulate(quick_config(N=3, x0=3, ages=[0.1, 0.2]))  # 2 ages for 3 slots
 

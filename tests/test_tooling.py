@@ -82,6 +82,21 @@ def test_exponential_fclt_round_loads_no_scipy():
     assert loaded == "[]", f"an exponential fclt round loaded {loaded}"
 
 
+def test_readme_quickstart_runs(tmp_path):
+    # about 1 s: the README's library example, run as a reader would, so
+    # an API change cannot leave it stale
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quickstart (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]),
+        PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert not any(tmp_path.iterdir()), "the quickstart wrote into its directory"
+
+
 def test_no_top_level_scipy_import():
     # a module-level scipy import would load it in every process; each
     # law or transform that calls scipy imports it where it is called
