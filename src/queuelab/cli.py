@@ -371,6 +371,8 @@ def _run_sim(cfg, out):
                     T=float(cfg.numerics["T"]),
                     initial=InitialCondition(**initial),
                     seed=seed)
+    _refused("model.initial.", ValueError, sim.initial.explicit_ages,
+             min(sim.initial.x0, sim.N))
     results = _replicates(_sim_one, sim, n_rep, int(cfg.run.get("jobs", 1)))
     files = {f"sim_r{r:04d}.csv": text for r, (text, _) in enumerate(results)}
     summaries = [summary for _, summary in results]

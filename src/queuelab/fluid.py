@@ -72,11 +72,12 @@ class FluidInit:
     number lam means Ebar(t) = lam t, any other rate spec (see as_rate) is
     a rate, integrated on the solver grid.
     x0: initial scaled headcount (nonnegative).
-    nu0_density: initial age density; None (empty), {"invariant": mass}
-    for mass * (1-G), or a pair (x_nodes, values) read by linear
-    interpolation and 0 past the last node.  Must integrate to min(x0, 1):
-    the surplus (x0 - 1)^+ waits unaged.  An invariant start is exact mass
-    with no age grid; a pair is resampled on a dt-spaced age grid.
+    nu0_density: initial age density; {"invariant": m} for m * (1-G), a
+    pair (x_nodes, values) read by linear interpolation and 0 past the
+    last node, or None for the invariant profile of mass min(x0, 1) (the
+    empty start at x0 = 0).  Must integrate to min(x0, 1): the surplus
+    (x0 - 1)^+ waits unaged.  An invariant start is exact mass with no
+    age grid; a pair is resampled on a dt-spaced age grid.
     """
 
     Ebar: object = 1.0
@@ -98,23 +99,20 @@ def _density_on_grid(nodes, vals, dist, dt):
     return dead_mass_ratio(p0, np.asarray(dist.sf(x)))
 
 
-def _check_nu0_mass(init, dist):
+def _check_nu0_mass(spec, x0, dist):
     """Refuse an initial density whose stated mass is not min(x0, 1).
 
-    Every accepted start states its mass exactly: 0 for None, m * mean
-    for {"invariant": m}, the trapezoid over the nodes of an (x, values)
+    Every accepted start states its mass exactly: m * mean for
+    {"invariant": m}, the trapezoid over the nodes of an (x, values)
     pair.  Any other form raises ValueError.
     """
-    spec = init.nu0_density
-    if spec is None:
-        mass = 0.0
-    elif isinstance(spec, dict) and "invariant" in spec:
+    if isinstance(spec, dict) and "invariant" in spec:
         mass = float(spec["invariant"]) * dist.mean
     elif isinstance(spec, tuple):
         mass = float(np.trapezoid(spec[1], spec[0]))
     else:
         raise ValueError(f"unrecognized nu0_density: {spec!r}")
-    target = min(init.x0, 1.0)
+    target = min(x0, 1.0)
     if abs(mass - target) > MASS_TOL:
         raise InitialDataError(
             "nu0", f"mass {mass:.6f} must equal min(x0, 1) = {target:.6f}")
@@ -232,12 +230,14 @@ def solve_fluid(dist, init, T, dt):
     """
     grid = uniform_grid(T, dt)
     n = grid.size - 1
-    _check_nu0_mass(init, dist)
     spec = init.nu0_density
+    if spec is None:
+        spec = {"invariant": min(init.x0, 1.0) / dist.mean}
+    _check_nu0_mass(spec, init.x0, dist)
     if isinstance(spec, tuple):
         q0 = _density_on_grid(*spec, dist, dt)
     else:
-        q0 = float(spec["invariant"]) if spec else 0.0
+        q0 = float(spec["invariant"])
 
     comb = np.arange(np.size(q0) + n) * dt
     sf_comb = np.asarray(dist.sf(comb))

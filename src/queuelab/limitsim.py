@@ -33,8 +33,8 @@ nothing else builds any of it: solve_cmse takes the plan's service
 density g, and sae_residual reads the run's own read-outs.  Path r of the
 run (run_limit(plan, r)) then draws Ehat, draws W = z sqrt(intensity)
 and takes one rFFT of W's live columns.  Hhat(f) is a sum of column
-convolutions and the transform is linear, so each kernel costs one
-product with those spectra, a sum over the columns and one inverse rFFT.
+convolutions and the transform is linear, so each distinct kernel costs
+one product with those spectra, a column sum and one inverse rFFT.
 
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
@@ -165,9 +165,10 @@ def simulate_hatE(arrival, t_grid, rng, noise_off=False):
 def simulate_field(plan, rng, noise_off=False):
     """Draw the centered departure field W = z sqrt(intensity)."""
     if noise_off:
-        W = np.zeros_like(plan.intensity)
+        W = np.zeros_like(plan.sqrt_intensity)
     else:
-        W = rng.standard_normal(plan.intensity.shape) * plan.sqrt_intensity
+        W = rng.standard_normal(plan.sqrt_intensity.shape)
+        W *= plan.sqrt_intensity
     return plan.field(W)
 
 
@@ -177,7 +178,7 @@ def conv_H(field, kernel):
     Psi separates per age column: (Psi_t f)(x, s) = u_x(t - s) / (1-G(x))
     with u_x(l) = f(x + l)(1 - G(x + l)), so each live column is a causal
     convolution of its noise row with u_x, and Hhat(f) is their sum.
-    kernel is the plan's rFFT of u_x / (1-G(x)) (LimitPlan.kernel).  The
+    kernel is the plan's rFFT of u_x / (1-G(x)) (LimitPlan.kernels_for).  The
     transform is linear, so the columns are added as spectra and one
     inverse rFFT gives the sum; it differs from adding per-column inverses
     by FFT rounding only (about 1e-15 relative).
@@ -390,33 +391,27 @@ class LimitPlan:
     sampler, built once.
 
     for_spec solves the fluid path, refuses a mixed regime before it
-    builds anything else, and keeps what every path of the run applies:
-    the regime, the cell intensities and their square roots, the live
-    columns (1-G(x) > 0, so the kernels divide by no zero, and some
-    intensity above 0, so a noise-off field gives exact zeros), the FFT
-    length of a full causal convolution along time, the kernel of each
-    test function plus the f = 1 kernel of Z, the service density g on the
-    time grid (for solve_cmse and rep_hatx_residual), the transported
-    initial terms S_t(1) and S_t(f), and the read-out weights of each test
-    function.  It pickles to worker processes with its spec: the law
-    crosses as its spec and the default test functions are rebuilt from it.
+    builds anything else, and keeps what the paths and residuals read:
+    the regime, the cell intensities' square roots, the live columns
+    (1-G(x) > 0, so the kernels divide by no zero, and some intensity
+    above 0, so a noise-off field gives exact zeros), the FFT length of a
+    full causal convolution along time, the service density g on the time
+    grid, and per test function its kernel, S_t(f) and read-out weights,
+    plus Z's f = 1 kernel and S_t(1).  Each distinct function (by
+    identity) gets one kernel and one S_t(f), so the default "one" shares
+    Z's.  It pickles to worker processes with its spec, and shared arrays
+    stay shared: the law crosses as its spec and the default test
+    functions are rebuilt from it.
     """
 
     spec: LimitSpec
     regime: str              # the fluid path's regime
     t_edges: np.ndarray
     x_edges: np.ndarray
-    intensity: np.ndarray
-    sqrt_intensity: np.ndarray
+    sqrt_intensity: np.ndarray  # (nt, nx) square roots of the cell variances
     cols: np.ndarray         # live age columns, in age order
     nfft: int
-    ages: np.ndarray         # x + l on the flattened (lag, live column) grid
-    sf_ages: np.ndarray      # 1-G at those ages
-    sf_cols: np.ndarray      # 1-G at the live columns' midpoints
     g: np.ndarray            # service density on the time grid (grid_density)
-    sf_t: np.ndarray         # 1-G on the time grid
-    lags: np.ndarray         # midpoint lags (l + 1/2) dt
-    sf_lags: np.ndarray      # 1-G at those lags
     one: np.ndarray = None   # kernel of f = 1, for Z
     S_one: np.ndarray = None  # S_t(1) on the time grid
     kernels: dict = None     # test-function name -> kernel
@@ -434,7 +429,7 @@ class LimitPlan:
         init = FluidInit(Ebar=spec.arrival.lambda_bar, x0=spec.x0, nu0_density=spec.nu0)
         fpath = solve_fluid(dist, init, grid.T, grid.dt)
         clamp = _clamp(fpath.regime)  # before any table or kernel is built
-        t_edges, x_edges, intensity = fluid_cell_intensity(fpath, grid)
+        t_edges, x_edges, table = fluid_cell_intensity(fpath, grid)
         # Z(0) = S_0(1), so solve_cmse's check on it is decided here
         S_one = s_op(spec.nu0hat, dist, _one, t_edges)
         v0 = clamp(spec.x0hat)
@@ -443,40 +438,41 @@ class LimitPlan:
                 "x0hat", f"{spec.x0hat} clamps to {v0} in the {fpath.regime} "
                 f"regime, but the nu0hat mass is {float(S_one[0])}")
         nt = t_edges.size - 1
-        dt = float(t_edges[1] - t_edges[0])
         xm = (x_edges[:-1] + x_edges[1:]) / 2.0
-        lags = (np.arange(nt) + 0.5) * dt
-        sfx = np.asarray(dist.sf(xm))
-        cols = np.flatnonzero((sfx > 0.0) & np.any(intensity > 0.0, axis=0))
-        ages = (xm[cols] + lags[:, None]).ravel()
-        plan = cls(spec=spec, regime=fpath.regime,
-                   t_edges=t_edges, x_edges=x_edges, intensity=intensity,
-                   sqrt_intensity=np.sqrt(intensity), cols=cols,
-                   nfft=next_fast_len(2 * nt - 1, real=True), ages=ages,
-                   sf_ages=np.asarray(dist.sf(ages)), sf_cols=sfx[cols],
-                   g=dist.grid_density(t_edges, dt),
-                   sf_t=np.asarray(dist.sf(t_edges)), lags=lags,
-                   sf_lags=np.asarray(dist.sf(lags)), S_one=S_one)
-        plan.one = plan.kernel(_one)
+        cols = np.flatnonzero((np.asarray(dist.sf(xm)) > 0.0) & np.any(table > 0.0, axis=0))
+        plan = cls(spec=spec, regime=fpath.regime, t_edges=t_edges, x_edges=x_edges,
+                   sqrt_intensity=np.sqrt(table, out=table), cols=cols,
+                   nfft=next_fast_len(2 * nt - 1, real=True), S_one=S_one,
+                   g=dist.grid_density(t_edges, float(t_edges[1] - t_edges[0])))
         tests = spec.tests()
-        plan.kernels = {name: plan.kernel(f) for name, (f, _) in tests.items()}
+        fs = {id(_one): _one, **{id(f): f for f, _ in tests.values()}}
+        kernels = dict(zip(fs, plan.kernels_for(fs.values())))
+        S = {key: S_one if f is _one else s_op(spec.nu0hat, dist, f, t_edges)
+             for key, f in fs.items()}
+        plan.one = kernels[id(_one)]
+        plan.kernels = {name: kernels[id(f)] for name, (f, _) in tests.items()}
         plan.weights = {name: plan.readout_weights(f, fp)
                         for name, (f, fp) in tests.items()}
-        plan.S = {name: s_op(spec.nu0hat, dist, f, t_edges)
-                  for name, (f, _) in tests.items()}
+        plan.S = {name: S[id(f)] for name, (f, _) in tests.items()}
         return plan
 
     @property
     def x_mid(self):
         return (self.x_edges[:-1] + self.x_edges[1:]) / 2.0
 
-    def kernel(self, f):
-        """rFFT along time of u_x(l) / (1-G(x)) on the live columns."""
+    def kernels_for(self, fs):
+        """For each f in fs, the rFFT along time of u_x(l) / (1-G(x)) on
+        the live columns; the ages x + l and their 1-G are built once."""
         from scipy.fft import rfft
 
-        U = (np.asarray(f(self.ages), dtype=float) * self.sf_ages).reshape(
-            self.t_edges.size - 1, self.cols.size)
-        return rfft(U / self.sf_cols, n=self.nfft, axis=0)
+        sf = self.spec.dist.sf
+        nt = self.t_edges.size - 1
+        lags = (np.arange(nt) + 0.5) * float(self.t_edges[1] - self.t_edges[0])
+        ages = (self.x_mid[self.cols] + lags[:, None]).ravel()
+        sf_ages = np.asarray(sf(ages))
+        sf_cols = np.asarray(sf(self.x_mid))[self.cols]
+        return [rfft((np.asarray(f(ages), dtype=float) * sf_ages).reshape(
+            nt, self.cols.size) / sf_cols, n=self.nfft, axis=0) for f in fs]
 
     def readout_weights(self, f, fprime):
         """The path-independent weights of f's measure read-out.
@@ -485,10 +481,12 @@ class LimitPlan:
         time grid; without, (u,) for hat_nu_stieltjes, u = f(l)(1-G(l)) at
         the midpoint lags.
         """
+        t, sf = self.t_edges, self.spec.dist.sf
         if fprime is None:
-            return (np.asarray(f(self.lags), dtype=float) * self.sf_lags,)
-        xi = (np.asarray(fprime(self.t_edges), dtype=float) * self.sf_t
-              - np.asarray(f(self.t_edges), dtype=float) * self.g)
+            lags = (np.arange(t.size - 1) + 0.5) * float(t[1] - t[0])
+            return (np.asarray(f(lags), dtype=float) * np.asarray(sf(lags)),)
+        xi = (np.asarray(fprime(t), dtype=float) * np.asarray(sf(t))
+              - np.asarray(f(t), dtype=float) * self.g)
         return xi, float(np.atleast_1d(f(np.array([0.0])))[0])
 
     def field(self, W):
@@ -531,13 +529,15 @@ def run_limit(plan, replicate=0):
                          noise_off=spec.noise_off)
     fld = simulate_field(plan, np.random.default_rng(ss_W),
                          noise_off=spec.noise_off)
-    H1 = conv_H(fld, plan.one)
+    kernels = {id(k): k for k in (plan.one, *plan.kernels.values())}
+    H = {key: conv_H(fld, k) for key, k in kernels.items()}  # once per distinct kernel
+    H1 = H[id(plan.one)]
     M1 = fld.m1_profile()
     Khat, Xhat, vhat = solve_cmse(t_grid, plan.g, Ehat, spec.x0hat,
                                   plan.S_one - H1, plan.regime)
     nuhat = {}
     for name, (_, fprime) in spec.tests().items():
-        H_f = conv_H(fld, plan.kernels[name])
+        H_f = H[id(plan.kernels[name])]
         if fprime is None:
             nuhat[name] = hat_nu_stieltjes(plan.S[name], Khat, H_f,
                                            *plan.weights[name])

@@ -88,19 +88,28 @@ class InitialCondition:
         if self.x0 < 0:
             raise ValueError("x0 must be nonnegative")
 
+    def explicit_ages(self, n):
+        """An explicit ages list as an array, refused (ValueError naming
+        ages) unless it holds n nonnegative ages, n = 0 too; None when
+        ages is None or "invariant"."""
+        if self.ages is None or isinstance(self.ages, str):
+            return None
+        ages = np.asarray(self.ages, dtype=float)
+        if ages.size != n or np.any(ages < 0):
+            raise ValueError(f"ages: need {n} nonnegative ages, got {ages.size}")
+        return ages
+
     def draw_ages(self, n, dist, rng):
+        ages = self.explicit_ages(n)
+        if ages is not None:
+            return ages
         if n == 0:
             return np.zeros(0)
         if self.ages is None:
             return np.zeros(n)
-        if isinstance(self.ages, str):
-            if self.ages != "invariant":
-                raise ValueError(f"unknown ages spec: {self.ages!r}")
-            return invariant_ages(dist, n, rng)
-        ages = np.asarray(self.ages, dtype=float)
-        if ages.size != n or np.any(ages < 0):
-            raise ValueError(f"need {n} nonnegative ages, got {ages.size}")
-        return ages
+        if self.ages != "invariant":
+            raise ValueError(f"unknown ages spec: {self.ages!r}")
+        return invariant_ages(dist, n, rng)
 
 
 @dataclass(frozen=True)

@@ -739,6 +739,11 @@ class TestExitCodes:
          "model.initial.ages"),
         ("sim", "model.initial", {"x0": 10, "residual_sampling": "conditional"},
          "model.initial.residual_sampling"),
+        # an explicit ages list holds min(x0, N) ages, none when x0 is 0
+        ("sim", "model.initial", {"x0": 0, "ages": [0.5, 1.0, 1.5]},
+         "model.initial.ages"),
+        ("sim", "model.initial", {"x0": 2, "ages": [0.5, 1.0, 1.5]},
+         "model.initial.ages"),
         ("fluid", "model.nu0", {"invariant": "x"}, "model.nu0"),
         ("limit", "model.nu0hat", {"atoms": [[1.0]]}, "model.nu0hat"),
         ("limit", "model.nu0hat", {"density": {"x": [0.0, 1.0]}},
@@ -781,7 +786,7 @@ class TestExitCodes:
          "model.overrides.T"),
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
-            "initial-residual-sampling",
+            "initial-residual-sampling", "ages-without-x0", "ages-over-x0",
             "nu0-string-mass", "nu0hat-short-atom", "nu0hat-density-without-v",
             "x-max-negative", "x-max-zero", "x-max-below-dx",
             "x-max-not-whole-cells", "no-time-step",

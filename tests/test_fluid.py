@@ -232,6 +232,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="unrecognized nu0_density"):
             solve_fluid(EXP, FluidInit(Ebar=1.0, x0=0.5, nu0_density=nu0), T=1.0, dt=1e-2)
 
+    @pytest.mark.parametrize("x0", [0.0, 0.5, 1.6])
+    def test_omitted_nu0_is_the_invariant_start(self, x0):
+        # None is m (1-G) with mass m * mean = min(x0, 1); at x0 = 0 the
+        # empty start
+        bare = solve_fluid(GAMMA2, FluidInit(Ebar=1.0, x0=x0), T=1.0, dt=1e-2)
+        m = min(x0, 1.0) / GAMMA2.mean
+        explicit = solve_fluid(GAMMA2, FluidInit(Ebar=1.0, x0=x0,
+                                                 nu0_density={"invariant": m}),
+                               T=1.0, dt=1e-2)
+        for name in ("Xbar", "Kbar", "Bbar", "Hbar", "Dbar", "kappa"):
+            assert np.array_equal(getattr(bare, name), getattr(explicit, name)), name
+        assert abs(bare.Bbar[0] - min(x0, 1.0)) < 1e-4
+
     def test_grid_density_pair(self):
         xs = np.linspace(0.0, 30.0, 3001)
         path = solve_fluid(EXP, FluidInit(Ebar=1.0, x0=0.5, nu0_density=(xs, 0.5 * np.exp(-xs))),

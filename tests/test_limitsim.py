@@ -7,6 +7,7 @@ the survival-kernel convolution has variance int_0^t e^-2(t-s) ds.
 Ensemble tolerances are sized from the chi-square spread of a variance
 estimate, rel SE = sqrt(2/n), at 3-4 standard errors.
 """
+import dataclasses
 import pickle
 
 import numpy as np
@@ -73,7 +74,7 @@ def sae_reference(run, f, fprime):
 
     def readout(phi):
         S = L.s_op(run.spec.nu0hat, dist, phi, tg)
-        H = L.conv_H(run.field, plan.kernel(phi))
+        H = L.conv_H(run.field, plan.kernels_for([phi])[0])
         return L.hat_nu_stieltjes(S, run.Khat, H, *plan.readout_weights(phi, None))
 
     def w(x):
@@ -152,10 +153,10 @@ class TestFieldOracles:
         cls.plan = L.LimitPlan.for_spec(L.LimitSpec(
             dist=EXP, arrival=poisson_arr(), grid=grid, nu0={"invariant": 1.0},
             test_functions={"one": (ONE, ZERO)}))
-        te, xe, inten = cls.plan.t_edges, cls.plan.x_edges, cls.plan.intensity
-        cls.t_edges, cls.x_edges, cls.intensity = te, xe, inten
+        cls.t_edges, cls.x_edges = cls.plan.t_edges, cls.plan.x_edges
+        cls.sqrt_intensity = root = cls.plan.sqrt_intensity
         rng = np.random.default_rng(20260822)
-        cls.W = rng.standard_normal((cls.REPS,) + inten.shape) * np.sqrt(inten)
+        cls.W = rng.standard_normal((cls.REPS,) + root.shape) * root
 
     def test_var_total_mass(self):
         v = float(self.W.sum(axis=(1, 2)).var())
@@ -168,7 +169,7 @@ class TestFieldOracles:
 
     def test_var_survival_convolution(self):
         # Hhat_1(1) weights each cell by e^-(1 - s_mid) under exp service
-        nt = self.intensity.shape[0]
+        nt = self.sqrt_intensity.shape[0]
         lag = (nt - np.arange(nt) - 0.5) * self.grid.dt
         v = float((self.W * np.exp(-lag)[:, None]).sum(axis=(1, 2)).var())
         oracle = (1.0 - np.exp(-2.0)) / 2.0
@@ -176,7 +177,7 @@ class TestFieldOracles:
 
     def test_conv_H_matches_direct_cell_sum(self):
         H = L.conv_H(self.plan.field(self.W[0]), self.plan.kernels["one"])
-        nt = self.intensity.shape[0]
+        nt = self.sqrt_intensity.shape[0]
         lag = (nt - np.arange(nt) - 0.5) * self.grid.dt
         direct = float((self.W[0] * np.exp(-lag)[:, None]).sum())
         assert abs(H[-1] - direct) < 1e-10, (
@@ -197,8 +198,8 @@ class TestFieldOracles:
             ss = np.random.SeedSequence(99, spawn_key=(r,))
             ss_E, ss_W = ss.spawn(2)
             e_fin[r] = L.simulate_hatE(arr, t_grid, np.random.default_rng(ss_E))[-1]
-            W = (np.random.default_rng(ss_W).standard_normal(self.intensity.shape)
-                 * np.sqrt(self.intensity))
+            W = (np.random.default_rng(ss_W).standard_normal(self.sqrt_intensity.shape)
+                 * self.sqrt_intensity)
             m_fin[r] = W.sum()
         corr = float(np.corrcoef(e_fin, m_fin)[0, 1])
         assert abs(corr) < 0.12, (
@@ -324,7 +325,7 @@ class TestConvHBatched:
         g = np.where(np.isfinite(g), g, 0.0)
         want = np.maximum(g * fl.age_density_weight(Xm, Sm)
                           * grid.dx * grid.dt, 0.0)
-        assert np.array_equal(plan.intensity, want)
+        assert np.array_equal(plan.sqrt_intensity, np.sqrt(want))
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_noise_off_exact_zeros(self, law):
@@ -341,6 +342,43 @@ class TestLimitPlan:
         plan = L.LimitPlan.for_spec(critical_spec(seed=41, dist=LOGN))
         a = L.run_limit(plan)
         b = L.run_limit(pickle.loads(pickle.dumps(plan)))
+        for name in ("Ehat", "Hhat_1", "M1", "Khat", "Xhat", "vhat"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.nuhat.keys() == b.nuhat.keys()
+        assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
+
+    def test_plan_keeps_one_kernel_per_function_and_no_cell_tables(self):
+        # the default "one" is Z's f = 1: one kernel and one S_t(1), shared
+        # also after a pickle round trip; beside the kernels and the field's
+        # (nt, nx) roots the plan keeps only arrays on one grid axis
+        plan = L.LimitPlan.for_spec(critical_spec(seed=44, dist=LOGN))
+        for p in (plan, pickle.loads(pickle.dumps(plan))):
+            assert p.kernels["one"] is p.one and p.S["one"] is p.S_one
+        nt, nx = plan.sqrt_intensity.shape
+        kernels = {id(k) for k in (plan.one, *plan.kernels.values())}
+        assert len(kernels) == len(plan.kernels)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (dict, tuple)):
+                for v in (value.values() if isinstance(value, dict) else value):
+                    yield from arrays(v)
+
+        for field in dataclasses.fields(plan):
+            for a in arrays(getattr(plan, field.name)):
+                if id(a) in kernels:
+                    assert a.shape == (plan.nfft // 2 + 1, plan.cols.size)
+                elif a is not plan.sqrt_intensity:
+                    assert a.ndim == 1 and a.size <= max(nt, nx) + 1, (
+                        f"plan.{field.name} keeps an array of shape {a.shape}")
+
+    def test_omitted_nu0_is_the_invariant_start(self):
+        # at x0 = 1 a mean-1 law's invariant profile of mass 1 is
+        # {"invariant": 1.0}, so path 0 keeps every bit
+        bare = L.LimitSpec(LOGN, poisson_arr(), L.LimitGrid(T=1.0, dt=0.01, dx=0.1))
+        explicit = dataclasses.replace(bare, nu0={"invariant": 1.0})
+        a, b = (L.run_limit(L.LimitPlan.for_spec(s)) for s in (bare, explicit))
         for name in ("Ehat", "Hhat_1", "M1", "Khat", "Xhat", "vhat"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.nuhat.keys() == b.nuhat.keys()
@@ -524,7 +562,7 @@ class TestGammaMapAndReadout:
         f = lambda x: np.asarray(EXP.sf(x))
         fp = lambda x: -np.asarray(EXP.density(x))
         S_f = L.s_op(None, EXP, f, run.t_grid)
-        H_f = L.conv_H(run.field, run.plan.kernel(f))
+        H_f = L.conv_H(run.field, run.plan.kernels_for([f])[0])
         direct = L.hat_nu(run.t_grid, S_f, run.Khat, H_f,
                           *run.plan.readout_weights(f, fp))
         composed = S_f + gamma_map(run.t_grid, run.Khat, EXP, f, fp) - H_f
@@ -536,7 +574,7 @@ class TestGammaMapAndReadout:
         f = lambda x: np.asarray(EXP.sf(x))
         fp = lambda x: -np.asarray(EXP.density(x))
         S_f = L.s_op(None, EXP, f, run.t_grid)
-        H_f = L.conv_H(run.field, run.plan.kernel(f))
+        H_f = L.conv_H(run.field, run.plan.kernels_for([f])[0])
         der = L.hat_nu(run.t_grid, S_f, run.Khat, H_f,
                        *run.plan.readout_weights(f, fp))
         st = L.hat_nu_stieltjes(S_f, run.Khat, H_f,

@@ -16,12 +16,15 @@ from queuelab.dists import make_service_dist
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def load_script(path):
-    """Import a script by path without writing bytecode next to it."""
+    """Import a script by path without writing bytecode next to it.  It is
+    registered in sys.modules, where its dataclasses look up their module."""
     spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave the script's tree as it is
     try:
@@ -201,3 +204,15 @@ def test_tracer_counts_a_limit_run(tracer, tmp_path):
     assert m["limitsim.simulate_field.cells"] > 0
     assert m["limitsim.readout.calls"] > 0
     assert m["limitsim.solve_cmse.steps"] > 0
+
+
+@pytest.mark.parametrize("name", ["fclt-des", "limit-cli"])
+def test_bench_round_matches_its_reference(name, tmp_path):
+    # bench/reference.json pins the outputs of the gated workloads; a
+    # change that moves them fails here, not first in a bench run
+    workloads = load_script(WORKLOADS)
+    workload = workloads.Workload(name, 0)
+    workload.setup()
+    rnd = workload.run_round(tmp_path, fingerprint=True)
+    assert rnd.bad_paths == 0, f"{name}: {rnd.bad_paths} paths broke an invariant"
+    assert workloads.reference_mismatches(name, 0, rnd.fingerprints) == set()
