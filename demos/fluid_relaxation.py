@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from queuelab.dists import make_service_dist
-from queuelab.fluid import FluidInit, solve_fluid
+from queuelab.fluid import solve_fluid
 
 OUT = Path("demos_out")
 
@@ -31,7 +31,7 @@ def main():
           f"{'final headcount':>16}")
     rows = {}
     for rate in [0.6, 1.0, 1.4]:
-        path = solve_fluid(dist, FluidInit(Ebar=rate, x0=0.0), T, dt)
+        path = solve_fluid(dist, T, dt, Ebar=rate, x0=0.0)
         rows[rate] = path
         print(f"{rate:>12.1f} {path.regime:>14} {path.Bbar[-1]:>11.4f} "
               f"{path.Xbar[-1]:>16.4f}")
@@ -44,14 +44,12 @@ def main():
 
     print("\nstationarity of the critical fixed point (mass 1, stationary "
           "age profile):")
-    inv = solve_fluid(dist, FluidInit(Ebar=1.0, x0=1.0,
-                                      nu0_density={"invariant": 1.0}), T, dt)
+    inv = solve_fluid(dist, T, dt, Ebar=1.0, x0=1.0, nu0={"invariant": 1.0})
     print(f"  max |headcount - 1| over [0, {T}] = "
           f"{np.max(np.abs(inv.Xbar - 1.0)):.2e}  (quadrature floor)")
 
     print("\nrelaxation: start 30% under-filled with the same profile shape")
-    low = solve_fluid(dist, FluidInit(Ebar=1.0, x0=0.7,
-                                      nu0_density={"invariant": 0.7}), T, dt)
+    low = solve_fluid(dist, T, dt, Ebar=1.0, x0=0.7, nu0={"invariant": 0.7})
     for t in [0.0, 1.0, 2.0, 4.0, 8.0]:
         i = int(round(t / dt))
         print(f"  t={t:>4.1f}  headcount {low.Xbar[i]:.4f}  "

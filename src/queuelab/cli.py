@@ -40,7 +40,7 @@ from . import __version__
 from .dists import (ArrivalSpec, ServiceSpecError, as_rate, check_finite,
                     holder_check, make_service_dist, renewal_function,
                     uniform_grid)
-from .fluid import FluidInit, InitialDataError, solve_fluid
+from .fluid import InitialDataError, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
                        run_limit, smg_bookkeeping_residual)
 from .microsim import (KIND_NAMES, InitialCondition, SimConfig,
@@ -259,19 +259,6 @@ def _build_service(spec):
     return _refused("model.service: ", ServiceSpecError, make_service_dist, spec)
 
 
-def _arrays(block, *keys):
-    """The library's array tuple for a config object of number lists."""
-    return tuple(np.asarray(block[k], dtype=float) for k in keys)
-
-
-def _nu0(block):
-    """A config block's nu0 in the form FluidInit.nu0_density takes."""
-    nu0 = block.get("nu0")
-    if nu0 is not None and "grid" in nu0:
-        nu0 = _arrays(nu0["grid"], "x", "p")
-    return nu0
-
-
 def _csv(header, columns):
     """CSV text; each column is converted once, floats with repr."""
     cells = []
@@ -388,12 +375,11 @@ def _run_sim(cfg, out):
 def _run_fluid(cfg, out):
     t0 = time.time()
     dist = _build_service(cfg.model["service"])
-    init = FluidInit(Ebar=cfg.model.get("Ebar", 1.0),
-                     x0=float(cfg.model.get("x0", 0.0)), nu0_density=_nu0(cfg.model))
     T, dt = float(cfg.numerics["T"]), float(cfg.numerics["dt"])
     _refused("numerics.", ValueError, uniform_grid, T, dt)
     path = _refused("model.", InitialDataError,  # raised before it steps
-                    solve_fluid, dist, init, T, dt)
+                    solve_fluid, dist, T, dt, Ebar=cfg.model.get("Ebar", 1.0),
+                    x0=float(cfg.model.get("x0", 0.0)), nu0=cfg.model.get("nu0"))
     summary = {"regime": path.regime,
                "final": {"Xbar": float(path.Xbar[-1]),
                          "Kbar": float(path.Kbar[-1]),
@@ -414,17 +400,14 @@ def _limit_spec(cfg):
     if "Ebar" in fluid and fluid["Ebar"] != arrival.lambda_bar:
         raise SchemaError(f"model.fluid.Ebar: {fluid['Ebar']!r} differs from "
                           f"model.arrival.lambda_bar {arrival.lambda_bar!r}")
-    nu0hat = cfg.model.get("nu0hat")
-    if nu0hat is not None and "density" in nu0hat:
-        nu0hat = {"density": _arrays(nu0hat["density"], "x", "v")}
     # the schema admits LimitGrid's fields only
     grid = _refused("numerics.", ValueError, LimitGrid,
                     **{k: float(v) for k, v in cfg.numerics.items()})
     return LimitSpec(dist=_build_service(cfg.model["service"]),
                      arrival=arrival, grid=grid,
-                     x0=float(fluid.get("x0", 1.0)), nu0=_nu0(fluid),
+                     x0=float(fluid.get("x0", 1.0)), nu0=fluid.get("nu0"),
                      x0hat=float(cfg.model.get("x0hat", 0.0)),
-                     nu0hat=nu0hat,
+                     nu0hat=cfg.model.get("nu0hat"),
                      seed=int(cfg.run.get("seed", 0)),
                      noise_off=bool(cfg.run.get("noise_off", False)))
 

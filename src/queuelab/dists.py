@@ -140,8 +140,8 @@ class ServiceDistribution:
     support_end: float
     mean: float
     sampler: Callable
-    sf: Callable = field(repr=False, default=None)
-    conditional: Callable = field(repr=False, default=None)
+    sf: Callable = field(repr=False)
+    conditional: Callable = field(repr=False)
     spec: dict = field(repr=False, compare=False, default=None)
 
     def __reduce__(self):

@@ -27,10 +27,11 @@ unbounded at 0 enters its first cell with that cell's mass G(dt)/dt,
 since g(dt/2) understates it.
 
 The transported-initial term int w(x+t) q0(x) dx, q0 = nu0/(1-G), has one
-helper.  A density start is laid on a dt-spaced age grid.  The invariant
-start {"invariant": m} has q0 = m, so the term is m (int_0^inf w -
-int_0^t w) on the time grid alone: its mass m * mean is exact, and no age
-grid is built, however heavy the tail.
+helper.  A grid start {"grid": {"x": [...], "p": [...]}}, a config's own
+form, is laid on a dt-spaced age grid.  The invariant start {"invariant":
+m} has q0 = m, so the term is m (int_0^inf w - int_0^t w) on the time grid
+alone: its mass m * mean is exact, and no age grid is built, however heavy
+the tail.
 
 Initial age densities must be absolutely continuous; atoms are outside
 this solver's contract.
@@ -45,7 +46,6 @@ from .dists import ServiceDistribution, as_rate, dead_mass_ratio, uniform_grid
 
 __all__ = [
     "InitialDataError",
-    "FluidInit",
     "FluidPath",
     "solve_fluid",
     "classify_regime",
@@ -57,65 +57,56 @@ MASS_TOL = 1e-3
 
 class InitialDataError(ValueError):
     """Initial data that contradict each other or the law.  field names the
-    input at fault (nu0, x0hat) and the message starts with it."""
+    input at fault (nu0, nu0hat, x0hat) and the message starts with it."""
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
 
 
-@dataclass(frozen=True)
-class FluidInit:
-    """Fluid initial data and arrival input.
-
-    Ebar: the arrival input (a limit run's is its arrival's lambda_bar); a
-    number lam means Ebar(t) = lam t, any other rate spec (see as_rate) is
-    a rate, integrated on the solver grid.
-    x0: initial scaled headcount (nonnegative).
-    nu0_density: initial age density; {"invariant": m} for m * (1-G), a
-    pair (x_nodes, values) read by linear interpolation and 0 past the
-    last node, or None for the invariant profile of mass min(x0, 1) (the
-    empty start at x0 = 0).  Must integrate to min(x0, 1): the surplus
-    (x0 - 1)^+ waits unaged.  An invariant start is exact mass with no
-    age grid; a pair is resampled on a dt-spaced age grid.
-    """
-
-    Ebar: object = 1.0
-    x0: float = 0.0
-    nu0_density: object = None
-
-    def __post_init__(self):
-        if self.x0 < 0:
-            raise ValueError("x0 must be nonnegative")
+def _nodes(field, block, values):
+    """A grid or density block's x nodes and its `values` list as float
+    arrays; an InitialDataError naming field unless block is a dict with
+    one value per x and x increases strictly from 0 or above."""
+    if not isinstance(block, dict):
+        raise InitialDataError(field, f"nodes must be an object of lists, got {block!r}")
+    x, v = (np.asarray(block.get(k, ()), dtype=float) for k in ("x", values))
+    if v.shape != x.shape:
+        raise InitialDataError(field, f"{v.size} {values} values for {x.size} x nodes")
+    if not (x.size and x[0] >= 0 and np.all(np.diff(x) > 0)):
+        raise InitialDataError(field, f"x must increase strictly from 0 or above, "
+                                      f"got {block.get('x')!r}")
+    return x, v
 
 
 def _density_on_grid(nodes, vals, dist, dt):
-    """q0 = p0/sf on a dt-spaced age grid for an (x_nodes, values) start."""
-    nodes, vals = (np.asarray(a, dtype=float) for a in (nodes, vals))
+    """q0 = p0/sf on a dt-spaced age grid for a grid start's nodes."""
     x = np.arange(int(np.ceil(nodes[-1] / dt)) + 1) * dt
     p0 = np.interp(x, nodes, vals, left=0.0, right=0.0)
     if np.any(p0 < -1e-12):
-        raise ValueError("nu0_density must be nonnegative")
+        raise InitialDataError("nu0", "the grid density must be nonnegative")
     return dead_mass_ratio(p0, np.asarray(dist.sf(x)))
 
 
-def _check_nu0_mass(spec, x0, dist):
-    """Refuse an initial density whose stated mass is not min(x0, 1).
-
-    Every accepted start states its mass exactly: m * mean for
-    {"invariant": m}, the trapezoid over the nodes of an (x, values)
-    pair.  Any other form raises ValueError.
-    """
-    if isinstance(spec, dict) and "invariant" in spec:
-        mass = float(spec["invariant"]) * dist.mean
-    elif isinstance(spec, tuple):
-        mass = float(np.trapezoid(spec[1], spec[0]))
+def _initial_q0(nu0, x0, dist, dt):
+    """q0 = nu0/(1-G): m for {"invariant": m}, else a grid start on a
+    dt-spaced age grid.  Each form states its mass exactly (m * mean, or
+    the trapezoid over the nodes); InitialDataError for any other form,
+    refused nodes, a negative density or a mass other than min(x0, 1)."""
+    if isinstance(nu0, dict) and "invariant" in nu0:
+        q0 = float(nu0["invariant"])
+        mass = q0 * dist.mean
+    elif isinstance(nu0, dict) and "grid" in nu0:
+        x, p = _nodes("nu0", nu0["grid"], "p")
+        q0 = _density_on_grid(x, p, dist, dt)
+        mass = float(np.trapezoid(p, x))
     else:
-        raise ValueError(f"unrecognized nu0_density: {spec!r}")
+        raise InitialDataError("nu0", f"unrecognized form {nu0!r}")
     target = min(x0, 1.0)
     if abs(mass - target) > MASS_TOL:
         raise InitialDataError(
             "nu0", f"mass {mass:.6f} must equal min(x0, 1) = {target:.6f}")
+    return q0
 
 
 def _cumulative_arrivals(Ebar, grid):
@@ -214,30 +205,37 @@ class FluidPath:
         return out
 
 
-def solve_fluid(dist, init, T, dt):
+def solve_fluid(dist, T, dt, *, Ebar=1.0, x0=0.0, nu0=None):
     """March the fluid equations on uniform_grid(T, dt).
+
+    Ebar is the arrival input (a limit run's is its arrival's lambda_bar):
+    a number lam means Ebar(t) = lam t, any other rate spec (see as_rate)
+    is a rate, integrated on the solver grid.  x0 is the initial scaled
+    headcount, nonnegative.  nu0 is the initial age density, in a
+    config's form: {"invariant": m} for m * (1-G), {"grid": {"x": [...],
+    "p": [...]}} read by linear interpolation and 0 past the last node, or
+    None for the invariant profile of mass min(x0, 1) (the empty start at
+    x0 = 0).  It must integrate to min(x0, 1): the surplus (x0 - 1)^+
+    waits unaged.
 
     Per step: evaluate mass and hazard load from the transport kernels and
     solve the non-idling closure for the newest entry cell exactly, trying
     its above-capacity, empty and in-between pieces in that order (the
-    order stays right for an infinite headcount).  Raises ValueError for a
-    grid uniform_grid refuses, InitialDataError if the initial density
-    states a mass other than min(x0, 1), ValueError if B(0), its mass as
-    the solver sees it, misses that by more than MASS_TOL (a density start
+    order stays right for an infinite headcount).  Raises ValueError for
+    x0 < 0 or a grid uniform_grid refuses, InitialDataError (field nu0)
+    for a nu0 _initial_q0 refuses, ValueError if B(0), its mass as the
+    solver sees it, misses min(x0, 1) by more than MASS_TOL (a grid start
     the dt grid under-resolves) or if dt g(dt/2) / 2 >= 1 (dt too large
     for the density at 0), and ArithmeticError naming the first step
     whose headcount, entries, mass or hazard load is not finite.
     """
+    if x0 < 0:
+        raise ValueError("x0 must be nonnegative")
     grid = uniform_grid(T, dt)
     n = grid.size - 1
-    spec = init.nu0_density
-    if spec is None:
-        spec = {"invariant": min(init.x0, 1.0) / dist.mean}
-    _check_nu0_mass(spec, init.x0, dist)
-    if isinstance(spec, tuple):
-        q0 = _density_on_grid(*spec, dist, dt)
-    else:
-        q0 = float(spec["invariant"])
+    if nu0 is None:
+        nu0 = {"invariant": min(x0, 1.0) / dist.mean}
+    q0 = _initial_q0(nu0, x0, dist, dt)
 
     comb = np.arange(np.size(q0) + n) * dt
     sf_comb = np.asarray(dist.sf(comb))
@@ -254,12 +252,12 @@ def solve_fluid(dist, init, T, dt):
     # transported-initial terms for all t at once: mass and hazard load
     I1 = _transported(sf_comb, q0, dt, dist.mean)
     I2 = _transported(dist.grid_density(comb, dt), q0, dt, 1.0)
-    target0 = min(init.x0, 1.0)
+    target0 = min(x0, 1.0)
     if abs(I1[0] - target0) > MASS_TOL:
         raise ValueError(f"nu0 mass {I1[0]:.6f} must equal min(x0, 1) = {target0:.6f}")
 
     with np.errstate(over="ignore"):  # an overflow ends in a non-finite step
-        Ebar = _cumulative_arrivals(init.Ebar, grid)
+        Ebar = _cumulative_arrivals(Ebar, grid)
     B = np.empty(n + 1)
     H = np.empty(n + 1)
     X = np.empty(n + 1)
@@ -269,7 +267,7 @@ def solve_fluid(dist, init, T, dt):
 
     B[0] = I1[0]
     H[0] = I2[0]
-    X[0] = init.x0
+    X[0] = x0
     for i in range(1, n + 1):
         base_B = I1[i] + (float(sf_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
         base_H = I2[i] + (float(g_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
@@ -278,7 +276,7 @@ def solve_fluid(dist, init, T, dt):
         # first, < 0 in the second and in [0, 1] in the third
         D0 = Dc[i - 1] + dt * (H[i - 1] + base_H) / 2.0
         c = D0 - B[0] - K[i - 1]
-        Y = init.x0 + Ebar[i] - D0
+        Y = x0 + Ebar[i] - D0
         kap = max((1.0 + c) / (1.0 - a), 0.0)
         if not Y - a * kap > 1.0:
             kap = max(c / (1.0 - a), 0.0)
@@ -288,7 +286,7 @@ def solve_fluid(dist, init, T, dt):
         H[i] = base_H + g_half[0] * kap
         B[i] = base_B + sf_half[0] * kap
         Dc[i] = Dc[i - 1] + dt * (H[i - 1] + H[i]) / 2.0
-        X[i] = init.x0 + Ebar[i] - Dc[i]
+        X[i] = x0 + Ebar[i] - Dc[i]
         K[i] = K[i - 1] + kap
 
     finite = np.isfinite(X) & np.isfinite(K) & np.isfinite(B) & np.isfinite(H)

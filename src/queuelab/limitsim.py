@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .dists import ServiceDistribution, dead_mass_ratio, uniform_grid
-from .fluid import FluidInit, InitialDataError, fftconvolve, solve_fluid
+from .fluid import InitialDataError, _nodes, fftconvolve, solve_fluid
 
 __all__ = [
     "LimitGrid",
@@ -195,8 +195,10 @@ def conv_H(field, kernel):
 def s_op(nu0hat, dist, f, t_grid):
     """Transported initial perturbation S_t(f) = nu0hat(Phi_t f).
 
-    nu0hat: None; {"atoms": [(x, w), ...]};
-    {"density": (x_nodes, values)} integrated by trapezoid.
+    nu0hat: None; {"atoms": [[x, w], ...]} at ages x >= 0; {"density":
+    {"x": [...], "v": [...]}} integrated by trapezoid over its nodes,
+    which fluid._nodes reads.  Any other form, an atom at a negative age
+    or refused nodes raise InitialDataError naming nu0hat.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if nu0hat is None:
@@ -204,18 +206,20 @@ def s_op(nu0hat, dist, f, t_grid):
     if isinstance(nu0hat, dict) and "atoms" in nu0hat:
         out = np.zeros(t_grid.size)
         for x, w in nu0hat["atoms"]:
+            if x < 0:
+                raise InitialDataError("nu0hat", f"atom at negative age {x}")
             out += float(w) * np.asarray(f(x + t_grid)) * dist.survival_ratio(
                 np.full(t_grid.size, float(x)), t_grid)
         return out
     if isinstance(nu0hat, dict) and "density" in nu0hat:
-        xs, vals = (np.asarray(a, dtype=float) for a in nu0hat["density"])
+        xs, vals = _nodes("nu0hat", nu0hat["density"], "v")
         q = dead_mass_ratio(vals, np.asarray(dist.sf(xs)))
         out = np.empty(t_grid.size)
         for i, t in enumerate(t_grid):
             w = np.asarray(f(xs + t)) * np.asarray(dist.sf(xs + t)) * q
             out[i] = np.trapezoid(w, xs)
         return out
-    raise ValueError(f"unrecognized nu0hat spec: {nu0hat!r}")
+    raise InitialDataError("nu0hat", f"unrecognized form {nu0hat!r}")
 
 
 # vhat as a function of Xhat in each regime
@@ -364,8 +368,9 @@ def default_test_functions(dist):
 @dataclass(frozen=True)
 class LimitSpec:
     """One limit-sample experiment: model, grid, initial data, seed.  The
-    arrival's lambda_bar drives the fluid path from x0 and nu0 (FluidInit's
-    x0 and nu0_density), its centred fluctuation the diffusion from x0hat."""
+    arrival's lambda_bar drives the fluid path from x0 and nu0 (solve_fluid's
+    forms), its centred fluctuation the diffusion from x0hat and nu0hat
+    (s_op's forms)."""
 
     dist: ServiceDistribution
     arrival: object
@@ -426,8 +431,8 @@ class LimitPlan:
 
         dist, grid = spec.dist, spec.grid
         spec.arrival.checked_rate(grid.T)
-        init = FluidInit(Ebar=spec.arrival.lambda_bar, x0=spec.x0, nu0_density=spec.nu0)
-        fpath = solve_fluid(dist, init, grid.T, grid.dt)
+        fpath = solve_fluid(dist, grid.T, grid.dt, Ebar=spec.arrival.lambda_bar,
+                            x0=spec.x0, nu0=spec.nu0)
         clamp = _clamp(fpath.regime)  # before any table or kernel is built
         t_edges, x_edges, table = fluid_cell_intensity(fpath, grid)
         # Z(0) = S_0(1), so solve_cmse's check on it is decided here

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dists import (ArrivalSpec, check_finite, make_service_dist,
                     renewal_function, uniform_grid)
-from .fluid import FluidInit, solve_fluid
+from .fluid import solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, default_test_functions,
                        run_limit, sae_residual, sae_test_functions, simulate_hw)
 from .microsim import (InitialCondition, SimConfig, compensator,
@@ -153,6 +153,15 @@ def _at_least(cfg, key, n):
         raise OverrideError(f"{key}: needs at least {n} entries, got {cfg[key]!r}")
 
 
+def _counts(cfg, *keys):
+    """Each key's count, or each entry of its list of counts, must be at
+    least 1: a count of 0 leaves nothing to run, or nothing to average."""
+    for key in keys:
+        value = cfg[key]
+        if min(value if isinstance(value, list) else [value]) < 1:
+            raise OverrideError(f"{key}: counts must be at least 1, got {value!r}")
+
+
 def _like(key, value, default):
     """value read as default's type, else an OverrideError: a list for a
     list, an integral number (read as an int) for an int, a number for a
@@ -209,11 +218,12 @@ def verify_flln(config=None):
                 "T": 2.0, "grid_dt": 0.05, "fluid_dt": 1e-3,
                 "slope_band": [-0.7, -0.3], "seed": 101}, config)
     _at_least(cfg, "Ns", 2)  # a slope needs two points
+    _counts(cfg, "Ns", "seeds")
     grid = _grid(cfg["T"], cfg["grid_dt"], "T", "grid_dt")
     _grid(cfg["T"], cfg["fluid_dt"], "T", "fluid_dt")
     dist = make_service_dist(cfg["service"])
     lam = float(cfg["lambda_bar"])
-    fluid = solve_fluid(dist, FluidInit(Ebar=lam, x0=0.0), cfg["T"], cfg["fluid_dt"])
+    fluid = solve_fluid(dist, cfg["T"], cfg["fluid_dt"], Ebar=lam)
     xbar = np.interp(grid, fluid.grid, fluid.Xbar)
     arr = ArrivalSpec("renewal", lam)
     errs = []
@@ -259,9 +269,7 @@ def verify_fclt(config=None):
         if not 0 < t <= T:
             raise OverrideError(f"times: {t} lies outside (0, T] with T {T}")
         _grid(t, dt, "times", "euler_dt")
-    for key in ("des_reps", "euler_paths"):
-        if cfg[key] < 1:
-            raise OverrideError(f"{key}: must be at least 1, got {cfg[key]}")
+    _counts(cfg, "N", "des_reps", "euler_paths")
     N = int(cfg["N"])
     dist = make_service_dist("exponential")
     arr = ArrivalSpec("renewal", 1.0, beta=cfg["beta"], sigma2=1.0)
@@ -299,6 +307,7 @@ def verify_insensitivity(config=None):
                                          {"family": "lognormal", "sigma": 0.5}],
                 "rel_threshold": 0.10, "seed": 303}, config)
     _at_least(cfg, "services", 2)  # the ratio compares the first two
+    _counts(cfg, "N", "reps")
     N = int(cfg["N"])
     lam = float(cfg["lambda_bar"])
     arr = ArrivalSpec("renewal", lam)
@@ -343,6 +352,7 @@ def verify_moments(config=None):
                 "reps": 1200, "services": ["exponential",
                                            {"family": "gamma", "shape": 2.0}],
                 "lambda_bar": 1.0, "seed": 404}, config)
+    _counts(cfg, "N", "ks", "reps")
     steps = [_grid(T, 1e-3, "T_values", "renewal step").size - 1  # U(T) = U[step]
              for T in cfg["T_values"]]
     N = int(cfg["N"])
@@ -391,6 +401,7 @@ def verify_sae(config=None):
     cfg = _cfg({"dt_levels": [0.04, 0.02, 0.01], "seeds": 64, "T": 1.0,
                 "dx": 0.1, "ratio_band": [0.3, 0.7], "seed": 505}, config)
     _at_least(cfg, "dt_levels", 2)  # a halving ratio needs two levels
+    _counts(cfg, "seeds")
     for dtv in cfg["dt_levels"]:
         _grid(cfg["T"], dtv, "T", "dt_levels")
     dist = make_service_dist("exponential")
@@ -429,6 +440,7 @@ def verify_representation(config=None):
                 "service": "exponential", "lambda_bar": 1.0,
                 "ratio_band": [0.3, 0.7], "seed": 606}, config)
     _at_least(cfg, "dt_levels", 2)
+    _counts(cfg, "N", "reps")
     if not 0 <= cfg["shift"] < cfg["T"]:
         raise OverrideError(f"shift: {cfg['shift']} lies outside [0, T) with T {cfg['T']}")
     for dtv in cfg["dt_levels"]:  # the read-out and restart windows' steps

@@ -10,7 +10,7 @@ import numpy as np
 
 from queuelab import scalestats
 from queuelab.dists import ArrivalSpec, make_service_dist, renewal_function
-from queuelab.fluid import FluidInit, solve_fluid
+from queuelab.fluid import solve_fluid
 from queuelab.limitsim import solve_cmse
 from queuelab.microsim import (InitialCondition, SimConfig,
                                conservation_check, simulate)
@@ -150,10 +150,7 @@ def test_criterion_05_critical_invariant_profile_is_stationary():
     t0 = time.time()
     for spec in ["exponential", {"family": "lognormal", "sigma": 0.5}]:
         dist = make_service_dist(spec)
-        path = solve_fluid(dist,
-                           FluidInit(Ebar=1.0, x0=1.0,
-                                     nu0_density={"invariant": 1.0}),
-                           10.0, FLUID_DT)
+        path = solve_fluid(dist, 10.0, FLUID_DT, Ebar=1.0, x0=1.0, nu0={"invariant": 1.0})
         dev = float(np.max(np.abs(path.Xbar - 1.0)))
         assert path.regime == "critical"
         assert dev <= FLUID_DEV_BOUND, (

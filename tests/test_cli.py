@@ -4,6 +4,7 @@ Configs are tiny on purpose: every command here finishes in well under a
 second so the whole module stays interactive.
 """
 import json
+import math
 import pickle
 import subprocess
 import sys
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from queuelab import cli, microsim
+from queuelab import cli, microsim, scalestats
 from queuelab.cli import SchemaError, load_config, main, validate_config
 from queuelab.dists import ArrivalSpec, make_service_dist
-from queuelab.fluid import FluidInit, solve_fluid
+from queuelab.fluid import solve_fluid
 from queuelab.limitsim import LimitGrid, LimitPlan, LimitSpec, run_limit
 from queuelab.microsim import SimConfig, simulate
 
@@ -232,28 +233,31 @@ class TestSimRun:
 
 
 class TestFluidSolve:
+    # exp(-x) on [0, 8] by steps of 0.1: trapezoid mass 1 to 1e-3
+    GRID = {"grid": {"x": [i / 10 for i in range(81)],
+                     "p": [math.exp(-i / 10) for i in range(81)]}}
+
     def test_csv_matches_library_solution(self, tmp_path):
-        cfgp = write_cfg(tmp_path, {
-            "schema_version": 1, "kind": "fluid",
-            "model": {"service": "exponential", "Ebar": 1.0, "x0": 1.0,
-                      "nu0": {"invariant": 1.0}},
-            "numerics": {"T": 1.0, "dt": 1e-3}})
-        out = tmp_path / "f"
-        res = CliRunner().invoke(main, ["fluid", "solve", "--config", cfgp,
-                                        "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        header, cols = read_csv(out / "fluid.csv")
-        assert header == ["t", "Xbar", "Kbar", "mass", "hazard_load"]
-        ref = solve_fluid(make_service_dist("exponential"),
-                          FluidInit(Ebar=1.0, x0=1.0,
-                                    nu0_density={"invariant": 1.0}),
-                          1.0, 1e-3)
-        got = np.array([float(v) for v in cols["Xbar"]])
-        assert np.array_equal(got, ref.Xbar), (
-            "fluid CSV must reproduce the library solution exactly; repr "
-            "round-trips floats")
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["regime"] == "critical"
+        for nu0 in ({"invariant": 1.0}, self.GRID):
+            model = {"service": "exponential", "Ebar": 1.0, "x0": 1.0, "nu0": nu0}
+            cfgp = write_cfg(tmp_path, {"schema_version": 1, "kind": "fluid",
+                                        "model": model,
+                                        "numerics": {"T": 1.0, "dt": 1e-3}})
+            out = tmp_path / next(iter(nu0))
+            res = CliRunner().invoke(main, ["fluid", "solve", "--config", cfgp,
+                                            "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            header, cols = read_csv(out / "fluid.csv")
+            assert header == ["t", "Xbar", "Kbar", "mass", "hazard_load"]
+            # the library takes the config's own nu0 dict
+            ref = solve_fluid(make_service_dist("exponential"), 1.0, 1e-3,
+                              Ebar=1.0, x0=1.0, nu0=model["nu0"])
+            got = np.array([float(v) for v in cols["Xbar"]])
+            assert np.array_equal(got, ref.Xbar), (
+                "fluid CSV must reproduce the library solution exactly; repr "
+                "round-trips floats")
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["regime"] == "critical"
 
 
 class TestLimitRun:
@@ -357,9 +361,8 @@ class TestReplicateContext:
                          arrival=ArrivalSpec("renewal", 1.0, beta=0.5),
                          grid=LimitGrid(T=0.3, dt=0.01, dx=0.1),
                          nu0={"invariant": 1.0}, seed=4)
-        init = FluidInit(Ebar=spec.arrival.lambda_bar, x0=spec.x0,
-                         nu0_density=spec.nu0)  # the plan's fluid path
-        fl = solve_fluid(spec.dist, init, spec.grid.T, spec.grid.dt)
+        fl = solve_fluid(spec.dist, spec.grid.T, spec.grid.dt,  # the plan's fluid path
+                         Ebar=spec.arrival.lambda_bar, x0=spec.x0, nu0=spec.nu0)
         plan = LimitPlan.for_spec(spec)  # carries the spec to the workers
         fl2, plan2 = pickle.loads(pickle.dumps((fl, plan)))
         for name in ("grid", "Xbar", "Kbar", "Bbar", "Hbar", "q0", "sf_comb"):
@@ -483,6 +486,35 @@ class TestVerifyCommand:
         ("flln", {"Ns": [100]}, "Ns"),
     ], ids=["fclt-time-past-T", "moments-no-T", "flln-one-N"])
     def test_nothing_to_check_exit_two(self, tmp_path, battery, overrides, key):
+        cfgp = write_cfg(tmp_path, {**self.QUICK,
+                                    "model": {"overrides": overrides}})
+        out = tmp_path / "v"
+        res = CliRunner().invoke(main, ["verify", battery, "--config", cfgp,
+                                        "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: model.overrides: {key}: " in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
+    @pytest.mark.parametrize("battery, overrides, key", [
+        ("flln", {"Ns": [0, 100]}, "Ns"),
+        ("flln", {"seeds": 0}, "seeds"),
+        ("fclt", {"N": 0}, "N"),
+        ("insensitivity", {"reps": 0}, "reps"),
+        ("moments", {"reps": 0}, "reps"),
+        ("moments", {"ks": [0, 1]}, "ks"),
+        ("sae", {"seeds": 0}, "seeds"),
+        ("representation", {"N": 0}, "N"),
+        ("representation", {"reps": -1}, "reps"),
+    ], ids=["flln-N-zero", "flln-no-seeds", "fclt-N-zero",
+            "insensitivity-no-reps", "moments-no-reps", "moments-k-zero",
+            "sae-no-seeds", "representation-N-zero", "representation-negative-reps"])
+    def test_count_below_one_exit_two(self, tmp_path, monkeypatch, battery,
+                                      overrides, key):
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path ran")
+
+        for name in ("simulate", "simulate_hw", "run_limit", "ProcessPoolExecutor"):
+            monkeypatch.setattr(scalestats, name, no_path)
         cfgp = write_cfg(tmp_path, {**self.QUICK,
                                     "model": {"overrides": overrides}})
         out = tmp_path / "v"
@@ -784,6 +816,22 @@ class TestExitCodes:
          "model.arrival.lambda_bar.pwlin.v.1"),
         ("verify", "model.overrides", {"T": float("-inf")},
          "model.overrides.T"),
+        # node lists: one value per x, x strictly increasing from 0 or
+        # above, and no negative density or atom age; each grid states
+        # mass 1 = min(x0, 1) and each nu0hat mass 0, the clamp of x0hat 0
+        ("fluid", "model", {"service": "exponential", "x0": 1.0, "nu0": {
+            "grid": {"x": [0.0, 1.0], "p": [-1.0, 3.0]}}}, "model.nu0"),
+        ("fluid", "model", {"service": "exponential", "x0": 1.0, "nu0": {
+            "grid": {"x": [0.0, 1.0, 2.0], "p": [1.0, 0.0]}}}, "model.nu0"),
+        ("fluid", "model", {"service": "exponential", "x0": 1.0, "nu0": {
+            "grid": {"x": [0.0, 2.0, 1.0], "p": [1.0, 0.0, 0.0]}}}, "model.nu0"),
+        ("fluid", "model", {"service": "exponential", "x0": 1.0, "nu0": {
+            "grid": {"x": [-1.0, 0.0, 1.0], "p": [0.0, 1.0, 0.0]}}}, "model.nu0"),
+        ("limit", "model.nu0hat", {"density": {"x": [0.0, 1.0, 2.0],
+                                               "v": [0.0, 0.0]}}, "model.nu0hat"),
+        ("limit", "model.nu0hat", {"density": {"x": [0.0, 2.0, 1.0],
+                                               "v": [0.0, 0.0, 0.0]}}, "model.nu0hat"),
+        ("limit", "model.nu0hat", {"atoms": [[-0.5, 0.0]]}, "model.nu0hat"),
     ], ids=["renewal-dict-rate", "renewal-list-beta", "renewal-string-rate",
             "pwlin-without-v", "inhom-sigma2", "ages-string",
             "initial-residual-sampling", "ages-without-x0", "ages-over-x0",
@@ -796,7 +844,9 @@ class TestExitCodes:
             "dists-T-not-whole-steps", "limit-T-not-whole-steps",
             "inf-fluid-T", "nan-fluid-dt", "inf-fluid-x0", "nan-limit-x0hat",
             "inf-limit-x-max", "inf-renewal-rate", "inf-pwlin-value",
-            "inf-verify-override"])
+            "inf-verify-override", "nu0-negative-p", "nu0-p-short",
+            "nu0-x-unsorted", "nu0-x-negative", "nu0hat-v-short",
+            "nu0hat-x-unsorted", "nu0hat-negative-atom"])
     def test_bad_shape_exit_two(self, tmp_path, kind, where, value, field):
         # every config shape the builders take, and every agreement between
         # initial data the run needs, is checked before anything runs;

@@ -15,7 +15,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 from queuelab.dists import ArrivalSpec, make_service_dist, renewal_function
-from queuelab.fluid import FluidInit, solve_fluid
+from queuelab.fluid import InitialDataError, solve_fluid
 from queuelab import limitsim as L
 
 # machine-level identities: per-step closures are exact in float arithmetic
@@ -37,7 +37,7 @@ NEXPD = lambda x: -np.exp(-np.asarray(x, dtype=float))
 
 
 def stationary_init():
-    return FluidInit(Ebar=1.0, x0=1.0, nu0_density={"invariant": 1.0})
+    return dict(Ebar=1.0, x0=1.0, nu0={"invariant": 1.0})
 
 
 def poisson_arr(lam=1.0, beta=0.0):
@@ -123,7 +123,7 @@ class TestGridAndIntensity:
         # on the stationary profile the departure intensity is 1 per unit
         # time, so the cells must sum to T up to midpoint + tail error
         grid = L.LimitGrid(T=1.0, dt=0.025, dx=0.25)
-        fl = solve_fluid(EXP, stationary_init(), grid.T, grid.dt)
+        fl = solve_fluid(EXP, grid.T, grid.dt, **stationary_init())
         _, _, inten = L.fluid_cell_intensity(fl, grid)
         total = float(inten.sum())
         assert abs(total - grid.T) < 0.01, (
@@ -132,7 +132,7 @@ class TestGridAndIntensity:
 
     def test_short_fluid_path_rejected(self):
         grid = L.LimitGrid(T=2.0, dt=0.025, dx=0.25)
-        fl = solve_fluid(EXP, stationary_init(), 1.0, grid.dt)
+        fl = solve_fluid(EXP, 1.0, grid.dt, **stationary_init())
         with pytest.raises(ValueError, match="horizon"):
             L.fluid_cell_intensity(fl, grid)
 
@@ -316,7 +316,7 @@ class TestConvHBatched:
         # time; the (nt, nx) meshgrid evaluation gives the same table
         dist, plan = self.LAWS[law], self.plan(law)
         grid = plan.spec.grid
-        fl = solve_fluid(dist, stationary_init(), grid.T, grid.dt)
+        fl = solve_fluid(dist, grid.T, grid.dt, **stationary_init())
         tm = (plan.t_edges[:-1] + plan.t_edges[1:]) / 2.0
         xm = (plan.x_edges[:-1] + plan.x_edges[1:]) / 2.0
         Xm, Sm = np.meshgrid(xm, tm, indexing="xy")
@@ -588,7 +588,7 @@ class TestGammaMapAndReadout:
         atom = L.s_op({"atoms": [(0.5, 0.3)]}, EXP, EXPD, tg)
         xs = np.linspace(0.45, 0.55, 401)
         dens = 0.3 * np.exp(-0.5 * (xs - 0.5) ** 2 / 0.01 ** 2) / (0.01 * np.sqrt(2 * np.pi))
-        smeared = L.s_op({"density": (xs, dens)}, EXP, EXPD, tg)
+        smeared = L.s_op({"density": {"x": xs, "v": dens}}, EXP, EXPD, tg)
         assert float(np.max(np.abs(atom - smeared))) < 1e-3
 
     def test_nu0_value_forms(self):
@@ -597,7 +597,23 @@ class TestGammaMapAndReadout:
         assert nu0(None) == 0.0
         assert abs(nu0({"atoms": [(0.5, 0.3), (1.0, -0.1)]}) - 0.2) < 1e-14
         xs = np.linspace(0.0, 2.0, 2001)
-        assert abs(nu0({"density": (xs, np.ones_like(xs))}) - 2.0) < 1e-9
+        assert abs(nu0({"density": {"x": xs, "v": np.ones_like(xs)}}) - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("nu0hat, message", [
+        ({"atoms": [(0.5, 0.3), (-0.5, 0.1)]}, "atom at negative age -0.5"),
+        ({"density": {"x": [0.0, 1.0, 2.0], "v": [0.1, 0.1]}},
+         "2 v values for 3 x nodes"),
+        ({"density": {"x": [0.0, 2.0, 1.0], "v": [0.1, 0.1, 0.1]}},
+         "x must increase strictly"),
+        ({"density": {"x": [-1.0, 0.0], "v": [0.1, 0.1]}}, "from 0 or above"),
+        ({"density": ([0.0, 1.0], [0.1, 0.1])}, "nodes must be an object"),
+        ({"mass": 0.2}, "unrecognized form"),
+    ], ids=["negative-atom", "v-short", "x-unsorted", "x-negative",
+            "density-pair", "unknown-form"])
+    def test_bad_nu0hat_rejected_naming_it(self, nu0hat, message):
+        with pytest.raises(InitialDataError, match=message) as err:
+            L.s_op(nu0hat, EXP, ONE, [0.0, 0.5])
+        assert err.value.field == "nu0hat"
 
 
 class TestRunInvariants:
@@ -651,8 +667,7 @@ class TestRunInvariants:
         # overload that drains through the boundary: mixed, not solvable,
         # so the plan refuses it before it builds any table or kernel
         grid = L.LimitGrid(T=4.0, dt=0.01, dx=0.1)
-        init = FluidInit(Ebar=0.7, x0=1.5, nu0_density={"invariant": 1.0})
-        fl = solve_fluid(EXP, init, grid.T, grid.dt)
+        fl = solve_fluid(EXP, grid.T, grid.dt, Ebar=0.7, x0=1.5, nu0={"invariant": 1.0})
         assert fl.regime == "mixed"
 
         def no_tables(*args):
