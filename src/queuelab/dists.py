@@ -864,7 +864,9 @@ class ArrivalSpec:
     lambda_bar/sigma2); sigma2 = lambda_bar recovers the Poisson stream;
     lambda_bar, beta and sigma2 are numbers, kept as floats.  kind
     "inhom_poisson": sampled by thinning; lambda_bar and beta may be
-    numbers or rate specs understood by as_rate.
+    numbers or rate specs understood by as_rate, and sigma2 is refused (the
+    diffusion coefficient is sqrt(lambda_bar)).  A non-finite number in any
+    field is a ValueError naming it; a callable rate is checked where sampled.
     """
 
     kind: str
@@ -875,6 +877,8 @@ class ArrivalSpec:
     def __post_init__(self):
         if self.kind not in ("renewal", "inhom_poisson"):
             raise ValueError(f"unknown arrival kind: {self.kind!r}")
+        if self.kind == "inhom_poisson" and self.sigma2 is not None:
+            raise ValueError("sigma2: inhom_poisson arrivals take none")
         if self.kind == "renewal":
             lb = float(self.lambda_bar)
             s2 = lb if self.sigma2 is None else float(self.sigma2)
@@ -883,6 +887,10 @@ class ArrivalSpec:
             for name, value in (("lambda_bar", lb), ("beta", float(self.beta)),
                                 ("sigma2", s2)):
                 object.__setattr__(self, name, value)
+        try:  # every number in a field and its rate spec; callables are sampled
+            check_finite(vars(self), "")
+        except ValueError as e:
+            raise ValueError(f"{e}, so the arrival rate is not admissible") from None
 
     def rate_fn(self, N):
         """t -> lambda^(N)(t)."""

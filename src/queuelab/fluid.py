@@ -222,14 +222,14 @@ def solve_fluid(dist, T, dt, *, Ebar=1.0, x0=0.0, nu0=None):
     solve the non-idling closure for the newest entry cell exactly, trying
     its above-capacity, empty and in-between pieces in that order (the
     order stays right for an infinite headcount).  Raises ValueError for
-    x0 < 0 or a grid uniform_grid refuses, InitialDataError (field nu0)
+    x0 < 0 or NaN or a grid uniform_grid refuses, InitialDataError (field nu0)
     for a nu0 _initial_q0 refuses, ValueError if B(0), its mass as the
     solver sees it, misses min(x0, 1) by more than MASS_TOL (a grid start
     the dt grid under-resolves) or if dt g(dt/2) / 2 >= 1 (dt too large
     for the density at 0), and ArithmeticError naming the first step
     whose headcount, entries, mass or hazard load is not finite.
     """
-    if x0 < 0:
+    if not x0 >= 0:
         raise ValueError("x0 must be nonnegative")
     grid = uniform_grid(T, dt)
     n = grid.size - 1

@@ -426,10 +426,13 @@ class LimitPlan:
     @classmethod
     def for_spec(cls, spec):
         """The plan for every path of spec's run; its arrival's lambda_bar,
-        which drives the fluid path, must pass ArrivalSpec.checked_rate."""
+        which drives the fluid path, must pass ArrivalSpec.checked_rate, and
+        a non-finite x0hat is an InitialDataError before the fluid solve."""
         from scipy.fft import next_fast_len
 
         dist, grid = spec.dist, spec.grid
+        if not math.isfinite(spec.x0hat):
+            raise InitialDataError("x0hat", f"must be finite, got {spec.x0hat}")
         spec.arrival.checked_rate(grid.T)
         fpath = solve_fluid(dist, grid.T, grid.dt, Ebar=spec.arrival.lambda_bar,
                             x0=spec.x0, nu0=spec.nu0)

@@ -623,6 +623,27 @@ class TestArrivals:
         with pytest.raises(ValueError, match="need finite"):
             ArrivalSpec(kind="renewal", **{key: value})
 
+    @pytest.mark.parametrize("kw, field", [
+        (dict(kind="renewal", beta=math.nan), "beta"),
+        (dict(kind="inhom_poisson", beta=-math.inf), "beta"),
+        (dict(kind="inhom_poisson", lambda_bar=math.nan), "lambda_bar"),
+        (dict(kind="inhom_poisson", lambda_bar={"affine": [1.0, math.nan]}),
+         r"lambda_bar\.affine\.1"),
+        (dict(kind="inhom_poisson", lambda_bar={"pwlin": {"t": [0.0, 1.0],
+                                                         "v": [1.0, math.inf]}}),
+         r"lambda_bar\.pwlin\.v\.1"),
+    ], ids=["renewal-beta", "inhom-beta", "inhom-lambda-bar", "affine", "pwlin"])
+    def test_non_finite_number_refused_naming_it(self, kw, field):
+        # checked_rate(T) of the fluid limit reads lambda_bar alone, so a
+        # NaN beta reached a limit run and gave a NaN Xhat from step 1
+        with pytest.raises(ValueError, match=f"^{field}: must be a finite number"):
+            ArrivalSpec(**kw)
+
+    def test_inhom_poisson_refuses_sigma2(self):
+        # its diffusion coefficient is sqrt(lambda_bar); a sigma2 was dropped
+        with pytest.raises(ValueError, match="^sigma2: inhom_poisson arrivals take none"):
+            ArrivalSpec(kind="inhom_poisson", lambda_bar=1.0, sigma2=5.0)
+
     def test_renewal_numbers_kept_as_floats(self):
         arr = ArrivalSpec(kind="renewal", lambda_bar=np.int64(2), beta=1, sigma2=np.float32(0.5))
         assert [type(v) for v in (arr.lambda_bar, arr.beta, arr.sigma2)] == [float] * 3

@@ -2,6 +2,7 @@
 regime labels, age read-out consistency."""
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -248,6 +249,12 @@ class TestValidation:
             solve_fluid(EXP, T=1.0, dt=-0.1)
         with pytest.raises(ValueError, match="x0 must be nonnegative"):
             solve_fluid(EXP, T=1.0, dt=0.1, x0=-0.5)
+
+    def test_nan_x0_rejected_naming_it(self):
+        # a NaN x0 failed no comparison and stopped at step 0 as an
+        # ArithmeticError
+        with pytest.raises(ValueError, match="x0 must be nonnegative"):
+            solve_fluid(EXP, T=1.0, dt=0.1, x0=math.nan)
 
     @pytest.mark.parametrize("grid, message", [
         ({"x": [0.0, 1.0], "p": [-1.0, 3.0]}, "nonnegative"),

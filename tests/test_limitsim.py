@@ -8,6 +8,7 @@ Ensemble tolerances are sized from the chi-square spread of a variance
 estimate, rel SE = sqrt(2/n), at 3-4 standard errors.
 """
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -393,6 +394,15 @@ class TestLimitPlan:
             b = L.run_limit(L.LimitPlan.for_spec(spec), r)
             assert np.array_equal(a.Xhat, b.Xhat)
             assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
+
+    @pytest.mark.parametrize("x0hat", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0hat_refused(self, monkeypatch, x0hat):
+        # NaN passes the Z(0) comparison and inf clamps to 0, so without
+        # this refusal a run returned a non-finite Xhat
+        monkeypatch.setattr(L, "solve_fluid", lambda *a, **k: pytest.fail("fluid solved"))
+        with pytest.raises(InitialDataError, match="^x0hat: must be finite") as err:
+            L.LimitPlan.for_spec(critical_spec(x0hat=x0hat))
+        assert err.value.field == "x0hat"
 
     def test_noise_off_run_exact_zeros(self):
         run = critical_run(seed=0, dist=LOGN, noise_off=True)

@@ -52,10 +52,11 @@ def test_traced_law_kernels_exist(tracer):
     assert all(callable(getattr(law, k, None)) for k in tracer.LAW_KERNELS)
 
 
-def _scipy_after(code):
-    """The scipy modules loaded after running code in a fresh interpreter."""
-    code += ("\nimport sys; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+def _loaded_after(code, *packages):
+    """The modules of the given top-level packages loaded after running
+    code in a fresh interpreter, sorted."""
+    code += (f"\nimport sys; print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {packages!r}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     res = subprocess.run([sys.executable, "-c", code], env=env,
@@ -67,7 +68,15 @@ def _scipy_after(code):
 def test_cli_import_loads_no_scipy():
     # queuelab.cli imports every layer; scipy.special and scipy.fft are
     # imported where a law or a transform calls them, so none loads here
-    loaded = _scipy_after("import queuelab.cli")
+    loaded = _loaded_after("import queuelab.cli", "scipy")
+    assert loaded == "[]", f"import queuelab.cli loaded {loaded}"
+
+
+def test_cli_import_loads_no_jsonschema():
+    # cli checks configs with its own walk of the schema keywords it uses;
+    # jsonschema and what it pulls in are test-only
+    loaded = _loaded_after("import queuelab.cli", "jsonschema", "referencing",
+                           "jsonschema_specifications", "rpds", "attrs", "attr")
     assert loaded == "[]", f"import queuelab.cli loaded {loaded}"
 
 
@@ -75,13 +84,13 @@ def test_exponential_fclt_round_loads_no_scipy():
     # the exponential law and the fclt battery call no special function
     # and no FFT, so building the law and running a whole round import no
     # scipy
-    loaded = _scipy_after(
+    loaded = _loaded_after(
         "from queuelab.dists import make_service_dist\n"
         "from queuelab.scalestats import verify_fclt\n"
         "law = make_service_dist('exponential')\n"
         "law.sf(1.0), law.hazard(1.0), law.density(1.0)\n"
         "verify_fclt({'N': 50, 'T': 1.0, 'times': [0.5, 1.0],"
-        " 'des_reps': 4, 'euler_paths': 200, 'euler_dt': 0.01})")
+        " 'des_reps': 4, 'euler_paths': 200, 'euler_dt': 0.01})", "scipy")
     assert loaded == "[]", f"an exponential fclt round loaded {loaded}"
 
 
