@@ -5,11 +5,12 @@ Subcommands map one-to-one onto the library layers: `dists check`,
 config of its own kind only.  Every run reads one JSON config.  Its header
 (schema_version, kind) is checked first, then the whole config in one pass
 against the kind's closed schema in SCHEMAS, which takes only the model,
-numerics and run keys that kind reads.  cli checks the few JSON Schema
-keywords they use itself (_errors), keyword by keyword in schema order; a
+numerics and run keys that kind reads.  dists._first_error checks the
+few JSON Schema keywords they use, keyword by keyword in schema order; a
 stable sort by field path picks the first error, and only then is an
 unknown key named.  Flags (--seed, --seeds, --paths, --jobs, --noise-off)
-are run-block overrides and pass the same schema.
+are run-block overrides and pass the same schema, and scalestats checks
+verify overrides by the same walk.
 Service specs, verify overrides, grids that dists.uniform_grid refuses
 and inconsistent initial data are refused as the run builds them, before
 anything is written.  A config error exits 2 naming the offending field
@@ -28,7 +29,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,9 +40,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .dists import (ArrivalSpec, ServiceSpecError, as_rate, check_finite,
-                    holder_check, make_service_dist, renewal_function,
-                    uniform_grid)
+from .dists import (ArrivalSpec, ServiceSpecError, _first_error, as_rate,
+                    check_finite, holder_check, make_service_dist,
+                    renewal_function, uniform_grid)
 from .fluid import InitialDataError, solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, rep_hatx_residual,
                        run_limit, smg_bookkeeping_residual)
@@ -196,75 +196,6 @@ def _refused(field, errors, build, *args, **kwargs):
         return build(*args, **kwargs)
     except errors as e:
         raise SchemaError(f"{field}{e}") from None
-
-
-# the Draft 2020-12 keywords _errors reads (`then` through `if`); an
-# additionalProperties is false, a const or enum value a scalar, compared
-# JSON's way as a (bool?, value) pair: True is not 1, 1.0 is 1
-_KEYWORDS = {"type", "const", "enum", "minimum", "exclusiveMinimum", "minItems",
-             "maxItems", "items", "required", "properties",
-             "additionalProperties", "anyOf", "allOf", "if", "then"}
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-          "null": type(None), "number": numbers.Number, "integer": numbers.Number}
-
-
-def _is(kind, v):
-    """JSON Schema's type test: a bool is no number, 3.0 is an integer."""
-    if not isinstance(v, _TYPES[kind]) or isinstance(v, bool) and kind != "boolean":
-        return False
-    return kind != "integer" or isinstance(v, int) or isinstance(v, float) and v.is_integer()
-
-
-def _errors(schema, v, at=()):
-    """(path, unknown keys, message) of each error of v at path `at`, in
-    keyword order; a keyword outside _KEYWORDS raises ValueError."""
-    # a keyword that does not apply to v's type is skipped
-    obj, arr, num = isinstance(v, dict), isinstance(v, list), _is("number", v)
-    for key, arg in schema.items():
-        if key not in _KEYWORDS or key == "additionalProperties" and arg is not False:
-            raise ValueError(f"unsupported schema keyword {key}: {arg!r}")
-        if key == "type" and not _is(arg, v):
-            yield at, (), f"{v!r} is not of type {arg!r}"
-        elif key == "const" and (type(v) is bool, v) != (type(arg) is bool, arg):
-            yield at, (), f"{arg!r} was expected"
-        elif key == "enum" and (type(v) is bool, v) not in [(type(e) is bool, e) for e in arg]:
-            yield at, (), f"{v!r} is not one of {arg!r}"
-        elif key == "minimum" and num and v < arg:
-            yield at, (), f"{v!r} is less than the minimum of {arg!r}"
-        elif key == "exclusiveMinimum" and num and v <= arg:
-            yield at, (), f"{v!r} is less than or equal to the minimum of {arg!r}"
-        elif key == "minItems" and arr and len(v) < arg:
-            yield at, (), f"{v!r} " + ("should be non-empty" if arg == 1 else "is too short")
-        elif key == "maxItems" and arr and len(v) > arg:
-            yield at, (), f"{v!r} " + ("is expected to be empty" if arg == 0 else "is too long")
-        elif key == "items" and arr:
-            for i, item in enumerate(v):
-                yield from _errors(arg, item, (*at, i))
-        elif key == "required" and obj:
-            yield from ((at, (), f"{k!r} is a required property") for k in arg if k not in v)
-        elif key == "properties" and obj:
-            for k in [k for k in arg if k in v]:
-                yield from _errors(arg[k], v[k], (*at, k))
-        elif key == "additionalProperties" and obj and (
-                extra := sorted(v.keys() - schema.get("properties", {}), key=str)):
-            yield at, extra, "Additional properties are not allowed (%s %s unexpected)" % (
-                ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
-        elif key == "anyOf" and all(any(_errors(sub, v, at)) for sub in arg):
-            yield at, (), f"{v!r} is not valid under any of the given schemas"
-        elif key == "allOf":
-            for sub in arg:
-                yield from _errors(sub, v, at)
-        elif key == "if" and not any(_errors(arg, v, at)):
-            yield from _errors(schema.get("then", {}), v, at)
-
-
-def _first_error(schema, doc):
-    """The message of the error first in a stable sort by field path, its
-    smallest unknown key named after the sort, or None."""
-    first = min(_errors(schema, doc), key=lambda e: e[0], default=None)
-    if first is not None:
-        path, extra, message = first
-        return (".".join([*map(str, path), *extra[:1]]) or "(root)") + ": " + message
 
 
 def validate_config(data):

@@ -21,6 +21,8 @@ its cdf, so importing this module loads no scipy at all.
 This module is the one kernel layer for service laws.  Each decision the
 other layers need about a law is made here and nowhere else:
 
+    _first_error(s, v)     v's first error against schema s, in the JSON
+                           Schema subset of every config and override
     check_finite(v, name)  every number a caller gives must be finite
     uniform_grid(T, dt)    every time and age grid {0, dt, ..., T}: 0 < dt
                            <= T, T a whole number of steps to GRID_RTOL
@@ -49,6 +51,7 @@ tail.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -77,15 +80,16 @@ GRID_RTOL = 1e-9  # how far T may sit from a whole number of steps, relative
 
 
 def check_finite(value, name):
-    """A ValueError naming the first non-finite float in value, a number
-    or nested dicts and lists of them: name, then each key or index on the
-    way to it, joined by dots."""
+    """A ValueError naming the first non-finite real number in value, a
+    number (numpy scalars too) or nested dicts and lists of them: name,
+    then each key or index on the way to it, joined by dots."""
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):
         items = enumerate(value)
     else:
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral) \
+                and not math.isfinite(value):
             raise ValueError(f"{name}: must be a finite number, got {value}")
         return
     for key, item in items:
@@ -106,6 +110,75 @@ def uniform_grid(T, dt, T_name="T", dt_name="dt"):
         raise ValueError(f"{T_name}: {T} is not a whole number of steps "
                          f"{dt_name} = {dt}")
     return np.arange(n + 1) * dt
+
+
+# the Draft 2020-12 keywords _errors reads (`then` through `if`); an
+# additionalProperties is false, a const or enum value a scalar, compared
+# JSON's way as a (bool?, value) pair: True is not 1, 1.0 is 1
+_KEYWORDS = {"type", "const", "enum", "minimum", "exclusiveMinimum", "minItems",
+             "maxItems", "items", "required", "properties",
+             "additionalProperties", "anyOf", "allOf", "if", "then"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": numbers.Number, "integer": numbers.Number}
+
+
+def _is(kind, v):
+    """JSON Schema's type test: a bool is no number, 3.0 is an integer."""
+    if not isinstance(v, _TYPES[kind]) or isinstance(v, bool) and kind != "boolean":
+        return False
+    return kind != "integer" or isinstance(v, int) or isinstance(v, float) and v.is_integer()
+
+
+def _errors(schema, v, at=()):
+    """(path, unknown keys, message) of each error of v at path `at`, in
+    keyword order; a keyword outside _KEYWORDS raises ValueError."""
+    # a keyword that does not apply to v's type is skipped
+    obj, arr, num = isinstance(v, dict), isinstance(v, list), _is("number", v)
+    for key, arg in schema.items():
+        if key not in _KEYWORDS or key == "additionalProperties" and arg is not False:
+            raise ValueError(f"unsupported schema keyword {key}: {arg!r}")
+        if key == "type" and not _is(arg, v):
+            yield at, (), f"{v!r} is not of type {arg!r}"
+        elif key == "const" and (type(v) is bool, v) != (type(arg) is bool, arg):
+            yield at, (), f"{arg!r} was expected"
+        elif key == "enum" and (type(v) is bool, v) not in [(type(e) is bool, e) for e in arg]:
+            yield at, (), f"{v!r} is not one of {arg!r}"
+        elif key == "minimum" and num and v < arg:
+            yield at, (), f"{v!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and num and v <= arg:
+            yield at, (), f"{v!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "minItems" and arr and len(v) < arg:
+            yield at, (), f"{v!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif key == "maxItems" and arr and len(v) > arg:
+            yield at, (), f"{v!r} " + ("is expected to be empty" if arg == 0 else "is too long")
+        elif key == "items" and arr:
+            for i, item in enumerate(v):
+                yield from _errors(arg, item, (*at, i))
+        elif key == "required" and obj:
+            yield from ((at, (), f"{k!r} is a required property") for k in arg if k not in v)
+        elif key == "properties" and obj:
+            for k in [k for k in arg if k in v]:
+                yield from _errors(arg[k], v[k], (*at, k))
+        elif key == "additionalProperties" and obj and (
+                extra := sorted(v.keys() - schema.get("properties", {}), key=str)):
+            yield at, extra, "Additional properties are not allowed (%s %s unexpected)" % (
+                ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
+        elif key == "anyOf" and all(any(_errors(sub, v, at)) for sub in arg):
+            yield at, (), f"{v!r} is not valid under any of the given schemas"
+        elif key == "allOf":
+            for sub in arg:
+                yield from _errors(sub, v, at)
+        elif key == "if" and not any(_errors(arg, v, at)):
+            yield from _errors(schema.get("then", {}), v, at)
+
+
+def _first_error(schema, doc):
+    """The message of the error first in a stable sort by field path, its
+    smallest unknown key named after the sort, or None."""
+    first = min(_errors(schema, doc), key=lambda e: e[0], default=None)
+    if first is not None:
+        path, extra, message = first
+        return (".".join([*map(str, path), *extra[:1]]) or "(root)") + ": " + message
 
 
 def dead_mass_ratio(num, den):
@@ -826,14 +899,15 @@ def psi_op(dist, f, t):
 def as_rate(spec):
     """Turn a config rate spec into a callable of t.
 
-    Accepted forms: a number, a callable, {"const": c},
+    Accepted forms: a real number (numpy scalars too, never a bool), a
+    callable, {"const": c},
     {"affine": [a, b]} meaning a + b t, or
     {"pwlin": {"t": [...], "v": [...]}} (linear interpolation, clamped;
     t strictly increasing, one v per t, else ValueError).
     """
     if callable(spec):
         return spec
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, numbers.Real) and not isinstance(spec, bool):
         c = float(spec)
         return lambda t: np.full_like(np.asarray(t, dtype=float), c, dtype=float)
     if isinstance(spec, dict):
@@ -934,17 +1008,15 @@ class ArrivalSpec:
         """Arrival times in (0, T], in order, at the rate checked_rate(T, N)."""
         rate, bound = self.checked_rate(T, N)
         if self.kind == "renewal":
-            # a cumsum over [t, *gaps] adds the gaps one at a time, the same
-            # rounding as t += dt; the stream ends at the first time past T
+            # numpy's gamma at shape 1 is its exponential draw (the Poisson
+            # stream); a cumsum over [t, *gaps] adds the gaps one at a time,
+            # as t += dt would, and the stream ends at the first time past T
             shape = self.lambda_bar / self.sigma2
             scale = self.sigma2 / (self.lambda_bar * bound)
-            if abs(shape - 1.0) < 1e-12:
-                draw = lambda: rng.exponential(scale, size=256)
-            else:
-                draw = lambda: rng.gamma(shape, scale, size=256)
             t, blocks = 0.0, []
             while True:
-                times = np.cumsum(np.concatenate([[t], draw()]))[1:]
+                gaps = rng.gamma(shape, scale, size=256)
+                times = np.cumsum(np.concatenate([[t], gaps]))[1:]
                 cut = int(np.searchsorted(times, T, side="right"))
                 blocks.append(times[:cut])
                 if cut < times.size:

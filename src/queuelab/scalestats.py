@@ -4,7 +4,8 @@ The verification functions each compare simulated ensembles against a
 limit-theorem prediction and return TestReport rows: a named statistic,
 its value, the threshold it was held to, and whether it passed.  Their
 default configurations are the full-strength parameter sets; unit tests
-pass scaled-down overrides.
+pass scaled-down overrides, which _cfg checks by dists' config walk
+against a closed schema made from the defaults and each battery's bounds.
 
 Scaling conventions: the fluid scale divides counters by N, the
 diffusion scale is sqrt(N) (X/N - xbar) for a constant fluid level xbar,
@@ -19,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dists import (ArrivalSpec, check_finite, make_service_dist,
-                    renewal_function, uniform_grid)
+from .dists import (ArrivalSpec, _first_error, check_finite,
+                    make_service_dist, renewal_function, uniform_grid)
 from .fluid import solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, default_test_functions,
                        run_limit, sae_residual, sae_test_functions, simulate_hw)
@@ -143,60 +144,54 @@ def moment_bound_check(samples, k, bound, name=None):
 
 
 class OverrideError(ValueError):
-    """A battery override names a key the battery does not take, or gives a
-    value of another type than its default, that leaves the battery nothing
-    to check or that is off its grid; the message names the key."""
+    """A battery override refused by its schema or check_finite (_cfg), the
+    grid rule or a range check; the message names the key."""
 
 
-def _at_least(cfg, key, n):
-    if len(cfg[key]) < n:
-        raise OverrideError(f"{key}: needs at least {n} entries, got {cfg[key]!r}")
+# bounds that battery overrides declare, as schema fragments
+_COUNT = {"minimum": 1}  # a count of 0 leaves nothing to run or average
+_SEED = {"minimum": 0}
+_POSITIVE = {"exclusiveMinimum": 0}
+_PAIR = {"minItems": 2, "maxItems": 2}  # a band [lo, hi]
 
 
-def _counts(cfg, *keys):
-    """Each key's count, or each entry of its list of counts, must be at
-    least 1: a count of 0 leaves nothing to run, or nothing to average."""
-    for key in keys:
-        value = cfg[key]
-        if min(value if isinstance(value, list) else [value]) < 1:
-            raise OverrideError(f"{key}: counts must be at least 1, got {value!r}")
+def _schema(default, bound):
+    """An override's schema: the type of its default (an int an integer, a
+    float a number, a list a non-empty array whose items follow its
+    entries' one type), then bound's keywords; {} for any other default."""
+    kind = {int: "integer", float: "number", list: "array"}.get(type(default))
+    if kind != "array":
+        return {"type": kind, **bound} if kind else dict(bound)
+    items = bound.get("items", {})
+    if len({type(d) for d in default}) == 1:
+        items = _schema(default[0], items)
+    return {"type": kind, "minItems": 1, **bound, "items": items}
 
 
-def _like(key, value, default):
-    """value read as default's type, else an OverrideError: a list for a
-    list, an integral number (read as an int) for an int, a number for a
-    float, never a boolean; a list's entries each by the same rule when
-    the default's entries share one type."""
-    kind = type(default)
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    want = {list: list, int: int, float: (int, float)}.get(kind, object)
-    if not isinstance(value, want) or isinstance(value, bool):
-        raise OverrideError(f"{key}: expected {kind.__name__} like the "
-                            f"default {default!r}, got {value!r}")
-    if kind is list and len({type(d) for d in default}) == 1:
-        value = [_like(f"{key}.{i}", v, default[0]) for i, v in enumerate(value)]
-    return value
+def _read(value, default):
+    """value as default's type reads it: the schema's integer admits 3.0,
+    range() needs 3, and a list's entries go by its default's entries."""
+    if type(default) is list and len({type(d) for d in default}) == 1:
+        return [_read(v, default[0]) for v in value]
+    return int(value) if type(default) is int else value
 
 
-def _cfg(defaults, config):
-    """The defaults updated by the overrides; OverrideError for an unknown
-    key, a non-finite number anywhere in a value, a value of another type
-    than its default (_like) or an empty list."""
-    config = config or {}
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise OverrideError(f"unknown config keys: {sorted(unknown)}")
-    out = dict(defaults)
-    for key, value in config.items():
-        try:
-            check_finite(value, key)
-        except ValueError as e:
-            raise OverrideError(str(e)) from None
-        out[key] = _like(key, value, defaults[key])
-        if type(defaults[key]) is list:
-            _at_least(out, key, 1)
-    return out
+def _cfg(defaults, config, **bounds):
+    """The defaults updated by the overrides, checked like a config: the
+    closed object schema of the defaults' types, each key's bounds added
+    (_schema), first error as the message, then check_finite."""
+    config = {} if config is None else config
+    schema = {"type": "object", "additionalProperties": False,
+              "properties": {k: _schema(v, bounds.get(k, {}))
+                             for k, v in defaults.items()}}
+    msg = _first_error(schema, config)
+    if msg is not None:
+        raise OverrideError(msg)
+    try:
+        check_finite(config, "")
+    except ValueError as e:
+        raise OverrideError(str(e)) from None
+    return {**defaults, **{k: _read(v, defaults[k]) for k, v in config.items()}}
 
 
 def _grid(T, dt, T_key, dt_key):
@@ -216,9 +211,9 @@ def verify_flln(config=None):
     cfg = _cfg({"service": {"family": "lognormal", "sigma": 0.5},
                 "lambda_bar": 1.0, "Ns": [25, 100, 400], "seeds": 200,
                 "T": 2.0, "grid_dt": 0.05, "fluid_dt": 1e-3,
-                "slope_band": [-0.7, -0.3], "seed": 101}, config)
-    _at_least(cfg, "Ns", 2)  # a slope needs two points
-    _counts(cfg, "Ns", "seeds")
+                "slope_band": [-0.7, -0.3], "seed": 101}, config,
+               Ns={"minItems": 2, "items": _COUNT},  # a slope needs two points
+               seeds=_COUNT, lambda_bar=_POSITIVE, slope_band=_PAIR, seed=_SEED)
     grid = _grid(cfg["T"], cfg["grid_dt"], "T", "grid_dt")
     _grid(cfg["T"], cfg["fluid_dt"], "T", "fluid_dt")
     dist = make_service_dist(cfg["service"])
@@ -262,14 +257,14 @@ def verify_fclt(config=None):
     """
     cfg = _cfg({"N": 400, "beta": 1.0, "T": 5.0, "times": [1.0, 5.0],
                 "des_reps": 2000, "euler_paths": 200_000, "euler_dt": 2.5e-3,
-                "ks_threshold": 0.06, "seed": 202}, config)
+                "ks_threshold": 0.06, "seed": 202}, config,
+               N=_COUNT, des_reps=_COUNT, euler_paths=_COUNT, seed=_SEED)
     T, dt, times = cfg["T"], cfg["euler_dt"], cfg["times"]
     _grid(T, dt, "T", "euler_dt")
     for t in times:
         if not 0 < t <= T:
             raise OverrideError(f"times: {t} lies outside (0, T] with T {T}")
         _grid(t, dt, "times", "euler_dt")
-    _counts(cfg, "N", "des_reps", "euler_paths")
     N = int(cfg["N"])
     dist = make_service_dist("exponential")
     arr = ArrivalSpec("renewal", 1.0, beta=cfg["beta"], sigma2=1.0)
@@ -305,9 +300,9 @@ def verify_insensitivity(config=None):
     cfg = _cfg({"N": 400, "T": 2.0, "lambda_bar": 1.0, "dt": 1e-3,
                 "reps": 20, "services": ["exponential",
                                          {"family": "lognormal", "sigma": 0.5}],
-                "rel_threshold": 0.10, "seed": 303}, config)
-    _at_least(cfg, "services", 2)  # the ratio compares the first two
-    _counts(cfg, "N", "reps")
+                "rel_threshold": 0.10, "seed": 303}, config,
+               services={"minItems": 2},  # the ratio compares the first two
+               N=_COUNT, reps=_COUNT, lambda_bar=_POSITIVE, seed=_SEED)
     N = int(cfg["N"])
     lam = float(cfg["lambda_bar"])
     arr = ArrivalSpec("renewal", lam)
@@ -351,8 +346,9 @@ def verify_moments(config=None):
     cfg = _cfg({"N": 50, "T_values": [1.0, 2.0], "ks": [1, 2, 3],
                 "reps": 1200, "services": ["exponential",
                                            {"family": "gamma", "shape": 2.0}],
-                "lambda_bar": 1.0, "seed": 404}, config)
-    _counts(cfg, "N", "ks", "reps")
+                "lambda_bar": 1.0, "seed": 404}, config,
+               N=_COUNT, ks={"items": _COUNT}, reps=_COUNT,
+               lambda_bar=_POSITIVE, seed=_SEED)
     steps = [_grid(T, 1e-3, "T_values", "renewal step").size - 1  # U(T) = U[step]
              for T in cfg["T_values"]]
     N = int(cfg["N"])
@@ -399,9 +395,9 @@ def verify_sae(config=None):
     """First-order decay of the age-balance defect, plus the noise-off
     exact zero, on the critical exponential manifold."""
     cfg = _cfg({"dt_levels": [0.04, 0.02, 0.01], "seeds": 64, "T": 1.0,
-                "dx": 0.1, "ratio_band": [0.3, 0.7], "seed": 505}, config)
-    _at_least(cfg, "dt_levels", 2)  # a halving ratio needs two levels
-    _counts(cfg, "seeds")
+                "dx": 0.1, "ratio_band": [0.3, 0.7], "seed": 505}, config,
+               dt_levels={"minItems": 2},  # a halving ratio needs two levels
+               seeds=_COUNT, dx=_POSITIVE, ratio_band=_PAIR, seed=_SEED)
     for dtv in cfg["dt_levels"]:
         _grid(cfg["T"], dtv, "T", "dt_levels")
     dist = make_service_dist("exponential")
@@ -438,9 +434,9 @@ def verify_representation(config=None):
     cfg = _cfg({"N": 20, "T": 1.6, "shift": 0.6,
                 "dt_levels": [8e-3, 4e-3, 2e-3, 1e-3], "reps": 30,
                 "service": "exponential", "lambda_bar": 1.0,
-                "ratio_band": [0.3, 0.7], "seed": 606}, config)
-    _at_least(cfg, "dt_levels", 2)
-    _counts(cfg, "N", "reps")
+                "ratio_band": [0.3, 0.7], "seed": 606}, config,
+               dt_levels={"minItems": 2}, N=_COUNT, reps=_COUNT,
+               lambda_bar=_POSITIVE, ratio_band=_PAIR, seed=_SEED)
     if not 0 <= cfg["shift"] < cfg["T"]:
         raise OverrideError(f"shift: {cfg['shift']} lies outside [0, T) with T {cfg['T']}")
     for dtv in cfg["dt_levels"]:  # the read-out and restart windows' steps

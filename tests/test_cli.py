@@ -496,12 +496,12 @@ class TestVerifyCommand:
         assert not out.exists(), "a rejected config must write no file"
 
     @pytest.mark.parametrize("battery, overrides, key", [
-        ("flln", {"Ns": [0, 100]}, "Ns"),
+        ("flln", {"Ns": [0, 100]}, "Ns.0"),
         ("flln", {"seeds": 0}, "seeds"),
         ("fclt", {"N": 0}, "N"),
         ("insensitivity", {"reps": 0}, "reps"),
         ("moments", {"reps": 0}, "reps"),
-        ("moments", {"ks": [0, 1]}, "ks"),
+        ("moments", {"ks": [0, 1]}, "ks.0"),
         ("sae", {"seeds": 0}, "seeds"),
         ("representation", {"N": 0}, "N"),
         ("representation", {"reps": -1}, "reps"),
@@ -525,6 +525,44 @@ class TestVerifyCommand:
         assert not out.exists(), "a rejected config must write no file"
 
     @pytest.mark.parametrize("battery, overrides, message", [
+        *((battery, {"seed": -1}, "seed: -1 is less than the minimum of 0")
+          for battery in ("flln", "fclt", "insensitivity", "moments", "sae",
+                          "representation")),
+        *((battery, {"lambda_bar": 0},
+           "lambda_bar: 0 is less than or equal to the minimum of 0")
+          for battery in ("flln", "insensitivity", "moments", "representation")),
+        ("sae", {"dx": 0}, "dx: 0 is less than or equal to the minimum of 0"),
+        ("flln", {"slope_band": [-0.5]}, "slope_band: [-0.5] is too short"),
+        ("flln", {"slope_band": [-0.7, -0.5, -0.3]},
+         "slope_band: [-0.7, -0.5, -0.3] is too long"),
+        ("sae", {"ratio_band": [0.5]}, "ratio_band: [0.5] is too short"),
+        ("representation", {"ratio_band": [0.3, 0.5, 0.7]},
+         "ratio_band: [0.3, 0.5, 0.7] is too long"),
+    ], ids=[*(f"{b}-seed-negative" for b in ("flln", "fclt", "insensitivity",
+                                           "moments", "sae", "representation")),
+            *(f"{b}-lambda-bar-zero" for b in ("flln", "insensitivity", "moments",
+                                               "representation")),
+            "sae-dx-zero", "flln-one-slope-bound", "flln-three-slope-bounds",
+            "sae-one-ratio-bound", "representation-three-ratio-bounds"])
+    def test_bound_override_exit_two(self, tmp_path, monkeypatch, battery,
+                                     overrides, message):
+        # the bounds in each battery's override schema, checked before any
+        # path runs
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path ran")
+
+        for name in ("simulate", "simulate_hw", "run_limit", "ProcessPoolExecutor"):
+            monkeypatch.setattr(scalestats, name, no_path)
+        cfgp = write_cfg(tmp_path, {**self.QUICK,
+                                    "model": {"overrides": overrides}})
+        out = tmp_path / "v"
+        res = CliRunner().invoke(main, ["verify", battery, "--config", cfgp,
+                                        "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: model.overrides: {message}\n" in res.output
+        assert not out.exists(), "a rejected config must write no file"
+
+    @pytest.mark.parametrize("battery, overrides, message", [
         ("flln", {"grid_dt": 0.3},
          "T: 2.0 is not a whole number of steps grid_dt = 0.3"),
         ("flln", {"fluid_dt": 0.3},
@@ -541,16 +579,12 @@ class TestVerifyCommand:
          "shift: 0.405 is not a whole number of steps dt_levels = 0.01"),
         ("representation", {**QUICK["model"]["overrides"], "shift": 0.8},
          "shift: 0.8 lies outside [0, T) with T 0.8"),
-        ("flln", {"Ns": 100},
-         "Ns: expected list like the default [25, 100, 400], got 100"),
-        ("insensitivity", {"reps": 2.5},
-         "reps: expected int like the default 20, got 2.5"),
-        ("fclt", {"T": "5"}, "T: expected float like the default 5.0, got '5'"),
+        ("flln", {"Ns": 100}, "Ns: 100 is not of type 'array'"),
+        ("insensitivity", {"reps": 2.5}, "reps: 2.5 is not of type 'integer'"),
+        ("fclt", {"T": "5"}, "T: '5' is not of type 'number'"),
         # a list's entries by the rule for its default's entries
-        ("fclt", {"times": ["1.0"]},
-         "times.0: expected float like the default 1.0, got '1.0'"),
-        ("flln", {"Ns": [25, 100.5]},
-         "Ns.1: expected int like the default 25, got 100.5"),
+        ("fclt", {"times": ["1.0"]}, "times.0: '1.0' is not of type 'number'"),
+        ("flln", {"Ns": [25, 100.5]}, "Ns.1: 100.5 is not of type 'integer'"),
     ], ids=["flln-grid-dt", "flln-fluid-dt", "insensitivity-dt",
             "moments-T-value", "sae-dt-level", "representation-T",
             "representation-shift", "representation-shift-at-T",

@@ -17,6 +17,7 @@ from queuelab.dists import (
     ArrivalSpec,
     ServiceSpecError,
     as_rate,
+    check_finite,
     dead_mass_ratio,
     holder_check,
     make_service_dist,
@@ -643,6 +644,38 @@ class TestArrivals:
         # its diffusion coefficient is sqrt(lambda_bar); a sigma2 was dropped
         with pytest.raises(ValueError, match="^sigma2: inhom_poisson arrivals take none"):
             ArrivalSpec(kind="inhom_poisson", lambda_bar=1.0, sigma2=5.0)
+
+    def test_numpy_scalar_nan_refused_naming_it(self):
+        # np.float32 is no float subclass: its NaN was built into the spec
+        # and run_limit failed later on an unrecognized rate spec
+        with pytest.raises(ValueError, match="^beta: must be a finite number"):
+            ArrivalSpec("inhom_poisson", 1.0, beta=np.float32("nan"))
+        with pytest.raises(ValueError, match="^lambda_bar.affine.0: must be a finite"):
+            ArrivalSpec("inhom_poisson", {"affine": [np.float16("inf"), 1.0]})
+        with pytest.raises(ValueError, match="^x: must be a finite number, got nan"):
+            check_finite(np.float32("nan"), "x")
+        check_finite([np.int64(3), 10 ** 400, np.float32(0.5)], "x")
+
+    def test_numpy_scalar_rates(self):
+        t = np.array([0.0, 1.0])
+        arr = ArrivalSpec("inhom_poisson", np.float32(2.0), beta=np.int64(1))
+        assert arr.rate_fn(4)(t).tolist() == [6.0, 6.0]
+        sigma, beta = arr.diffusion_coeffs()
+        assert sigma(t).tolist() == [math.sqrt(2.0)] * 2 and beta(t).tolist() == [1.0] * 2
+        with pytest.raises(ValueError, match="unrecognized rate spec"):
+            as_rate(True)
+
+    def test_poisson_gaps_are_the_exponential_draw(self):
+        # one draw route: numpy's gamma at shape exactly 1 is its exponential
+        arr = ArrivalSpec(kind="renewal", lambda_bar=2.0, beta=1.0)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            # rate 2 N - sqrt(N) = 6 at N = 4
+            gaps = np.concatenate([rng.exponential(1 / 6.0, 256) for _ in range(2)])
+            times = np.cumsum(gaps)
+            want = times[times <= times[300]]
+            assert arr.times(4, float(times[300]), np.random.default_rng(seed)).tolist() \
+                == want.tolist()
 
     def test_renewal_numbers_kept_as_floats(self):
         arr = ArrivalSpec(kind="renewal", lambda_bar=np.int64(2), beta=1, sigma2=np.float32(0.5))

@@ -701,6 +701,15 @@ class TestRunInvariants:
                                              r"the fluid limit on \[0,0\.5\]"):
             L.LimitPlan.for_spec(critical_spec(T=0.5, arrival=arrival))
 
+    def test_numpy_scalar_rates_run_as_their_floats(self):
+        # as_rate read only int and float, so np.int64 failed in run_limit
+        def run(lambda_bar, beta):
+            arrival = ArrivalSpec("inhom_poisson", lambda_bar, beta=beta)
+            return L.run_limit(L.LimitPlan.for_spec(critical_spec(T=0.5, arrival=arrival)), 0)
+
+        got, want = run(np.float32(1.0), np.int64(1)), run(1.0, 1.0)
+        assert np.array_equal(got.Xhat, want.Xhat) and np.all(np.isfinite(got.Xhat))
+
 
 class _NoNoise:
     """rng stand-in whose normal draws are all 0: the Euler path without

@@ -293,13 +293,18 @@ def assert_same_path(got, want):
 
 
 class _Lattice:
-    """rng stand-in whose exponential draws all equal gap."""
+    """rng stand-in whose exponential draws all equal gap, and so do its
+    gamma draws at shape 1, which numpy makes by its exponential draw."""
 
     def __init__(self, gap):
         self.gap = gap
 
     def exponential(self, scale, size):
         return np.full(size, self.gap)
+
+    def gamma(self, shape, scale, size):
+        assert shape == 1.0
+        return self.exponential(scale, size)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -223,13 +223,21 @@ class TestBatteries:
         assert all(r.passed for r in reports), [r.line() for r in reports]
 
     def test_unknown_config_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config"):
+        with pytest.raises(ValueError, match=r"^bogus: Additional properties are not "
+                                             r"allowed \('bogus' was unexpected\)$"):
             S.verify_flln({"bogus": 1})
 
     def test_integral_number_read_as_integer(self):
         # the schema's integer admits 3.0; range() and the reports need 3
         cfg = S._cfg({"reps": 20, "T": 2.0}, {"reps": 3.0, "T": 1})
         assert cfg == {"reps": 3, "T": 1} and type(cfg["reps"]) is int
+
+    def test_integral_list_entries_read_as_integers(self):
+        # by the rule of the default's entries: math.factorial and the
+        # moments report names need k = 2, not 2.0
+        cfg = S._cfg({"ks": [1, 2], "T_values": [1.0]}, {"ks": [1.0, 2], "T_values": [1]})
+        assert cfg == {"ks": [1, 2], "T_values": [1]}
+        assert [type(k) for k in cfg["ks"]] == [int, int]
 
     @pytest.mark.parametrize("battery, overrides, key", [
         (S.verify_moments, {"ks": []}, "ks"),

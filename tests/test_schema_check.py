@@ -1,20 +1,24 @@
-"""The CLI's own config checker against jsonschema as the oracle.
+"""The package's own input checker against jsonschema as the oracle.
 
-cli._first_error walks the JSON Schema subset that SCHEMAS and _HEADER
-use.  The reference below is the jsonschema (Draft 2020-12) form it
-replaced: every valid config here, and thousands of seeded mutations of
-one valid config per kind, must get the same first error from both.
+dists._first_error walks the JSON Schema subset that cli's SCHEMAS and
+_HEADER and every battery's override schema use.  The reference below is
+the jsonschema (Draft 2020-12) form it replaced: every valid config here,
+thousands of seeded mutations of one valid config per kind, and seeded
+mutations of each battery's defaults must get the same first error from
+both.
 """
 import copy
+import functools
 import json
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from queuelab import cli
+from queuelab import cli, dists, scalestats
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -152,6 +156,60 @@ class TestAgainstJsonschema:
         assert refused > 1000, f"only {refused} of 2000 mutations were refused"
 
 
+class _Caught(Exception):
+    pass
+
+
+@functools.cache
+def battery_check(name):
+    """(defaults, schema) of verify battery `name`'s override check, caught
+    at the schema walk, before the battery runs anything."""
+    seen, cfg = {}, scalestats._cfg
+
+    def caught(schema, doc):
+        seen["schema"] = schema
+        raise _Caught
+
+    def record(defaults, config, **bounds):
+        seen["defaults"] = defaults
+        return cfg(defaults, config, **bounds)
+
+    with mock.patch.object(scalestats, "_first_error", caught), \
+            mock.patch.object(scalestats, "_cfg", record), pytest.raises(_Caught):
+        cli._BATTERIES[name]()
+    return seen["defaults"], seen["schema"]
+
+
+class TestBatteryOverrides:
+    @pytest.mark.parametrize("name", sorted(cli._BATTERIES))
+    def test_mutations_agree(self, name):
+        # 300 seeded mutations of the battery's defaults, read as overrides
+        defaults, schema = battery_check(name)
+        assert dists._first_error(schema, defaults) is None
+        assert reference_first_error(schema, defaults) is None
+        rng, refused = random.Random(f"overrides-{name}"), 0
+        for i in range(300):
+            bad = mutate(defaults, rng)
+            got = dists._first_error(schema, bad)
+            assert got == reference_first_error(schema, bad), (i, bad)
+            refused += got is not None
+        assert refused > 150, f"only {refused} of 300 mutations were refused"
+
+    def test_schema_follows_defaults_and_bounds(self):
+        defaults, schema = battery_check("flln")
+        assert schema["additionalProperties"] is False
+        assert set(schema["properties"]) == set(defaults)
+        assert schema["properties"]["Ns"] == {
+            "type": "array", "minItems": 2,
+            "items": {"type": "integer", "minimum": 1}}
+        assert schema["properties"]["slope_band"] == {
+            "type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}}
+        assert schema["properties"]["service"] == {}
+        _, schema = battery_check("insensitivity")
+        assert schema["properties"]["services"] == {
+            "type": "array", "minItems": 2, "items": {}}
+
+
 class TestMessages:
     @pytest.mark.parametrize("where, value, message", [
         ("run.seeds", -1, "run.seeds: -1 is less than the minimum of 1"),
@@ -223,9 +281,10 @@ def schema_nodes(schema):
 
 class TestKeywordGuard:
     def test_schemas_use_only_known_keywords(self):
-        for schema in [cli._HEADER, *cli.SCHEMAS.values()]:
+        overrides = [battery_check(name)[1] for name in sorted(cli._BATTERIES)]
+        for schema in [cli._HEADER, *cli.SCHEMAS.values(), *overrides]:
             for node in schema_nodes(schema):
-                assert set(node) <= cli._KEYWORDS, set(node) - cli._KEYWORDS
+                assert set(node) <= dists._KEYWORDS, set(node) - dists._KEYWORDS
                 assert node.get("additionalProperties", False) is False
                 for value in [node.get("const"), *node.get("enum", ())]:
                     assert not isinstance(value, (dict, list)), node
