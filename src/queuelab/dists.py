@@ -29,7 +29,9 @@ other layers need about a law is made here and nowhere else:
     tail_point(eps)        first power of 2 with survival <= eps (at most
                            2^20, and at most L): where an age grid may stop
     age_table              the stationary age law's cdf on 4097 nodes,
-                           built on first use and kept on the law
+                           built on first use and kept on the law; a
+                           tail that leaves over AGE_TABLE_LOSS of it past
+                           the nodes is refused
     grid_density(x, dt)    g on a dt-spaced grid, a non-finite node value
                            (g unbounded at 0) replaced by its cell's
                            average mass
@@ -77,6 +79,7 @@ __all__ = [
 
 _MEAN_TOL = 1e-6
 GRID_RTOL = 1e-9  # how far T may sit from a whole number of steps, relative
+AGE_TABLE_LOSS = 1e-3  # the stationary age mass age_table may miss past its nodes
 
 
 def check_finite(value, name):
@@ -243,9 +246,12 @@ class ServiceDistribution:
         at them, for drawing invariant ages by inversion and for the fluid
         age read-out of an invariant start; read-only.
 
-        4097 nodes reach sf < 1e-9: uniform up to 32, else cells of 32/4096
-        at 0 growing geometrically, so a heavy tail does not coarsen the
-        body.  The trapezoid integral is normalized by its own total.
+        4097 nodes reach sf < 1e-9 (at most 2^20): uniform up to 32, else
+        cells of 32/4096 at 0 growing geometrically, so a heavy tail does not
+        coarsen the body.  The trapezoid integral is normalized by its own
+        total, which must hold all but AGE_TABLE_LOSS of the mean: a tail
+        too heavy for the nodes raises ValueError rather than draw from a
+        truncated law.
         """
         hi = self.tail_point(1e-9)
         if hi <= 32.0:
@@ -254,6 +260,12 @@ class ServiceDistribution:
             x = np.concatenate([[0.0], np.geomspace(32.0 / 4096, hi, 4096)])
         tail = self.sf(x)
         cdf = np.concatenate([[0.0], np.cumsum((tail[1:] + tail[:-1]) / 2.0 * np.diff(x))])
+        missing = 1.0 - cdf[-1] / self.mean
+        if missing > AGE_TABLE_LOSS:
+            raise ValueError(
+                f"{self.name}: the stationary age table ends at age {x[-1]:g} "
+                f"with {missing:.3g} of the age law's mass past it, more than "
+                f"{AGE_TABLE_LOSS:g}; the tail is too heavy for the table")
         cdf /= cdf[-1]
         x.flags.writeable = False
         cdf.flags.writeable = False

@@ -32,9 +32,11 @@ A LimitPlan holds the run's spec and builds that half once per run, and
 nothing else builds any of it: solve_cmse takes the plan's service
 density g, and sae_residual reads the run's own read-outs.  Path r of the
 run (run_limit(plan, r)) then draws Ehat, draws W = z sqrt(intensity)
-and takes one rFFT of W's live columns.  Hhat(f) is a sum of column
-convolutions and the transform is linear, so each distinct kernel costs
-one product with those spectra, a column sum and one inverse rFFT.
+and takes one rFFT of W's live columns.  The plan's read-out table holds
+each distinct test function once, f = 1 first, since Z = S_t(1) -
+Hhat_t(1) is f = 1's read-out input.  Hhat(f) is a sum of column
+convolutions and the transform is linear, so each entry costs one
+product with those spectra, a column sum and one inverse rFFT.
 
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
@@ -401,12 +403,12 @@ class LimitPlan:
     (1-G(x) > 0, so the kernels divide by no zero, and some intensity
     above 0, so a noise-off field gives exact zeros), the FFT length of a
     full causal convolution along time, the service density g on the time
-    grid, and per test function its kernel, S_t(f) and read-out weights,
-    plus Z's f = 1 kernel and S_t(1).  Each distinct function (by
-    identity) gets one kernel and one S_t(f), so the default "one" shares
-    Z's.  It pickles to worker processes with its spec, and shared arrays
-    stay shared: the law crosses as its spec and the default test
-    functions are rebuilt from it.
+    grid, and one read-out table.  The table has one entry per distinct
+    read-out function, f = 1 first: kernels[i] its kernel and S[i] its
+    S_t(f), so Z = S[0] - Hhat(1) reads entry 0 and the default "one" is
+    entry 0 too.  readouts maps each test-function name to its entry and
+    its read-out weights.  It pickles to worker processes with its spec;
+    the law crosses as its spec.
     """
 
     spec: LimitSpec
@@ -417,11 +419,9 @@ class LimitPlan:
     cols: np.ndarray         # live age columns, in age order
     nfft: int
     g: np.ndarray            # service density on the time grid (grid_density)
-    one: np.ndarray = None   # kernel of f = 1, for Z
-    S_one: np.ndarray = None  # S_t(1) on the time grid
-    kernels: dict = None     # test-function name -> kernel
-    weights: dict = None     # test-function name -> readout_weights
-    S: dict = None           # test-function name -> S_t(f) on the time grid
+    kernels: list = None     # entry -> kernel (kernels_for); entry 0 is f = 1
+    S: list = None           # entry -> S_t(f) on the time grid
+    readouts: dict = None    # test-function name -> (entry, readout_weights)
 
     @classmethod
     def for_spec(cls, spec):
@@ -439,29 +439,26 @@ class LimitPlan:
         clamp = _clamp(fpath.regime)  # before any table or kernel is built
         t_edges, x_edges, table = fluid_cell_intensity(fpath, grid)
         # Z(0) = S_0(1), so solve_cmse's check on it is decided here
-        S_one = s_op(spec.nu0hat, dist, _one, t_edges)
+        S1 = s_op(spec.nu0hat, dist, _one, t_edges)
         v0 = clamp(spec.x0hat)
-        if abs(float(S_one[0]) - v0) > 1e-9:
+        if abs(float(S1[0]) - v0) > 1e-9:
             raise InitialDataError(
                 "x0hat", f"{spec.x0hat} clamps to {v0} in the {fpath.regime} "
-                f"regime, but the nu0hat mass is {float(S_one[0])}")
+                f"regime, but the nu0hat mass is {float(S1[0])}")
         nt = t_edges.size - 1
         xm = (x_edges[:-1] + x_edges[1:]) / 2.0
         cols = np.flatnonzero((np.asarray(dist.sf(xm)) > 0.0) & np.any(table > 0.0, axis=0))
         plan = cls(spec=spec, regime=fpath.regime, t_edges=t_edges, x_edges=x_edges,
                    sqrt_intensity=np.sqrt(table, out=table), cols=cols,
-                   nfft=next_fast_len(2 * nt - 1, real=True), S_one=S_one,
+                   nfft=next_fast_len(2 * nt - 1, real=True),
                    g=dist.grid_density(t_edges, float(t_edges[1] - t_edges[0])))
         tests = spec.tests()
-        fs = {id(_one): _one, **{id(f): f for f, _ in tests.values()}}
-        kernels = dict(zip(fs, plan.kernels_for(fs.values())))
-        S = {key: S_one if f is _one else s_op(spec.nu0hat, dist, f, t_edges)
-             for key, f in fs.items()}
-        plan.one = kernels[id(_one)]
-        plan.kernels = {name: kernels[id(f)] for name, (f, _) in tests.items()}
-        plan.weights = {name: plan.readout_weights(f, fp)
-                        for name, (f, fp) in tests.items()}
-        plan.S = {name: S[id(f)] for name, (f, _) in tests.items()}
+        # each distinct function once (functions compare by identity), f = 1 first
+        fs = list(dict.fromkeys([_one, *(f for f, _ in tests.values())]))
+        plan.kernels = plan.kernels_for(fs)
+        plan.S = [S1, *(s_op(spec.nu0hat, dist, f, t_edges) for f in fs[1:])]
+        plan.readouts = {name: (fs.index(f), plan.readout_weights(f, fp))
+                         for name, (f, fp) in tests.items()}
         return plan
 
     @property
@@ -527,7 +524,9 @@ def run_limit(plan, replicate=0):
     """Draw path `replicate` of the plan's run end to end.
 
     Its Gaussian inputs come from SeedSequence(spec.seed,
-    spawn_key=(replicate,)), so (seed, replicate) pins the path.
+    spawn_key=(replicate,)), so (seed, replicate) pins the path.  Hhat is
+    convolved once per entry of the plan's read-out table; Z reads entry
+    0 (f = 1) and each test function its own entry.
     """
     spec = plan.spec
     t_grid = plan.t_edges
@@ -537,23 +536,18 @@ def run_limit(plan, replicate=0):
                          noise_off=spec.noise_off)
     fld = simulate_field(plan, np.random.default_rng(ss_W),
                          noise_off=spec.noise_off)
-    kernels = {id(k): k for k in (plan.one, *plan.kernels.values())}
-    H = {key: conv_H(fld, k) for key, k in kernels.items()}  # once per distinct kernel
-    H1 = H[id(plan.one)]
+    H = [conv_H(fld, k) for k in plan.kernels]  # once per table entry
     M1 = fld.m1_profile()
     Khat, Xhat, vhat = solve_cmse(t_grid, plan.g, Ehat, spec.x0hat,
-                                  plan.S_one - H1, plan.regime)
+                                  plan.S[0] - H[0], plan.regime)
     nuhat = {}
-    for name, (_, fprime) in spec.tests().items():
-        H_f = H[id(plan.kernels[name])]
-        if fprime is None:
-            nuhat[name] = hat_nu_stieltjes(plan.S[name], Khat, H_f,
-                                           *plan.weights[name])
+    for name, (i, w) in plan.readouts.items():  # w = (u,) when f' is not given
+        if len(w) == 1:
+            nuhat[name] = hat_nu_stieltjes(plan.S[i], Khat, H[i], *w)
         else:
-            nuhat[name] = hat_nu(t_grid, plan.S[name], Khat, H_f,
-                                 *plan.weights[name])
+            nuhat[name] = hat_nu(t_grid, plan.S[i], Khat, H[i], *w)
     return LimitRun(spec=spec, t_grid=t_grid, plan=plan, field=fld,
-                    Ehat=Ehat, Hhat_1=H1, M1=M1, Khat=Khat, Xhat=Xhat,
+                    Ehat=Ehat, Hhat_1=H[0], M1=M1, Khat=Khat, Xhat=Xhat,
                     vhat=vhat, nuhat=nuhat, regime=plan.regime)
 
 
@@ -563,7 +557,7 @@ def rep_hatx_residual(run):
     Xhat = x0 + Ehat - M(1) - [nu0(1) - S(1) - M(1) + H(1) + g * Khat].
     """
     dt = float(run.t_grid[1] - run.t_grid[0])
-    S1 = run.plan.S_one
+    S1 = run.plan.S[0]
     gK = _trapezoid_conv(run.Khat, run.plan.g, dt)
     Dt = S1[0] - S1 - run.M1 + run.Hhat_1 + gK
     return float(np.max(np.abs(run.Xhat - (run.spec.x0hat + run.Ehat - run.M1 - Dt))))

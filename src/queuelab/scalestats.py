@@ -202,6 +202,30 @@ def _grid(T, dt, T_key, dt_key):
         raise OverrideError(str(e)) from None
 
 
+def _repeat(key, keys, values):
+    """Refuse the second of two entries of list override key whose keys
+    are equal, naming it (key.i) and the first."""
+    for i, k in enumerate(keys):
+        if k in keys[:i]:
+            raise OverrideError(f"{key}.{i}: {values[i]} repeats {key}.{keys.index(k)}")
+
+
+def _steps(key, times, dt, dt_key, T=None):
+    """Each entry of list override key as its number of steps dt: at least
+    one, a whole number, in (0, T] when T is given, and no two entries on
+    one step; a refusal leads with the entry's path key.i."""
+    steps = []
+    for i, t in enumerate(times):
+        at = f"{key}.{i}"
+        if T is not None and not 0 < t <= T:
+            raise OverrideError(f"{at}: {t} lies outside (0, T] with T {T}")
+        if not t >= dt:
+            raise OverrideError(f"{at}: {t} is shorter than one step {dt_key} = {dt}")
+        steps.append(_grid(t, dt, at, dt_key).size - 1)
+    _repeat(key, steps, times)
+    return steps
+
+
 def verify_flln(config=None):
     """Fluid-limit convergence rate: sup-error vs N on a log-log slope.
 
@@ -252,8 +276,9 @@ def verify_fclt(config=None):
     Euler scheme call no scipy, so that worker imports none.
 
     Each time must lie in (0, T], and T and each time must be whole
-    numbers of Euler steps, so both samples are read at the same instant;
-    the overrides are checked before the worker starts.
+    numbers of Euler steps, so both samples are read at the same instant,
+    and no two times may share a step; the overrides are checked before
+    the worker starts.
     """
     cfg = _cfg({"N": 400, "beta": 1.0, "T": 5.0, "times": [1.0, 5.0],
                 "des_reps": 2000, "euler_paths": 200_000, "euler_dt": 2.5e-3,
@@ -261,10 +286,7 @@ def verify_fclt(config=None):
                N=_COUNT, des_reps=_COUNT, euler_paths=_COUNT, seed=_SEED)
     T, dt, times = cfg["T"], cfg["euler_dt"], cfg["times"]
     _grid(T, dt, "T", "euler_dt")
-    for t in times:
-        if not 0 < t <= T:
-            raise OverrideError(f"times: {t} lies outside (0, T] with T {T}")
-        _grid(t, dt, "times", "euler_dt")
+    _steps("times", times, dt, "euler_dt", T)
     N = int(cfg["N"])
     dist = make_service_dist("exponential")
     arr = ArrivalSpec("renewal", 1.0, beta=cfg["beta"], sigma2=1.0)
@@ -311,10 +333,10 @@ def verify_insensitivity(config=None):
     # at unit manifold load both event streams run at rate ~1 per server,
     # so the scaled realized QV approaches (1 + sigma2) T
     target = (1.0 + arr.sigma2) * cfg["T"]
+    laws = [make_service_dist(svc) for svc in cfg["services"]]  # before any path
+    init = InitialCondition(x0=N, ages="invariant")
     means, names = [], []
-    for svc in cfg["services"]:
-        dist = make_service_dist(svc)
-        init = InitialCondition(x0=N, ages="invariant")
+    for dist in laws:
         tot = 0.0
         for r in range(cfg["reps"]):
             path = simulate(SimConfig(N=N, arrival=arr, service=dist, T=cfg["T"],
@@ -342,22 +364,23 @@ def verify_insensitivity(config=None):
 
 def verify_moments(config=None):
     """Departure-compensator moment bounds E[(A(T)/N)^k] <= k! U(T)^k; each
-    path runs to the largest T and its exact A is read at every T."""
+    path runs to the largest T and its exact A is read at every T.  Each T
+    is a whole number of renewal steps and each T and k is given once."""
     cfg = _cfg({"N": 50, "T_values": [1.0, 2.0], "ks": [1, 2, 3],
                 "reps": 1200, "services": ["exponential",
                                            {"family": "gamma", "shape": 2.0}],
                 "lambda_bar": 1.0, "seed": 404}, config,
                N=_COUNT, ks={"items": _COUNT}, reps=_COUNT,
                lambda_bar=_POSITIVE, seed=_SEED)
-    steps = [_grid(T, 1e-3, "T_values", "renewal step").size - 1  # U(T) = U[step]
-             for T in cfg["T_values"]]
+    steps = _steps("T_values", cfg["T_values"], 1e-3, "renewal step")  # U(T) = U[step]
+    _repeat("ks", cfg["ks"], cfg["ks"])
+    laws = [make_service_dist(svc) for svc in cfg["services"]]  # before any path
     N = int(cfg["N"])
     arr = ArrivalSpec("renewal", cfg["lambda_bar"])
+    init = InitialCondition(x0=N, ages="invariant")
     times = np.sort(np.asarray(cfg["T_values"], dtype=float))
     reports = []
-    for svc in cfg["services"]:
-        dist = make_service_dist(svc)
-        init = InitialCondition(x0=N, ages="invariant")
+    for dist in laws:
         A = np.empty((times.size, cfg["reps"]))
         for r in range(cfg["reps"]):
             path = simulate(SimConfig(N=N, arrival=arr, service=dist, T=times[-1],

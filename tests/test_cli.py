@@ -481,7 +481,7 @@ class TestVerifyCommand:
         assert not out.exists(), "a rejected config must write no file"
 
     @pytest.mark.parametrize("battery, overrides, key", [
-        ("fclt", {"times": [7.0]}, "times"),
+        ("fclt", {"times": [7.0]}, "times.0"),
         ("moments", {"T_values": []}, "T_values"),
         ("flln", {"Ns": [100]}, "Ns"),
     ], ids=["fclt-time-past-T", "moments-no-T", "flln-one-N"])
@@ -538,16 +538,34 @@ class TestVerifyCommand:
         ("sae", {"ratio_band": [0.5]}, "ratio_band: [0.5] is too short"),
         ("representation", {"ratio_band": [0.3, 0.5, 0.7]},
          "ratio_band: [0.3, 0.5, 0.7] is too long"),
+        ("fclt", {"times": [0.5, 0.5]}, "times.1: 0.5 repeats times.0"),
+        ("moments", {"T_values": [1.0, 1.0]}, "T_values.1: 1.0 repeats T_values.0"),
+        ("moments", {"ks": [2, 2]}, "ks.1: 2 repeats ks.0"),
+        ("moments", {"T_values": [-1.0]},
+         "T_values.0: -1.0 is shorter than one step renewal step = 0.001"),
+        ("fclt", {"times": [0.001], "euler_dt": 0.01},
+         "times.0: 0.001 is shorter than one step euler_dt = 0.01"),
+        ("fclt", {"times": [1.0, 1.005], "euler_dt": 0.01},
+         "times.1: 1.005 is not a whole number of steps euler_dt = 0.01"),
+        # every law is built before the first law's paths run
+        *((battery, {"reps": 3, "services": ["exponential",
+                                             {"family": "gamma", "shape": -1.0}]},
+           "gamma shape must be positive")
+          for battery in ("insensitivity", "moments")),
     ], ids=[*(f"{b}-seed-negative" for b in ("flln", "fclt", "insensitivity",
                                            "moments", "sae", "representation")),
             *(f"{b}-lambda-bar-zero" for b in ("flln", "insensitivity", "moments",
                                                "representation")),
             "sae-dx-zero", "flln-one-slope-bound", "flln-three-slope-bounds",
-            "sae-one-ratio-bound", "representation-three-ratio-bounds"])
+            "sae-one-ratio-bound", "representation-three-ratio-bounds",
+            "fclt-repeated-time", "moments-repeated-T", "moments-repeated-k",
+            "moments-T-below-one-step",
+            "fclt-time-below-one-step", "fclt-time-between-steps",
+            "insensitivity-bad-second-law", "moments-bad-second-law"])
     def test_bound_override_exit_two(self, tmp_path, monkeypatch, battery,
                                      overrides, message):
-        # the bounds in each battery's override schema, checked before any
-        # path runs
+        # the bounds in each battery's override schema, the list entries
+        # (each named by its path) and the laws, checked before any path runs
         def no_path(*args, **kwargs):
             raise AssertionError("a path ran")
 
@@ -570,7 +588,7 @@ class TestVerifyCommand:
         ("insensitivity", {"N": 20, "T": 1.0, "dt": 0.35, "reps": 3},
          "T: 1.0 is not a whole number of steps dt = 0.35"),
         ("moments", {"T_values": [1.0, 1.0005]},
-         "T_values: 1.0005 is not a whole number of steps renewal step = 0.001"),
+         "T_values.1: 1.0005 is not a whole number of steps renewal step = 0.001"),
         ("sae", {"dt_levels": [0.04, 0.03]},
          "T: 1.0 is not a whole number of steps dt_levels = 0.03"),
         ("representation", {**QUICK["model"]["overrides"], "T": 0.805},
@@ -667,6 +685,19 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert "numerical error" in res.output
         assert "nu0 mass" in res.output
+
+    def test_tail_past_the_age_table_exit_three(self, tmp_path):
+        data = sim_cfg()
+        data["model"]["service"] = {"family": "pareto", "a": 1.2}
+        data["model"]["initial"] = {"x0": 10, "ages": "invariant"}
+        out = tmp_path / "x"
+        res = CliRunner().invoke(main, ["sim", "run", "--config",
+                                        write_cfg(tmp_path, data), "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert ("numerical error: pareto(a=1.2): the stationary age table ends at "
+                "age 1.04858e+06 with 0.0453 of the age law's mass past it"
+                in res.output)
+        assert not out.exists(), "a refused run must write no file"
 
     @pytest.mark.parametrize("model, numerics, message", [
         # lognormal(0.01) has g(dt/2) dt / 2 >= 1 at dt 2

@@ -177,7 +177,8 @@ class TestFieldOracles:
         assert abs(v - oracle) < 0.05, f"Var H_1(1) was {v}, oracle {oracle}"
 
     def test_conv_H_matches_direct_cell_sum(self):
-        H = L.conv_H(self.plan.field(self.W[0]), self.plan.kernels["one"])
+        i = self.plan.readouts["one"][0]
+        H = L.conv_H(self.plan.field(self.W[0]), self.plan.kernels[i])
         nt = self.sqrt_intensity.shape[0]
         lag = (nt - np.arange(nt) - 0.5) * self.grid.dt
         direct = float((self.W[0] * np.exp(-lag)[:, None]).sum())
@@ -279,8 +280,8 @@ class TestConvHBatched:
     def kernels(self, law):
         plan, dist = self.plan(law), self.LAWS[law]
         for name, (f, _) in self.read_outs(dist).items():
-            yield name, f, plan.kernels[name]
-        yield "one (Z)", ONE, plan.one
+            yield name, f, plan.kernels[plan.readouts[name][0]]
+        yield "one (Z)", ONE, plan.kernels[0]
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_equals_column_loop(self, law):
@@ -332,7 +333,7 @@ class TestConvHBatched:
     def test_noise_off_exact_zeros(self, law):
         plan = self.plan(law)
         fld = L.simulate_field(plan, np.random.default_rng(0), noise_off=True)
-        for kernel in [plan.one, *plan.kernels.values()]:
+        for kernel in plan.kernels:
             H = L.conv_H(fld, kernel)
             assert np.all(H == 0.0) and H.shape == (fld.W.shape[0] + 1,)
             assert not np.any(np.signbit(H)), "noise-off H holds a -0.0"
@@ -349,30 +350,83 @@ class TestLimitPlan:
         assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in a.nuhat)
 
     def test_plan_keeps_one_kernel_per_function_and_no_cell_tables(self):
-        # the default "one" is Z's f = 1: one kernel and one S_t(1), shared
-        # also after a pickle round trip; beside the kernels and the field's
-        # (nt, nx) roots the plan keeps only arrays on one grid axis
-        plan = L.LimitPlan.for_spec(critical_spec(seed=44, dist=LOGN))
-        for p in (plan, pickle.loads(pickle.dumps(plan))):
-            assert p.kernels["one"] is p.one and p.S["one"] is p.S_one
-        nt, nx = plan.sqrt_intensity.shape
-        kernels = {id(k) for k in (plan.one, *plan.kernels.values())}
-        assert len(kernels) == len(plan.kernels)
+        # entry 0 of the read-out table is Z's f = 1 and each distinct
+        # function has one entry, so the default "one" reads entry 0; a
+        # pickled plan gives equal runs and the same table (the default
+        # family only: a spec that names its functions holds lambdas).
+        # Beside the kernels and the field's (nt, nx) roots the plan keeps
+        # only arrays on one grid axis
 
         def arrays(value):
             if isinstance(value, np.ndarray):
                 yield value
-            elif isinstance(value, (dict, tuple)):
+            elif isinstance(value, (dict, tuple, list)):
                 for v in (value.values() if isinstance(value, dict) else value):
                     yield from arrays(v)
 
-        for field in dataclasses.fields(plan):
-            for a in arrays(getattr(plan, field.name)):
-                if id(a) in kernels:
-                    assert a.shape == (plan.nfft // 2 + 1, plan.cols.size)
-                elif a is not plan.sqrt_intensity:
-                    assert a.ndim == 1 and a.size <= max(nt, nx) + 1, (
-                        f"plan.{field.name} keeps an array of shape {a.shape}")
+        for family in ("default", "sae"):
+            tests = L.default_test_functions(LOGN)
+            if family == "sae":  # the two functions of verify_sae, with drifts
+                tests = L.sae_test_functions(LOGN, {"exp-decay": tests["exp_decay"],
+                                                    "one": tests["one"]})
+            spec = critical_spec(seed=44, dist=LOGN, x0hat=-0.3,
+                                 nu0hat={"atoms": [[0.5, -0.3]]},
+                                 test_functions=tests if family == "sae" else None)
+            plan = L.LimitPlan.for_spec(spec)
+            tests, tg = spec.tests(), plan.t_edges
+            assert plan.readouts.keys() == tests.keys()
+            assert plan.readouts["one"][0] == 0
+            assert sorted({i for i, _ in plan.readouts.values()}) == [0, 1, 2, 3]
+            assert len(plan.kernels) == len(plan.S) == 4
+            assert np.array_equal(plan.kernels[0], plan.kernels_for([ONE])[0])
+            assert np.array_equal(plan.S[0], L.s_op(spec.nu0hat, LOGN, ONE, tg))
+            assert np.any(plan.S[0] != 0.0)
+            for name, (f, _) in tests.items():
+                i = plan.readouts[name][0]
+                assert np.array_equal(plan.kernels[i], plan.kernels_for([f])[0]), name
+                assert np.array_equal(plan.S[i], L.s_op(spec.nu0hat, LOGN, f, tg)), name
+
+            if family == "default":
+                copy = pickle.loads(pickle.dumps(plan))
+                a, b = L.run_limit(plan, 2), L.run_limit(copy, 2)
+                for name in ("Ehat", "Hhat_1", "M1", "Khat", "Xhat", "vhat"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in tests)
+                for mine, theirs in ((plan.kernels, copy.kernels), (plan.S, copy.S)):
+                    assert all(np.array_equal(x, y) for x, y in zip(mine, theirs))
+                for name, (i, w) in plan.readouts.items():
+                    j, v = copy.readouts[name]
+                    assert i == j and all(np.array_equal(x, y) for x, y in zip(w, v))
+
+            nt, nx = plan.sqrt_intensity.shape
+            for field in dataclasses.fields(plan):
+                for a in arrays(getattr(plan, field.name)):
+                    if any(a is k for k in plan.kernels):
+                        assert a.shape == (plan.nfft // 2 + 1, plan.cols.size)
+                    elif a is not plan.sqrt_intensity:
+                        assert a.ndim == 1 and a.size <= max(nt, nx) + 1, (
+                            f"plan.{field.name} keeps an array of shape {a.shape}")
+
+    def test_path_convolves_each_entry_once_and_builds_no_family(self, monkeypatch):
+        # a path makes one conv_H call per table entry and reads its test
+        # functions from the plan, so the default family is not rebuilt
+        plan = L.LimitPlan.for_spec(critical_spec(seed=45, dist=LOGN))
+        calls = {"conv_H": 0, "default_test_functions": 0}
+
+        def counted(name):
+            inner = getattr(L, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(L, name, counted(name))
+        for r in range(3):
+            L.run_limit(plan, r)
+        assert calls == {"conv_H": 3 * len(plan.kernels), "default_test_functions": 0}
+        assert len(plan.kernels) == 4  # one, hazard, survival, exp_decay
 
     def test_omitted_nu0_is_the_invariant_start(self):
         # at x0 = 1 a mean-1 law's invariant profile of mass 1 is
@@ -416,14 +470,15 @@ class TestLimitPlan:
         run = L.run_limit(L.LimitPlan.for_spec(spec))
         plan, tg = run.plan, run.t_grid
         for name, (f, fp) in spec.tests().items():
+            i, weights = plan.readouts[name]
             S_f = L.s_op(None, LOGN, f, tg)
-            assert np.array_equal(plan.S[name], S_f), name
-            H_f = L.conv_H(run.field, plan.kernels[name])
+            assert np.array_equal(plan.S[i], S_f), name
+            H_f = L.conv_H(run.field, plan.kernels[i])
             w = plan.readout_weights(f, fp)
             want = (L.hat_nu_stieltjes(S_f, run.Khat, H_f, *w) if fp is None
                     else L.hat_nu(tg, S_f, run.Khat, H_f, *w))
             assert np.array_equal(run.nuhat[name], want), name
-            assert all(np.array_equal(a, b) for a, b in zip(plan.weights[name], w))
+            assert all(np.array_equal(a, b) for a, b in zip(weights, w))
         assert np.array_equal(plan.g, LOGN.grid_density(tg, tg[1] - tg[0]))
 
 

@@ -597,6 +597,14 @@ class TestInvariantAges:
         got = invariant_ages(make_service_dist("pareto", a=a), q.size, _Levels(q))
         assert np.all(np.abs(got / exact - 1.0) < 0.03), (got, exact)
 
+    def test_tail_past_the_table_refused(self):
+        # 2^20 holds all but 4.5e-2 of pareto(1.2)'s stationary age mass;
+        # drawing from the truncated law would shorten every age
+        with pytest.raises(ValueError, match=r"^pareto\(a=1\.2\): the stationary "
+                           r"age table ends at age 1\.04858e\+06 with 0\.0453 "):
+            invariant_ages(make_service_dist("pareto", a=1.2), 10,
+                           np.random.default_rng(0))
+
     def test_exponential_invariant_is_unit_exponential(self):
         rng = np.random.default_rng(0)
         ages = invariant_ages(EXP, 40000, rng)

@@ -292,9 +292,9 @@ class TestFcltWorker:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("overrides, key", [
-        ({"times": [7.0]}, "times"),        # past T: the event path stops at 5
-        ({"times": [0.0]}, "times"),
-        ({"times": [1.3], "euler_dt": 0.5}, "times"),  # Euler read at 1.5
+        ({"times": [7.0]}, "times.0"),      # past T: the event path stops at 5
+        ({"times": [0.0]}, "times.0"),
+        ({"times": [1.3], "euler_dt": 0.5}, "times.0"),  # Euler read at 1.5
         ({"euler_dt": 0.3}, "T"),           # Euler would run to 5.1
         ({"euler_dt": 0.0}, "euler_dt"),
         ({"times": []}, "times"),
