@@ -268,26 +268,31 @@ def solve_fluid(dist, T, dt, *, Ebar=1.0, x0=0.0, nu0=None):
     B[0] = I1[0]
     H[0] = I2[0]
     X[0] = x0
+    # per-step scalars as Python floats; the history sums stay numpy dots
+    I1l, I2l, El = I1.tolist(), I2.tolist(), Ebar.tolist()
+    a, g0, s0, B0 = float(a), float(g_half[0]), float(sf_half[0]), float(I1[0])
+    Hp, Dp, Kp = float(I2[0]), 0.0, 0.0  # H, Dc and K at the step before
     for i in range(1, n + 1):
-        base_B = I1[i] + (float(sf_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
-        base_H = I2[i] + (float(g_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
+        base_B = I1l[i] + (float(sf_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
+        base_H = I2l[i] + (float(g_half[1:i][::-1] @ kappa[:i - 1]) if i > 1 else 0.0)
         # the step is kap = max(clip(Y - a kap, 0, 1) + c + a kap, 0): one
         # piece per zone of the headcount Y - a kap, which is > 1 in the
         # first, < 0 in the second and in [0, 1] in the third
-        D0 = Dc[i - 1] + dt * (H[i - 1] + base_H) / 2.0
-        c = D0 - B[0] - K[i - 1]
-        Y = x0 + Ebar[i] - D0
+        D0 = Dp + dt * (Hp + base_H) / 2.0
+        c = D0 - B0 - Kp
+        Y = x0 + El[i] - D0
         kap = max((1.0 + c) / (1.0 - a), 0.0)
         if not Y - a * kap > 1.0:
             kap = max(c / (1.0 - a), 0.0)
             if not Y - a * kap < 0.0:
                 kap = max(Y + c, 0.0)
         kappa[i - 1] = kap
-        H[i] = base_H + g_half[0] * kap
-        B[i] = base_B + sf_half[0] * kap
-        Dc[i] = Dc[i - 1] + dt * (H[i - 1] + H[i]) / 2.0
-        X[i] = x0 + Ebar[i] - Dc[i]
-        K[i] = K[i - 1] + kap
+        H[i] = Hi = base_H + g0 * kap
+        B[i] = base_B + s0 * kap
+        Dc[i] = Dp = Dp + dt * (Hp + Hi) / 2.0
+        X[i] = x0 + El[i] - Dp
+        K[i] = Kp = Kp + kap
+        Hp = Hi
 
     finite = np.isfinite(X) & np.isfinite(K) & np.isfinite(B) & np.isfinite(H)
     if not finite.all():

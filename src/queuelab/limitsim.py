@@ -279,17 +279,21 @@ def solve_cmse(t_grid, g, Ehat, x0hat, Z, regime):
     v = np.empty(n + 1)
     X[0] = x0hat
     v[0] = v0
+    # per-step scalars as Python floats; the history sums stay numpy dots
+    gl, El, Zl = (np.asarray(y, dtype=float).tolist() for y in (g, Ehat, Z))
+    a, K0 = float(a), float(K[0])
     for i in range(1, n + 1):
-        C = dt * (0.5 * g[i] * K[0] + float(g[i - 1:0:-1] @ K[1:i]))
+        C = dt * (0.5 * gl[i] * K0 + float(g[i - 1:0:-1] @ K[1:i]))
         if regime == "supercritical":
-            K[i] = (C - Z[i]) / a
-            X[i] = Ehat[i] + x0hat - K[i]
+            k = (C - Zl[i]) / a
+            X[i] = El[i] + x0hat - k
             v[i] = 0.0
         else:
-            A = Ehat[i] + x0hat - v0 + (Z[i] - C) / a
-            X[i] = A if A >= 0.0 else a * A
-            v[i] = min(X[i], 0.0)
-            K[i] = (v[i] - Z[i] + C) / a
+            A = El[i] + x0hat - v0 + (Zl[i] - C) / a
+            X[i] = x = A if A >= 0.0 else a * A
+            v[i] = vi = min(x, 0.0)
+            k = (vi - Zl[i] + C) / a
+        K[i] = k
     return K, X, v
 
 
