@@ -30,13 +30,18 @@ The sample is a linear image of (Ehat, W), so every kernel it applies
 depends on the law, the grid, the fluid path and the test functions only.
 A LimitPlan holds the run's spec and builds that half once per run, and
 nothing else builds any of it: solve_cmse takes the plan's service
-density g, and sae_residual reads the run's own read-outs.  Path r of the
-run (run_limit(plan, r)) then draws Ehat, draws W = z sqrt(intensity)
-and takes one rFFT of W's live columns.  The plan's read-out table holds
-each distinct test function once, f = 1 first, since Z = S_t(1) -
-Hhat_t(1) is f = 1's read-out input.  Hhat(f) is a sum of column
-convolutions and the transform is linear, so each entry costs one
-product with those spectra, a column sum and one inverse rFFT.
+density g, and sae_residual reads the run's own read-outs.  The plan's
+read-out table holds each distinct test function once, f = 1 first,
+since Z = S_t(1) - Hhat_t(1) is f = 1's read-out input.  Hhat(f) is a sum
+of column convolutions with the kernel K_f(l, x) = u_x(l) / (1-G(x)),
+which is smooth in (l, x) for a smooth law, so the plan factors every
+kernel through one orthonormal age basis Q (live columns x k, from a
+seeded randomized range finder) that holds each K_f as (K_f Q) Q^T to
+RANK_TOL of its largest entry, a stated tolerance on Hhat, never a
+silent truncation.  Path r of the run (run_limit(plan, r)) then draws
+Ehat, draws W = z sqrt(intensity) and takes one rFFT of the k series
+W[:, cols] Q; each entry costs one product with those spectra, a sum
+over the k series and one inverse rFFT.
 
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
@@ -78,6 +83,14 @@ __all__ = [
 
 
 TAIL_BUDGET = 1e-6
+# The age basis holds each read-out kernel K to RANK_TOL of K's largest
+# entry (LimitPlan.kernels_for): a tolerance on Hhat, which moves by about
+# a tenth of it.  The residual's own rounding on 320 live columns is
+# 1-2e-14, so RANK_TOL sits above that and under the 1e-13 to which the
+# tests hold conv_H against the column-by-column convolution.
+RANK_TOL = 5e-14
+BASIS_STEP = 48        # the age basis grows by this many sketch columns
+BASIS_SEED = 20110525  # the sketch's own stream, shared by every plan
 
 
 @dataclass(frozen=True)
@@ -117,10 +130,11 @@ def resolve_x_max(grid, dist):
 @dataclass
 class MartingaleField:
     """White-noise field on the plan's age-time cells, plus the rFFT along
-    time of its live columns (LimitPlan.field)."""
+    time of its live columns' coordinates in the plan's age basis
+    (LimitPlan.field)."""
 
     W: np.ndarray          # (nt, nx) independent N(0, intensity) draws
-    W_hat: np.ndarray      # (nfft // 2 + 1, live columns) rFFT of W
+    Y_hat: np.ndarray      # (nfft // 2 + 1, k) rFFT of W[:, cols] @ basis
     nfft: int
 
     def m1_profile(self):
@@ -179,18 +193,21 @@ def conv_H(field, kernel):
 
     Psi separates per age column: (Psi_t f)(x, s) = u_x(t - s) / (1-G(x))
     with u_x(l) = f(x + l)(1 - G(x + l)), so each live column is a causal
-    convolution of its noise row with u_x, and Hhat(f) is their sum.
-    kernel is the plan's rFFT of u_x / (1-G(x)) (LimitPlan.kernels_for).  The
-    transform is linear, so the columns are added as spectra and one
-    inverse rFFT gives the sum; it differs from adding per-column inverses
-    by FFT rounding only (about 1e-15 relative).
+    convolution of its noise row with u_x, and Hhat(f) is their sum.  The
+    plan's age basis Q holds every kernel K = u_x / (1-G(x)) as (K Q) Q^T
+    to RANK_TOL of its largest entry, so the sum over columns is a sum over
+    the k basis series: kernel is the rFFT of K Q (LimitPlan.kernels_for)
+    and field holds the rFFT of W Q.  The transform is linear, so the
+    series are added as spectra and one inverse rFFT gives the sum; against
+    adding per-column convolutions this moves H by the basis residual and
+    FFT rounding only (within 3e-15 of its scale on the bench grid).
     """
     from scipy.fft import irfft
 
     nt = field.W.shape[0]
     H = np.zeros(nt + 1)
     # added onto +0.0, so a zero field gives zeros without a -0.0
-    H[1:] += irfft((field.W_hat * kernel).sum(axis=1), n=field.nfft)[:nt]
+    H[1:] += irfft((field.Y_hat * kernel).sum(axis=1), n=field.nfft)[:nt]
     return H
 
 
@@ -407,11 +424,15 @@ class LimitPlan:
     (1-G(x) > 0, so the kernels divide by no zero, and some intensity
     above 0, so a noise-off field gives exact zeros), the FFT length of a
     full causal convolution along time, the service density g on the time
-    grid, and one read-out table.  The table has one entry per distinct
-    read-out function, f = 1 first: kernels[i] its kernel and S[i] its
-    S_t(f), so Z = S[0] - Hhat(1) reads entry 0 and the default "one" is
-    entry 0 too.  readouts maps each test-function name to its entry and
-    its read-out weights.  It pickles to worker processes with its spec;
+    grid, the age basis and one read-out table.  The table has one entry
+    per distinct read-out function, f = 1 first: kernels[i] its kernel's
+    spectra in the basis (kernels_for) and S[i] its S_t(f), so Z = S[0] -
+    Hhat(1) reads entry 0 and the default "one" is entry 0 too.  readouts
+    maps each test-function name to its entry and its read-out weights.
+    The basis (_age_basis) is built from the table's own kernels, each
+    evaluated once on the live columns, and from BASIS_SEED, never from
+    spec.seed or a path's stream, so (seed, replicate) still pins every
+    path.  The plan pickles to worker processes with its spec and basis;
     the law crosses as its spec.
     """
 
@@ -423,6 +444,7 @@ class LimitPlan:
     cols: np.ndarray         # live age columns, in age order
     nfft: int
     g: np.ndarray            # service density on the time grid (grid_density)
+    basis: np.ndarray = None  # (live columns, k) orthonormal age basis
     kernels: list = None     # entry -> kernel (kernels_for); entry 0 is f = 1
     S: list = None           # entry -> S_t(f) on the time grid
     readouts: dict = None    # test-function name -> (entry, readout_weights)
@@ -432,7 +454,7 @@ class LimitPlan:
         """The plan for every path of spec's run; its arrival's lambda_bar,
         which drives the fluid path, must pass ArrivalSpec.checked_rate, and
         a non-finite x0hat is an InitialDataError before the fluid solve."""
-        from scipy.fft import next_fast_len
+        from scipy.fft import next_fast_len, rfft
 
         dist, grid = spec.dist, spec.grid
         if not math.isfinite(spec.x0hat):
@@ -459,7 +481,8 @@ class LimitPlan:
         tests = spec.tests()
         # each distinct function once (functions compare by identity), f = 1 first
         fs = list(dict.fromkeys([_one, *(f for f, _ in tests.values())]))
-        plan.kernels = plan.kernels_for(fs)
+        plan.basis, coords = _age_basis(plan._kernel_tables(fs))
+        plan.kernels = [rfft(C, n=plan.nfft, axis=0) for C in coords]
         plan.S = [S1, *(s_op(spec.nu0hat, dist, f, t_edges) for f in fs[1:])]
         plan.readouts = {name: (fs.index(f), plan.readout_weights(f, fp))
                          for name, (f, fp) in tests.items()}
@@ -470,18 +493,44 @@ class LimitPlan:
         return (self.x_edges[:-1] + self.x_edges[1:]) / 2.0
 
     def kernels_for(self, fs):
-        """For each f in fs, the rFFT along time of u_x(l) / (1-G(x)) on
-        the live columns; the ages x + l and their 1-G are built once."""
+        """For each f in fs, the rFFT along time of its kernel's
+        coordinates K Q in the plan's age basis (conv_H's kernel input).
+
+        A ValueError names the first f whose kernel K the basis does not
+        hold, that is (K Q) Q^T misses K by more than RANK_TOL of K's
+        largest entry: a kernel is never truncated silently.
+        """
         from scipy.fft import rfft
 
+        out = []
+        for f, K in zip(fs, self._kernel_tables(fs)):
+            C, held = _in_basis(K, self.basis)
+            if not held:
+                raise ValueError(
+                    f"{_name(f)}: its kernel is outside the plan's age basis "
+                    f"(width {self.basis.shape[1]}) by more than RANK_TOL = {RANK_TOL} "
+                    "of its largest entry")
+            out.append(rfft(C, n=self.nfft, axis=0))
+        return out
+
+    def _kernel_tables(self, fs):
+        """For each f in fs, its kernel u_x(l) / (1-G(x)) as an (nt, live
+        columns) table; the ages x + l and their 1-G are built once.  A
+        ValueError names an f whose table is not finite."""
         sf = self.spec.dist.sf
         nt = self.t_edges.size - 1
         lags = (np.arange(nt) + 0.5) * float(self.t_edges[1] - self.t_edges[0])
         ages = (self.x_mid[self.cols] + lags[:, None]).ravel()
         sf_ages = np.asarray(sf(ages))
         sf_cols = np.asarray(sf(self.x_mid))[self.cols]
-        return [rfft((np.asarray(f(ages), dtype=float) * sf_ages).reshape(
-            nt, self.cols.size) / sf_cols, n=self.nfft, axis=0) for f in fs]
+        tables = []
+        for f in fs:
+            K = (np.asarray(f(ages), dtype=float) * sf_ages).reshape(nt, self.cols.size)
+            K /= sf_cols
+            if not np.all(np.isfinite(K)):
+                raise ValueError(f"{_name(f)}: its kernel is not finite on the live columns")
+            tables.append(K)
+        return tables
 
     def readout_weights(self, f, fprime):
         """The path-independent weights of f's measure read-out.
@@ -499,11 +548,51 @@ class LimitPlan:
         return xi, float(np.atleast_1d(f(np.array([0.0])))[0])
 
     def field(self, W):
-        """W on the plan's cells, with the rFFT of its live columns."""
+        """W on the plan's cells, with the rFFT of its live columns'
+        coordinates W[:, cols] @ basis: k series, not one per column."""
         from scipy.fft import rfft
 
-        return MartingaleField(
-            W=W, W_hat=rfft(W[:, self.cols], n=self.nfft, axis=0), nfft=self.nfft)
+        return MartingaleField(W=W, Y_hat=rfft(W[:, self.cols] @ self.basis,
+                                               n=self.nfft, axis=0), nfft=self.nfft)
+
+
+def _name(f):
+    return getattr(f, "__qualname__", repr(f))
+
+
+def _in_basis(K, Q):
+    """K's coordinates K Q in the orthonormal columns of Q, and whether
+    (K Q) Q^T is within RANK_TOL of K's largest entry everywhere."""
+    C = K @ Q
+    R = C @ Q.T
+    R -= K
+    return C, bool(max(R.max(), -R.min()) <= RANK_TOL * max(K.max(), -K.min()))
+
+
+def _age_basis(tables):
+    """One orthonormal age basis Q (live columns x k) for the kernel
+    tables, and each table's coordinates K Q.
+
+    A randomized range finder (Halko, Martinsson & Tropp 2011, SIAM Rev.
+    53): the row space of the stacked tables is sketched with Gaussian
+    draws from BASIS_SEED, BASIS_STEP columns at a time, and the sketch is
+    orthonormalised by a QR.  k grows until every table is held to
+    RANK_TOL (_in_basis); once k would reach the column count, Q is the
+    identity, which holds every finite table exactly.
+    """
+    c = tables[0].shape[1]
+    rng = np.random.default_rng(BASIS_SEED)
+    Y = np.empty((c, 0))
+    while True:
+        if Y.shape[1] + BASIS_STEP < c:
+            Y = np.hstack([Y, sum(K.T @ rng.standard_normal((K.shape[0], BASIS_STEP))
+                                  for K in tables)])
+            Q = np.linalg.qr(Y)[0]
+        else:
+            Q = np.eye(c)
+        fits = [_in_basis(K, Q) for K in tables]
+        if Q.shape[1] == c or all(held for _, held in fits):
+            return Q, [C for C, _ in fits]
 
 
 @dataclass

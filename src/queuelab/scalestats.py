@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dists import (ArrivalSpec, _first_error, check_finite,
+from .dists import (ArrivalSpec, ServiceSpecError, _first_error, check_finite,
                     make_service_dist, renewal_function, uniform_grid)
 from .fluid import solve_fluid
 from .limitsim import (LimitGrid, LimitPlan, LimitSpec, default_test_functions,
@@ -202,6 +202,14 @@ def _grid(T, dt, T_key, dt_key):
         raise OverrideError(str(e)) from None
 
 
+def _law(key, spec):
+    """make_service_dist(spec), its refusal an OverrideError led by key."""
+    try:
+        return make_service_dist(spec)
+    except ServiceSpecError as e:
+        raise OverrideError(f"{key}: {e}") from None
+
+
 def _repeat(key, keys, values):
     """Refuse the second of two entries of list override key whose keys
     are equal, naming it (key.i) and the first."""
@@ -240,7 +248,7 @@ def verify_flln(config=None):
                seeds=_COUNT, lambda_bar=_POSITIVE, slope_band=_PAIR, seed=_SEED)
     grid = _grid(cfg["T"], cfg["grid_dt"], "T", "grid_dt")
     _grid(cfg["T"], cfg["fluid_dt"], "T", "fluid_dt")
-    dist = make_service_dist(cfg["service"])
+    dist = _law("service", cfg["service"])
     lam = float(cfg["lambda_bar"])
     fluid = solve_fluid(dist, cfg["T"], cfg["fluid_dt"], Ebar=lam)
     xbar = np.interp(grid, fluid.grid, fluid.Xbar)
@@ -333,7 +341,8 @@ def verify_insensitivity(config=None):
     # at unit manifold load both event streams run at rate ~1 per server,
     # so the scaled realized QV approaches (1 + sigma2) T
     target = (1.0 + arr.sigma2) * cfg["T"]
-    laws = [make_service_dist(svc) for svc in cfg["services"]]  # before any path
+    laws = [_law(f"services.{i}", svc)  # before any path
+            for i, svc in enumerate(cfg["services"])]
     init = InitialCondition(x0=N, ages="invariant")
     means, names = [], []
     for dist in laws:
@@ -374,7 +383,8 @@ def verify_moments(config=None):
                lambda_bar=_POSITIVE, seed=_SEED)
     steps = _steps("T_values", cfg["T_values"], 1e-3, "renewal step")  # U(T) = U[step]
     _repeat("ks", cfg["ks"], cfg["ks"])
-    laws = [make_service_dist(svc) for svc in cfg["services"]]  # before any path
+    laws = [_law(f"services.{i}", svc)  # before any path
+            for i, svc in enumerate(cfg["services"])]
     N = int(cfg["N"])
     arr = ArrivalSpec("renewal", cfg["lambda_bar"])
     init = InitialCondition(x0=N, ages="invariant")
@@ -466,7 +476,7 @@ def verify_representation(config=None):
         _grid(cfg["T"], dtv, "T", "dt_levels")
         if cfg["shift"]:
             _grid(cfg["shift"], dtv, "shift", "dt_levels")
-    dist = make_service_dist(cfg["service"])
+    dist = _law("service", cfg["service"])
     arr = ArrivalSpec("renewal", cfg["lambda_bar"])
     N = int(cfg["N"])
     init = InitialCondition(x0=N, ages="invariant")

@@ -547,11 +547,19 @@ class TestVerifyCommand:
          "times.0: 0.001 is shorter than one step euler_dt = 0.01"),
         ("fclt", {"times": [1.0, 1.005], "euler_dt": 0.01},
          "times.1: 1.005 is not a whole number of steps euler_dt = 0.01"),
-        # every law is built before the first law's paths run
+        # every law is built before the first law's paths run, and a
+        # refused law is named by its entry's path
         *((battery, {"reps": 3, "services": ["exponential",
                                              {"family": "gamma", "shape": -1.0}]},
-           "gamma shape must be positive")
+           "services.1: gamma shape must be positive")
           for battery in ("insensitivity", "moments")),
+        *((battery, {"reps": 3, "services": [{"family": "gamma", "shape": -1.0},
+                                             "exponential"]},
+           "services.0: gamma shape must be positive")
+          for battery in ("insensitivity", "moments")),
+        *((battery, {"service": {"family": "gamma", "shape": -1.0}},
+           "service: gamma shape must be positive")
+          for battery in ("flln", "representation")),
     ], ids=[*(f"{b}-seed-negative" for b in ("flln", "fclt", "insensitivity",
                                            "moments", "sae", "representation")),
             *(f"{b}-lambda-bar-zero" for b in ("flln", "insensitivity", "moments",
@@ -561,7 +569,9 @@ class TestVerifyCommand:
             "fclt-repeated-time", "moments-repeated-T", "moments-repeated-k",
             "moments-T-below-one-step",
             "fclt-time-below-one-step", "fclt-time-between-steps",
-            "insensitivity-bad-second-law", "moments-bad-second-law"])
+            "insensitivity-bad-second-law", "moments-bad-second-law",
+            "insensitivity-bad-first-law", "moments-bad-first-law",
+            "flln-bad-law", "representation-bad-law"])
     def test_bound_override_exit_two(self, tmp_path, monkeypatch, battery,
                                      overrides, message):
         # the bounds in each battery's override schema, the list entries

@@ -224,17 +224,32 @@ def conv_H_by_column(plan, field, dist, f):
     return H
 
 
+def kernel_table(plan, dist, f):
+    """Reference kernel u_x(l) / (1-G(x)) on the plan's live columns, built
+    column by column as conv_H_by_column builds it."""
+    nt = plan.t_edges.size - 1
+    lags = (np.arange(nt) + 0.5) * (plan.t_edges[1] - plan.t_edges[0])
+    sfx = np.asarray(dist.sf(plan.x_mid))
+    return np.stack([np.asarray(f(plan.x_mid[a] + lags), dtype=float)
+                     * np.asarray(dist.sf(plan.x_mid[a] + lags)) / sfx[a]
+                     for a in plan.cols], axis=1)
+
+
 class TestConvHBatched:
     """The plan's conv_H against the per-column loop.
 
-    Both call f and sf on the same points, and a batched FFT along one
-    axis transforms each column exactly as a single-column FFT does.  So
-    a field with one live column gives the loop's values exactly (==).
-    With many live columns, conv_H adds the column spectra and inverts
-    once, while the loop inverts each column and adds the results: the
-    same sum in another rounding order, so that check allows 1e-13 of the
-    profile's scale (the largest gap seen over 7 laws, 4 read-outs and 5
-    seeds was 1.3e-15 relative).
+    The plan holds each kernel K in its age basis Q as K Q, to RANK_TOL of
+    K's largest entry, and conv_H convolves the field's k basis series
+    W Q, adds their spectra and inverts once; the loop convolves every
+    column and adds the results.  So the two differ by the basis residual
+    and rounding, and the checks allow 1e-13 of the profile's scale (the
+    largest gap seen over 7 laws, 4 read-outs and 5 seeds was 1.4e-15
+    relative).  Both call f and sf on the same points, and a batched FFT
+    along one axis transforms each column exactly as a single-column FFT
+    does, so the full transform of every live column, which the basis
+    replaces, gives the loop's values exactly (==) on a field with one
+    live column, and so does a plan with a single live column, whose
+    basis is [1.0].
     """
 
     LAWS = {
@@ -299,18 +314,71 @@ class TestConvHBatched:
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_single_live_column_exact(self, law):
+        from scipy.fft import irfft, rfft
+
         dist, plan = self.LAWS[law], self.plan(law)
         W = self.field(law).W
+        nt = W.shape[0]
         for col in (plan.cols[0], plan.cols[plan.cols.size // 2], plan.cols[-1]):
             one_col = np.zeros_like(W)
             one_col[:, col] = W[:, col]
             fld = plan.field(one_col)
+            W_hat = rfft(one_col[:, plan.cols], n=plan.nfft, axis=0)
             for name, f, kernel in self.kernels(law):
-                got = L.conv_H(fld, kernel)
                 want = conv_H_by_column(plan, fld, dist, f)
-                assert np.array_equal(got, want), (
+                full = np.zeros(nt + 1)
+                full[1:] += irfft((W_hat * rfft(kernel_table(plan, dist, f), n=plan.nfft,
+                                                axis=0)).sum(axis=1), n=plan.nfft)[:nt]
+                assert np.array_equal(full, want), (
+                    f"{law}, f={name}, column {col}: the full column transform "
+                    f"differs from the column loop by {np.max(np.abs(full - want))}")
+                gap = float(np.max(np.abs(L.conv_H(fld, kernel) - want)))
+                assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(want)))), (
                     f"{law}, f={name}, column {col}: conv_H differs from the "
-                    f"column loop by {np.max(np.abs(got - want))}")
+                    f"column loop by {gap}")
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_one_column_plan_exact(self, law):
+        # x_max = dx leaves one age cell: the basis is [1.0], so conv_H
+        # is the one column's convolution, bit for bit
+        dist = self.LAWS[law]
+        plan = L.LimitPlan.for_spec(L.LimitSpec(
+            dist=dist, arrival=poisson_arr(), nu0={"invariant": 1.0},
+            grid=L.LimitGrid(T=1.0, dt=0.025, dx=0.1, x_max=0.1),
+            test_functions=self.read_outs(dist)))
+        assert np.array_equal(plan.cols, [0])
+        assert plan.basis.tolist() == [[1.0]]
+        fld = L.simulate_field(plan, np.random.default_rng(5))
+        for name, (f, _) in self.read_outs(dist).items():
+            got = L.conv_H(fld, plan.kernels[plan.readouts[name][0]])
+            want = conv_H_by_column(plan, fld, dist, f)
+            assert np.array_equal(got, want), (
+                f"{law}, f={name}: a one-column plan's conv_H differs from the "
+                f"column loop by {np.max(np.abs(got - want))}")
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_basis_holds_every_kernel(self, law):
+        # the age basis is orthonormal and reproduces each read-out's
+        # kernel, built here column by column, to RANK_TOL of its largest
+        # entry, for the default family and sae_residual's; only the law
+        # whose support ends inside the grid needs every column
+        dist = self.LAWS[law]
+        for tests in (L.default_test_functions(dist), L.sae_test_functions(dist, SAE)):
+            plan = L.LimitPlan.for_spec(L.LimitSpec(
+                dist=dist, arrival=poisson_arr(), nu0={"invariant": 1.0},
+                grid=L.LimitGrid(T=1.0, dt=0.025, dx=0.1, x_max=6.0),
+                test_functions=tests))
+            Q = plan.basis
+            k = Q.shape[1]
+            assert Q.shape[0] == plan.cols.size and 1 <= k <= plan.cols.size
+            assert (k == plan.cols.size) == (law == "piecewise"), (law, k)
+            assert np.max(np.abs(Q.T @ Q - np.eye(k))) <= 1e-14
+            for name, (f, _) in tests.items():
+                K = kernel_table(plan, dist, f)
+                res = float(np.max(np.abs(K - (K @ Q) @ Q.T)))
+                assert res <= L.RANK_TOL * float(np.max(np.abs(K))), (
+                    f"{law}, f={name}: the basis of width {k} misses the kernel "
+                    f"by {res}")
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_intensity_equals_meshgrid_form(self, law):
@@ -352,10 +420,11 @@ class TestLimitPlan:
     def test_plan_keeps_one_kernel_per_function_and_no_cell_tables(self):
         # entry 0 of the read-out table is Z's f = 1 and each distinct
         # function has one entry, so the default "one" reads entry 0; a
-        # pickled plan gives equal runs and the same table (the default
-        # family only: a spec that names its functions holds lambdas).
-        # Beside the kernels and the field's (nt, nx) roots the plan keeps
-        # only arrays on one grid axis
+        # pickled plan gives equal runs, the same table and the same age
+        # basis (the default family only: a spec that names its functions
+        # holds lambdas).  Beside the (nfft/2+1, k) kernel spectra, the
+        # (live columns, k) basis and the field's (nt, nx) roots the plan
+        # keeps only arrays on one grid axis
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -394,18 +463,51 @@ class TestLimitPlan:
                 assert all(np.array_equal(a.nuhat[n], b.nuhat[n]) for n in tests)
                 for mine, theirs in ((plan.kernels, copy.kernels), (plan.S, copy.S)):
                     assert all(np.array_equal(x, y) for x, y in zip(mine, theirs))
+                assert np.array_equal(plan.basis, copy.basis)
                 for name, (i, w) in plan.readouts.items():
                     j, v = copy.readouts[name]
                     assert i == j and all(np.array_equal(x, y) for x, y in zip(w, v))
 
             nt, nx = plan.sqrt_intensity.shape
+            k = plan.basis.shape[1]
+            assert k < plan.cols.size, "the basis holds every column"
             for field in dataclasses.fields(plan):
                 for a in arrays(getattr(plan, field.name)):
-                    if any(a is k for k in plan.kernels):
-                        assert a.shape == (plan.nfft // 2 + 1, plan.cols.size)
+                    if any(a is kernel for kernel in plan.kernels):
+                        assert a.shape == (plan.nfft // 2 + 1, k)
+                    elif a is plan.basis:
+                        assert a.shape == (plan.cols.size, k)
                     elif a is not plan.sqrt_intensity:
                         assert a.ndim == 1 and a.size <= max(nt, nx) + 1, (
                             f"plan.{field.name} keeps an array of shape {a.shape}")
+
+    def test_two_builds_give_identical_bytes(self):
+        # the basis sketch draws from its own constant seed, so a spec
+        # pins its plan's basis and spectra, whatever its run seed
+        spec = critical_spec(seed=46, dist=LOGN)
+        a, b = (L.LimitPlan.for_spec(s) for s in (spec, dataclasses.replace(spec, seed=7)))
+        assert a.basis.tobytes() == b.basis.tobytes()
+        assert [k.tobytes() for k in a.kernels] == [k.tobytes() for k in b.kernels]
+
+    def test_kernels_for_refuses_a_kernel_outside_the_basis(self):
+        # cos(40 x) is far outside the smooth span of the default family's
+        # kernels, so its kernel would be truncated: refused, by name
+        plan = L.LimitPlan.for_spec(critical_spec(seed=47, dist=LOGN))
+        assert plan.basis.shape[1] < plan.cols.size
+
+        def fast_wave(x):
+            return np.cos(40.0 * np.asarray(x, dtype=float))
+
+        def blows_up(x):
+            return np.full_like(np.asarray(x, dtype=float), np.inf)
+
+        with pytest.raises(ValueError, match=r"fast_wave: its kernel is outside "
+                                             r"the plan's age basis"):
+            plan.kernels_for([EXPD, fast_wave])
+        # a kernel that is not finite is refused before any basis check
+        with pytest.raises(ValueError, match=r"blows_up: its kernel is not finite"):
+            plan.kernels_for([blows_up])
+        assert len(plan.kernels_for([EXPD])) == 1
 
     def test_path_convolves_each_entry_once_and_builds_no_family(self, monkeypatch):
         # a path makes one conv_H call per table entry and reads its test

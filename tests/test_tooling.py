@@ -94,6 +94,26 @@ def test_exponential_fclt_round_loads_no_scipy():
     assert loaded == "[]", f"an exponential fclt round loaded {loaded}"
 
 
+def test_lognormal_limit_run_loads_no_scipy_linalg_or_stats(tmp_path):
+    # the limit plan's age basis is sketched and factored with numpy
+    # (numpy.linalg loads with numpy), and the lognormal law's kernels call
+    # scipy.special only, so a whole limit run loads neither module
+    cfg = {"schema_version": 1, "kind": "limit",
+           "model": {"service": {"family": "lognormal", "sigma": 0.5},
+                     "arrival": {"kind": "renewal", "lambda_bar": 1.0, "beta": 1.0},
+                     "fluid": {"Ebar": 1.0, "x0": 1.0, "nu0": {"invariant": 1.0}}},
+           "numerics": {"T": 0.5, "dt": 0.01, "dx": 0.05},
+           "run": {"paths": 2}}
+    loaded = ast.literal_eval(_loaded_after(
+        "from queuelab import cli\n"
+        f"assert cli.run(cli.validate_config({cfg!r}), "
+        f"out={str(tmp_path / 'out')!r}) == 0", "scipy"))
+    assert "scipy.fft" in loaded, "the run made no transform"
+    banned = [m for m in loaded if m.split(".")[:2] in (["scipy", "linalg"],
+                                                        ["scipy", "stats"])]
+    assert not banned, f"a lognormal limit run loaded {banned}"
+
+
 def test_readme_quickstart_runs(tmp_path):
     # about 1 s: the README's library example, run as a reader would, so
     # an API change cannot leave it stale
