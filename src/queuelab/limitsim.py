@@ -37,11 +37,13 @@ of column convolutions with the kernel K_f(l, x) = u_x(l) / (1-G(x)),
 which is smooth in (l, x) for a smooth law, so the plan factors every
 kernel through one orthonormal age basis Q (live columns x k, from a
 seeded randomized range finder) that holds each K_f as (K_f Q) Q^T to
-RANK_TOL of its largest entry, a stated tolerance on Hhat, never a
-silent truncation.  Path r of the run (run_limit(plan, r)) then draws
+RANK_TOL sqrt(columns) of its largest entry, a stated tolerance on Hhat,
+never a silent truncation; where no such Q is narrower than the columns,
+Q is the identity.  Path r of the run (run_limit(plan, r)) then draws
 Ehat, draws W = z sqrt(intensity) and takes one rFFT of the k series
-W[:, cols] Q; each entry costs one product with those spectra, a sum
-over the k series and one inverse rFFT.
+W[:, cols] Q (of the live columns themselves on the identity); each
+entry costs one product with those spectra, a sum over the k series and
+one inverse rFFT.
 
 All time quadratures are trapezoid for convolutions and left-rule for
 outer integrals, so defects shrink linearly in dt.
@@ -83,13 +85,16 @@ __all__ = [
 
 
 TAIL_BUDGET = 1e-6
-# The age basis holds each read-out kernel K to RANK_TOL of K's largest
-# entry (LimitPlan.kernels_for): a tolerance on Hhat, which moves by about
-# a tenth of it.  The residual's own rounding on 320 live columns is
-# 1-2e-14, so RANK_TOL sits above that and under the 1e-13 to which the
-# tests hold conv_H against the column-by-column convolution.
-RANK_TOL = 5e-14
-BASIS_STEP = 48        # the age basis grows by this many sketch columns
+# The age basis holds each read-out kernel K to RANK_TOL * sqrt(c) of K's
+# largest entry on a plan of c live columns (LimitPlan.kernels_for): a
+# tolerance on Hhat, which moves by about a tenth of it.  The residual
+# K - (K Q) Q^T sums over the columns, so its own rounding grows like
+# eps sqrt(c): 1-4 eps sqrt(c) was measured from 320 to 10,240 columns,
+# and RANK_TOL is about 14 eps.  That is 5.4e-14 on limit-cli's 320
+# columns and 2.3e-14 on the 60 of the tests that hold conv_H to 1e-13
+# of the column-by-column convolution.
+RANK_TOL = 3e-15
+BASIS_WIDTH = 48       # sketch columns: the width of every basis but the identity
 BASIS_SEED = 20110525  # the sketch's own stream, shared by every plan
 
 
@@ -195,12 +200,13 @@ def conv_H(field, kernel):
     with u_x(l) = f(x + l)(1 - G(x + l)), so each live column is a causal
     convolution of its noise row with u_x, and Hhat(f) is their sum.  The
     plan's age basis Q holds every kernel K = u_x / (1-G(x)) as (K Q) Q^T
-    to RANK_TOL of its largest entry, so the sum over columns is a sum over
-    the k basis series: kernel is the rFFT of K Q (LimitPlan.kernels_for)
-    and field holds the rFFT of W Q.  The transform is linear, so the
-    series are added as spectra and one inverse rFFT gives the sum; against
-    adding per-column convolutions this moves H by the basis residual and
-    FFT rounding only (within 3e-15 of its scale on the bench grid).
+    to RANK_TOL sqrt(columns) of its largest entry, so the sum over columns
+    is a sum over the k basis series: kernel is the rFFT of K Q
+    (LimitPlan.kernels_for) and field holds the rFFT of W Q.  The
+    transform is linear, so the series are added as spectra and one
+    inverse rFFT gives the sum; against adding per-column convolutions
+    this moves H by the basis residual and FFT rounding only (within 3e-15
+    of its scale on the bench grid).
     """
     from scipy.fft import irfft
 
@@ -497,8 +503,8 @@ class LimitPlan:
         coordinates K Q in the plan's age basis (conv_H's kernel input).
 
         A ValueError names the first f whose kernel K the basis does not
-        hold, that is (K Q) Q^T misses K by more than RANK_TOL of K's
-        largest entry: a kernel is never truncated silently.
+        hold, that is (K Q) Q^T misses K by more than RANK_TOL sqrt(columns)
+        of K's largest entry: a kernel is never truncated silently.
         """
         from scipy.fft import rfft
 
@@ -508,8 +514,8 @@ class LimitPlan:
             if not held:
                 raise ValueError(
                     f"{_name(f)}: its kernel is outside the plan's age basis "
-                    f"(width {self.basis.shape[1]}) by more than RANK_TOL = {RANK_TOL} "
-                    "of its largest entry")
+                    f"(width {self.basis.shape[1]}) by more than RANK_TOL sqrt(columns) "
+                    f"= {RANK_TOL * math.sqrt(self.cols.size):.2g} of its largest entry")
             out.append(rfft(C, n=self.nfft, axis=0))
         return out
 
@@ -552,8 +558,10 @@ class LimitPlan:
         coordinates W[:, cols] @ basis: k series, not one per column."""
         from scipy.fft import rfft
 
-        return MartingaleField(W=W, Y_hat=rfft(W[:, self.cols] @ self.basis,
-                                               n=self.nfft, axis=0), nfft=self.nfft)
+        Y = W[:, self.cols]
+        if self.basis.shape[1] < self.cols.size:  # the identity needs no product
+            Y = Y @ self.basis
+        return MartingaleField(W=W, Y_hat=rfft(Y, n=self.nfft, axis=0), nfft=self.nfft)
 
 
 def _name(f):
@@ -562,11 +570,15 @@ def _name(f):
 
 def _in_basis(K, Q):
     """K's coordinates K Q in the orthonormal columns of Q, and whether
-    (K Q) Q^T is within RANK_TOL of K's largest entry everywhere."""
+    (K Q) Q^T is within RANK_TOL sqrt(columns) of K's largest entry
+    everywhere.  A square Q is the identity (_age_basis): K itself."""
+    if Q.shape[1] == Q.shape[0]:
+        return K, True
     C = K @ Q
     R = C @ Q.T
     R -= K
-    return C, bool(max(R.max(), -R.min()) <= RANK_TOL * max(K.max(), -K.min()))
+    tol = RANK_TOL * math.sqrt(Q.shape[0]) * max(K.max(), -K.min())
+    return C, bool(max(R.max(), -R.min()) <= tol)
 
 
 def _age_basis(tables):
@@ -574,25 +586,22 @@ def _age_basis(tables):
     tables, and each table's coordinates K Q.
 
     A randomized range finder (Halko, Martinsson & Tropp 2011, SIAM Rev.
-    53): the row space of the stacked tables is sketched with Gaussian
-    draws from BASIS_SEED, BASIS_STEP columns at a time, and the sketch is
-    orthonormalised by a QR.  k grows until every table is held to
-    RANK_TOL (_in_basis); once k would reach the column count, Q is the
-    identity, which holds every finite table exactly.
+    53) of one width: the row space of the stacked tables is sketched with
+    BASIS_WIDTH Gaussian draws from BASIS_SEED and orthonormalised by a QR.
+    Q is the identity, which holds every table exactly, when there are no
+    more columns than BASIS_WIDTH or when the sketch's Q leaves some table
+    outside the tolerance (_in_basis), as a law whose support ends inside
+    the grid does.
     """
     c = tables[0].shape[1]
-    rng = np.random.default_rng(BASIS_SEED)
-    Y = np.empty((c, 0))
-    while True:
-        if Y.shape[1] + BASIS_STEP < c:
-            Y = np.hstack([Y, sum(K.T @ rng.standard_normal((K.shape[0], BASIS_STEP))
-                                  for K in tables)])
-            Q = np.linalg.qr(Y)[0]
-        else:
-            Q = np.eye(c)
+    if c > BASIS_WIDTH:
+        rng = np.random.default_rng(BASIS_SEED)
+        Q = np.linalg.qr(sum(K.T @ rng.standard_normal((K.shape[0], BASIS_WIDTH))
+                             for K in tables))[0]
         fits = [_in_basis(K, Q) for K in tables]
-        if Q.shape[1] == c or all(held for _, held in fits):
+        if all(held for _, held in fits):
             return Q, [C for C, _ in fits]
+    return np.eye(c), tables
 
 
 @dataclass
